@@ -88,7 +88,9 @@ from repro.workloads.registry import benchmark_names
 #: 2.1: telemetry plane (telemetry_snapshot, JobHandle.watch, /metrics).
 #: 2.2: backend-aware surface (``backend=`` on run/bench/submit,
 #: ``BatchStats``/``FallbackReason`` exports, ``RunResult.batch``).
-__api_version__ = "2.2"
+#: 3.0: ``BatchStats`` drops ``walk_cohort``/``precomputed_walks`` (and
+#: their keys in ``RunSummary.batch`` payloads).
+__api_version__ = "3.0"
 
 __all__ = [
     # entry points
@@ -185,13 +187,13 @@ def run(benchmark: str, *,
     shortcut for building ``config``; passing both raises.
 
     ``backend`` selects the execution core (one of :data:`BACKENDS`):
-    ``"python"`` is the scalar reference, ``"numpy"`` the vectorized
+    ``"python"`` is the scalar reference, ``"numpy"`` the windowed
     batch core -- bit-identical results, different wall clock (see
     ``docs/performance.md``).  It layers onto ``config`` when both are
     given (``config.with_(backend=...)``), so a shared base config can
     be run under either backend.  On a ``"numpy"`` run,
     ``result.batch`` carries the engine's :class:`BatchStats`
-    (vectorization engagement and fallback accounting).
+    (fast-path engagement and fallback accounting).
 
     Observability: ``sample_interval=N`` attaches the interval sampler
     (``result.intervals``); ``metrics=PATH`` additionally profiles the

@@ -60,7 +60,6 @@ class Cache:
         self.next_level = next_level
         self._store = CacheStore(self.num_sets, self.num_ways)
         self._slot_of = self._store.slot_of
-        self._batch_mirror = None
         self._policy = None
         self.policy = policy or make_policy(
             config.replacement, self.num_sets, self.num_ways)
@@ -124,16 +123,6 @@ class Cache:
         """A live block view for ``line_addr`` (no side effects)."""
         slot = self._slot_of.get(line_addr)
         return self._store.view(slot) if slot is not None else None
-
-    def batch_mirror(self):
-        """The numpy probe mirror over this cache's store (batch-backend
-        kernel entry point; see :mod:`repro.cache.batch`).  Built lazily
-        and cached -- the store keeps it coherent incrementally."""
-        mirror = self._batch_mirror
-        if mirror is None:
-            from repro.cache.batch import StoreMirror
-            mirror = self._batch_mirror = StoreMirror(self._store)
-        return mirror
 
     # ------------------------------------------------------------------
     def access(self, req: MemoryRequest) -> int:

@@ -29,7 +29,7 @@ class CacheStore:
     __slots__ = ("num_sets", "num_ways", "size", "line", "valid", "dirty",
                  "reused", "is_translation", "is_leaf_translation",
                  "is_replay", "is_prefetch", "dead_on_hit", "signature",
-                 "rrpv", "fill_cycle", "slot_of", "np_line")
+                 "rrpv", "fill_cycle", "slot_of")
 
     def __init__(self, num_sets: int, num_ways: int):
         if num_sets <= 0 or num_ways <= 0:
@@ -53,37 +53,6 @@ class CacheStore:
         #: Single residency map for the whole cache: line_addr -> slot.
         #: (A line can live in exactly one set, so one dict suffices.)
         self.slot_of: Dict[int, int] = {}
-        #: Optional int64 numpy mirror of :attr:`line`, kept incrementally
-        #: in sync for the batch backend's tag-match kernel (the flag
-        #: columns need no mirror -- ``np.frombuffer`` views a bytearray
-        #: live).  ``None`` until :meth:`enable_line_mirror`.
-        self.np_line = None
-
-    def enable_line_mirror(self):
-        """Build (or return) the int64 numpy mirror of :attr:`line`.
-
-        Invalid slots may hold stale addresses in either copy; consumers
-        must mask with :attr:`valid`, exactly as :attr:`slot_of` readers
-        rely on the validity invariant above.
-        """
-        if self.np_line is None:
-            import numpy as np
-            self.np_line = np.asarray(self.line, dtype=np.int64)
-        return self.np_line
-
-    def as_arrays(self):
-        """``(lines_2d, valid_2d)`` array views shaped ``(sets, ways)``.
-
-        The canonical inputs to :func:`repro.cache.batch.probe_lines`:
-        the incrementally-maintained int64 line mirror plus a live uint8
-        view of the valid column.  Both reshape without copying, so
-        scalar-side fills/evictions stay visible through them.
-        """
-        import numpy as np
-        shape = (self.num_sets, self.num_ways)
-        lines_2d = self.enable_line_mirror().reshape(shape)
-        valid_2d = np.frombuffer(self.valid, dtype=np.uint8).reshape(shape)
-        return lines_2d, valid_2d
 
     # ------------------------------------------------------------------
     def first_free(self, set_idx: int) -> int:
@@ -95,8 +64,6 @@ class CacheStore:
         """Reinitialise ``slot`` for a fresh fill (the column analogue of
         ``CacheBlock.reset_for_fill``); the caller updates :attr:`slot_of`."""
         self.line[slot] = line_addr
-        if self.np_line is not None:
-            self.np_line[slot] = line_addr
         self.valid[slot] = 1
         self.dirty[slot] = 0
         self.reused[slot] = 0
@@ -135,8 +102,6 @@ class CacheStore:
         """Overwrite ``slot`` from a :class:`CacheBlock` (test fixtures and
         the round-trip property test); the caller updates :attr:`slot_of`."""
         self.line[slot] = block.line_addr
-        if self.np_line is not None:
-            self.np_line[slot] = block.line_addr
         self.valid[slot] = 1 if block.valid else 0
         self.dirty[slot] = 1 if block.dirty else 0
         self.reused[slot] = 1 if block.reused else 0
@@ -188,26 +153,11 @@ def _int_column(name: str):
     return property(get, set_)
 
 
-def _line_column():
-    # Like _int_column("line") but keeps the optional numpy mirror in
-    # sync, so white-box tests mutating views can't desynchronise the
-    # batch backend.
-    def get(self: BlockView) -> int:
-        return self._store.line[self.slot]
-
-    def set_(self: BlockView, value: int) -> None:
-        self._store.line[self.slot] = value
-        if self._store.np_line is not None:
-            self._store.np_line[self.slot] = value
-
-    return property(get, set_)
-
-
 for _name in ("valid", "dirty", "reused", "is_translation",
               "is_leaf_translation", "is_replay", "is_prefetch",
               "dead_on_hit"):
     setattr(BlockView, _name, _bool_column(_name))
-BlockView.line_addr = _line_column()
+BlockView.line_addr = _int_column("line")
 BlockView.signature = _int_column("signature")
 BlockView.rrpv = _int_column("rrpv")
 BlockView.fill_cycle = _int_column("fill_cycle")

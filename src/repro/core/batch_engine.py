@@ -1,52 +1,33 @@
-"""Vectorized batch-simulation backend (``SimConfig.backend == "numpy"``).
+"""Windowed batch-simulation backend (``SimConfig.backend == "numpy"``).
 
 :class:`BatchCore` is a drop-in replacement for
-:class:`repro.core.ooo_core.OOOCore` that processes the trace in windows.
-Each window is classified once with the numpy kernels in
-:mod:`repro.cache.batch` against start-of-window snapshots of the DTLB
-and L1D: set-index/VPN split, TLB probe, physical line computation and
-L1D tag match all happen as array operations.  Classification splits the
-window into two cohorts:
+:class:`repro.core.ooo_core.OOOCore` that drains the trace through one
+fused scalar loop in fixed windows of :data:`WINDOW` instructions:
 
-* the *hit cohort* (DTLB-mirror hits) carries precomputed physical line
-  addresses;
-* the *miss cohort* (DTLB-mirror misses) is the page-walk feed: its
-  VPNs are deduplicated in first-occurrence order and their radix
-  descents precomputed in one batch
-  (:meth:`PageTable.walk_entries_batch`), so the walker's in-drain
-  ``walk_entries`` calls become cache lookups.
-
-The window then drains through one fused scalar loop:
-
-* an access is revalidated with O(1) probes against *live* state -- VPN
-  still (or newly) resident in its DTLB set, line resident in the L1D --
-  and, when they hold, takes an inlined hit path: engine recurrences
-  plus the exact side-effect set of the scalar DTLB-hit/L1D-hit path
-  (LRU/TLB stamps, reused/dirty bits, the MSHR merge probe) with
-  counters accumulated per window.  The live probe means accesses whose
-  page was walked *earlier in the same window* still take the fast path
-  even though the start-of-window mirror called them misses;
+* an access whose VPN is resident in its DTLB set and whose physical
+  line is resident in the L1D -- both checked with O(1) probes against
+  the *live* scalar dicts -- takes an inlined hit path: engine
+  recurrences plus the exact side-effect set of the scalar
+  DTLB-hit/L1D-hit path (LRU/TLB stamps, reused/dirty bits, the MSHR
+  merge probe), with counters accumulated per window;
 * everything else (walks, L1D misses, conflicts) goes through the
   *real* ``hierarchy.load``/``store`` -- identical by construction.
+
+While an eligible run drains, the walker carries a per-VPN descent memo
+(``PageTableWalker.entries_cache``), filled lazily by the walks the
+scalar excursions perform, so TLB-thrashing re-walks of a page become
+dict lookups.
 
 Bit-identity argument (pinned by ``tests/test_backend_parity.py`` and
 the ``repro.validate`` fuzz axis):
 
-* Page-table mappings are immutable once allocated, so a physical line
-  computed at classification time stays correct for the whole window;
-  only *residency* can change, and the revalidation probes check exactly
-  that against live dicts.  A stale "candidate" therefore falls through
-  to the scalar path rather than mis-simulating.
-* Walk precompute preserves the allocation trajectory: during an
-  eligible run, ``walk_entries`` is the only allocating call site, and a
-  never-allocated VPN cannot be resident in any TLB -- so its first
-  in-window occurrence is necessarily in the miss cohort, and the
-  cohort's first-occurrence order *is* the scalar first-walk order.
-  Precomputing the cohort's descents therefore performs the same
-  allocations in the same order; already-allocated VPNs are pure
-  lookups whose order is irrelevant.  The cache is attached to the
-  walker only while an eligible ``run`` is draining (and only while no
-  huge-page predicate is installed).
+* Page-table mappings never change once allocated, so a memoised
+  descent is exact for the rest of the run.  The memo is filled by the
+  same ``walk_entries`` calls the scalar core makes, at the same points,
+  so the frame allocator sees the same calls in the same order; later
+  hits on the memo replace pure lookups.  The memo is attached only
+  while an eligible ``run`` is draining and is bypassed while a
+  huge-page predicate is installed.
 * The inlined hit path reproduces the scalar side effects exactly: the
   DTLB/LRU clocks advance by one per touch (kept in locals, synced
   around every scalar excursion), dict stamp assignment preserves
@@ -70,9 +51,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-import numpy as np
-
-from repro.cache.batch import TLBMirror, first_occurrence_unique, flag_view
 from repro.core.fallback import BatchStats, FallbackReason
 from repro.core.ooo_core import CoreResult, OOOCore
 from repro.core.rob import StallAccounting
@@ -80,10 +58,10 @@ from repro.params import LINE_SHIFT, PAGE_SHIFT, SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM
 
-#: Classification window (instructions).  Large enough to amortize the
-#: numpy call overhead (~tens of microseconds per window), small enough
-#: that start-of-window residency snapshots stay mostly fresh.
-DEFAULT_WINDOW = 1024
+#: Drain window (instructions): how often the deferred fast-path
+#: counters are flushed, and the unit of ``BatchStats.windows``.  The
+#: per-window excursion histogram (``COHORT_BUCKETS``) tops out here.
+WINDOW = 1024
 
 _PAGE_OFF_MASK = (1 << PAGE_SHIFT) - 1
 _PFN_TO_LINE = PAGE_SHIFT - LINE_SHIFT
@@ -92,7 +70,7 @@ _PFN_TO_LINE = PAGE_SHIFT - LINE_SHIFT
 def vector_ineligibility(config: SimConfig,
                          hierarchy: MemoryHierarchy
                          ) -> Optional[FallbackReason]:
-    """Why this machine cannot take the vectorized fast path (or None).
+    """Why this machine cannot take the batch fast path (or None).
 
     Every condition here names scalar state or a per-hit side effect the
     fast path does not model; ineligible runs execute on the scalar core
@@ -121,16 +99,15 @@ def vector_ineligibility(config: SimConfig,
 
 
 class BatchCore:
-    """Windowed vectorized core, bit-identical to :class:`OOOCore`."""
+    """Windowed batch core, bit-identical to :class:`OOOCore`."""
 
     backend = "numpy"
 
     def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy,
-                 cpu_id: int = 0, window: int = DEFAULT_WINDOW):
+                 cpu_id: int = 0):
         self.config = config
         self.hierarchy = hierarchy
         self.cpu_id = cpu_id
-        self.window = window
         core = config.core
         self.rob_entries = core.rob_entries
         self.dispatch_width = core.dispatch_width
@@ -142,7 +119,6 @@ class BatchCore:
         self.batch_stats = BatchStats()
         self._static_reason = vector_ineligibility(config, hierarchy)
         self._scalar_core: Optional[OOOCore] = None
-        self._dtlb_mirror: Optional[TLBMirror] = None
 
     # ------------------------------------------------------------------
     def _scalar(self) -> OOOCore:
@@ -190,31 +166,16 @@ class BatchCore:
     def _run_vector(self, trace, warmup: int, limit: Optional[int],
                     bstats: BatchStats) -> CoreResult:
         hierarchy = self.hierarchy
-        trace_ips, trace_kinds = trace.ips, trace.kinds
-        trace_addrs, trace_deps = trace.addrs, trace.deps
-        # Kernels want arrays; the drain loop wants plain lists (native
-        # ints -- np.int64 leaking into cycle arithmetic would poison
-        # JSON exports downstream).
-        kinds_np = np.asarray(trace_kinds, dtype=np.int8)
-        addrs_np = np.asarray(trace_addrs, dtype=np.int64)
-        ips_l = (trace_ips.tolist() if hasattr(trace_ips, "tolist")
-                 else list(trace_ips))
-        kinds_l = kinds_np.tolist()
-        addrs_l = addrs_np.tolist()
-        deps_l = (trace_deps.tolist() if hasattr(trace_deps, "tolist")
-                  else list(trace_deps))
+        # Plain lists of native ints, as in OOOCore.run: np.int64 leaking
+        # into cycle arithmetic would poison JSON exports downstream.
+        ips_l, kinds_l, addrs_l, deps_l = (
+            col.tolist() if hasattr(col, "tolist") else col
+            for col in (trace.ips, trace.kinds, trace.addrs, trace.deps))
 
         l1d = hierarchy.l1d
         mmu = hierarchy.mmu
         dtlb = mmu.dtlb
-        page_table = hierarchy.page_table
-        entries_cache = mmu.walker.entries_cache
-        if self._dtlb_mirror is None or self._dtlb_mirror.tlb is not dtlb:
-            self._dtlb_mirror = TLBMirror(dtlb)
-        dtlb_mirror = self._dtlb_mirror
         store = l1d.store
-        pref_view = flag_view(store.is_prefetch)
-        dead_view = flag_view(store.dead_on_hit)
 
         # Live scalar structures the fast path touches directly.
         dtlb_sets = dtlb._sets
@@ -258,7 +219,6 @@ class BatchCore:
         n_rt = 0
         roi_start_cycle = 0
         counting = warmup == 0
-        window = self.window
 
         lo = 0
         while lo < total:
@@ -270,41 +230,16 @@ class BatchCore:
                 stats = l1d.stats
                 resp_counts = hierarchy.response_distribution.counts[
                     "non_replay"]
-            hi = lo + window
+            hi = lo + WINDOW
             if hi > total:
                 hi = total
             if not counting and hi > warmup:
                 hi = warmup  # windows never straddle the ROI boundary
 
-            # -- classify window [lo, hi) with the array kernels --------
-            # The DTLB probe splits the window into the hit cohort
-            # (drained below through live O(1) probes -- residency can
-            # change mid-window, so the live dicts are authoritative and
-            # a precomputed per-access line column would only duplicate
-            # them) and the miss cohort, which feeds the batched page
-            # walks.  L1D residency and MSHR conflicts are likewise left
-            # to the drain loop's dict probes.
-            addrs_w = addrs_np[lo:hi]
-            kinds_w = kinds_np[lo:hi]
-            vpns_w = addrs_w >> PAGE_SHIFT
-            dhit, _pfns = dtlb_mirror.probe(vpns_w)
-            mem_w = kinds_w != kind_nonmem
-            # ATP/TEMPO-style fills would set these columns; eligible
+            # ATP/TEMPO-style fills would set these 0/1 columns; eligible
             # configs never do, but a live check keeps the path honest.
-            fast_ok = not (pref_view.any() or dead_view.any())
-
-            # -- miss cohort: precompute the page-walk descents ---------
-            # Never-allocated VPNs all land here (they cannot be TLB
-            # resident), and their first-occurrence order is the scalar
-            # first-walk order, so the batch descent replays the exact
-            # allocator trajectory; see the module docstring.
-            miss_vpns = vpns_w[mem_w & ~dhit]
-            n_cohort = int(miss_vpns.shape[0])
-            if n_cohort:
-                bstats.walk_cohort += n_cohort
-                bstats.precomputed_walks += page_table.walk_entries_batch(
-                    first_occurrence_unique(miss_vpns).tolist(),
-                    entries_cache)
+            fast_ok = (1 not in store.is_prefetch
+                       and 1 not in store.dead_on_hit)
 
             # Per-window deferred counters (flushed after the loop).
             n_fast_mem = 0
@@ -364,13 +299,8 @@ class BatchCore:
                 vpn = addr >> PAGE_SHIFT
                 si = vpn % dtlb_num_sets
                 entries = dtlb_sets[si]
-                # Live revalidation against the real DTLB set: covers
-                # both directions of mid-window drift (an entry evicted
-                # since the window started falls to the excursion; a page
-                # walked in by an earlier access of this very window
-                # takes the fast path even though the classifier called
-                # it a miss).  The frame dict IS the scalar TLB's pfn
-                # store, so the line is exact by construction.
+                # Probe the live DTLB set: the frame dict IS the scalar
+                # TLB's pfn store, so the line is exact by construction.
                 if fast_ok and vpn in entries:
                     line = (dtlb_frames[si][vpn] << _PFN_TO_LINE) \
                         | ((addr & _PAGE_OFF_MASK) >> LINE_SHIFT)

@@ -1,7 +1,7 @@
 """Shared vocabulary of the batch backend's fallback seam.
 
 :class:`FallbackReason` enumerates every way a run can be refused by the
-vectorized fast path.  The *same* enum is the engine's
+batch fast path.  The *same* enum is the engine's
 ``last_fallback_reason`` type, the ``reason=`` label set of the
 ``repro_batch_fallback_total`` telemetry series, and the row key of the
 fallback table in ``docs/performance.md`` -- one definition, three
@@ -80,8 +80,9 @@ REASON_DETAIL: Dict[FallbackReason, str] = {
 #: Miss-cohort-size histogram bounds (scalar excursions per window,
 #: ``le`` semantics).  Shared verbatim with the service's
 #: ``repro_batch_miss_cohort_size`` histogram so :meth:`BatchStats`
-#: counts merge positionally; the trailing implicit +Inf bucket catches
-#: windows wider than the default 1024.
+#: counts merge positionally.  The top bound is the engine's
+#: 1024-instruction window, so the trailing implicit +Inf bucket stays
+#: empty.
 COHORT_BUCKETS = (0, 8, 16, 32, 64, 128, 256, 512, 1024)
 
 
@@ -105,10 +106,6 @@ class BatchStats:
     fast_merges: int = 0
     #: Memory accesses drained through the full scalar hierarchy.
     scalar_excursions: int = 0
-    #: Accesses classified into the page-walk cohort (DTLB-mirror miss).
-    walk_cohort: int = 0
-    #: Unique VPNs whose walk descent was precomputed for the cohort.
-    precomputed_walks: int = 0
     #: Full-run fallback counts keyed by :class:`FallbackReason` value.
     fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Miss-cohort-size histogram: one count per :data:`COHORT_BUCKETS`
@@ -148,8 +145,6 @@ class BatchStats:
                 "fast_hits": self.fast_hits,
                 "fast_merges": self.fast_merges,
                 "scalar_excursions": self.scalar_excursions,
-                "walk_cohort": self.walk_cohort,
-                "precomputed_walks": self.precomputed_walks,
                 "fallbacks": dict(self.fallbacks),
                 "cohort_buckets": list(COHORT_BUCKETS),
                 "cohort_sizes": list(self.cohort_sizes)}

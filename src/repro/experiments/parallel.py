@@ -27,6 +27,7 @@ uncached execution -- bit-identical to calling
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -395,9 +396,15 @@ class ResultCache:
         path = self.path_for(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        with os.fdopen(fd, "w") as f:
-            json.dump(document, f)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(document, f)
+            os.replace(tmp, path)
+        except BaseException:
+            # A failed write must not strand its temp file in the shard.
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
         self.stores += 1
 
     def put(self, key, summary: RunSummary) -> None:

@@ -151,76 +151,3 @@ class DRAM:
         """An access that consumes bandwidth but whose latency nobody waits
         on (ideal-cache modes forward misses this way)."""
         return self._raw_access(line_addr, cycle)
-
-    def open_row_array(self):
-        """Open-row state as an int64 array (-1 = no open row), indexed by
-        flat bank id -- the array form :func:`row_hit_plan` consumes."""
-        import numpy as np
-        arr = np.full(len(self._open_row), -1, dtype=np.int64)
-        for i, row in enumerate(self._open_row):
-            if row is not None:
-                arr[i] = row
-        return arr
-
-
-# ----------------------------------------------------------------------
-# Array-form kernels (library surface for the batch backend)
-# ----------------------------------------------------------------------
-def map_lines(config: DRAMConfig, lines):
-    """Vectorized :meth:`DRAM._map` over a line-address array.
-
-    Returns ``(channel, bank_idx, row)`` int64 arrays, where ``bank_idx``
-    is the flat bank id (``channel * banks_per_channel + bank``) used to
-    index the open-row array.
-    """
-    import numpy as np
-    lines = np.asarray(lines, dtype=np.int64)
-    row = lines // (config.row_buffer_bytes >> LINE_SHIFT)
-    channel = row % config.channels
-    bank = (row // config.channels) % config.banks_per_channel
-    return channel, channel * config.banks_per_channel + bank, row
-
-
-def row_hit_plan(open_rows, bank_idx, rows):
-    """Row hit/miss outcome of a request sequence, computed array-wise.
-
-    The scalar controller's row outcome is *order-only* state: after every
-    access the accessed row is the bank's open row (hits keep it open,
-    misses replace it), so the hit/miss sequence depends on the per-bank
-    access order alone -- never on timing.  That makes it computable for a
-    whole batch at once: within each bank, an access is a hit iff its row
-    equals the previous access's row (the first access compares against
-    ``open_rows``).  Cross-access *timing* (interval scheduling, bandwidth
-    buckets) is genuinely feedback-coupled and stays scalar.
-
-    ``open_rows`` is the pre-batch state (:meth:`DRAM.open_row_array`
-    form); ``bank_idx``/``rows`` come from :func:`map_lines` and are in
-    request order.  Returns ``(hits, new_open)`` -- a bool mask in request
-    order and the post-batch open-row array (input unmodified).
-    """
-    import numpy as np
-    open_rows = np.asarray(open_rows, dtype=np.int64)
-    bank_idx = np.asarray(bank_idx, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.int64)
-    n = int(rows.shape[0])
-    new_open = open_rows.copy()
-    if n == 0:
-        return np.zeros(0, dtype=bool), new_open
-    # Stable sort groups each bank's accesses while preserving request
-    # order within the group, so "previous access to this bank" is just
-    # the previous element of the group.
-    order = np.argsort(bank_idx, kind="stable")
-    b_sorted = bank_idx[order]
-    r_sorted = rows[order]
-    prev = np.empty(n, dtype=np.int64)
-    prev[0] = open_rows[b_sorted[0]]
-    same_bank = b_sorted[1:] == b_sorted[:-1]
-    prev[1:] = np.where(same_bank, r_sorted[:-1], open_rows[b_sorted[1:]])
-    hits_sorted = r_sorted == prev
-    hits = np.empty(n, dtype=bool)
-    hits[order] = hits_sorted
-    # Last access per bank leaves its row open.
-    is_last = np.ones(n, dtype=bool)
-    is_last[:-1] = ~same_bank
-    new_open[b_sorted[is_last]] = r_sorted[is_last]
-    return hits, new_open

@@ -152,41 +152,3 @@ class MSHR:
 
     def occupancy(self, now: int) -> int:
         return sum(1 for t in self._inflight.values() if t > now)
-
-    # ------------------------------------------------------------------
-    # Bulk kernels (library surface for the batch backend)
-    # ------------------------------------------------------------------
-    def bulk_lookup(self, lines, now: int):
-        """Array-form merge preview over the current table, side-effect
-        free: no merge counters, no tracer events, no expiry.
-
-        Returns an int64 array of fill cycles (-1 where ``lines[i]`` has
-        no live fill at ``now``) -- element ``i`` equals what
-        :meth:`lookup` *would* return for ``(lines[i], now)``, making the
-        kernel directly property-testable against the scalar method.
-        The batch engine does not drive admission through this (admission
-        interleaves expiry sweeps with out-of-order arrival cycles, and
-        ``peak_occupancy`` samples depend on per-request sweep points);
-        it exists for whole-cohort merge analysis where the table is
-        known not to change across the batch.
-        """
-        import numpy as np
-        get = self._inflight.get
-        out = np.empty(len(lines), dtype=np.int64)
-        for i, line in enumerate(lines):
-            fill = get(line)
-            out[i] = fill if (fill is not None and fill > now) else -1
-        return out
-
-    def bulk_expire(self, now: int) -> int:
-        """Retire every entry whose fill time has passed ``now``; returns
-        the number retired.  Equivalent to the :meth:`_expire` sweep --
-        and deliberately NOT called by the batch engine between windows:
-        the scalar model expires lazily at *per-request* probe points, so
-        an eager sweep changes which stale entries later out-of-order
-        requests can still merge with (see the NOTE in
-        :meth:`admission_delay`).
-        """
-        before = len(self._inflight)
-        self._expire(now)
-        return before - len(self._inflight)

@@ -372,8 +372,9 @@ class SimConfig:
     #: Track recall distances (Figs 5/7/18); small runtime cost.
     track_recall: bool = True
     #: Simulation backend: "python" (reference scalar loop) or "numpy"
-    #: (vectorized batch windows with a scalar fallback for complex
-    #: events).  Both are bit-identical by construction and by test.
+    #: (batch windows with an inlined hit path and scalar excursions for
+    #: everything else).  Both are bit-identical by construction and by
+    #: test.
     backend: str = "python"
     seed: int = 1
 

@@ -222,30 +222,6 @@ class PageTable:
             shift -= BITS_PER_LEVEL
         return pfn, out
 
-    def walk_entries_batch(self, vpns, cache: dict) -> int:
-        """Precompute :meth:`walk_entries` descents for a VPN cohort.
-
-        ``vpns`` must be in *first-occurrence order* of the accesses that
-        will consume them: for never-allocated pages each descent
-        allocates table/data frames, and replaying them here in cohort
-        order reproduces the exact allocator trajectory of per-access
-        scalar walks (already-allocated VPNs are pure lookups, so their
-        position is irrelevant).  Results land in ``cache`` keyed by
-        VPN -- the dict the batch engine attaches as the walker's
-        ``entries_cache``.  Returns the number of fresh descents.
-
-        Must not be used while a huge-page predicate is installed: huge
-        leaves split the PFN per 4KB sub-frame, so descents stop being a
-        pure function of the VPN's page-table path.
-        """
-        fresh = 0
-        walk_entries = self.walk_entries
-        for vpn in vpns:
-            if vpn not in cache:
-                cache[vpn] = walk_entries(vpn << PAGE_SHIFT)
-                fresh += 1
-        return fresh
-
     def walk_path(self, va: int) -> List[Tuple[int, int]]:
         """Return ``[(level, pte_physical_address), ...]`` for the walk,
         root (level 5) first, leaf level (1, or 2 for huge pages) last.

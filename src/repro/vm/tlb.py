@@ -29,9 +29,6 @@ class TLB:
         # increment-then-stamp sequence below yields the exact values the
         # old ``itertools.count(1)`` produced.
         self._clock = 0
-        #: Set whenever residency changes; tells the numpy backend its
-        #: key/frame mirror (repro.cache.batch.TLBMirror) needs a rebuild.
-        self._mirror_stale = True
         self.accesses = 0
         self.hits = 0
         self.misses = 0
@@ -95,7 +92,6 @@ class TLB:
             self._clock += 1
             entries[vpn] = self._clock
         frames[vpn] = pfn
-        self._mirror_stale = True
         if self.observer is not None:
             self.observer.on_stlb_fill(vpn, ip)
 
@@ -112,7 +108,6 @@ class TLB:
         for entries, frames in zip(self._sets, self._frames):
             entries.clear()
             frames.clear()
-        self._mirror_stale = True
 
     @property
     def miss_rate(self) -> float:

@@ -43,9 +43,9 @@ class PageTableWalker:
         self.pte_reads = 0
         #: Request-level span tracer (None unless the run is traced).
         self.tracer = None
-        #: Optional ``{vpn: (pfn, entries)}`` descent cache, attached by
-        #: the batch engine while an eligible run drains (see
-        #: ``PageTable.walk_entries_batch``).  None in scalar runs.
+        #: Optional ``{vpn: (pfn, entries)}`` descent memo, attached by
+        #: the batch engine while an eligible run drains and filled
+        #: lazily by :meth:`walk`.  None in scalar runs.
         self.entries_cache = None
 
     def walk(self, va: int, cycle: int, ip: int = 0) -> WalkResult:

@@ -109,7 +109,7 @@ def test_api_trace_diff_accepts_documents():
 # v1.1 additions: bench, frozen SimConfig, facade-only CLI
 # ----------------------------------------------------------------------
 def test_api_version_pinned():
-    assert api.__api_version__ == "2.2"
+    assert api.__api_version__ == "3.0"
     assert "__api_version__" in api.__all__
 
 
@@ -451,8 +451,8 @@ def test_batchstats_is_stable_dataclass():
     stats.record_fallback(api.FallbackReason.HUGE_PAGES)
     doc = stats.to_dict()
     assert {"windows", "instructions", "fast_hits", "fast_merges",
-            "scalar_excursions", "walk_cohort", "precomputed_walks",
-            "fallbacks", "cohort_buckets", "cohort_sizes"} == set(doc)
+            "scalar_excursions", "fallbacks", "cohort_buckets",
+            "cohort_sizes"} == set(doc)
     assert doc["fallbacks"] == {"huge_pages": 1}
     assert sum(doc["cohort_sizes"]) == 1
 

@@ -85,11 +85,11 @@ MATRIX = [
 assert len(MATRIX) == 23, "the oracle matrix is pinned at 23 configs"
 
 #: Miss-dominated companion matrix: scale-16 geometry shrinks the DTLB
-#: and L1D until most windows carry a real miss cohort, so these rows
-#: drive the batched miss-cascade kernels (cohort walk precompute,
-#: MSHR-merge fast path, scalar excursions) rather than the hit path the
-#: base matrix mostly exercises.  Each row must stay vector-eligible AND
-#: actually form walk cohorts -- asserted below, not assumed.
+#: and L1D until most windows carry real misses, so these rows drive the
+#: scalar excursions, page walks through the walker's descent memo and
+#: the MSHR-merge fast path rather than the hit path the base matrix
+#: mostly exercises.  Each row must stay vector-eligible AND actually
+#: walk -- asserted below, not assumed.
 MISS_MATRIX = [
     ("pr-s16-deep", _cfg(scale=16), "pr", 8000, 1000, 1),
     ("pr-s16-full", _cfg(scale=16, enhancements="full"), "pr",
@@ -115,12 +115,11 @@ def test_miss_dominated_bit_identical(name, cfg, bench, instructions,
     assert core.last_fallback_reason is None
     stats = core.batch_stats
     # Miss-domination is the point of these rows: the drain must have
-    # formed page-walk cohorts and taken scalar excursions, otherwise
-    # the batched miss-cascade kernels went untested.
+    # taken scalar excursions and walked, otherwise the excursion path
+    # and the descent memo went untested.
     assert stats.windows > 0
-    assert stats.walk_cohort > 0
     assert stats.scalar_excursions > 0
-    assert stats.precomputed_walks > 0
+    assert core.hierarchy.mmu.walker.walks > 0
 
 
 def _run(config: SimConfig, bench: str, instructions: int,
@@ -185,10 +184,9 @@ def test_scenario_library_is_complete():
 def test_high_address_trace_backend_parity():
     """Addresses above 2**53 survive both backends bit-identically.
 
-    Float64 holds 53 mantissa bits; an accidental float round-trip in
-    the vectorized path would silently corrupt these addresses and the
-    counter comparison would diverge (companion unit tests:
-    ``tests/test_batch_kernels.py``)."""
+    Float64 holds 53 mantissa bits; an accidental float round-trip
+    anywhere in either core would silently corrupt these addresses and
+    the counter comparison would diverge."""
     import numpy as np
 
     from repro.vm.address import make_va

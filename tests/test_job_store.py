@@ -114,3 +114,24 @@ def test_job_payload_serves_runner_cache(tmp_path):
     cached = cache.get(key)
     assert cached is not None
     assert cached.to_dict() == summary.to_dict()
+
+
+# ----------------------------------------------------------------------
+# Failed writes
+# ----------------------------------------------------------------------
+def _fail_replace(src, dst):
+    raise OSError("simulated rename failure")
+
+
+@pytest.mark.parametrize("failure", ["replace", "dump"])
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, failure):
+    cache = ResultCache(root=tmp_path, fingerprint="pinned")
+    if failure == "replace":
+        monkeypatch.setattr("repro.experiments.parallel.os.replace",
+                            _fail_replace)
+        cache.put_raw(DIGEST, {"x": 1})  # OSError is still swallowed
+    else:
+        with pytest.raises(TypeError):
+            cache.put_raw(DIGEST, {"x": object()})
+    assert list(cache.dir.rglob("*.tmp")) == []
+    assert not cache.contains(DIGEST) and cache.stores == 0

@@ -1,5 +1,7 @@
 """Tests for the page-table walker."""
 
+import random
+
 import pytest
 
 from repro.memsys.request import AccessType
@@ -103,3 +105,36 @@ def test_walk_counts():
     walker.walk(make_va([1, 2, 3, 4, 6]), cycle=50)
     assert walker.walks == 2
     assert walker.pte_reads == 6  # 5 cold + 1 via PSCL2
+
+
+@pytest.mark.parametrize("huge", [False, True], ids=["4k", "huge"])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_descent_memo_matches_unmemoised_walks(seed, huge):
+    """The per-VPN descent memo (``entries_cache``) changes nothing a
+    walk produces or allocates, and memoises exactly the pages walked.
+
+    Under a huge-page predicate a descent is no longer a pure function of
+    the VPN, so the memo must stay out of the way entirely."""
+    rng = random.Random(seed)
+    pages = [make_va([rng.randrange(2), rng.randrange(4), rng.randrange(4),
+                      rng.randrange(8), rng.randrange(512)])
+             for _ in range(40)]
+    vas = [rng.choice(pages) | (rng.randrange(512) * 8) for _ in range(400)]
+
+    plain, plain_pt, _, plain_mem = make_walker()
+    memo, memo_pt, _, memo_mem = make_walker()
+    memo.entries_cache = {}
+    if huge:
+        for pt in (plain_pt, memo_pt):
+            pt.huge_page_predicate = lambda va: (va >> 30) & 1 == 1
+
+    for i, va in enumerate(vas):
+        assert memo.walk(va, cycle=i * 7) == plain.walk(va, cycle=i * 7)
+    assert [vars(r) for r in memo_mem.requests] \
+        == [vars(r) for r in plain_mem.requests]
+    assert memo_pt.table_pages == plain_pt.table_pages
+    assert memo_pt.data_pages == plain_pt.data_pages
+    assert memo_pt.allocator._counter == plain_pt.allocator._counter
+    assert (memo_pt.huge_pages > 0) == huge
+    expected = set() if huge else {va >> PAGE_SHIFT for va in vas}
+    assert set(memo.entries_cache) == expected
