@@ -1,8 +1,8 @@
 # Convenience targets for the reproduction repo.
 
-.PHONY: install test bench bench-baseline accuracy figures figures-fast \
-	figures-check figures-observed scenarios serve-smoke fuzz \
-	calibrate all
+.PHONY: install test bench bench-baseline perfbench-ab accuracy figures \
+	figures-fast figures-check figures-observed scenarios serve-smoke \
+	fuzz calibrate all
 
 install:
 	pip install -e . --no-build-isolation
@@ -20,6 +20,17 @@ bench:
 bench-baseline:
 	PYTHONPATH=src python -m repro bench --out . --repeats 3 \
 		--update-baseline
+
+# Same-machine interleaved A/B of the working tree against BASE on one
+# perfbench workload: PAIRS pairs, each side's median and quartiles, and a
+# gain / no change / worse verdict per end-to-end metric against the
+# bounds in BENCHMARK.json (docs/performance.md, "Profiling new changes").
+BASE ?= HEAD
+WORKLOAD ?= walk_storm
+PAIRS ?= 10
+perfbench-ab:
+	python3 tools/perfbench_ab.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS)
 
 # Paper-accuracy suite (pytest-benchmark figure comparisons).
 accuracy:

@@ -343,8 +343,8 @@ class Cache:
                 self.recall_replay.on_evict(set_idx, victim_line)
         if store.dirty[slot] or upper_dirty:
             self.writebacks_issued += 1
-            wb = request_pool.acquire(victim_line << 6, cycle,
-                                      access_type=_WRITEBACK)
+            wb = request_pool.acquire(victim_line << 6, cycle, 0,
+                                      _WRITEBACK)
             self.next_level.access(wb)
             request_pool.release(wb)
         store.valid[slot] = 0
@@ -355,8 +355,8 @@ class Cache:
         for line_addr in candidates:
             if line_addr in self._slot_of:
                 continue
-            pref = request_pool.acquire(line_addr << 6, req.cycle,
-                                        ip=req.ip, access_type=_PREFETCH)
+            pref = request_pool.acquire(line_addr << 6, req.cycle, req.ip,
+                                        _PREFETCH)
             self.access(pref)
             request_pool.release(pref)
 

@@ -20,7 +20,7 @@ from DRAM, the controller can immediately fetch the replay data line (see
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Callable, Dict, List, Optional
 
 from repro.params import DRAMConfig, LINE_SHIFT
@@ -34,27 +34,37 @@ _BUCKET = 32
 
 
 class _BankSchedule:
-    """First-fit interval scheduler for one DRAM bank."""
+    """First-fit interval scheduler for one DRAM bank.
 
-    __slots__ = ("busy",)
+    Busy intervals ``[starts[i], ends[i])`` are disjoint and kept sorted,
+    so ``ends`` is sorted too: the first interval that can delay a
+    request is found by bisecting ``ends``, and the horizon prune drops a
+    bisected prefix."""
+
+    __slots__ = ("starts", "ends")
 
     def __init__(self):
-        self.busy: List[List[int]] = []  # sorted [start, end) pairs
+        self.starts: List[int] = []
+        self.ends: List[int] = []
 
     def reserve(self, cycle: int, duration: int) -> int:
         """Place a ``duration``-cycle occupancy at the earliest gap at or
         after ``cycle``; returns the start cycle."""
+        starts = self.starts
+        ends = self.ends
+        # Intervals ending at or before ``cycle`` cannot delay it.
+        i = bisect_right(ends, cycle)
+        n = len(starts)
         t = cycle
-        for s, e in self.busy:
-            if e <= t:
-                continue
-            if s - t >= duration:
-                break
-            t = e
-        bisect.insort(self.busy, [t, t + duration])
-        if len(self.busy) > 64:
-            cutoff = self.busy[-1][1] - _HORIZON
-            self.busy = [iv for iv in self.busy if iv[1] >= cutoff]
+        while i < n and starts[i] - t < duration:
+            t = ends[i]
+            i += 1
+        starts.insert(i, t)
+        ends.insert(i, t + duration)
+        if len(ends) > 64:
+            stale = bisect_left(ends, ends[-1] - _HORIZON)
+            del starts[:stale]
+            del ends[:stale]
         return t
 
 

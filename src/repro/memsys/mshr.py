@@ -17,25 +17,28 @@ probing request's cycle has completed and frees its slot.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-#: Sentinel fill-time watermark for an empty table.
-_NEVER = float("inf")
+from bisect import bisect_left, bisect_right
+from typing import Dict, List, Optional
 
 
 class MSHR:
-    """A bounded table of ``line_addr -> fill_completion_cycle``."""
+    """A bounded table of ``line_addr -> fill_completion_cycle``.
+
+    Beside the ``_inflight`` map sits a sorted index of the same entries:
+    ``_fills`` holds every fill time in ascending order and ``_lines`` the
+    line of each, position for position.  Expiry, occupancy and the
+    admission wait are then bisections and prefix deletes instead of
+    scans of the whole table.  The two must only change together, so
+    entries go in through :meth:`allocate` / :meth:`allocate_prefetch`.
+    """
 
     def __init__(self, entries: int):
         if entries <= 0:
             raise ValueError("MSHR needs at least one entry")
         self.entries = entries
         self._inflight: Dict[int, int] = {}
-        #: Lower bound on the earliest in-flight fill time: lets _expire
-        #: skip its scan when provably nothing has completed yet.  Stale
-        #: (too low) after an overwrite removes the true minimum, which
-        #: only costs a wasted scan, never a missed expiry.
-        self._min_fill = _NEVER
+        self._fills: List[int] = []
+        self._lines: List[int] = []
         self.merges = 0
         self.allocations = 0
         #: Entries retired because their fill time passed (conservation:
@@ -49,16 +52,6 @@ class MSHR:
         #: ``component`` labels which cache's MSHR this is in trace output.
         self.tracer = None
         self.component = ""
-
-    def _expire(self, now: int) -> None:
-        if self._min_fill > now:
-            return
-        inflight = self._inflight
-        done = [line for line, t in inflight.items() if t <= now]
-        for line in done:
-            del inflight[line]
-        self.expirations += len(done)
-        self._min_fill = min(inflight.values(), default=_NEVER)
 
     def lookup(self, line_addr: int, now: int) -> Optional[int]:
         """Return the fill cycle if ``line_addr`` is still in flight."""
@@ -86,35 +79,67 @@ class MSHR:
         cover as many completions as it takes for a slot to be genuinely
         free.  None of those entries are deleted here -- their fills may
         still be in flight and must keep merging."""
-        # NOTE: the _expire sweep must run even when the table has spare
+        # NOTE: the expiry sweep must run even when the table has spare
         # raw capacity.  Requests arrive with non-monotonic cycles, so an
         # entry deleted here can no longer merge with a *later* request
         # probing an *earlier* cycle -- skipping the sweep when
         # len(_inflight) < entries measurably changes merge and occupancy
-        # outcomes (it is not a pure optimisation).  The sweep is inlined
-        # (== _expire) because this is the hottest MSHR entry point.
-        inflight = self._inflight
-        if self._min_fill <= now:
-            done = [line for line, t in inflight.items() if t <= now]
-            for line in done:
+        # outcomes (it is not a pure optimisation).  The expired entries
+        # are exactly the prefix of the sorted index at or before ``now``.
+        fills = self._fills
+        done = bisect_right(fills, now)
+        if done:
+            inflight = self._inflight
+            lines = self._lines
+            for line in lines[:done]:
                 del inflight[line]
-            self.expirations += len(done)
-            self._min_fill = min(inflight.values(), default=_NEVER)
-        over = len(inflight) - self.entries
+            del lines[:done]
+            del fills[:done]
+            self.expirations += done
+        over = len(fills) - self.entries
         if over < 0:
             return 0
-        # The (over+1)-th earliest fill completing frees the first slot.
-        fills = sorted(self._inflight.values())
-        delay = max(0, fills[over] - now)
+        # The (over+1)-th earliest fill completing frees the first slot;
+        # every fill left after the sweep is later than ``now``.
+        delay = fills[over] - now
         self.admission_stall_cycles += delay
-        if delay and self.tracer is not None:
+        if self.tracer is not None:
             self.tracer.complete("mshr_wait", now, now + delay, cat="mshr",
                                  component=self.component)
         return delay
 
     def allocate(self, line_addr: int, fill_cycle: int, now: int) -> int:
-        """Record an outstanding fill (admission already granted)."""
-        self._record(line_addr, fill_cycle, now)
+        """Record an outstanding fill (admission already granted).
+
+        Entries are NOT eagerly expired here -- requests may arrive with
+        out-of-order cycles and must keep merging with fills that are
+        live at *their* time -- so a stale entry being overwritten
+        retires here, and the peak counts only fills actually in flight
+        at ``now`` (stale leftovers are bookkeeping, not occupied
+        slots)."""
+        inflight = self._inflight
+        fills = self._fills
+        lines = self._lines
+        old = inflight.get(line_addr)
+        if old is not None:
+            self.expirations += 1
+            i = lines.index(line_addr, bisect_left(fills, old))
+            del fills[i]
+            del lines[i]
+        inflight[line_addr] = fill_cycle
+        i = bisect_right(fills, fill_cycle)
+        fills.insert(i, fill_cycle)
+        lines.insert(i, line_addr)
+        self.allocations += 1
+        # Live occupancy never exceeds the raw table size, so the live
+        # count only runs when the size beats the recorded peak.
+        n = len(fills)
+        if n > self.peak_occupancy:
+            occ = n - bisect_right(fills, now)
+            if fill_cycle <= now:  # degenerate same-cycle fill held a slot
+                occ += 1
+            if occ > self.peak_occupancy:
+                self.peak_occupancy = occ
         return fill_cycle
 
     def allocate_prefetch(self, line_addr: int, fill_cycle: int,
@@ -125,30 +150,7 @@ class MSHR:
         a later demand with an in-flight prefetch is exactly the mechanism
         ATP relies on, so the fill must be visible to :meth:`lookup`.
         """
-        self._record(line_addr, fill_cycle, now)
-        return fill_cycle
-
-    def _record(self, line_addr: int, fill_cycle: int, now: int) -> None:
-        """Insert one fill.  Entries are NOT eagerly expired here --
-        requests may arrive with out-of-order cycles and must keep merging
-        with fills that are live at *their* time -- so a stale entry being
-        overwritten retires here, and the peak counts only fills actually
-        in flight at ``now`` (stale leftovers are bookkeeping, not
-        occupied slots)."""
-        if line_addr in self._inflight:
-            self.expirations += 1
-        self._inflight[line_addr] = fill_cycle
-        if fill_cycle < self._min_fill:
-            self._min_fill = fill_cycle
-        self.allocations += 1
-        # Live occupancy never exceeds the raw table size, so the O(n)
-        # live count only runs when the size beats the recorded peak.
-        if len(self._inflight) > self.peak_occupancy:
-            occ = self.occupancy(now)
-            if fill_cycle <= now:  # degenerate same-cycle fill held a slot
-                occ += 1
-            if occ > self.peak_occupancy:
-                self.peak_occupancy = occ
+        return self.allocate(line_addr, fill_cycle, now)
 
     def occupancy(self, now: int) -> int:
-        return sum(1 for t in self._inflight.values() if t > now)
+        return len(self._fills) - bisect_right(self._fills, now)

@@ -32,7 +32,9 @@ from repro.params import LINE_SHIFT
 
 
 class AccessType(enum.Enum):
-    """Demand class of a request, used for statistics and policy decisions."""
+    """Demand class of a request, used for statistics and policy decisions.
+
+    A non-demand member's value doubles as its statistics category."""
 
     LOAD = "load"
     STORE = "store"
@@ -42,15 +44,13 @@ class AccessType(enum.Enum):
     WRITEBACK = "writeback"
 
 
-_NON_DEMAND_CATEGORY = {
-    AccessType.TRANSLATION: "translation",
-    AccessType.PREFETCH: "prefetch",
-    AccessType.WRITEBACK: "writeback",
-    AccessType.IFETCH: "ifetch",
-}
-
+# Members bound once: a class-attribute read on an Enum, and an Enum used
+# as a dict key (its ``__hash__`` is Python code), each cost a Python-level
+# call per request.  Categories are read from ``_value_`` for the same
+# reason.
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
+_TRANSLATION = AccessType.TRANSLATION
 
 
 class MemoryRequest:
@@ -104,11 +104,11 @@ class MemoryRequest:
             self._category = "replay" if is_replay else "non_replay"
         else:
             self.is_demand_data = False
-            is_translation = access_type is AccessType.TRANSLATION
+            is_translation = access_type is _TRANSLATION
             self.is_translation = is_translation
             self.is_leaf_translation = (
                 is_translation and (pt_level == 1 or leaf_walk))
-            self._category = _NON_DEMAND_CATEGORY[access_type]
+            self._category = access_type._value_
 
     def category(self) -> str:
         """Statistics bucket: ``translation`` / ``replay`` / ``non_replay`` /
@@ -158,17 +158,15 @@ def acquire(address: int, cycle: int, ip: int = 0,
             req._category = "replay" if is_replay else "non_replay"
         else:
             req.is_demand_data = False
-            is_translation = access_type is AccessType.TRANSLATION
+            is_translation = access_type is _TRANSLATION
             req.is_translation = is_translation
             req.is_leaf_translation = (
                 is_translation and (pt_level == 1 or leaf_walk))
-            req._category = _NON_DEMAND_CATEGORY[access_type]
+            req._category = access_type._value_
         return req
-    return MemoryRequest(address=address, cycle=cycle, ip=ip,
-                         access_type=access_type, is_replay=is_replay,
-                         pt_level=pt_level, leaf_walk=leaf_walk,
-                         replay_line_addr=replay_line_addr,
-                         evict_priority=evict_priority)
+    return MemoryRequest(address, cycle, ip, access_type, 0, is_replay,
+                         pt_level, leaf_walk, replay_line_addr,
+                         evict_priority)
 
 
 def release(req: MemoryRequest) -> None:

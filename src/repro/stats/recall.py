@@ -14,11 +14,15 @@ the eviction's clock value, so the unique count of a window starting at
 lazily, only when the block is actually recalled, by walking the recency
 order backwards (bounded by the cap).  An access costs one dict move; sets
 with no pending evictions (the common case) pay a single dict probe.
+
+Both orders are plain dicts, which keep insertion order: moving a key to
+the newest end is a ``pop`` and a reinsert, and since each reinsert
+carries the current clock, the values of a recency dict rise from its
+oldest entry to its newest.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Tuple
 
 #: Histogram bucket upper bounds; the final bucket is "> 50".
@@ -39,8 +43,8 @@ class RecallTracker:
         # line -> eviction clock, ordered by eviction recency (oldest
         # first, for censoring on overflow).
         self._time: Dict[int, int] = {}
-        self._last_seen: Dict[int, "OrderedDict[int, int]"] = {}
-        self._windows: Dict[int, "OrderedDict[int, int]"] = {}
+        self._last_seen: Dict[int, Dict[int, int]] = {}
+        self._windows: Dict[int, Dict[int, int]] = {}
         #: Total pending windows across sets.  Callers on the hot path may
         #: skip :meth:`on_access` entirely while this is zero (the method
         #: would early-return for every set anyway).
@@ -53,16 +57,16 @@ class RecallTracker:
         """A tracked block was evicted from ``set_idx``."""
         windows = self._windows.get(set_idx)
         if windows is None:
-            windows = self._windows[set_idx] = OrderedDict()
+            windows = self._windows[set_idx] = {}
             self._time.setdefault(set_idx, 0)
-            self._last_seen.setdefault(set_idx, OrderedDict())
-        if line_addr not in windows:
+            self._last_seen.setdefault(set_idx, {})
+        # A re-eviction restarts the window at the newest end.
+        if windows.pop(line_addr, None) is None:
             self.pending += 1
         windows[line_addr] = self._time[set_idx]
-        windows.move_to_end(line_addr)
         if len(windows) > _MAX_PENDING:
             # Censored: it outlived the tracking window without a recall.
-            windows.popitem(last=False)
+            del windows[next(iter(windows))]
             self.pending -= 1
             self._record_censored()
 
@@ -76,35 +80,20 @@ class RecallTracker:
             # dormant periods cannot change any window's unique count.
             return
         last_seen = self._last_seen[set_idx]
-        start = windows.pop(line_addr, None)
-        if start is not None:
+        if line_addr in windows:
             self.pending -= 1
-            # Unique accesses since eviction == lines whose most recent
-            # access is at or after the eviction clock: walk the recency
-            # order backwards until times drop below it (or the cap).
-            # The recalling access itself is counted afterwards, so it is
-            # excluded here -- its recency entry still predates ``start``.
-            count = 0
-            for t in reversed(last_seen.values()):
-                if t < start or count >= _CAP:
-                    break
-                count += 1
-            self._record(count)
+            self._record(_unique_since(last_seen, windows.pop(line_addr)))
             if not windows:
                 # No outstanding windows: every remembered access time is
                 # now irrelevant (any future window starts after them all).
                 last_seen.clear()
                 return
         now = self._time[set_idx]
+        last_seen.pop(line_addr, None)
         last_seen[line_addr] = now
-        last_seen.move_to_end(line_addr)
         self._time[set_idx] = now + 1
         if len(last_seen) > _PRUNE_THRESHOLD:
-            # Times before the oldest window's start compare identically
-            # to "never seen", so forgetting them is exact.
-            oldest = min(windows.values())
-            while last_seen and next(iter(last_seen.values())) < oldest:
-                last_seen.popitem(last=False)
+            _prune(last_seen, windows, None)
 
     def _record(self, distance: int) -> None:
         self.samples += 1
@@ -152,6 +141,36 @@ class RecallTracker:
         self.pending = 0
 
 
+def _unique_since(last_seen: Dict[int, int], start: int) -> int:
+    """Unique accesses since a window opened at ``start``: the lines whose
+    most recent access is at or after it, found by walking the recency
+    order backwards until times drop below it (or the cap).  The
+    recalling access itself is counted afterwards, so it is excluded --
+    its recency entry still predates ``start``."""
+    count = 0
+    for t in reversed(last_seen.values()):
+        if t < start or count >= _CAP:
+            break
+        count += 1
+    return count
+
+
+def _prune(last_seen: Dict[int, int], windows, other) -> None:
+    """Forget recency entries older than every pending window in
+    ``windows`` and ``other`` (a set's windows in up to two channels;
+    either may be empty or None).  Times before the oldest window's start
+    compare identically to "never seen", so forgetting them is exact.
+    Recency values rise from oldest to newest, so they are a prefix."""
+    oldest = min(min(w.values()) for w in (windows, other) if w)
+    stale = []
+    for line, t in last_seen.items():
+        if t >= oldest:
+            break
+        stale.append(line)
+    for line in stale:
+        del last_seen[line]
+
+
 class RecallPair:
     """Two recall categories at one cache sharing one recency order.
 
@@ -169,9 +188,12 @@ class RecallPair:
     The channels are plain :class:`RecallTracker` objects (``on_evict``,
     histograms, CDFs and ``flush`` all work unchanged); only ``on_access``
     must go through the pair so the shared order advances exactly once.
+    The pair holds both channels' window maps itself (``flush`` clears
+    them in place, so the aliases stay valid).
     """
 
-    __slots__ = ("translation", "replay", "_time", "_last_seen")
+    __slots__ = ("translation", "replay", "_time", "_last_seen",
+                 "_wt", "_wr")
 
     def __init__(self, translation_name: str, replay_name: str):
         self.translation = RecallTracker(translation_name)
@@ -181,55 +203,38 @@ class RecallPair:
         self._last_seen = self.translation._last_seen
         self.replay._time = self._time
         self.replay._last_seen = self._last_seen
+        self._wt = self.translation._windows
+        self._wr = self.replay._windows
 
     def on_access(self, set_idx: int, line_addr: int) -> None:
         """One access: resolves recalls in both channels, then advances
         the shared recency order once."""
-        tr = self.translation
-        rp = self.replay
-        wt = tr._windows.get(set_idx)
-        wr = rp._windows.get(set_idx)
+        wt = self._wt.get(set_idx)
+        wr = self._wr.get(set_idx)
         if not wt and not wr:
             return
         last_seen = self._last_seen.get(set_idx)
         if last_seen is None:  # only possible mid-teardown, after a flush
             return
-        if wt:
-            start = wt.pop(line_addr, None)
-            if start is not None:
-                tr.pending -= 1
-                count = 0
-                for t in reversed(last_seen.values()):
-                    if t < start or count >= _CAP:
-                        break
-                    count += 1
-                tr._record(count)
-        if wr:
-            start = wr.pop(line_addr, None)
-            if start is not None:
-                rp.pending -= 1
-                count = 0
-                for t in reversed(last_seen.values()):
-                    if t < start or count >= _CAP:
-                        break
-                    count += 1
-                rp._record(count)
-        if not wt and not wr:
+        recalled = False
+        if wt and line_addr in wt:
+            tr = self.translation
+            tr.pending -= 1
+            tr._record(_unique_since(last_seen, wt.pop(line_addr)))
+            recalled = True
+        if wr and line_addr in wr:
+            rp = self.replay
+            rp.pending -= 1
+            rp._record(_unique_since(last_seen, wr.pop(line_addr)))
+            recalled = True
+        if recalled and not wt and not wr:
             # No outstanding windows in either channel: every remembered
             # access time for this set is now irrelevant.
             last_seen.clear()
             return
         now = self._time[set_idx]
+        last_seen.pop(line_addr, None)
         last_seen[line_addr] = now
-        last_seen.move_to_end(line_addr)
         self._time[set_idx] = now + 1
         if len(last_seen) > _PRUNE_THRESHOLD:
-            # Prune below the oldest start either channel still needs.
-            bounds = []
-            if wt:
-                bounds.append(min(wt.values()))
-            if wr:
-                bounds.append(min(wr.values()))
-            oldest = min(bounds)
-            while last_seen and next(iter(last_seen.values())) < oldest:
-                last_seen.popitem(last=False)
+            _prune(last_seen, wt, wr)

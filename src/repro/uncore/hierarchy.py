@@ -32,6 +32,10 @@ from repro.stats.counters import LevelDistribution
 from repro.vm.mmu import MMU
 from repro.vm.page_table import PageTable
 
+_LOAD = AccessType.LOAD
+_STORE = AccessType.STORE
+_PREFETCH = AccessType.PREFETCH
+
 
 @dataclass(slots=True)
 class LoadResult:
@@ -200,9 +204,7 @@ class MemoryHierarchy:
                 self.response_distribution.counts["translation"][
                     tr.walk.leaf_served_by] += 1
 
-        req = request_pool.acquire(tr.paddr, issue_at, ip=ip,
-                                   access_type=AccessType.LOAD,
-                                   is_replay=is_replay)
+        req = request_pool.acquire(tr.paddr, issue_at, ip, _LOAD, is_replay)
         category = "replay" if is_replay else "non_replay"
         dspan = None
         if tracer is not None:
@@ -219,11 +221,9 @@ class MemoryHierarchy:
         if tracer is not None:
             tracer.end_request(root, data_done, cat=category,
                                paddr=tr.paddr)
-        result = LoadResult(vaddr=va, paddr=tr.paddr, issue_cycle=cycle,
-                            translation_done=tr.done_cycle,
-                            data_done=data_done, is_replay=is_replay,
-                            dtlb_hit=tr.dtlb_hit, stlb_hit=tr.stlb_hit,
-                            data_served_by=req.served_by)
+        result = LoadResult(va, tr.paddr, cycle, tr.done_cycle, data_done,
+                            is_replay, tr.dtlb_hit, tr.stlb_hit,
+                            req.served_by)
         request_pool.release(req)
         return result
 
@@ -235,9 +235,8 @@ class MemoryHierarchy:
         if tracer is not None:
             root = tracer.begin_request("store", cycle, vaddr=va, ip=ip)
         tr = self.mmu.translate(va, cycle, ip)
-        req = request_pool.acquire(tr.paddr, tr.done_cycle, ip=ip,
-                                   access_type=AccessType.STORE,
-                                   is_replay=tr.is_replay)
+        req = request_pool.acquire(tr.paddr, tr.done_cycle, ip, _STORE,
+                                   tr.is_replay)
         category = "replay" if tr.is_replay else "non_replay"
         dspan = None
         if tracer is not None:
@@ -248,11 +247,9 @@ class MemoryHierarchy:
             tracer.end(dspan, data_done, served_by=req.served_by)
             tracer.end_request(root, data_done, cat=category,
                                paddr=tr.paddr)
-        result = LoadResult(vaddr=va, paddr=tr.paddr, issue_cycle=cycle,
-                            translation_done=tr.done_cycle,
-                            data_done=data_done, is_replay=tr.is_replay,
-                            dtlb_hit=tr.dtlb_hit, stlb_hit=tr.stlb_hit,
-                            data_served_by=req.served_by)
+        result = LoadResult(va, tr.paddr, cycle, tr.done_cycle, data_done,
+                            tr.is_replay, tr.dtlb_hit, tr.stlb_hit,
+                            req.served_by)
         request_pool.release(req)
         return result
 
@@ -275,8 +272,8 @@ class MemoryHierarchy:
             pline = tr.paddr >> LINE_SHIFT
             if self.l1d.contains(pline):
                 continue
-            pref = request_pool.acquire(tr.paddr, tr.done_cycle, ip=ip,
-                                        access_type=AccessType.PREFETCH)
+            pref = request_pool.acquire(tr.paddr, tr.done_cycle, ip,
+                                        _PREFETCH)
             self.l1d.access(pref)
             request_pool.release(pref)
 
@@ -292,6 +289,7 @@ class MemoryHierarchy:
         self.llc.reset_stats()
         self.mmu.dtlb.reset_stats()
         self.mmu.stlb.reset_stats()
+        self.mmu.psc.reset_stats()
         self.mmu.translations = 0
         self.mmu.walk_cycles_total = 0
         self.mmu.walker.walks = 0

@@ -83,25 +83,23 @@ class MMU:
             key, sub = vpn, 0
 
         t = cycle + self.dtlb.latency
-        base = self.dtlb.lookup(key, count=count_stats)
+        base = self.dtlb.lookup(key, count_stats)
         if base is not None:
             pfn = base + sub
             if tracer is not None:
                 tracer.end(tspan, t, dtlb_hit=True, stlb_hit=True)
-            return TranslationResult(paddr=(pfn << PAGE_SHIFT) | offset,
-                                     done_cycle=t, dtlb_hit=True,
-                                     stlb_hit=True)
+            return TranslationResult((pfn << PAGE_SHIFT) | offset, t, True,
+                                     True)
 
         t += self.stlb.latency
-        base = self.stlb.lookup(key, count=count_stats)
+        base = self.stlb.lookup(key, count_stats)
         if base is not None:
             self.dtlb.fill(key, base)
             pfn = base + sub
             if tracer is not None:
                 tracer.end(tspan, t, dtlb_hit=False, stlb_hit=True)
-            return TranslationResult(paddr=(pfn << PAGE_SHIFT) | offset,
-                                     done_cycle=t, dtlb_hit=False,
-                                     stlb_hit=True)
+            return TranslationResult((pfn << PAGE_SHIFT) | offset, t, False,
+                                     True)
 
         walk = self.walker.walk(va, t, ip)
         self.walk_cycles_total += walk.done_cycle - t
@@ -113,9 +111,8 @@ class MMU:
         self.dtlb.fill(key, fill_frame)
         if tracer is not None:
             tracer.end(tspan, done, dtlb_hit=False, stlb_hit=False)
-        return TranslationResult(paddr=(walk.pfn << PAGE_SHIFT) | offset,
-                                 done_cycle=done, dtlb_hit=False,
-                                 stlb_hit=False, walk=walk)
+        return TranslationResult((walk.pfn << PAGE_SHIFT) | offset, done,
+                                 False, False, walk)
 
     def stlb_mpki(self, instructions: int) -> float:
         return self.stlb.mpki(instructions)

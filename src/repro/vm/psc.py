@@ -83,3 +83,9 @@ class PagingStructureCaches:
 
     def entries(self, level: int) -> int:
         return len(self._caches[level])
+
+    def reset_stats(self) -> None:
+        """Zero the counters (warmup boundary); cached entries persist."""
+        self.lookups = 0
+        self.misses = 0
+        self.hits_by_level = {level: 0 for level in PSC_LEVELS}

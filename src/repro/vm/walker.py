@@ -19,6 +19,8 @@ from repro.params import LINE_SHIFT, PAGE_SHIFT
 from repro.vm.page_table import PageTable
 from repro.vm.psc import PagingStructureCaches
 
+_TRANSLATION = AccessType.TRANSLATION
+
 
 @dataclass(slots=True)
 class WalkResult:
@@ -91,11 +93,11 @@ class PageTableWalker:
             if level > start_level:
                 continue
             is_leaf = level == leaf_level
+            # (address, cycle, ip, access_type, is_replay, pt_level,
+            #  leaf_walk, replay_line_addr)
             req = request_pool.acquire(
-                pte_pa, t, ip=ip,
-                access_type=AccessType.TRANSLATION, pt_level=level,
-                leaf_walk=is_leaf,
-                replay_line_addr=replay_line if is_leaf else None)
+                pte_pa, t, ip, _TRANSLATION, False, level, is_leaf,
+                replay_line if is_leaf else None)
             pspan = None
             if tracer is not None:
                 pspan = tracer.begin(f"pte_L{level}", t, cat="translation",
@@ -116,6 +118,5 @@ class PageTableWalker:
             tracer.end(wspan, t, psc_hit_level=hit_level or 0,
                        levels_walked=levels_walked,
                        leaf_served_by=leaf_served_by)
-        return WalkResult(pfn=pfn, done_cycle=t, levels_walked=levels_walked,
-                          psc_hit_level=hit_level or 0,
-                          leaf_served_by=leaf_served_by)
+        return WalkResult(pfn, t, levels_walked, hit_level or 0,
+                          leaf_served_by)

@@ -73,3 +73,17 @@ def test_hit_statistics():
     psc.lookup(va)
     assert psc.hits_by_level[3] == 1
     assert psc.lookups == 1
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_warmup_reset_zeroes_psc_counters(backend):
+    """Regression: the warmup stat reset skipped the PSC counters, so
+    the ROI's PSC lookups included every warmup walk's probe."""
+    from repro import api
+    result = api.run("pr", enhancements="full", backend=backend,
+                     instructions=8000, warmup=4000, seed=11)
+    mmu = result.hierarchy.mmu
+    psc = mmu.psc
+    assert mmu.walker.walks > 0
+    assert psc.lookups == mmu.walker.walks  # one probe per walk
+    assert psc.misses + sum(psc.hits_by_level.values()) == psc.lookups

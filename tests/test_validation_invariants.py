@@ -108,8 +108,7 @@ def test_detects_mshr_leak(checked):
     bound = 2 * (mshr.entries + checked.l1d._prefetch_queue)
     far_future = 10**9
     for i in range(bound + 1):
-        mshr._inflight[0x900000 + i] = far_future
-    mshr.allocations += bound + 1  # keep conservation intact: pure leak
+        mshr.allocate(0x900000 + i, far_future, 0)
     with pytest.raises(ValidationError, match="leaking"):
         drive(checked, 1)
 
