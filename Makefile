@@ -1,5 +1,8 @@
 # Convenience targets for the reproduction repo.
 
+# Every target runs against the source tree; no install needed.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test bench bench-baseline perfbench-ab accuracy figures \
 	figures-fast figures-check figures-observed scenarios serve-smoke \
 	fuzz calibrate all
@@ -7,18 +10,19 @@
 install:
 	pip install -e . --no-build-isolation
 
+# The tier-1 suite, as CI runs it.
 test:
-	pytest tests/ -q
+	python -m pytest -x -q
 
 # Timed performance matrix (docs/performance.md); fails when aggregate
 # throughput drops >15% below the machine-scaled committed baseline.
 bench:
-	PYTHONPATH=src python -m repro bench --out . --check-regression
+	python -m repro bench --out . --check-regression
 
 # Re-record benchmarks/perf/baseline.json (run on a quiet machine,
 # commit the result alongside the change that moved the numbers).
 bench-baseline:
-	PYTHONPATH=src python -m repro bench --out . --repeats 3 \
+	python -m repro bench --out . --repeats 3 \
 		--update-baseline
 
 # Same-machine interleaved A/B of the working tree against BASE on one
@@ -42,13 +46,13 @@ figures:
 # Figs 1/4/14 through the parallel, memoised runner at test scale
 # (smoke-tests the whole figure path in well under a minute).
 figures-fast:
-	PYTHONPATH=src python -m repro figure fig1 fig4 fig14 \
+	python -m repro figure fig1 fig4 fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --verbose
 
 # Same smoke suite with the runtime invariant checkers and differential
 # oracle attached to every run (--check implies --no-cache).
 figures-check:
-	PYTHONPATH=src python -m repro figure fig1 fig4 fig14 \
+	python -m repro figure fig1 fig4 fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --check
 
 # One checked figure with the observability subsystem attached: a batch
@@ -59,27 +63,27 @@ figures-check:
 # cycle attribution.  Artifacts land in obs-artifacts/ (CI uploads them).
 figures-observed:
 	mkdir -p obs-artifacts
-	PYTHONPATH=src python -m repro figure fig14 \
+	python -m repro figure fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --check \
 		--metrics obs-artifacts/fig14-batch.json \
 		--heartbeat obs-artifacts/fig14-heartbeat.ndjson
-	PYTHONPATH=src python -m repro run pr --enhancements full \
+	python -m repro run pr --enhancements full \
 		--instructions 20000 --warmup 4000 \
 		--metrics obs-artifacts/pr-full-run.json \
 		--trace obs-artifacts/pr-full-trace.json
-	PYTHONPATH=src python -m repro stats --validate \
+	python -m repro stats --validate \
 		obs-artifacts/fig14-batch.json obs-artifacts/pr-full-run.json
-	PYTHONPATH=src python -m repro stats obs-artifacts/pr-full-run.json \
+	python -m repro stats obs-artifacts/pr-full-run.json \
 		--csv obs-artifacts/pr-full-intervals.csv
-	PYTHONPATH=src python -m repro run pr \
+	python -m repro run pr \
 		--instructions 20000 --warmup 4000 \
 		--trace obs-artifacts/pr-base-trace.json
-	PYTHONPATH=src python -m repro trace summary \
+	python -m repro trace summary \
 		obs-artifacts/pr-full-trace.json
-	PYTHONPATH=src python -m repro trace render \
+	python -m repro trace render \
 		obs-artifacts/pr-full-trace.json --limit 5 \
 		--perfetto obs-artifacts/pr-full-perfetto.json
-	PYTHONPATH=src python -m repro trace diff \
+	python -m repro trace diff \
 		obs-artifacts/pr-base-trace.json \
 		obs-artifacts/pr-full-trace.json
 
@@ -89,8 +93,8 @@ figures-observed:
 # to scenario-artifacts/ (CI uploads them).
 scenarios:
 	mkdir -p scenario-artifacts
-	PYTHONPATH=src python -m repro scenario validate --all
-	PYTHONPATH=src python -m repro scenario run \
+	python -m repro scenario validate --all
+	python -m repro scenario run \
 		SYN-01-STLB-THRASH SYN-02-PTE-REUSE-CLIFF \
 		SYN-03-REPLAY-DEAD-STREAMS RL-01-GRAPH-SOUP \
 		RL-02-PHASED-PIPELINE \
@@ -103,12 +107,12 @@ scenarios:
 # store hit, and write the store manifest to service-artifacts/
 # (CI uploads it).
 serve-smoke:
-	PYTHONPATH=src python tools/serve_smoke.py
+	python tools/serve_smoke.py
 
 # 200 deterministic fuzz streams through the checked hierarchy
 # (seed range 0..199; failures print ready-to-paste regression tests).
 fuzz:
-	PYTHONPATH=src python -m repro.validate.fuzz 0 200
+	python -m repro.validate.fuzz 0 200
 
 calibrate:
 	python tools/calibrate.py

@@ -19,24 +19,35 @@ Quickstart::
     print(enhanced.speedup_over(base))  # ~1.1x
 """
 
-from repro.params import (SimConfig, EnhancementConfig, IdealConfig,
-                          CacheConfig, TLBConfig, default_config,
-                          paper_config, DEFAULT_SCALE)
-from repro.experiments.runner import (run_benchmark, RunResult,
-                                      DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP)
-from repro.core.ooo_core import OOOCore, CoreResult
-from repro.core.rob import StallCategory
-from repro.core.smt import SMTCore
-from repro.core.multicore import MultiCore
-from repro.uncore.hierarchy import MemoryHierarchy
-from repro.workloads.registry import (benchmark_names, make_trace,
-                                      BENCHMARKS, TABLE2_REFERENCE)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = ["SimConfig", "EnhancementConfig", "IdealConfig", "CacheConfig",
-           "TLBConfig", "default_config", "paper_config", "DEFAULT_SCALE",
-           "run_benchmark", "RunResult", "DEFAULT_INSTRUCTIONS",
-           "DEFAULT_WARMUP", "OOOCore", "CoreResult", "StallCategory",
-           "SMTCore", "MultiCore", "MemoryHierarchy", "benchmark_names",
-           "make_trace", "BENCHMARKS", "TABLE2_REFERENCE", "__version__"]
+#: The defining module of every exported name.  Names resolve on first
+#: access (PEP 562): ``import repro`` loads nothing else, and a
+#: simulation loads only the simulator.
+_EXPORTS = {name: module for module, names in (
+    ("repro.params", ("SimConfig", "EnhancementConfig", "IdealConfig",
+                      "CacheConfig", "TLBConfig", "default_config",
+                      "paper_config", "DEFAULT_SCALE")),
+    ("repro.experiments.runner", ("run_benchmark", "RunResult",
+                                  "DEFAULT_INSTRUCTIONS",
+                                  "DEFAULT_WARMUP")),
+    ("repro.core.ooo_core", ("OOOCore", "CoreResult")),
+    ("repro.core.rob", ("StallCategory",)),
+    ("repro.core.smt", ("SMTCore",)),
+    ("repro.core.multicore", ("MultiCore",)),
+    ("repro.uncore.hierarchy", ("MemoryHierarchy",)),
+    ("repro.workloads.registry", ("benchmark_names", "make_trace",
+                                  "BENCHMARKS", "TABLE2_REFERENCE")),
+) for name in names}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)

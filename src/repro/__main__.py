@@ -115,8 +115,9 @@ def _progress(event) -> None:
 
 
 def _cmd_figure(args) -> int:
-    from repro.obs import (Heartbeat, batch_document, build_batch_manifest,
-                           export_json, validate_strict)
+    from repro.obs.export import batch_document, export_json, validate_strict
+    from repro.obs.manifest import build_batch_manifest
+    from repro.obs.progress import Heartbeat
 
     if args.check:
         # Memoised results would skip simulation (and thus validation),
@@ -193,15 +194,24 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+def _check_choice(parser, argument: str, value: str, choices) -> None:
+    """Reject ``value`` outside ``choices`` as argparse rejects a bad
+    ``choices`` entry (usage error, exit status 2)."""
+    if value not in choices:
+        parser.error(f"argument {argument}: invalid choice: {value!r} "
+                     f"(choose from {', '.join(map(repr, choices))})")
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     parser = argparse.ArgumentParser(
         prog="repro",
         description="ISPASS'22 translation-conscious caching reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one benchmark or scenario")
-    p_run.add_argument("benchmark", metavar="benchmark",
-                       choices=api.list_benchmarks() + api.list_scenarios())
+    p_run.add_argument("benchmark", metavar="benchmark")
     p_run.add_argument("--enhancements", default="none",
                        choices=sorted(api.ENHANCEMENT_PRESET_NAMES))
     p_run.add_argument("--l2c-prefetcher", default="none",
@@ -239,8 +249,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_fig = sub.add_parser("figure", help="regenerate paper figures")
-    p_fig.add_argument("names", nargs="+", choices=api.list_figures(),
-                       metavar="name")
+    p_fig.add_argument("names", nargs="+", metavar="name")
     p_fig.add_argument("--benchmarks", nargs="*", default=None)
     p_fig.add_argument("--instructions", type=int,
                        default=api.DEFAULT_INSTRUCTIONS)
@@ -298,29 +307,42 @@ def main(argv=None) -> int:
     t_diff.add_argument("enhanced")
     t_diff.set_defaults(func=_cmd_trace)
 
-    p_bench = sub.add_parser(
-        "bench", help="run the pinned performance-benchmark matrix")
-    from repro.bench import add_arguments as _bench_arguments
-    _bench_arguments(p_bench)
-    p_bench.set_defaults(func=_cmd_bench)
+    # The bench, scenario and job-service argument trees live with their
+    # implementations, so building them imports those stacks.  Skip
+    # them only when the command line names a subcommand built here;
+    # with none, --help or a typo, usage still lists every subcommand.
+    if not argv or argv[0] not in ("run", "figure", "stats", "trace",
+                                   "list"):
+        p_bench = sub.add_parser(
+            "bench", help="run the pinned performance-benchmark matrix")
+        from repro.bench import add_arguments as _bench_arguments
+        _bench_arguments(p_bench)
+        p_bench.set_defaults(func=_cmd_bench)
 
-    # The scenario subcommand's argument tree lives with its
-    # implementation (repro.scenarios.cli); only the registration hook is
-    # imported here, at parser-build time like the bench arguments above.
-    from repro.scenarios.cli import add_scenario_parser
-    add_scenario_parser(sub)
-    sub.choices["scenario"].set_defaults(func=_cmd_scenario)
+        from repro.scenarios.cli import add_scenario_parser
+        add_scenario_parser(sub)
+        sub.choices["scenario"].set_defaults(func=_cmd_scenario)
 
-    # Job-service subcommands (docs/service.md), same lazy pattern.
-    from repro.service.cli import add_service_parsers
-    add_service_parsers(sub)
-    for name in ("serve", "submit", "status", "result", "cancel", "top"):
-        sub.choices[name].set_defaults(func=_cmd_service)
+        # Job-service subcommands (docs/service.md).
+        from repro.service.cli import add_service_parsers
+        add_service_parsers(sub)
+        for name in ("serve", "submit", "status", "result", "cancel",
+                     "top"):
+            sub.choices[name].set_defaults(func=_cmd_service)
 
     p_list = sub.add_parser("list", help="list benchmarks and figures")
     p_list.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
+    # Names are checked after parsing, so that building the parser loads
+    # neither the scenario library nor the figure registry; scenarios
+    # are consulted only for a name that is not a benchmark.
+    if args.command == "run" and args.benchmark not in api.list_benchmarks():
+        _check_choice(p_run, "benchmark", args.benchmark,
+                      api.list_benchmarks() + api.list_scenarios())
+    elif args.command == "figure":
+        for name in args.names:
+            _check_choice(p_fig, "name", name, api.list_figures())
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -57,30 +57,14 @@ shims ``JourneyTracer`` and ``SimConfig.replace`` are removed outright
 
 from __future__ import annotations
 
+import importlib
 from typing import Dict, Optional, Tuple, Union
 
-from repro.bench import (BenchCase, BenchResult, REGRESSION_THRESHOLD,
-                         WORKLOAD_MATRIX)
-from repro.bench import run_bench as _run_bench
-from repro.core.fallback import BatchStats, FallbackReason
-from repro.core.rob import StallCategory
-from repro.experiments import registry
-from repro.experiments.figures import FigureResult
-from repro.experiments.parallel import RunSummary
-from repro.experiments.parallel import configure as _configure_parallel
 from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
                                       RunResult, run_benchmark)
-from repro.obs import DEFAULT_SAMPLE_INTERVAL, Profiler
-from repro.params import (BACKENDS, DEFAULT_SCALE,
-                          ENHANCEMENT_PRESET_NAMES, CacheConfig,
-                          EnhancementConfig, IdealConfig, SimConfig,
-                          TLBConfig, _warn_once, canonical_policy,
-                          default_config, enhancement_preset, paper_config)
-from repro.scenarios import (ScenarioDoc, ScenarioError, ScenarioResult,
-                             list_scenarios, load_scenario, run_scenario,
-                             validate_scenario)
-from repro.service import (JobHandle, JobStatus, configure_service, serve,
-                           submit, telemetry_snapshot)
+from repro.params import (BACKENDS, DEFAULT_SCALE, EnhancementConfig,
+                          SimConfig, _warn_once, default_config,
+                          enhancement_preset)
 from repro.workloads.registry import benchmark_names
 
 #: Version of this facade.  Bumped on compatible additions (minor) and
@@ -118,6 +102,29 @@ __all__ = [
     "RunKey", "ParallelRunner", "ResultCache",
 ]
 
+#: The defining module of every exported name this module does not bind
+#: itself.  They resolve on first access (PEP 562), so importing the
+#: facade loads the simulator but not the service, scenario, figure or
+#: bench stacks.
+_EXPORTS = {name: module for module, names in (
+    ("repro.service", ("submit", "serve", "JobHandle", "JobStatus",
+                       "configure_service", "telemetry_snapshot")),
+    ("repro.scenarios", ("run_scenario", "list_scenarios", "load_scenario",
+                         "validate_scenario", "ScenarioDoc",
+                         "ScenarioError", "ScenarioResult")),
+    ("repro.experiments.parallel", ("RunSummary", "RunKey",
+                                    "ParallelRunner", "ResultCache")),
+    ("repro.experiments.figures", ("FigureResult",)),
+    ("repro.bench", ("BenchResult",)),
+    ("repro.core.rob", ("StallCategory",)),
+    ("repro.core.fallback", ("BatchStats", "FallbackReason")),
+    ("repro.params", ("paper_config", "canonical_policy", "CacheConfig",
+                      "TLBConfig", "IdealConfig",
+                      "ENHANCEMENT_PRESET_NAMES")),
+    ("repro.obs.sampler", ("DEFAULT_SAMPLE_INTERVAL",)),
+    ("repro.obs.manifest", ("Profiler",)),
+) for name in names}
+
 #: Names demoted to internals in v2: still importable, but the first
 #: access warns.  ``repro.params.reset_deprecation_warnings`` (and the
 #: autouse fixture in ``tests/conftest.py``) resets the warn-once state.
@@ -125,12 +132,14 @@ _V1_INTERNALS = ("ParallelRunner", "ResultCache", "RunKey")
 
 
 def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
     if name in _V1_INTERNALS:
-        import repro.experiments.parallel as _parallel
         _warn_once(f"api.{name}", "api.submit (repro.service)",
                    "api export")
-        return getattr(_parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
 
 
 def _resolve_enhancements(
@@ -213,11 +222,15 @@ def run(benchmark: str, *,
     if backend is not None:
         _check_backend(backend)
         config = (config or default_config(scale)).with_(backend=backend)
-    if metrics is not None and sample_interval is None:
-        sample_interval = DEFAULT_SAMPLE_INTERVAL
+    profiler = None
+    if metrics is not None:
+        from repro.obs.manifest import Profiler
+        from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL
+        profiler = Profiler()
+        if sample_interval is None:
+            sample_interval = DEFAULT_SAMPLE_INTERVAL
     if trace is not None and trace_sample is None:
         trace_sample = 1
-    profiler = Profiler() if metrics is not None else None
     result = run_benchmark(benchmark, config=config,
                            instructions=instructions, warmup=warmup,
                            scale=scale, seed=seed,
@@ -270,6 +283,7 @@ def figure(name: str, **kwargs) -> FigureResult:
     (``instructions=...``, ``warmup=...``, and -- where supported --
     ``benchmarks=[...]``).
     """
+    from repro.experiments import registry
     return registry.get(name)(**kwargs)
 
 
@@ -278,15 +292,17 @@ def figure_spec(name: str):
     metadata attributes (``name``, ``title``, ``paper``,
     ``takes_benchmarks``).  ``name=None`` returns every spec in display
     order -- what ``python -m repro list`` renders."""
+    from repro.experiments import registry
     if name is None:
         return registry.specs()
     return registry.get(name)
 
 
-def bench(matrix=WORKLOAD_MATRIX, repeats: int = 1,
+def bench(matrix=None, repeats: int = 1,
           out_dir=None, backend: Optional[str] = None) -> BenchResult:
     """Run the pinned performance-benchmark matrix (see
-    :mod:`repro.bench` and ``docs/performance.md``).
+    :mod:`repro.bench` and ``docs/performance.md``); ``matrix=None``
+    means :data:`repro.bench.WORKLOAD_MATRIX`.
 
     ``backend`` (one of :data:`BACKENDS`) restricts the matrix to one
     execution backend: every distinct workload configuration runs once,
@@ -300,6 +316,9 @@ def bench(matrix=WORKLOAD_MATRIX, repeats: int = 1,
     ``result.compare(baseline)`` yields the regression verdict the CI
     gate uses.
     """
+    from repro.bench import WORKLOAD_MATRIX, run_bench
+    if matrix is None:
+        matrix = WORKLOAD_MATRIX
     if backend is not None:
         from dataclasses import replace
         _check_backend(backend)
@@ -311,11 +330,12 @@ def bench(matrix=WORKLOAD_MATRIX, repeats: int = 1,
                 seen.add(case.key)
                 pinned.append(case)
         matrix = tuple(pinned)
-    return _run_bench(matrix=matrix, repeats=repeats, out_dir=out_dir)
+    return run_bench(matrix=matrix, repeats=repeats, out_dir=out_dir)
 
 
 def list_figures() -> Tuple[str, ...]:
     """Every registered figure/table name, in display order."""
+    from repro.experiments import registry
     return registry.names()
 
 
@@ -329,6 +349,6 @@ def configure_parallel(jobs: int = 1, use_cache: bool = False,
                        timeout: float = 600.0) -> ParallelRunner:
     """Install the ambient parallel runner the figure harnesses route
     through (the CLI's ``--jobs`` / ``--no-cache`` land here)."""
-    return _configure_parallel(jobs=jobs, use_cache=use_cache,
-                               cache_dir=cache_dir, progress=progress,
-                               timeout=timeout)
+    from repro.experiments.parallel import configure
+    return configure(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
+                     progress=progress, timeout=timeout)

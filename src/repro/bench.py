@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import run_benchmark
-from repro.obs import Profiler
+from repro.obs.manifest import Profiler
 from repro.params import default_config, paper_config
 
 #: Schema identifier written into every bench document.
@@ -445,7 +445,7 @@ def add_arguments(parser) -> None:
                              "(default: benchmarks/perf/baseline.json)")
     parser.add_argument("--check-regression", action="store_true",
                         help="exit non-zero when aggregate throughput "
-                             f"drops >{REGRESSION_THRESHOLD:.0%} below "
+                             f"drops >{REGRESSION_THRESHOLD:.0%}% below "
                              "the (machine-scaled) baseline")
     parser.add_argument("--update-baseline", action="store_true",
                         help="write this run as the committed baseline")

@@ -1,9 +1,1 @@
 """Set-associative cache model with pluggable replacement policies."""
-
-from repro.cache.block import CacheBlock
-from repro.cache.cache import Cache
-from repro.cache.opt import AccessRecorder, OPTAnalysis
-from repro.cache.replacement import make_policy
-
-__all__ = ["Cache", "CacheBlock", "make_policy", "AccessRecorder",
-           "OPTAnalysis"]

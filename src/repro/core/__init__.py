@@ -1,10 +1,2 @@
 """Core models: single-thread OOO core with ROB-stall attribution, 2-way
 SMT, and multi-core with shared LLC/DRAM."""
-
-from repro.core.rob import StallAccounting, StallCategory
-from repro.core.ooo_core import OOOCore, CoreResult
-from repro.core.smt import SMTCore
-from repro.core.multicore import MultiCore
-
-__all__ = ["StallAccounting", "StallCategory", "OOOCore", "CoreResult",
-           "SMTCore", "MultiCore"]

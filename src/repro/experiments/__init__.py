@@ -4,15 +4,3 @@ Figure regeneration routes through :mod:`repro.experiments.parallel`,
 which memoises completed runs on disk and fans independent simulations
 out over worker processes (see ``ParallelRunner`` / ``ResultCache``).
 """
-
-from repro.experiments.parallel import (ParallelRunner, ResultCache,
-                                        RunKey, RunSummary, configure,
-                                        run_many, run_one)
-from repro.experiments.runner import (RunResult, run_benchmark,
-                                      DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP)
-from repro.experiments import figures, sweeps, mixes
-
-__all__ = ["RunResult", "run_benchmark", "DEFAULT_INSTRUCTIONS",
-           "DEFAULT_WARMUP", "figures", "sweeps", "mixes",
-           "ParallelRunner", "ResultCache", "RunKey", "RunSummary",
-           "configure", "run_many", "run_one"]

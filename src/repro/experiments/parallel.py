@@ -43,6 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from repro.core.rob import StallCategory
 from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
                                       RunResult, run_benchmark)
+from repro.obs.log import get_logger
 from repro.params import DEFAULT_SCALE, SimConfig, default_config
 
 #: Bump when the RunSummary layout changes (invalidates every cache dir).
@@ -321,6 +322,8 @@ DEFAULT_CACHE_ROOT = "~/.cache/repro-runs"
 #: thousands of results in one cache dir.
 SHARD_WIDTH = 2
 
+_log = get_logger("store")
+
 
 class ResultCache:
     """Content-addressed JSON memo of completed runs.
@@ -341,6 +344,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Failed writes and unreadable entries.  Neither raises: each is
+        #: counted here and logged; a missing entry is a plain miss.
+        self.write_errors = 0
+        self.read_errors = 0
 
     @staticmethod
     def _digest_of(key) -> str:
@@ -358,9 +365,15 @@ class ResultCache:
             try:
                 with open(path) as f:
                     return json.load(f)
-            except (OSError, ValueError):
+            except FileNotFoundError:
                 continue
+            except (OSError, ValueError) as exc:
+                self._read_failed(digest, exc)
         return None
+
+    def _read_failed(self, digest: str, exc: Exception) -> None:
+        self.read_errors += 1
+        _log.emit("store-read-error", digest=digest, error=repr(exc))
 
     def contains(self, key) -> bool:
         """Whether a result for this key/digest is on disk (no counter
@@ -376,7 +389,8 @@ class ResultCache:
             return None
         try:
             summary = RunSummary.from_dict(data)
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError) as exc:
+            self._read_failed(self._digest_of(key), exc)
             self.misses += 1
             return None
         self.hits += 1
@@ -408,18 +422,19 @@ class ResultCache:
         self.stores += 1
 
     def put(self, key, summary: RunSummary) -> None:
-        """Atomic write (temp file + rename); IO failures are non-fatal."""
-        try:
-            self._write(self._digest_of(key), summary.to_dict())
-        except OSError:
-            pass
+        """Atomic write (temp file + rename) of one run's summary."""
+        self.put_raw(key, summary.to_dict())
 
     def put_raw(self, key, document: Dict) -> None:
-        """Store an arbitrary JSON document under a key/digest."""
+        """Store an arbitrary JSON document under a key/digest.  An IO
+        failure is non-fatal: it is counted in ``write_errors`` and
+        logged."""
+        digest = self._digest_of(key)
         try:
-            self._write(self._digest_of(key), document)
-        except OSError:
-            pass
+            self._write(digest, document)
+        except OSError as exc:
+            self.write_errors += 1
+            _log.emit("store-write-error", digest=digest, error=repr(exc))
 
     def digests(self) -> List[str]:
         """Every stored digest, sorted (shards walked, flat layout

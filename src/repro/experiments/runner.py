@@ -117,7 +117,8 @@ class RunResult:
         """The run's ``repro.obs/v1`` export (manifest + intervals +
         summary).  Valid for unobserved runs too -- the time-series is
         just empty."""
-        from repro.obs import build_manifest, run_document
+        from repro.obs.export import run_document
+        from repro.obs.manifest import build_manifest
         manifest = build_manifest(
             self.benchmark, self.config, instructions=self.instructions,
             warmup=self.warmup, scale=self.scale, seed=self.seed,
@@ -128,7 +129,7 @@ class RunResult:
 
     def export_metrics(self, path) -> Dict:
         """Write the run's metrics export as JSON; returns the document."""
-        from repro.obs import export_json, validate_strict
+        from repro.obs.export import export_json, validate_strict
         doc = validate_strict(self.metrics_document())
         export_json(path, doc)
         return doc
@@ -140,7 +141,7 @@ class RunResult:
         if self.tracer is None:
             raise ValueError(
                 "run was not traced; pass trace_sample= to run_benchmark")
-        from repro.obs import build_manifest
+        from repro.obs.manifest import build_manifest
         from repro.obs.trace import trace_document
         manifest = build_manifest(
             self.benchmark, self.config, instructions=self.instructions,
@@ -220,11 +221,11 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
     ``sample_interval`` attaches an interval metrics sampler (see
     :mod:`repro.obs`): every N retired ROI instructions the hierarchy is
     snapshotted into ``result.intervals``.  ``profiler`` (a
-    :class:`repro.obs.Profiler`) attributes wall-clock time to the
+    :class:`repro.obs.manifest.Profiler`) attributes wall-clock time to the
     trace/build/simulate phases.  ``trace_sample`` attaches a 1-in-N
     request span tracer (see :mod:`repro.obs.trace`); the trace covers
     the post-warmup ROI only.  ``progress`` (a
-    :class:`repro.obs.ProgressForwarder`) forwards a condensed row per
+    :class:`repro.obs.forward.ProgressForwarder`) forwards a condensed row per
     interval to the sweep service -- purely observational; the sampler
     it implies runs at ``sample_interval`` when both are given, else at
     the forwarder's own interval.  All default to off and then cost
@@ -239,13 +240,13 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
         core = make_core(cfg, hierarchy)
     sampler = None
     if progress is not None:
-        from repro.obs import ForwardingSampler
+        from repro.obs.forward import ForwardingSampler
         sampler = ForwardingSampler(
             hierarchy, sample_interval or progress.interval,
             forwarder=progress)
         hierarchy.sampler = sampler
     elif sample_interval is not None:
-        from repro.obs import IntervalSampler
+        from repro.obs.sampler import IntervalSampler
         sampler = IntervalSampler(hierarchy, sample_interval)
         hierarchy.sampler = sampler
     tracer = None

@@ -18,34 +18,3 @@ pattern :mod:`repro.validate` uses.  Enable per run with
 ``--metrics PATH`` / ``--sample-interval N`` (CLI) or
 ``repro.api.run(..., metrics=...)``.  See ``docs/observability.md``.
 """
-
-from repro.obs.export import (CSV_COLUMNS, ExportSchemaError,
-                              batch_document, export_csv, export_json,
-                              load, run_document, validate,
-                              validate_strict)
-from repro.obs.forward import (PROGRESS_ROW_KEYS, ForwardingSampler,
-                               ProgressForwarder, progress_row)
-from repro.obs.log import (JsonLinesLogger, configure_logging,
-                           current_run_id, get_logger, logging_enabled)
-from repro.obs.manifest import (SCHEMA, Profiler, build_batch_manifest,
-                                build_manifest, config_digest)
-from repro.obs.progress import DEFAULT_BACKLOG, EventStream, Heartbeat
-from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, IntervalSampler
-from repro.obs.telemetry import (TELEMETRY_SCHEMA, Counter, Gauge,
-                                 Histogram, TelemetryRegistry,
-                                 TelemetrySchemaError, validate_telemetry,
-                                 validate_telemetry_strict)
-
-__all__ = [
-    "CSV_COLUMNS", "Counter", "DEFAULT_BACKLOG",
-    "DEFAULT_SAMPLE_INTERVAL", "EventStream",
-    "ExportSchemaError", "ForwardingSampler", "Gauge",
-    "Heartbeat", "Histogram", "IntervalSampler", "JsonLinesLogger",
-    "PROGRESS_ROW_KEYS", "Profiler", "ProgressForwarder", "SCHEMA",
-    "TELEMETRY_SCHEMA", "TelemetryRegistry", "TelemetrySchemaError",
-    "batch_document", "build_batch_manifest", "build_manifest",
-    "config_digest", "configure_logging", "current_run_id",
-    "export_csv", "export_json", "get_logger", "load",
-    "logging_enabled", "progress_row", "run_document", "validate",
-    "validate_strict", "validate_telemetry", "validate_telemetry_strict",
-]

@@ -1,22 +1,16 @@
 """Hardware prefetchers: state-of-the-art baselines (IPCP, SPP, Bingo, ISB)
 and the paper's proposals (ATP, TEMPO)."""
 
-from repro.prefetch.base import Prefetcher
-from repro.prefetch.next_line import NextLinePrefetcher
-from repro.prefetch.ip_stride import IPStridePrefetcher
-from repro.prefetch.spp import SPPPrefetcher
-from repro.prefetch.bingo import BingoPrefetcher
-from repro.prefetch.isb import ISBPrefetcher
-from repro.prefetch.ipcp import IPCPPrefetcher
-from repro.prefetch.atp import ATPPrefetcher
-from repro.prefetch.tempo import TEMPOPrefetcher
+import importlib
 
+#: Cache-level prefetcher name -> (defining module, class name); the
+#: module is imported only when that prefetcher is requested.
 _L2C_REGISTRY = {
-    "next_line": NextLinePrefetcher,
-    "ip_stride": IPStridePrefetcher,
-    "spp": SPPPrefetcher,
-    "bingo": BingoPrefetcher,
-    "isb": ISBPrefetcher,
+    "next_line": ("repro.prefetch.next_line", "NextLinePrefetcher"),
+    "ip_stride": ("repro.prefetch.ip_stride", "IPStridePrefetcher"),
+    "spp": ("repro.prefetch.spp", "SPPPrefetcher"),
+    "bingo": ("repro.prefetch.bingo", "BingoPrefetcher"),
+    "isb": ("repro.prefetch.isb", "ISBPrefetcher"),
 }
 
 
@@ -25,13 +19,8 @@ def make_l2c_prefetcher(name: str):
     if name in (None, "", "none"):
         return None
     try:
-        return _L2C_REGISTRY[name]()
+        module, cls = _L2C_REGISTRY[name]
     except KeyError:
         raise ValueError(f"unknown L2C prefetcher {name!r}; "
                          f"available: {sorted(_L2C_REGISTRY)}") from None
-
-
-__all__ = ["Prefetcher", "NextLinePrefetcher", "IPStridePrefetcher",
-           "SPPPrefetcher", "BingoPrefetcher", "ISBPrefetcher",
-           "IPCPPrefetcher", "ATPPrefetcher", "TEMPOPrefetcher",
-           "make_l2c_prefetcher"]
+    return getattr(importlib.import_module(module), cls)()

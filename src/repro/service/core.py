@@ -518,7 +518,9 @@ class SweepService:
             "telemetry": self.telemetry.snapshot(),
             "store": {"dir": str(self.store.dir),
                       "hits": self.store.hits,
-                      "stores": self.store.stores},
+                      "stores": self.store.stores,
+                      "write_errors": self.store.write_errors,
+                      "read_errors": self.store.read_errors},
         }
 
     def render_metrics(self) -> str:

@@ -56,5 +56,7 @@ class JobStore(ResultCache):
             "entries": len(digests),
             "digests": digests,
             "counters": {"hits": self.hits, "misses": self.misses,
-                         "stores": self.stores},
+                         "stores": self.stores,
+                         "write_errors": self.write_errors,
+                         "read_errors": self.read_errors},
         }

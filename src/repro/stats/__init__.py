@@ -1,9 +1,2 @@
 """Statistics collection: per-level counters, recall-distance tracking and
 report formatting for the paper's figures and tables."""
-
-from repro.stats.counters import CacheStats, LevelDistribution
-from repro.stats.recall import RecallTracker, RECALL_BUCKETS
-from repro.stats.report import format_table
-
-__all__ = ["CacheStats", "LevelDistribution", "RecallTracker",
-           "RECALL_BUCKETS", "format_table"]

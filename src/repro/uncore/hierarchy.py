@@ -25,9 +25,6 @@ from repro.memsys import request as request_pool
 from repro.memsys.request import AccessType, MemoryRequest
 from repro.params import LINE_SHIFT, PAGE_SHIFT, SimConfig
 from repro.prefetch import make_l2c_prefetcher
-from repro.prefetch.atp import ATPPrefetcher
-from repro.prefetch.ipcp import IPCPPrefetcher
-from repro.prefetch.tempo import TEMPOPrefetcher
 from repro.stats.counters import LevelDistribution
 from repro.vm.mmu import MMU
 from repro.vm.page_table import PageTable
@@ -143,6 +140,7 @@ class MemoryHierarchy:
         self.l2c.prefetcher = make_l2c_prefetcher(config.l2c_prefetcher)
         self.ipcp: Optional[IPCPPrefetcher] = None
         if config.l1d_prefetcher == "ipcp":
+            from repro.prefetch.ipcp import IPCPPrefetcher
             self.ipcp = IPCPPrefetcher()
         elif config.l1d_prefetcher not in ("none", "", None):
             # Physical-address prefetchers can also sit at the L1D.
@@ -150,10 +148,12 @@ class MemoryHierarchy:
 
         self.atp: Optional[ATPPrefetcher] = None
         if enh.atp:
+            from repro.prefetch.atp import ATPPrefetcher
             self.atp = ATPPrefetcher(self.l2c, self.llc)
             self.atp.attach()
         self.tempo: Optional[TEMPOPrefetcher] = None
         if enh.tempo:
+            from repro.prefetch.tempo import TEMPOPrefetcher
             self.tempo = TEMPOPrefetcher(self.dram, self.llc)
             self.tempo.attach()
 

@@ -15,16 +15,13 @@ variable (inherited by parallel worker processes), or programmatically via
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.validate.invariants import CheckContext, HierarchyChecker, \
-    ROBChecker, ValidationError
+if TYPE_CHECKING:
+    from repro.validate.invariants import HierarchyChecker, ROBChecker
 
-__all__ = [
-    "CheckContext", "HierarchyChecker", "ROBChecker", "ValidationError",
-    "checking_enabled", "enable_checking", "maybe_attach",
-    "maybe_attach_core",
-]
+__all__ = ["checking_enabled", "enable_checking", "maybe_attach",
+           "maybe_attach_core"]
 
 _FORCED = False
 
@@ -44,6 +41,7 @@ def maybe_attach(hierarchy) -> Optional[HierarchyChecker]:
     enabled.  Called from ``MemoryHierarchy.__init__``."""
     if not checking_enabled():
         return None
+    from repro.validate.invariants import HierarchyChecker
     return HierarchyChecker(hierarchy)
 
 
@@ -53,6 +51,7 @@ def maybe_attach_core(core) -> Optional[ROBChecker]:
     checker = getattr(core.hierarchy, "checker", None)
     if checker is None:
         return None
+    from repro.validate.invariants import ROBChecker
     rob = ROBChecker(core.rob_entries, checker.ctx)
     checker.rob_checkers.append(rob)
     return rob

@@ -1,18 +1,2 @@
 """Workload generation: synthetic traces modelling the paper's nine
 irregular memory-intensive benchmarks (SPEC CPU2017, PARSEC, Ligra)."""
-
-from repro.workloads.trace import (Trace, KIND_NONMEM, KIND_LOAD, KIND_STORE)
-from repro.workloads.synthetic import SyntheticWorkload, PatternMix
-from repro.workloads.registry import (BENCHMARKS, benchmark, benchmark_names,
-                                      make_trace, TABLE2_REFERENCE)
-from repro.workloads.io import save_trace, load_trace
-from repro.workloads.mix import (ARRIVAL_KINDS, MixComponent, apportion,
-                                 derive_seed, interleave_traces)
-from repro.workloads import analysis
-
-__all__ = ["Trace", "KIND_NONMEM", "KIND_LOAD", "KIND_STORE",
-           "SyntheticWorkload", "PatternMix", "BENCHMARKS", "benchmark",
-           "benchmark_names", "make_trace", "TABLE2_REFERENCE",
-           "save_trace", "load_trace", "analysis",
-           "ARRIVAL_KINDS", "MixComponent", "apportion", "derive_seed",
-           "interleave_traces"]

@@ -6,6 +6,7 @@ digest so figure batches warmed through ``--jobs`` and sweeps submitted
 to the service share results.
 """
 
+import io
 import json
 
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from repro import api
 from repro.experiments.parallel import (CACHE_SCHEMA_VERSION, ResultCache,
                                         RunKey, RunSummary, SHARD_WIDTH)
-from repro.service import JobStore
+from repro.obs.log import configure_logging
+from repro.service import JobStore, SweepService
 from repro.service.store import MANIFEST_SCHEMA
 
 DIGEST = "ab" + "0" * 62
@@ -84,7 +86,8 @@ def test_manifest_inventory(store):
     assert doc["cache_schema_version"] == CACHE_SCHEMA_VERSION
     assert doc["shard_width"] == SHARD_WIDTH
     assert doc["entries"] == 1 and doc["digests"] == [DIGEST]
-    assert doc["counters"] == {"hits": 1, "misses": 1, "stores": 1}
+    assert doc["counters"] == {"hits": 1, "misses": 1, "stores": 1,
+                               "write_errors": 0, "read_errors": 0}
     assert json.loads(json.dumps(doc)) == doc  # JSON-clean
 
 
@@ -135,3 +138,66 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, failure):
             cache.put_raw(DIGEST, {"x": object()})
     assert list(cache.dir.rglob("*.tmp")) == []
     assert not cache.contains(DIGEST) and cache.stores == 0
+
+
+# ----------------------------------------------------------------------
+# Storage failures are counted and logged, never silent
+# ----------------------------------------------------------------------
+@pytest.fixture
+def log_sink():
+    sink = io.StringIO()
+    configure_logging(True, stream=sink)
+    yield sink
+    configure_logging(False, stream=io.StringIO())
+
+
+def _records(sink):
+    return [json.loads(line) for line in sink.getvalue().splitlines()]
+
+
+def _fail_write(digest, document):
+    raise OSError("disk full")
+
+
+def test_failed_write_is_counted_and_logged(store, monkeypatch, log_sink):
+    monkeypatch.setattr(store, "_write", _fail_write)
+    store.put_raw(DIGEST, {"x": 1})  # returns: the result is still in hand
+    assert (store.write_errors, store.stores) == (1, 0)
+    assert store.manifest()["counters"]["write_errors"] == 1
+    (record,) = _records(log_sink)
+    assert record["component"] == "store"
+    assert record["event"] == "store-write-error"
+    assert record["digest"] == DIGEST and "disk full" in record["error"]
+
+
+def test_corrupt_entry_is_a_counted_read_error(store, log_sink):
+    path = store.path_for(DIGEST)
+    path.parent.mkdir(parents=True)
+    path.write_text('{"truncated": ')
+    assert store.get_raw(DIGEST) is None
+    assert (store.read_errors, store.misses) == (1, 1)
+    assert store.manifest()["counters"]["read_errors"] == 1
+    (record,) = _records(log_sink)
+    assert record["event"] == "store-read-error"
+    assert record["digest"] == DIGEST
+
+
+def test_undecodable_summary_is_a_counted_read_error(tmp_path):
+    cache = ResultCache(root=tmp_path, fingerprint="pinned")
+    key = RunKey.make("tc", instructions=2_000, warmup=500)
+    cache.put_raw(key, {"not": "a run summary"})
+    assert cache.get(key) is None
+    assert (cache.read_errors, cache.misses) == (1, 1)
+
+
+def test_absent_entry_is_a_plain_miss(store, log_sink):
+    assert store.get_raw(DIGEST) is None
+    assert (store.read_errors, store.misses) == (0, 1)
+    assert _records(log_sink) == []
+
+
+def test_health_store_block_shows_failure_counters(store, monkeypatch):
+    monkeypatch.setattr(store, "_write", _fail_write)
+    store.put_payload(DIGEST, {"x": 1})
+    block = SweepService(store=store, workers=0).describe()["store"]
+    assert (block["write_errors"], block["read_errors"]) == (1, 0)

@@ -11,9 +11,10 @@ import json
 import pytest
 
 from repro import api
-from repro.obs import (CSV_COLUMNS, SCHEMA, ExportSchemaError, Heartbeat,
-                       Profiler, config_digest, export_csv, load, validate,
-                       validate_strict)
+from repro.obs.export import (CSV_COLUMNS, ExportSchemaError, export_csv,
+                              load, validate, validate_strict)
+from repro.obs.manifest import SCHEMA, Profiler, config_digest
+from repro.obs.progress import Heartbeat
 
 RUN_KW = dict(instructions=12_000, warmup=2_000, seed=7)
 INTERVAL = 1_000

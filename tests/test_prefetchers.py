@@ -3,11 +3,14 @@
 import pytest
 
 from repro.memsys.request import AccessType, MemoryRequest
-from repro.prefetch import (BingoPrefetcher, IPCPPrefetcher,
-                            IPStridePrefetcher, ISBPrefetcher,
-                            NextLinePrefetcher, SPPPrefetcher,
-                            make_l2c_prefetcher)
+from repro.prefetch import make_l2c_prefetcher
 from repro.prefetch.base import LINES_PER_PAGE, clamp_to_page, same_page
+from repro.prefetch.bingo import BingoPrefetcher
+from repro.prefetch.ip_stride import IPStridePrefetcher
+from repro.prefetch.ipcp import IPCPPrefetcher
+from repro.prefetch.isb import ISBPrefetcher
+from repro.prefetch.next_line import NextLinePrefetcher
+from repro.prefetch.spp import SPPPrefetcher
 
 
 def load(line, ip=0x400):

@@ -18,8 +18,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.workloads import (MixComponent, apportion, benchmark_names,
-                             derive_seed, interleave_traces, make_trace)
+from repro.workloads.mix import (MixComponent, apportion, derive_seed,
+                                 interleave_traces)
+from repro.workloads.registry import benchmark_names, make_trace
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -82,7 +83,7 @@ def test_trace_identical_across_processes():
     derived from Python's salted ``hash()`` or ambient RNG state)."""
     child = (
         "import hashlib, numpy as np\n"
-        "from repro.workloads import make_trace\n"
+        "from repro.workloads.registry import make_trace\n"
         "t = make_trace('pr', 2000, scale=16, seed=11)\n"
         "h = hashlib.sha256()\n"
         "for a in (t.ips, t.kinds, t.addrs, t.deps):\n"

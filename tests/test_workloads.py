@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.params import DEFAULT_SCALE, PAGE_SHIFT
-from repro.workloads import (BENCHMARKS, KIND_LOAD, KIND_NONMEM, KIND_STORE,
-                             PatternMix, SyntheticWorkload, Trace,
-                             benchmark_names, make_trace)
-from repro.workloads.registry import benchmark, categorize
-from repro.workloads.synthetic import RANDOM_BASE, SEQ_BASE
+from repro.workloads.registry import (BENCHMARKS, benchmark,
+                                      benchmark_names, categorize,
+                                      make_trace)
+from repro.workloads.synthetic import (RANDOM_BASE, SEQ_BASE, PatternMix,
+                                       SyntheticWorkload)
+from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, KIND_STORE, Trace
 
 
 def test_trace_validates_lengths():

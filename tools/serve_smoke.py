@@ -69,7 +69,7 @@ def main() -> int:
     import threading
 
     from repro import api
-    from repro.obs import validate_telemetry
+    from repro.obs.telemetry import validate_telemetry
     from repro.service import JobStore, SweepService
     from repro.service.cli import follow_events, request, wait_for_job
     from repro.service.http import build_server
