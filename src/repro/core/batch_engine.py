@@ -52,16 +52,11 @@ from collections import deque
 from typing import Deque, Optional
 
 from repro.core.fallback import BatchStats, FallbackReason
-from repro.core.ooo_core import CoreResult, OOOCore
+from repro.core.ooo_core import WINDOW, CoreResult, OOOCore
 from repro.core.rob import StallAccounting
 from repro.params import LINE_SHIFT, PAGE_SHIFT, SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM
-
-#: Drain window (instructions): how often the deferred fast-path
-#: counters are flushed, and the unit of ``BatchStats.windows``.  The
-#: per-window excursion histogram (``COHORT_BUCKETS``) tops out here.
-WINDOW = 1024
 
 _PAGE_OFF_MASK = (1 << PAGE_SHIFT) - 1
 _PFN_TO_LINE = PAGE_SHIFT - LINE_SHIFT
@@ -166,11 +161,6 @@ class BatchCore:
     def _run_vector(self, trace, warmup: int, limit: Optional[int],
                     bstats: BatchStats) -> CoreResult:
         hierarchy = self.hierarchy
-        # Plain lists of native ints, as in OOOCore.run: np.int64 leaking
-        # into cycle arithmetic would poison JSON exports downstream.
-        ips_l, kinds_l, addrs_l, deps_l = (
-            col.tolist() if hasattr(col, "tolist") else col
-            for col in (trace.ips, trace.kinds, trace.addrs, trace.deps))
 
         l1d = hierarchy.l1d
         mmu = hierarchy.mmu
@@ -195,9 +185,7 @@ class BatchCore:
         stats = l1d.stats
         resp_counts = hierarchy.response_distribution.counts["non_replay"]
 
-        total = len(ips_l)
-        if limit is not None:
-            total = min(limit, total)
+        total = len(trace) if limit is None else min(limit, len(trace))
 
         stalls = StallAccounting()
         record_load = stalls.record_load_stall
@@ -235,6 +223,7 @@ class BatchCore:
                 hi = total
             if not counting and hi > warmup:
                 hi = warmup  # windows never straddle the ROI boundary
+            ips_l, kinds_l, addrs_l, deps_l = trace.window(lo, hi)
 
             # ATP/TEMPO-style fills would set these 0/1 columns; eligible
             # configs never do, but a live check keeps the path honest.
@@ -253,7 +242,7 @@ class BatchCore:
             # Index iteration, subscripting lazily: the nonmem branch
             # touches one column, the fast path four -- a zip over all
             # seven columns measured slower on hit-heavy traces.
-            for i in range(lo, hi):
+            for i in range(hi - lo):
                 # dispatch (verbatim OOOCore recurrence)
                 dc = dispatch_cycle
                 if n_rt >= rob_entries:

@@ -28,6 +28,13 @@ from repro.params import SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, KIND_STORE
 
+#: Drain window (instructions): the cores read the trace this many
+#: instructions at a time (``Trace.window``), so a run holds list copies
+#: of one window, not of the whole trace.  No window straddles the
+#: warmup edge.  The numpy backend flushes its deferred fast-path
+#: counters once per window (the unit of ``BatchStats.windows``).
+WINDOW = 1024
+
 
 @dataclass
 class CoreResult:
@@ -74,23 +81,10 @@ class OOOCore:
             limit: Optional[int] = None) -> CoreResult:
         """Execute ``trace``; statistics cover only the post-warmup region.
 
-        ``trace`` is any object with parallel sequences ``ips``, ``kinds``
-        and ``addrs`` (see :mod:`repro.workloads.trace`).
+        ``trace`` is a :class:`repro.workloads.trace.Trace`, read one
+        :data:`WINDOW` at a time through its ``window`` method.
         """
-        ips, kinds, addrs = trace.ips, trace.kinds, trace.addrs
-        deps = trace.deps
-        # Numpy-backed traces: convert to plain lists once.  Element-wise
-        # list indexing is much faster than numpy scalar extraction, and it
-        # yields native ints the memory system can use without casting.
-        if hasattr(ips, "tolist"):
-            ips = ips.tolist()
-        if hasattr(kinds, "tolist"):
-            kinds = kinds.tolist()
-        if hasattr(addrs, "tolist"):
-            addrs = addrs.tolist()
-        if hasattr(deps, "tolist"):
-            deps = deps.tolist()
-        total = len(ips) if limit is None else min(limit, len(ips))
+        total = len(trace) if limit is None else min(limit, len(trace))
         # Completion of the most recent dependent-chain load: a load with
         # deps[i] set cannot issue before it (pointer chasing).
         chain_completion = 0
@@ -123,8 +117,9 @@ class OOOCore:
         if counting and tracer is not None:
             tracer.enable()
 
-        for i in range(total):
-            if not counting and i == warmup:
+        lo = 0
+        while lo < total:
+            if not counting and lo == warmup:
                 counting = True
                 roi_start_cycle = retire_cycle
                 hierarchy.reset_stats()
@@ -132,86 +127,94 @@ class OOOCore:
                     sampler.begin(stalls, roi_start_cycle)
                 if tracer is not None:
                     tracer.enable()
-            # -- dispatch ------------------------------------------------
-            dc = dispatch_cycle
-            if len(retire_times) >= rob_entries:
-                free_at = retire_times.popleft()
-                if free_at > dc:
-                    dc = free_at
-                    dispatch_slots = 0
-            if dc > dispatch_cycle:
-                dispatch_cycle = dc
-                dispatch_slots = 0
-            dispatch_slots += 1
-            if dispatch_slots >= dispatch_width:
-                dispatch_cycle += 1
-                dispatch_slots = 0
-
-            # -- fetch (optional frontend) -------------------------------
-            if frontend is not None:
-                fetch_line = ips[i] >> 6
-                if fetch_line != prev_fetch_line:
-                    prev_fetch_line = fetch_line
-                    fetch_done = frontend.fetch(ips[i], dc)
-                    # An L1I hit is hidden by the fetch pipeline; misses
-                    # push dispatch back by the uncovered latency.
-                    if fetch_done - dc > fetch_hidden:
-                        dc = fetch_done - fetch_hidden
-                        dispatch_cycle = dc
+            hi = lo + WINDOW
+            if hi > total:
+                hi = total
+            if not counting and hi > warmup:
+                hi = warmup  # windows never straddle the ROI boundary
+            ips, kinds, addrs, deps = trace.window(lo, hi)
+            for i in range(hi - lo):
+                # -- dispatch ------------------------------------------------
+                dc = dispatch_cycle
+                if len(retire_times) >= rob_entries:
+                    free_at = retire_times.popleft()
+                    if free_at > dc:
+                        dc = free_at
                         dispatch_slots = 0
+                if dc > dispatch_cycle:
+                    dispatch_cycle = dc
+                    dispatch_slots = 0
+                dispatch_slots += 1
+                if dispatch_slots >= dispatch_width:
+                    dispatch_cycle += 1
+                    dispatch_slots = 0
 
-            # -- execute ---------------------------------------------------
-            kind = kinds[i]
-            is_replay = False
-            translation_done = dc
-            if kind == kind_load:
-                issue_at = dc
-                if deps[i] and chain_completion > issue_at:
-                    issue_at = chain_completion
-                res = hierarchy_load(addrs[i], issue_at, ips[i])
-                completion = res.data_done
-                is_replay = res.is_replay
-                translation_done = res.translation_done
-                if deps[i]:
-                    chain_completion = completion
-            elif kind == kind_store:
-                hierarchy_store(addrs[i], dc, ips[i])
-                completion = dc + nonmem_latency
-            else:
-                completion = dc + nonmem_latency
+                # -- fetch (optional frontend) -------------------------------
+                if frontend is not None:
+                    fetch_line = ips[i] >> 6
+                    if fetch_line != prev_fetch_line:
+                        prev_fetch_line = fetch_line
+                        fetch_done = frontend.fetch(ips[i], dc)
+                        # An L1I hit is hidden by the fetch pipeline; misses
+                        # push dispatch back by the uncovered latency.
+                        if fetch_done - dc > fetch_hidden:
+                            dc = fetch_done - fetch_hidden
+                            dispatch_cycle = dc
+                            dispatch_slots = 0
 
-            # -- retire (in order, retire_width per cycle) ---------------
-            earliest = retire_cycle
-            if retire_slots >= retire_width:
-                earliest += 1
-            if earliest < dc + 1:
-                earliest = dc + 1
-            if completion > earliest:
-                stall = completion - earliest
-                if counting:
-                    if kind == KIND_LOAD:
-                        stalls.record_load_stall(
-                            stall, is_replay,
-                            translation_pending=translation_done - earliest)
-                        if tracer is not None:
-                            tracer.attach_load_stall(
-                                earliest, completion, is_replay,
-                                translation_done, ip=ips[i])
-                    else:
-                        stalls.record_other_stall(stall)
-                rt = completion
-            else:
-                rt = earliest
-            if rt > retire_cycle:
-                retire_cycle = rt
-                retire_slots = 1
-            else:
-                retire_slots += 1
-            retire_times.append(rt)
-            if checker is not None:
-                checker.on_retire(rt, len(retire_times))
-            if sampler is not None and counting:
-                sampler.on_retire(rt, len(retire_times))
+                # -- execute --------------------------------------------------
+                kind = kinds[i]
+                is_replay = False
+                translation_done = dc
+                if kind == kind_load:
+                    issue_at = dc
+                    if deps[i] and chain_completion > issue_at:
+                        issue_at = chain_completion
+                    res = hierarchy_load(addrs[i], issue_at, ips[i])
+                    completion = res.data_done
+                    is_replay = res.is_replay
+                    translation_done = res.translation_done
+                    if deps[i]:
+                        chain_completion = completion
+                elif kind == kind_store:
+                    hierarchy_store(addrs[i], dc, ips[i])
+                    completion = dc + nonmem_latency
+                else:
+                    completion = dc + nonmem_latency
+
+                # -- retire (in order, retire_width per cycle) ---------------
+                earliest = retire_cycle
+                if retire_slots >= retire_width:
+                    earliest += 1
+                if earliest < dc + 1:
+                    earliest = dc + 1
+                if completion > earliest:
+                    stall = completion - earliest
+                    if counting:
+                        if kind == KIND_LOAD:
+                            stalls.record_load_stall(
+                                stall, is_replay, translation_pending=(
+                                    translation_done - earliest))
+                            if tracer is not None:
+                                tracer.attach_load_stall(
+                                    earliest, completion, is_replay,
+                                    translation_done, ip=ips[i])
+                        else:
+                            stalls.record_other_stall(stall)
+                    rt = completion
+                else:
+                    rt = earliest
+                if rt > retire_cycle:
+                    retire_cycle = rt
+                    retire_slots = 1
+                else:
+                    retire_slots += 1
+                retire_times.append(rt)
+                if checker is not None:
+                    checker.on_retire(rt, len(retire_times))
+                if sampler is not None and counting:
+                    sampler.on_retire(rt, len(retire_times))
+            lo = hi
 
         instructions = total - warmup if warmup < total else 0
         cycles = max(1, retire_cycle - roi_start_cycle)

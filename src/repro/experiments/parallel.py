@@ -425,16 +425,18 @@ class ResultCache:
         """Atomic write (temp file + rename) of one run's summary."""
         self.put_raw(key, summary.to_dict())
 
-    def put_raw(self, key, document: Dict) -> None:
-        """Store an arbitrary JSON document under a key/digest.  An IO
-        failure is non-fatal: it is counted in ``write_errors`` and
-        logged."""
+    def put_raw(self, key, document: Dict) -> bool:
+        """Store an arbitrary JSON document under a key/digest; whether
+        it was written.  An IO failure is non-fatal: it is counted in
+        ``write_errors``, logged, and returns False."""
         digest = self._digest_of(key)
         try:
             self._write(digest, document)
         except OSError as exc:
             self.write_errors += 1
             _log.emit("store-write-error", digest=digest, error=repr(exc))
+            return False
+        return True
 
     def digests(self) -> List[str]:
         """Every stored digest, sorted (shards walked, flat layout

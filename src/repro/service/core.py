@@ -428,6 +428,7 @@ class SweepService:
             job = Job(spec=spec, priority=priority, digest=digest)
             job.source = "store"
             job.payload = stored
+            job.persisted = True
             self._register(job)
             self._count("store_hits")
             self._log.emit("job-store-hit", job=job.id, digest=digest,
@@ -637,15 +638,25 @@ class SweepService:
                 self._finish(job)
                 return
             else:
-                self.store.put_payload(job.digest, payload)
+                self._persist(job, payload)
                 job.payload = payload
                 self._count("executed")
                 self._record_batch_telemetry(payload)
                 self._emit_final_progress(job, payload)
                 self._log.emit("job-done", job=job.id, digest=job.digest)
-                job.transition(JobStatus.DONE, source="run")
+                job.transition(JobStatus.DONE, source="run",
+                               persisted=job.persisted)
                 self._finish(job)
                 return
+
+    def _persist(self, job: Job, payload: Dict) -> None:
+        """Store a finished job's payload and record on the job whether
+        it landed.  A failed write (already counted in the store's
+        ``write_errors``) does not fail the job: its payload is valid."""
+        job.persisted = self.store.put_payload(job.digest, payload)
+        if not job.persisted:
+            self._log.emit("job-not-persisted", job=job.id,
+                           digest=job.digest)
 
     async def _execute_job(self, job: Job) -> Dict:
         spec_dict = job.spec.to_dict()
@@ -848,9 +859,10 @@ class SweepService:
         else:
             # Only a fully-completed sweep is stored: a partial one must
             # re-expand (and skip per-child) on resubmission.
-            self.store.put_payload(job.digest, payload)
+            self._persist(job, payload)
             self._count("executed")
-            job.transition(JobStatus.DONE, source="run")
+            job.transition(JobStatus.DONE, source="run",
+                           persisted=job.persisted)
         self._finish(job)
 
 

@@ -260,6 +260,10 @@ class Job:
     #: Latest forwarded ``job-progress`` row (None until the first
     #: interval arrives; the full history is on ``events``).
     progress: Optional[Dict] = None
+    #: Whether the payload is in the store: None until the job is done,
+    #: False when the write failed (the job is still DONE -- its payload
+    #: is valid -- but a restarted service will not find it).
+    persisted: Optional[bool] = None
     #: Monotonic timestamps for the wait/execute latency histograms.
     created_mono: float = field(default_factory=time.monotonic)
     started_mono: Optional[float] = None
@@ -285,6 +289,7 @@ class Job:
             "digest": self.digest, "status": self.status.value,
             "priority": self.priority, "source": self.source,
             "attempts": self.attempts, "dedup_hits": self.dedup_hits,
+            "persisted": self.persisted,
             "events": len(self.events),
             "events_dropped": self.events.dropped,
         }

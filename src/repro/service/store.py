@@ -40,8 +40,9 @@ class JobStore(ResultCache):
         """The stored payload for a digest (``None`` when absent)."""
         return self.get_raw(digest)
 
-    def put_payload(self, digest: str, payload: Dict) -> None:
-        self.put_raw(digest, payload)
+    def put_payload(self, digest: str, payload: Dict) -> bool:
+        """Store a payload; whether it was written (see ``put_raw``)."""
+        return self.put_raw(digest, payload)
 
     def manifest(self) -> Dict:
         """Store inventory + counters (uploaded as a CI artifact)."""

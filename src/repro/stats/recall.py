@@ -12,8 +12,11 @@ A line is unique-since-eviction exactly when its last access is at or after
 the eviction's clock value, so the unique count of a window starting at
 ``s`` is the number of trailing recency entries with time >= s -- computed
 lazily, only when the block is actually recalled, by walking the recency
-order backwards (bounded by the cap).  An access costs one dict move; sets
-with no pending evictions (the common case) pay a single dict probe.
+order backwards.  Distances saturate at the cap, so only the newest
+``_CAP`` entries can ever be counted, and the recency order keeps just
+those: an access that pushes it past the cap forgets its oldest entry.
+An access costs one dict move; sets with no pending evictions (the
+common case) pay a single dict probe.
 
 Both orders are plain dicts, which keep insertion order: moving a key to
 the newest end is a ``pop`` and a reinsert, and since each reinsert
@@ -30,7 +33,6 @@ RECALL_BUCKETS: Tuple[int, ...] = (10, 20, 30, 40, 50)
 
 _CAP = 64           # distances are exact below this, saturating above
 _MAX_PENDING = 256  # evicted blocks tracked per set
-_PRUNE_THRESHOLD = 4 * _MAX_PENDING  # last-seen table size triggering a prune
 
 
 class RecallTracker:
@@ -38,10 +40,10 @@ class RecallTracker:
 
     def __init__(self, name: str):
         self.name = name
-        # Per set: logical clock, line -> clock of its last access (in
-        # recency order, oldest first), and pending windows
-        # line -> eviction clock, ordered by eviction recency (oldest
-        # first, for censoring on overflow).
+        # Per set: logical clock, line -> clock of its last access (the
+        # newest ``_CAP`` lines in recency order, oldest first), and
+        # pending windows line -> eviction clock, ordered by eviction
+        # recency (oldest first, for censoring on overflow).
         self._time: Dict[int, int] = {}
         self._last_seen: Dict[int, Dict[int, int]] = {}
         self._windows: Dict[int, Dict[int, int]] = {}
@@ -92,8 +94,8 @@ class RecallTracker:
         last_seen.pop(line_addr, None)
         last_seen[line_addr] = now
         self._time[set_idx] = now + 1
-        if len(last_seen) > _PRUNE_THRESHOLD:
-            _prune(last_seen, windows, None)
+        if len(last_seen) > _CAP:
+            del last_seen[next(iter(last_seen))]
 
     def _record(self, distance: int) -> None:
         self.samples += 1
@@ -142,33 +144,17 @@ class RecallTracker:
 
 
 def _unique_since(last_seen: Dict[int, int], start: int) -> int:
-    """Unique accesses since a window opened at ``start``: the lines whose
-    most recent access is at or after it, found by walking the recency
-    order backwards until times drop below it (or the cap).  The
-    recalling access itself is counted afterwards, so it is excluded --
-    its recency entry still predates ``start``."""
+    """Unique accesses since a window opened at ``start``, saturating at
+    ``_CAP``: the lines whose most recent access is at or after it, found
+    by walking the (capped) recency order backwards until times drop
+    below it.  The recalling access itself is counted afterwards, so it
+    is excluded -- its recency entry still predates ``start``."""
     count = 0
     for t in reversed(last_seen.values()):
-        if t < start or count >= _CAP:
+        if t < start:
             break
         count += 1
     return count
-
-
-def _prune(last_seen: Dict[int, int], windows, other) -> None:
-    """Forget recency entries older than every pending window in
-    ``windows`` and ``other`` (a set's windows in up to two channels;
-    either may be empty or None).  Times before the oldest window's start
-    compare identically to "never seen", so forgetting them is exact.
-    Recency values rise from oldest to newest, so they are a prefix."""
-    oldest = min(min(w.values()) for w in (windows, other) if w)
-    stale = []
-    for line, t in last_seen.items():
-        if t >= oldest:
-            break
-        stale.append(line)
-    for line in stale:
-        del last_seen[line]
 
 
 class RecallPair:
@@ -236,5 +222,5 @@ class RecallPair:
         last_seen.pop(line_addr, None)
         last_seen[line_addr] = now
         self._time[set_idx] = now + 1
-        if len(last_seen) > _PRUNE_THRESHOLD:
-            _prune(last_seen, wt, wr)
+        if len(last_seen) > _CAP:
+            del last_seen[next(iter(last_seen))]

@@ -7,7 +7,7 @@ of a ChampSim trace file.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -47,6 +47,19 @@ class Trace:
             raise TypeError("traces support slicing only")
         return Trace(self.ips[sl], self.kinds[sl], self.addrs[sl],
                      self.name, deps=self.deps[sl])
+
+    def window(self, lo: int, hi: int
+               ) -> Tuple[List[int], List[int], List[int], List[int]]:
+        """Instructions ``[lo, hi)`` as four plain lists of native ints:
+        ``(ips, kinds, addrs, deps)``.
+
+        The cores read a trace one window at a time, so a run holds
+        list copies of one window rather than of every column; list
+        indexing is much faster than numpy scalar extraction, and native
+        ints keep numpy scalars out of cycle arithmetic and JSON
+        exports."""
+        return (self.ips[lo:hi].tolist(), self.kinds[lo:hi].tolist(),
+                self.addrs[lo:hi].tolist(), self.deps[lo:hi].tolist())
 
     def records(self) -> Iterator[Tuple[int, int, int]]:
         """Iterate (ip, kind, vaddr) tuples (tests and tools)."""

@@ -14,8 +14,8 @@ reference kept in this module:
 
 Every public counter and histogram is compared after every operation.
 The streams cover non-monotonic cycles, overwrites of in-flight lines,
-same-cycle fills, bank-interval pruning, window censoring, recency
-pruning, re-evictions and ``flush``.
+same-cycle fills, bank-interval pruning, window censoring, the recency
+cap, re-evictions and ``flush``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.memsys.dram import _HORIZON, _BankSchedule
 from repro.memsys.mshr import MSHR
-from repro.stats import recall as recall_mod
 from repro.stats.recall import (RECALL_BUCKETS, RecallPair, RecallTracker,
                                 _CAP, _MAX_PENDING)
 
@@ -426,20 +425,23 @@ def test_recall_pair_matches_brute_force(seed, sets, hot, cold, p_evict,
 
 def test_recall_streams_reach_censor_and_prune(monkeypatch):
     """Fixed streams that cross every threshold: more than
-    ``_MAX_PENDING`` windows in a set (censoring), a recency order past
-    ``_PRUNE_THRESHOLD`` that really forgets entries, re-evictions and a
-    mid-stream flush."""
-    pruned = []
-    prune = recall_mod._prune
+    ``_MAX_PENDING`` windows in a set (censoring), a recency order that
+    fills to ``_CAP`` and stays there (each new line forgets the oldest),
+    re-evictions and a mid-stream flush."""
+    sizes = []
 
-    def counting_prune(last_seen, windows, other):
-        before = len(last_seen)
-        prune(last_seen, windows, other)
-        pruned.append(before - len(last_seen))
+    def spy(cls):
+        on_access = cls.on_access
 
-    monkeypatch.setattr(recall_mod, "_prune", counting_prune)
+        def recording(self, set_idx, line_addr):
+            on_access(self, set_idx, line_addr)
+            sizes.append(len(self._last_seen.get(set_idx, ())))
+        monkeypatch.setattr(cls, "on_access", recording)
+
+    spy(RecallTracker)
+    spy(RecallPair)
     for pair in (False, True):
-        pruned.clear()
+        sizes.clear()
         ops = list(_recall_stream(3, 1, 400, 3000, 0.5, 0.9, 0.0005, 12000,
                                   channels=2 if pair else 1))
         assert ("flush",) in ops
@@ -448,4 +450,5 @@ def test_recall_streams_reach_censor_and_prune(monkeypatch):
         refs = _drive_recall(ops, pair)
         assert sum(ref.censored for ref in refs) > 0
         assert sum(ref.recalled for ref in refs) > 0
-        assert any(n > 0 for n in pruned)
+        assert max(sizes) == _CAP
+        assert sizes.count(_CAP) > len(sizes) // 2

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.api import build_config
 from repro.core.engine import ThreadState
+from repro.core.ooo_core import OOOCore
 from repro.params import default_config
 from repro.uncore.hierarchy import MemoryHierarchy
+from repro.validate.oracle import hierarchy_counters
+from repro.workloads.registry import make_trace as make_benchmark_trace
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, Trace
 
 
@@ -69,3 +73,41 @@ def test_stall_accounting_only_counts_roi():
     while not t.finished:
         t.step()
     assert t.stalls.total_stall_cycles() == 0
+
+
+# ----------------------------------------------------------------------
+# One stream, stepped one instruction at a time, is the core
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name,enhancements,instructions,warmup", [
+    ("pr", "full", 20_000, 4_000),
+    ("compute", None, 20_000, 4_000),
+    ("mcf", "full", 20_000, 4_000),
+    ("pr", "full", 20_000, 0),
+])
+def test_single_thread_stepping_matches_core(name, enhancements,
+                                             instructions, warmup):
+    """A single ``ThreadState`` stepped to the end of a trace runs the
+    recurrence ``OOOCore.run`` runs: same ROI, stalls and counters."""
+    cfg = build_config(enhancements=enhancements)
+    trace = make_benchmark_trace(name, instructions + warmup)
+
+    core_hierarchy = MemoryHierarchy(cfg)
+    result = OOOCore(cfg, core_hierarchy).run(trace, warmup=warmup)
+
+    hierarchy = MemoryHierarchy(cfg)
+    core = cfg.core
+    thread = ThreadState(trace, hierarchy, rob_entries=core.rob_entries,
+                         dispatch_width=core.dispatch_width,
+                         retire_width=core.retire_width,
+                         nonmem_latency=core.nonmem_latency, warmup=warmup)
+    while not thread.finished:
+        # The core resets the statistics right before the warmup edge.
+        if not thread.counting and thread.index == warmup:
+            hierarchy.reset_stats()
+        thread.step()
+
+    assert thread.roi_cycles == result.cycles
+    assert thread.roi_instructions == result.instructions == instructions
+    assert thread.stalls.snapshot() == result.stalls.snapshot()
+    assert hierarchy_counters(hierarchy) == hierarchy_counters(
+        core_hierarchy)

@@ -6,6 +6,7 @@ digest so figure batches warmed through ``--jobs`` and sweeps submitted
 to the service share results.
 """
 
+import asyncio
 import io
 import json
 
@@ -16,6 +17,7 @@ from repro.experiments.parallel import (CACHE_SCHEMA_VERSION, ResultCache,
                                         RunKey, RunSummary, SHARD_WIDTH)
 from repro.obs.log import configure_logging
 from repro.service import JobStore, SweepService
+from repro.service.jobs import JobStatus
 from repro.service.store import MANIFEST_SCHEMA
 
 DIGEST = "ab" + "0" * 62
@@ -201,3 +203,38 @@ def test_health_store_block_shows_failure_counters(store, monkeypatch):
     store.put_payload(DIGEST, {"x": 1})
     block = SweepService(store=store, workers=0).describe()["store"]
     assert (block["write_errors"], block["read_errors"]) == (1, 0)
+
+
+def _run_job(store):
+    """One ``run`` job through an inline service on ``store``."""
+    service = SweepService(store=store, workers=0,
+                           execute=lambda spec: {"x": 1})
+
+    async def body():
+        job = await service.submit("run", benchmark="tc",
+                                   instructions=2_000, warmup=500)
+        await service.wait(job)
+        await service.close()
+        return job
+    return asyncio.run(body())
+
+
+def test_unstored_job_is_done_but_flagged(store, monkeypatch, log_sink):
+    monkeypatch.setattr(store, "_write", _fail_write)
+    job = _run_job(store)
+    # The payload is valid, so the job is DONE; it says it was not kept.
+    assert job.status is JobStatus.DONE and job.payload == {"x": 1}
+    assert job.describe()["persisted"] is False
+    assert store.write_errors == 1
+    (done,) = [e for e in job.events.snapshot() if e.get("status") == "done"]
+    assert done["persisted"] is False
+    records = [r for r in _records(log_sink)
+               if r["event"] == "job-not-persisted"]
+    assert [(r["job"], r["digest"]) for r in records] == [(job.id,
+                                                           job.digest)]
+
+
+def test_stored_job_is_persisted(store):
+    job = _run_job(store)
+    assert job.describe()["persisted"] is True
+    assert store.write_errors == 0 and store.contains(job.digest)
