@@ -42,7 +42,7 @@ the ``repro.validate`` fuzz axis):
   the entire run through an ordinary :class:`OOOCore`, recording a
   :class:`repro.core.fallback.FallbackReason`.
 
-The engine recurrences below are verbatim copies of ``OOOCore.run`` --
+The engine recurrences below are verbatim copies of ``OOOCore.run_slice`` --
 divergence there is divergence in cycles, which the parity suite pins.
 """
 

@@ -1,21 +1,22 @@
-"""Steppable per-thread execution state.
+"""Core construction and the multi-stream scheduler.
 
-:class:`ThreadState` is the instruction-at-a-time version of the recurrence
-model in :mod:`repro.core.ooo_core`, used where multiple instruction
-streams must interleave in (approximate) global time order: SMT threads
-sharing one core, and cores sharing an LLC.  The scheduler always steps the
-thread whose dispatch clock is furthest behind, which keeps memory-system
-state transitions ordered across streams.
+:func:`make_core` picks the single-stream core for ``config.backend``.
+:func:`interleave` runs several instruction streams in (approximate)
+global time order on :class:`~repro.core.ooo_core.OOOCore` slices: SMT
+threads sharing one core, and cores sharing an LLC.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import TYPE_CHECKING, List, Sequence
 
-from repro.core.rob import StallAccounting
 from repro.uncore.hierarchy import MemoryHierarchy
-from repro.workloads.trace import KIND_LOAD, KIND_STORE
+
+if TYPE_CHECKING:
+    # Annotations only: the functions below import the core on use.  At
+    # module level this import cost about 10% more perfbench setup_s on
+    # hit_stream (2-vCPU host, no bytecode cache).
+    from repro.core.ooo_core import CoreResult, OOOCore
 
 
 def make_core(config, hierarchy: MemoryHierarchy, cpu_id: int = 0):
@@ -26,7 +27,8 @@ def make_core(config, hierarchy: MemoryHierarchy, cpu_id: int = 0):
     :class:`repro.core.batch_engine.BatchCore`, which itself falls back
     to the scalar core whenever the configuration or attached
     instrumentation demands per-event fidelity.  Multi-stream execution
-    (SMT, multicore) always uses the scalar :class:`ThreadState` path.
+    (SMT, multicore) always runs scalar :class:`OOOCore` slices through
+    :func:`interleave`.
     """
     if config.backend == "numpy":
         from repro.core.batch_engine import BatchCore
@@ -35,123 +37,48 @@ def make_core(config, hierarchy: MemoryHierarchy, cpu_id: int = 0):
     return OOOCore(config, hierarchy, cpu_id)
 
 
-class ThreadState:
-    """One instruction stream executing on (a partition of) a core."""
+def interleave(cores: Sequence[OOOCore], traces: Sequence,
+               warmup: int = 0) -> List[CoreResult]:
+    """Run ``traces[k]`` on ``cores[k]`` to completion; per-core results.
 
-    def __init__(self, trace, hierarchy: MemoryHierarchy, rob_entries: int,
-                 dispatch_width: int, retire_width: int,
-                 nonmem_latency: int = 1, warmup: int = 0):
-        self.trace = trace
-        self.hierarchy = hierarchy
-        self.rob_entries = rob_entries
-        self.dispatch_width = dispatch_width
-        self.retire_width = retire_width
-        self.nonmem_latency = nonmem_latency
-        self.warmup = warmup
+    The stream whose dispatch clock is furthest behind runs next (the
+    first listed, on a tie) for one slice, which ends when another
+    stream would win that pick.  Every instruction therefore issues in
+    the order an instruction-at-a-time scheduler would pick it, which
+    keeps memory system state transitions ordered across streams.
 
-        self.frontend = hierarchy.frontend
-        self._fetch_hidden = (self.frontend.hidden_latency
-                              if self.frontend else 0)
-        self._prev_fetch_line = -1
-
-        self.index = 0
-        self.chain_completion = 0
-        self.dispatch_cycle = 0
-        self.dispatch_slots = 0
-        self.retire_cycle = 0
-        self.retire_slots = 0
-        self.retire_times: Deque[int] = deque()
-        self.stalls = StallAccounting()
-        self.roi_start_cycle = 0
-        self.counting = warmup == 0
-        self.crossed_warmup = warmup == 0
-
-    @property
-    def finished(self) -> bool:
-        return self.index >= len(self.trace)
-
-    @property
-    def roi_instructions(self) -> int:
-        return max(0, self.index - self.warmup)
-
-    @property
-    def roi_cycles(self) -> int:
-        return max(1, self.retire_cycle - self.roi_start_cycle)
-
-    def step(self) -> None:
-        """Execute the next instruction of this thread."""
-        i = self.index
-        trace = self.trace
-        if not self.counting and i == self.warmup:
-            self.counting = True
-            self.crossed_warmup = True
-            self.roi_start_cycle = self.retire_cycle
-
-        dc = self.dispatch_cycle
-        if len(self.retire_times) >= self.rob_entries:
-            free_at = self.retire_times.popleft()
-            if free_at > dc:
-                dc = free_at
-                self.dispatch_slots = 0
-        if dc > self.dispatch_cycle:
-            self.dispatch_cycle = dc
-            self.dispatch_slots = 0
-        self.dispatch_slots += 1
-        if self.dispatch_slots >= self.dispatch_width:
-            self.dispatch_cycle += 1
-            self.dispatch_slots = 0
-
-        if self.frontend is not None:
-            fetch_line = trace.ips[i] >> 6
-            if fetch_line != self._prev_fetch_line:
-                self._prev_fetch_line = fetch_line
-                fetch_done = self.frontend.fetch(int(trace.ips[i]), dc)
-                if fetch_done - dc > self._fetch_hidden:
-                    dc = fetch_done - self._fetch_hidden
-                    self.dispatch_cycle = dc
-                    self.dispatch_slots = 0
-
-        kind = trace.kinds[i]
-        is_replay = False
-        translation_done = dc
-        if kind == KIND_LOAD:
-            issue_at = dc
-            if trace.deps[i] and self.chain_completion > issue_at:
-                issue_at = self.chain_completion
-            res = self.hierarchy.load(int(trace.addrs[i]), issue_at,
-                                      int(trace.ips[i]))
-            completion = res.data_done
-            is_replay = res.is_replay
-            translation_done = res.translation_done
-            if trace.deps[i]:
-                self.chain_completion = completion
-        elif kind == KIND_STORE:
-            self.hierarchy.store(int(trace.addrs[i]), dc, int(trace.ips[i]))
-            completion = dc + self.nonmem_latency
-        else:
-            completion = dc + self.nonmem_latency
-
-        earliest = self.retire_cycle
-        if self.retire_slots >= self.retire_width:
-            earliest += 1
-        if earliest < dc + 1:
-            earliest = dc + 1
-        if completion > earliest:
-            stall = completion - earliest
-            if self.counting:
-                if kind == KIND_LOAD:
-                    self.stalls.record_load_stall(
-                        stall, is_replay,
-                        translation_pending=translation_done - earliest)
-                else:
-                    self.stalls.record_other_stall(stall)
-            rt = completion
-        else:
-            rt = earliest
-        if rt > self.retire_cycle:
-            self.retire_cycle = rt
-            self.retire_slots = 1
-        else:
-            self.retire_slots += 1
-        self.retire_times.append(rt)
-        self.index = i + 1
+    Each stream opens its region of interest at instruction ``warmup``.
+    The statistics of every hierarchy reset once every stream has
+    executed instruction ``warmup`` or finished.
+    """
+    from repro.core.ooo_core import UNBOUNDED
+    for core, trace in zip(cores, traces):
+        core.start(trace, warmup)
+    hierarchies = dict.fromkeys(core.hierarchy for core in cores)
+    reset_done = warmup == 0
+    while True:
+        runnable = [core for core in cores if core.index < core.total]
+        if not runnable:
+            break
+        core = min(runnable, key=lambda c: c.dispatch_cycle)
+        at = runnable.index(core)
+        # Streams listed after this one lose a tie, so this one keeps
+        # running until its clock passes theirs, or reaches the clock of
+        # a stream listed before it.
+        bound = min((other.dispatch_cycle + (k > at)
+                     for k, other in enumerate(runnable) if k != at),
+                    default=UNBOUNDED)
+        if not core.counting and core.index == warmup:
+            core.begin_roi()
+        stop = core.total
+        if not reset_done and core.index <= warmup:
+            # Hand control back at the warmup edge, where the stream opens
+            # its ROI, and right after it, where the reset may follow.
+            stop = warmup if core.index < warmup else warmup + 1
+        core.run_slice(stop, bound)
+        if not reset_done and all(c.index > warmup or c.index >= c.total
+                                  for c in cores):
+            for hierarchy in hierarchies:
+                hierarchy.reset_stats()
+            reset_done = True
+    return [core.result() for core in cores]

@@ -8,10 +8,10 @@ allocator so physical addresses never collide in the shared LLC.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.engine import ThreadState
-from repro.core.ooo_core import CoreResult
+from repro.core.engine import interleave
+from repro.core.ooo_core import CoreResult, OOOCore
 from repro.params import SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.vm.page_table import FrameAllocator, PageTable
@@ -55,28 +55,6 @@ class MultiCore:
         """Run one trace per core to completion; per-core results."""
         if len(traces) != self.num_cores:
             raise ValueError(f"need {self.num_cores} traces")
-        core = self.config.core
-        threads = [
-            ThreadState(trace, hier, rob_entries=core.rob_entries,
-                        dispatch_width=core.dispatch_width,
-                        retire_width=core.retire_width,
-                        nonmem_latency=core.nonmem_latency, warmup=warmup)
-            for trace, hier in zip(traces, self.hierarchies)]
-
-        stats_reset_done = warmup == 0
-        while True:
-            runnable = [t for t in threads if not t.finished]
-            if not runnable:
-                break
-            thread = min(runnable, key=lambda t: t.dispatch_cycle)
-            thread.step()
-            if (not stats_reset_done
-                    and all(t.crossed_warmup or t.finished for t in threads)):
-                for hier in self.hierarchies:
-                    hier.reset_stats()
-                stats_reset_done = True
-
-        return [CoreResult(instructions=t.roi_instructions,
-                           cycles=t.roi_cycles, stalls=t.stalls,
-                           hierarchy=hier)
-                for t, hier in zip(threads, self.hierarchies)]
+        cores = [OOOCore(self.config, hierarchy)
+                 for hierarchy in self.hierarchies]
+        return interleave(cores, traces, warmup)

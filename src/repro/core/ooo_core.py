@@ -19,21 +19,25 @@ walks stall the head.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Optional, Tuple
+from typing import Deque, Optional
 
-from repro.core.rob import StallAccounting, StallCategory
+from repro.core.rob import StallAccounting
 from repro.params import SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
-from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, KIND_STORE
+from repro.workloads.trace import KIND_LOAD, KIND_STORE
 
 #: Drain window (instructions): the cores read the trace this many
 #: instructions at a time (``Trace.window``), so a run holds list copies
-#: of one window, not of the whole trace.  No window straddles the
-#: warmup edge.  The numpy backend flushes its deferred fast-path
+#: of one window, not of the whole trace.  The numpy backend's windows
+#: never straddle the warmup edge; it flushes its deferred fast-path
 #: counters once per window (the unit of ``BatchStats.windows``).
 WINDOW = 1024
+
+#: :meth:`OOOCore.run_slice` bound that no dispatch clock reaches.
+UNBOUNDED = sys.maxsize
 
 
 @dataclass
@@ -61,7 +65,15 @@ class CoreResult:
 
 
 class OOOCore:
-    """Single-thread core bound to one memory hierarchy."""
+    """Single-thread core bound to one memory hierarchy.
+
+    :meth:`run` executes a whole trace.  Underneath it, a trace runs in
+    slices: :meth:`start` binds the trace, :meth:`run_slice` advances the
+    recurrence with its state in locals, :meth:`begin_roi` opens the
+    region of interest and :meth:`result` reads it.  Between slices the
+    state lives on the core, so :func:`repro.core.engine.interleave` can
+    run several cores a slice at a time (SMT threads, multicore).
+    """
 
     def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy,
                  cpu_id: int = 0):
@@ -82,21 +94,80 @@ class OOOCore:
         """Execute ``trace``; statistics cover only the post-warmup region.
 
         ``trace`` is a :class:`repro.workloads.trace.Trace`, read one
-        :data:`WINDOW` at a time through its ``window`` method.
+        :data:`WINDOW` at a time through its ``window`` method.  The run
+        is one slice to the warmup edge, the statistics reset, and one
+        slice to the end.
         """
-        total = len(trace) if limit is None else min(limit, len(trace))
+        self.start(trace, warmup, limit)
+        self.run_slice(warmup)
+        if not self.counting and warmup < self.total:
+            self.hierarchy.reset_stats()
+            self.begin_roi()
+        self.run_slice(self.total)
+        sampler = self.hierarchy.sampler
+        if sampler is not None:
+            sampler.finalize(self.retire_cycle)
+        return self.result()
+
+    def start(self, trace, warmup: int = 0,
+              limit: Optional[int] = None) -> None:
+        """Bind ``trace`` and reset the recurrence to its first instruction.
+
+        With ``warmup == 0`` the region of interest opens here; otherwise
+        the caller opens it (:meth:`begin_roi`) at index ``warmup``.
+        """
+        self.trace = trace
+        self.warmup = warmup
+        self.total = len(trace) if limit is None else min(limit, len(trace))
+        self.index = 0
         # Completion of the most recent dependent-chain load: a load with
         # deps[i] set cannot issue before it (pointer chasing).
-        chain_completion = 0
+        self.chain_completion = 0
+        self.dispatch_cycle = 0
+        self.dispatch_slots = 0
+        self.retire_cycle = 0
+        self.retire_slots = 0
+        self.retire_times: Deque[int] = deque()
+        self.stalls = StallAccounting()
+        self.roi_start_cycle = 0
+        self.counting = False
+        self._prev_fetch_line = -1
+        # The window read last: its first index and its four columns.
+        self._window = (0, [], [], [], [])
+        if warmup == 0:
+            self.begin_roi()
 
-        stalls = StallAccounting()
+    def begin_roi(self) -> None:
+        """Open the region of interest at the current retire clock."""
+        self.counting = True
+        self.roi_start_cycle = self.retire_cycle
+        hierarchy = self.hierarchy
+        if hierarchy.sampler is not None:
+            hierarchy.sampler.begin(self.stalls, self.roi_start_cycle)
+        if hierarchy.tracer is not None:
+            hierarchy.tracer.enable()
+
+    def result(self) -> CoreResult:
+        """The region of interest executed so far."""
+        return CoreResult(
+            instructions=max(0, self.index - self.warmup),
+            cycles=max(1, self.retire_cycle - self.roi_start_cycle),
+            stalls=self.stalls, hierarchy=self.hierarchy)
+
+    def run_slice(self, stop: int, bound: int = UNBOUNDED) -> None:
+        """Execute instructions until the index reaches ``stop`` (at most
+        the end of the trace) or the dispatch clock reaches ``bound``."""
+        trace = self.trace
+        total = self.total
+        stop = min(stop, total)
+        stalls = self.stalls
+        counting = self.counting
         hierarchy = self.hierarchy
         checker = self.checker
         sampler = hierarchy.sampler
         tracer = hierarchy.tracer
         frontend = hierarchy.frontend
         fetch_hidden = frontend.hidden_latency if frontend else 0
-        prev_fetch_line = -1
         rob_entries = self.rob_entries
         dispatch_width = self.dispatch_width
         retire_width = self.retire_width
@@ -105,35 +176,25 @@ class OOOCore:
         hierarchy_store = hierarchy.store
         kind_load, kind_store = KIND_LOAD, KIND_STORE
 
-        dispatch_cycle = 0
-        dispatch_slots = 0
-        retire_cycle = 0
-        retire_slots = 0
-        retire_times: Deque[int] = deque()
-        roi_start_cycle = 0
-        counting = warmup == 0
-        if counting and sampler is not None:
-            sampler.begin(stalls, roi_start_cycle)
-        if counting and tracer is not None:
-            tracer.enable()
+        i = self.index
+        chain_completion = self.chain_completion
+        dispatch_cycle = self.dispatch_cycle
+        dispatch_slots = self.dispatch_slots
+        retire_cycle = self.retire_cycle
+        retire_slots = self.retire_slots
+        retire_times = self.retire_times
+        prev_fetch_line = self._prev_fetch_line
+        lo, ips, kinds, addrs, deps = self._window
+        hi = lo + len(kinds)
 
-        lo = 0
-        while lo < total:
-            if not counting and lo == warmup:
-                counting = True
-                roi_start_cycle = retire_cycle
-                hierarchy.reset_stats()
-                if sampler is not None:
-                    sampler.begin(stalls, roi_start_cycle)
-                if tracer is not None:
-                    tracer.enable()
-            hi = lo + WINDOW
-            if hi > total:
-                hi = total
-            if not counting and hi > warmup:
-                hi = warmup  # windows never straddle the ROI boundary
-            ips, kinds, addrs, deps = trace.window(lo, hi)
-            for i in range(hi - lo):
+        while i < stop and dispatch_cycle < bound:
+            if i == hi:
+                lo = i
+                hi = lo + WINDOW
+                if hi > total:
+                    hi = total
+                ips, kinds, addrs, deps = trace.window(lo, hi)
+            for j in range(i - lo, min(hi, stop) - lo):
                 # -- dispatch ------------------------------------------------
                 dc = dispatch_cycle
                 if len(retire_times) >= rob_entries:
@@ -151,10 +212,10 @@ class OOOCore:
 
                 # -- fetch (optional frontend) -------------------------------
                 if frontend is not None:
-                    fetch_line = ips[i] >> 6
+                    fetch_line = ips[j] >> 6
                     if fetch_line != prev_fetch_line:
                         prev_fetch_line = fetch_line
-                        fetch_done = frontend.fetch(ips[i], dc)
+                        fetch_done = frontend.fetch(ips[j], dc)
                         # An L1I hit is hidden by the fetch pipeline; misses
                         # push dispatch back by the uncovered latency.
                         if fetch_done - dc > fetch_hidden:
@@ -163,21 +224,21 @@ class OOOCore:
                             dispatch_slots = 0
 
                 # -- execute --------------------------------------------------
-                kind = kinds[i]
+                kind = kinds[j]
                 is_replay = False
                 translation_done = dc
                 if kind == kind_load:
                     issue_at = dc
-                    if deps[i] and chain_completion > issue_at:
+                    if deps[j] and chain_completion > issue_at:
                         issue_at = chain_completion
-                    res = hierarchy_load(addrs[i], issue_at, ips[i])
+                    res = hierarchy_load(addrs[j], issue_at, ips[j])
                     completion = res.data_done
                     is_replay = res.is_replay
                     translation_done = res.translation_done
-                    if deps[i]:
+                    if deps[j]:
                         chain_completion = completion
                 elif kind == kind_store:
-                    hierarchy_store(addrs[i], dc, ips[i])
+                    hierarchy_store(addrs[j], dc, ips[j])
                     completion = dc + nonmem_latency
                 else:
                     completion = dc + nonmem_latency
@@ -191,14 +252,14 @@ class OOOCore:
                 if completion > earliest:
                     stall = completion - earliest
                     if counting:
-                        if kind == KIND_LOAD:
+                        if kind == kind_load:
                             stalls.record_load_stall(
                                 stall, is_replay, translation_pending=(
                                     translation_done - earliest))
                             if tracer is not None:
                                 tracer.attach_load_stall(
                                     earliest, completion, is_replay,
-                                    translation_done, ip=ips[i])
+                                    translation_done, ip=ips[j])
                         else:
                             stalls.record_other_stall(stall)
                     rt = completion
@@ -214,11 +275,15 @@ class OOOCore:
                     checker.on_retire(rt, len(retire_times))
                 if sampler is not None and counting:
                     sampler.on_retire(rt, len(retire_times))
-            lo = hi
+                if dispatch_cycle >= bound:
+                    break
+            i = lo + j + 1
 
-        instructions = total - warmup if warmup < total else 0
-        cycles = max(1, retire_cycle - roi_start_cycle)
-        if sampler is not None:
-            sampler.finalize(retire_cycle)
-        return CoreResult(instructions=instructions, cycles=cycles,
-                          stalls=stalls, hierarchy=hierarchy)
+        self.index = i
+        self.chain_completion = chain_completion
+        self.dispatch_cycle = dispatch_cycle
+        self.dispatch_slots = dispatch_slots
+        self.retire_cycle = retire_cycle
+        self.retire_slots = retire_slots
+        self._prev_fetch_line = prev_fetch_line
+        self._window = (lo, ips, kinds, addrs, deps)

@@ -2,17 +2,20 @@
 
 Two threads share the core's structures (each gets half the ROB and half
 the dispatch/retire bandwidth -- a static-partition SMT model) and the
-entire memory hierarchy: TLBs, caches, page-table walker and DRAM.  The
-scheduler steps whichever thread's dispatch clock is behind, so memory
-accesses from the two threads interleave in approximate global time order.
+entire memory hierarchy: TLBs, caches, page-table walker and DRAM.  Each
+thread is an :class:`~repro.core.ooo_core.OOOCore` on that halved core;
+:func:`repro.core.engine.interleave` runs whichever thread's dispatch
+clock is behind, so memory accesses from the two threads interleave in
+approximate global time order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Sequence
 
-from repro.core.engine import ThreadState
-from repro.core.ooo_core import CoreResult
+from repro.core.engine import interleave
+from repro.core.ooo_core import CoreResult, OOOCore
 from repro.params import SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
 
@@ -29,29 +32,9 @@ class SMTCore:
         if len(traces) != 2:
             raise ValueError("the SMT model is 2-way")
         core = self.config.core
-        threads = [
-            ThreadState(trace, self.hierarchy,
-                        rob_entries=core.rob_entries // 2,
-                        dispatch_width=max(1, core.dispatch_width // 2),
-                        retire_width=max(1, core.retire_width // 2),
-                        nonmem_latency=core.nonmem_latency,
-                        warmup=warmup)
-            for trace in traces]
-
-        stats_reset_done = warmup == 0
-        while True:
-            runnable = [t for t in threads if not t.finished]
-            if not runnable:
-                break
-            # Step the thread furthest behind in dispatch time.
-            thread = min(runnable, key=lambda t: t.dispatch_cycle)
-            thread.step()
-            if (not stats_reset_done
-                    and all(t.crossed_warmup or t.finished for t in threads)):
-                self.hierarchy.reset_stats()
-                stats_reset_done = True
-
-        return [CoreResult(instructions=t.roi_instructions,
-                           cycles=t.roi_cycles, stalls=t.stalls,
-                           hierarchy=self.hierarchy)
-                for t in threads]
+        thread_config = self.config.with_(core=dataclasses.replace(
+            core, rob_entries=core.rob_entries // 2,
+            dispatch_width=max(1, core.dispatch_width // 2),
+            retire_width=max(1, core.retire_width // 2)))
+        threads = [OOOCore(thread_config, self.hierarchy) for _ in traces]
+        return interleave(threads, traces, warmup)

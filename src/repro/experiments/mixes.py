@@ -8,7 +8,7 @@ configuration over the baseline, both run as 2-thread SMT.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.smt import SMTCore
 from repro.core.multicore import MultiCore
@@ -83,18 +83,18 @@ MULTICORE_MIXES: Tuple[Tuple[str, ...], ...] = (
 )
 
 
-def multicore_speedup(mix: Sequence[str], num_cores: Optional[int] = None,
+def multicore_speedup(mix: Sequence[str],
                       instructions: int = DEFAULT_INSTRUCTIONS,
                       warmup: int = DEFAULT_WARMUP,
                       scale: int = DEFAULT_SCALE) -> Dict:
-    """Harmonic speedup of the enhancements for one multi-core mix."""
-    n = num_cores or len(mix)
+    """Harmonic speedup of the enhancements for one multi-core mix (one
+    core per workload)."""
     traces = [make_trace(name, instructions + warmup, scale=scale,
                          seed=11 + i)
               for i, name in enumerate(mix)]
 
     def run(config: SimConfig):
-        machine = MultiCore(config, n)
+        machine = MultiCore(config, len(mix))
         return machine.run(traces, warmup=warmup)
 
     base = run(default_config(scale))

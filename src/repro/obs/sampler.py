@@ -36,9 +36,15 @@ class IntervalSampler:
 
     Lifecycle (driven by :class:`~repro.core.ooo_core.OOOCore`):
 
-    * :meth:`begin` at the ROI start (right after the warmup stat reset);
-    * :meth:`on_retire` once per retired ROI instruction;
-    * :meth:`finalize` at the end of the run (flushes a partial interval).
+    * :meth:`begin` when ``OOOCore.begin_roi`` opens the ROI (in
+      ``run``, right after the warmup stat reset);
+    * :meth:`on_retire` once per retired ROI instruction, from inside
+      ``OOOCore.run_slice``;
+    * :meth:`finalize` at the end of ``OOOCore.run`` (flushes a partial
+      interval).
+
+    The multi-stream scheduler (:func:`repro.core.engine.interleave`)
+    never calls :meth:`finalize`: samplers observe single-stream runs.
     """
 
     def __init__(self, hierarchy, interval: int = DEFAULT_SAMPLE_INTERVAL):

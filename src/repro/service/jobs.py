@@ -168,6 +168,17 @@ def _validate(kind: str, params: Dict) -> None:
         runs = params["runs"]
         if not isinstance(runs, (list, tuple)) or not runs:
             raise JobError("sweep job needs a non-empty 'runs' list")
+    if kind == "figure":
+        from repro.experiments import registry
+        figure = params["figure"]
+        try:
+            spec = registry.get(figure)
+        except (KeyError, TypeError):  # TypeError: not a hashable name
+            raise JobError(f"unknown figure {figure!r}; known: "
+                           f"{' '.join(registry.names())}") from None
+        if params.get("benchmarks") and not spec.takes_benchmarks:
+            raise JobError(f"figure {spec.name!r} runs its own workload "
+                           "mixes and takes no 'benchmarks'")
     if kind == "scenario":
         for name in ("config", "enhancements"):
             if name in params:

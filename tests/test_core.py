@@ -1,5 +1,7 @@
 """Tests for the OOO core model and stall attribution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,14 @@ def build_core():
     cfg = default_config()
     hierarchy = MemoryHierarchy(cfg)
     return OOOCore(cfg, hierarchy), cfg
+
+
+def build_narrow_core(rob=8, dispatch=2, retire=2):
+    cfg = default_config()
+    cfg = cfg.with_(core=dataclasses.replace(
+        cfg.core, rob_entries=rob, dispatch_width=dispatch,
+        retire_width=retire))
+    return OOOCore(cfg, MemoryHierarchy(cfg))
 
 
 def test_nonmem_ipc_bounded_by_retire_width():
@@ -75,6 +85,45 @@ def test_warmup_excludes_early_stats():
     # The only (stalling) load was in the warmup region.
     assert result.stalls.total(StallCategory.REPLAY) == 0
     assert core.hierarchy.loads == 0  # stats were reset at the boundary
+
+
+def test_dispatch_width_bounds_throughput():
+    core = build_narrow_core(rob=1000, dispatch=2, retire=2)
+    result = core.run(make_trace([(0x400, KIND_NONMEM, 0)] * 100))
+    assert result.instructions == 100
+    # 2-wide: at least 50 cycles for 100 instructions.
+    assert result.cycles >= 50
+
+
+def test_rob_occupancy_blocks_dispatch():
+    """A long-latency load at the head throttles a tiny ROB: the second
+    cold load cannot issue until the first retires."""
+    records = [(0x500, KIND_LOAD, 0x1000_0000)]
+    records += [(0x400, KIND_NONMEM, 0)] * 50
+    records += [(0x501, KIND_LOAD, 0x7000_0000)]
+    small = build_narrow_core(rob=4).run(make_trace(records))
+    big = build_narrow_core(rob=512).run(make_trace(records))
+    assert small.cycles > 1.3 * big.cycles
+
+
+def test_warmup_boundary_marks_roi():
+    """The ROI counts from the retire clock at instruction ``warmup``."""
+    core = build_narrow_core()
+    trace = make_trace([(0x400, KIND_NONMEM, 0)] * 100)
+    core.start(trace, warmup=40)
+    core.run_slice(40)
+    edge_cycle = core.retire_cycle
+    result = core.run(trace, warmup=40)
+    assert core.counting
+    assert result.instructions == 60
+    assert result.cycles == core.retire_cycle - edge_cycle
+
+
+def test_stall_accounting_only_counts_roi():
+    records = [(0x500, KIND_LOAD, 0x1000_0000)]  # in warmup
+    records += [(0x400, KIND_NONMEM, 0)] * 99
+    result = build_narrow_core().run(make_trace(records), warmup=50)
+    assert result.stalls.total_stall_cycles() == 0
 
 
 def test_limit_truncates():

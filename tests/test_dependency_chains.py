@@ -52,16 +52,6 @@ def test_chain_survives_trace_io(tmp_path):
     assert np.array_equal(loaded.deps, t.deps)
 
 
-def test_chain_in_engine_threadstate():
-    from repro.core.engine import ThreadState
-    cfg = default_config()
-    t = ThreadState(chain_trace(30, True), MemoryHierarchy(cfg),
-                    rob_entries=64, dispatch_width=3, retire_width=2)
-    while not t.finished:
-        t.step()
-    assert t.roi_cycles > 30 * cfg.dram.row_hit_latency
-
-
 def test_slicing_preserves_deps():
     t = make_trace("mcf", 4000)
     half = t[:2000]

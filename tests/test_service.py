@@ -556,6 +556,20 @@ def test_scenario_spec_rejects_config_overlay():
                      config={"stlb_entries": 64})
 
 
+def test_figure_spec_rejects_unknown_figure():
+    with pytest.raises(JobError, match="unknown figure 'fig99'"):
+        JobSpec.make("figure", figure="fig99")
+    with pytest.raises(JobError, match="unknown figure"):
+        JobSpec.make("figure", figure=["fig14"])
+
+
+def test_figure_spec_rejects_benchmarks_on_a_mix_study():
+    for name in ("fig17", "multicore"):
+        with pytest.raises(JobError, match="takes no 'benchmarks'"):
+            JobSpec.make("figure", figure=name, benchmarks=["pr"])
+    JobSpec.make("figure", figure="fig14", benchmarks=["pr"])
+
+
 def test_spec_roundtrips_through_dict():
     spec = JobSpec.make("run", benchmark="tc", instructions=2_000,
                         warmup=500, config={"l2c_prefetcher": "spp"})

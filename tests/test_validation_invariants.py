@@ -4,12 +4,15 @@ healthy runs, loud on seeded corruption, and absent when disabled."""
 import pytest
 
 from repro import validate
+from repro.core.multicore import MultiCore
+from repro.core.smt import SMTCore
 from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, default_config
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.validate.invariants import (CheckContext, HierarchyChecker,
                                        ROBChecker, ValidationError)
 from repro.vm.address import make_va
+from repro.workloads.registry import make_trace
 
 
 @pytest.fixture
@@ -150,6 +153,33 @@ def test_rob_checker_occupancy_and_order():
         rob.on_retire(8, occupancy=5)
     with pytest.raises(ValidationError, match="out-of-order"):
         rob.on_retire(3, occupancy=1)
+
+
+def test_smt_and_multicore_threads_are_rob_checked(monkeypatch):
+    """Every SMT thread and every core retires under its own ROB checker,
+    sized to its share of the ROB."""
+    monkeypatch.delenv("REPRO_CHECK", raising=False)
+    validate.enable_checking()
+    try:
+        cfg = default_config().with_(enhancements=EnhancementConfig.full())
+        hierarchy = MemoryHierarchy(cfg)
+        SMTCore(cfg, hierarchy).run(
+            [make_trace("mcf", 2000, seed=7), make_trace("tc", 2000, seed=8)],
+            warmup=500)
+        multicore = MultiCore(cfg, 2)
+        multicore.run(
+            [make_trace("pr", 2000, seed=11), make_trace("cc", 2000, seed=12)],
+            warmup=500)
+    finally:
+        validate.enable_checking(False)
+    assert [rob.rob_entries for rob in hierarchy.checker.rob_checkers] \
+        == [176, 176]
+    for core_hierarchy in multicore.hierarchies:
+        assert [rob.rob_entries
+                for rob in core_hierarchy.checker.rob_checkers] == [352]
+    for checked_hierarchy in (hierarchy, *multicore.hierarchies):
+        checked_hierarchy.checker.final_check()
+        assert checked_hierarchy.checker.violations == []
 
 
 def test_record_mode_collects_instead_of_raising(checked):
