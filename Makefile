@@ -3,9 +3,9 @@
 # Every target runs against the source tree; no install needed.
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: install test bench bench-baseline perfbench-ab accuracy figures \
-	figures-fast figures-check figures-observed scenarios serve-smoke \
-	fuzz calibrate all
+.PHONY: install test perfbench-ab accuracy figures figures-fast \
+	figures-check figures-observed scenarios serve-smoke fuzz calibrate \
+	all
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,21 +14,11 @@ install:
 test:
 	python -m pytest -x -q
 
-# Timed performance matrix (docs/performance.md); fails when aggregate
-# throughput drops >15% below the machine-scaled committed baseline.
-bench:
-	python -m repro bench --out . --check-regression
-
-# Re-record benchmarks/perf/baseline.json (run on a quiet machine,
-# commit the result alongside the change that moved the numbers).
-bench-baseline:
-	python -m repro bench --out . --repeats 3 \
-		--update-baseline
-
 # Same-machine interleaved A/B of the working tree against BASE on one
 # perfbench workload: PAIRS pairs, each side's median and quartiles, and a
 # gain / no change / worse verdict per end-to-end metric against the
-# bounds in BENCHMARK.json (docs/performance.md, "Profiling new changes").
+# bounds in BENCHMARK.json, written as a .perfbench/BENCH_*.json record
+# (docs/performance.md, "Regression gating").
 BASE ?= HEAD
 WORKLOAD ?= walk_storm
 PAIRS ?= 10

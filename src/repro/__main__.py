@@ -12,7 +12,6 @@ Subcommands::
     python -m repro trace summary t.json              # trace breakdowns
     python -m repro trace render t.json --perfetto p.json
     python -m repro trace diff base.json enh.json     # cycle attribution
-    python -m repro bench                             # perf benchmark matrix
     python -m repro scenario list                     # traffic-mix library
     python -m repro scenario validate --all           # lint the library
     python -m repro scenario run SYN-01-STLB-THRASH   # simulate a scenario
@@ -166,11 +165,6 @@ def _cmd_stats(args) -> int:
     return cmd_stats(args)
 
 
-def _cmd_bench(args) -> int:
-    from repro.bench import cmd_bench
-    return cmd_bench(args)
-
-
 def _cmd_scenario(args) -> int:
     from repro.scenarios.cli import cmd_scenario
     return cmd_scenario(args)
@@ -307,18 +301,12 @@ def main(argv=None) -> int:
     t_diff.add_argument("enhanced")
     t_diff.set_defaults(func=_cmd_trace)
 
-    # The bench, scenario and job-service argument trees live with their
+    # The scenario and job-service argument trees live with their
     # implementations, so building them imports those stacks.  Skip
     # them only when the command line names a subcommand built here;
     # with none, --help or a typo, usage still lists every subcommand.
     if not argv or argv[0] not in ("run", "figure", "stats", "trace",
                                    "list"):
-        p_bench = sub.add_parser(
-            "bench", help="run the pinned performance-benchmark matrix")
-        from repro.bench import add_arguments as _bench_arguments
-        _bench_arguments(p_bench)
-        p_bench.set_defaults(func=_cmd_bench)
-
         from repro.scenarios.cli import add_scenario_parser
         add_scenario_parser(sub)
         sub.choices["scenario"].set_defaults(func=_cmd_scenario)

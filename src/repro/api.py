@@ -1,4 +1,4 @@
-"""Stable public facade for the reproduction (v2).
+"""Stable public facade for the reproduction (v4).
 
 Everything a caller needs lives here; the deep module paths
 (``repro.experiments.runner``, ``repro.service.core``, ...) remain
@@ -7,7 +7,7 @@ The v2 surface promotes *job submission* to the front door:
 
 * :func:`submit` / :class:`JobHandle` / :class:`JobStatus` -- the async
   in-process client of the sweep service: runs, scenarios, sweeps,
-  figures, benches and traces submitted as deduplicated, memoised jobs
+  figures and traces submitted as deduplicated, memoised jobs
   (``await api.submit("run", benchmark="pr")``; see ``docs/service.md``);
 * :func:`serve` -- the HTTP sweep service (``python -m repro serve``:
   ``POST /jobs``, ``GET /jobs/<id>/events``, ``GET /store/<digest>``);
@@ -17,8 +17,6 @@ The v2 surface promotes *job submission* to the front door:
   run-and-export, and cycle-delta attribution between two traced runs;
 * :func:`figure` / :func:`list_figures` -- regenerate any registered
   figure/table by name (see :mod:`repro.experiments.registry`);
-* :func:`bench` -- the pinned performance-benchmark matrix
-  (``python -m repro bench``; see ``docs/performance.md``);
 * :func:`run_scenario` / :func:`list_scenarios` / :func:`load_scenario`
   -- the ``repro.scenario/v1`` traffic-mix DSL (see ``docs/scenarios.md``);
 * :func:`build_config` / :func:`enhancement_preset` -- config builders
@@ -45,11 +43,11 @@ Quickstart::
         return handle.summary()
     print(asyncio.run(sweep()).ipc)
 
-v1 -> v2: ``ParallelRunner`` / ``ResultCache`` / ``RunKey`` are demoted
-to internals.  They remain importable from here for compatibility but
-emit a one-time ``DeprecationWarning`` pointing at :func:`submit`; the
-shims ``JourneyTracer`` and ``SimConfig.replace`` are removed outright
-(see README "Migrating to api v2").
+v2 demoted ``ParallelRunner`` / ``ResultCache`` / ``RunKey`` to
+internals behind a one-time ``DeprecationWarning``; v4 drops them from
+this module (they live on in :mod:`repro.experiments.parallel`) along
+with the timed bench harness.  Simulator host time is measured by
+``perfbench/`` and ``tools/perfbench_ab.py`` (see README "Migrating").
 
 ``tests/test_api_surface.py`` pins this module's exports; extend
 ``__all__`` deliberately, never remove from it within a major version.
@@ -63,8 +61,7 @@ from typing import Dict, Optional, Tuple, Union
 from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
                                       RunResult, run_benchmark)
 from repro.params import (BACKENDS, DEFAULT_SCALE, EnhancementConfig,
-                          SimConfig, _warn_once, default_config,
-                          enhancement_preset)
+                          SimConfig, default_config, enhancement_preset)
 from repro.workloads.registry import benchmark_names
 
 #: Version of this facade.  Bumped on compatible additions (minor) and
@@ -74,12 +71,15 @@ from repro.workloads.registry import benchmark_names
 #: ``BatchStats``/``FallbackReason`` exports, ``RunResult.batch``).
 #: 3.0: ``BatchStats`` drops ``walk_cohort``/``precomputed_walks`` (and
 #: their keys in ``RunSummary.batch`` payloads).
-__api_version__ = "3.0"
+#: 4.0: the timed bench harness (``bench``, its result type and the
+#: ``bench`` job kind) goes, and so do the warn-once
+#: ``RunKey``/``ParallelRunner``/``ResultCache``.
+__api_version__ = "4.0"
 
 __all__ = [
     # entry points
     "run", "figure", "figure_spec", "list_figures", "list_benchmarks",
-    "configure_parallel", "trace", "trace_diff", "bench",
+    "configure_parallel", "trace", "trace_diff",
     # jobs (the v2 front door; see docs/service.md)
     "submit", "serve", "JobHandle", "JobStatus", "configure_service",
     "telemetry_snapshot",
@@ -88,7 +88,7 @@ __all__ = [
     "ScenarioDoc", "ScenarioError", "ScenarioResult",
     # results
     "RunResult", "RunSummary", "FigureResult",
-    "StallCategory", "BenchResult", "BatchStats", "FallbackReason",
+    "StallCategory", "BatchStats", "FallbackReason",
     # config builders
     "build_config", "enhancement_preset", "default_config", "paper_config",
     "canonical_policy", "SimConfig", "CacheConfig", "TLBConfig",
@@ -97,25 +97,20 @@ __all__ = [
     "DEFAULT_INSTRUCTIONS", "DEFAULT_WARMUP", "DEFAULT_SCALE",
     "DEFAULT_SAMPLE_INTERVAL", "ENHANCEMENT_PRESET_NAMES", "BACKENDS",
     "Profiler", "__api_version__",
-    # v1 compatibility re-exports (deprecated; DeprecationWarning on
-    # first access -- the job surface above replaces them)
-    "RunKey", "ParallelRunner", "ResultCache",
 ]
 
 #: The defining module of every exported name this module does not bind
 #: itself.  They resolve on first access (PEP 562), so importing the
-#: facade loads the simulator but not the service, scenario, figure or
-#: bench stacks.
+#: facade loads the simulator but not the service, scenario or figure
+#: stacks.
 _EXPORTS = {name: module for module, names in (
     ("repro.service", ("submit", "serve", "JobHandle", "JobStatus",
                        "configure_service", "telemetry_snapshot")),
     ("repro.scenarios", ("run_scenario", "list_scenarios", "load_scenario",
                          "validate_scenario", "ScenarioDoc",
                          "ScenarioError", "ScenarioResult")),
-    ("repro.experiments.parallel", ("RunSummary", "RunKey",
-                                    "ParallelRunner", "ResultCache")),
+    ("repro.experiments.parallel", ("RunSummary",)),
     ("repro.experiments.figures", ("FigureResult",)),
-    ("repro.bench", ("BenchResult",)),
     ("repro.core.rob", ("StallCategory",)),
     ("repro.core.fallback", ("BatchStats", "FallbackReason")),
     ("repro.params", ("paper_config", "canonical_policy", "CacheConfig",
@@ -125,20 +120,12 @@ _EXPORTS = {name: module for module, names in (
     ("repro.obs.manifest", ("Profiler",)),
 ) for name in names}
 
-#: Names demoted to internals in v2: still importable, but the first
-#: access warns.  ``repro.params.reset_deprecation_warnings`` (and the
-#: autouse fixture in ``tests/conftest.py``) resets the warn-once state.
-_V1_INTERNALS = ("ParallelRunner", "ResultCache", "RunKey")
-
 
 def __getattr__(name: str):
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(
             f"module {__name__!r} has no attribute {name!r}")
-    if name in _V1_INTERNALS:
-        _warn_once(f"api.{name}", "api.submit (repro.service)",
-                   "api export")
     return getattr(importlib.import_module(module), name)
 
 
@@ -296,41 +283,6 @@ def figure_spec(name: str):
     if name is None:
         return registry.specs()
     return registry.get(name)
-
-
-def bench(matrix=None, repeats: int = 1,
-          out_dir=None, backend: Optional[str] = None) -> BenchResult:
-    """Run the pinned performance-benchmark matrix (see
-    :mod:`repro.bench` and ``docs/performance.md``); ``matrix=None``
-    means :data:`repro.bench.WORKLOAD_MATRIX`.
-
-    ``backend`` (one of :data:`BACKENDS`) restricts the matrix to one
-    execution backend: every distinct workload configuration runs once,
-    pinned to that backend.  The default runs the full matrix -- each
-    entry under both backends -- which is what the regression gate
-    expects.
-
-    Returns a :class:`BenchResult` whose ``document`` is the
-    schema-stable ``repro.bench/v1`` dict (written as
-    ``BENCH_<date>.json`` when ``out_dir`` is given);
-    ``result.compare(baseline)`` yields the regression verdict the CI
-    gate uses.
-    """
-    from repro.bench import WORKLOAD_MATRIX, run_bench
-    if matrix is None:
-        matrix = WORKLOAD_MATRIX
-    if backend is not None:
-        from dataclasses import replace
-        _check_backend(backend)
-        seen = set()
-        pinned = []
-        for case in matrix:
-            case = replace(case, backend=backend)
-            if case.key not in seen:
-                seen.add(case.key)
-                pinned.append(case)
-        matrix = tuple(pinned)
-    return run_bench(matrix=matrix, repeats=repeats, out_dir=out_dir)
 
 
 def list_figures() -> Tuple[str, ...]:

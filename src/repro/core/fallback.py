@@ -139,7 +139,7 @@ class BatchStats:
         return self.scalar_excursions / total if total else 0.0
 
     def to_dict(self) -> Dict:
-        """Plain-JSON form (run payloads, bench documents)."""
+        """Plain-JSON form (run payloads)."""
         return {"windows": self.windows,
                 "instructions": self.instructions,
                 "fast_hits": self.fast_hits,

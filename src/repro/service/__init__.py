@@ -1,11 +1,11 @@
 """Async sweep service over a content-addressed job store.
 
-The productionised successor to driving ``ParallelRunner`` by hand
-(ROADMAP item 3): runs, scenarios, sweeps, figures, benches and traces
-are submitted as jobs keyed by :class:`RunKey` digests, executed across
-a multiprocess worker pool, deduplicated against a sharded on-disk
-store, with priorities, bounded-queue back-pressure, resumable partial
-sweeps and a per-job progress event stream.
+The productionised successor to driving ``ParallelRunner`` by hand:
+runs, scenarios, sweeps, figures and traces are submitted as jobs keyed
+by :class:`RunKey` digests, executed across a multiprocess worker pool,
+deduplicated against a sharded on-disk store, with priorities,
+bounded-queue back-pressure, resumable partial sweeps and a per-job
+progress event stream.
 
 Three front doors:
 

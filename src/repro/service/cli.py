@@ -208,7 +208,7 @@ def add_service_parsers(sub) -> None:
     p_submit = sub.add_parser(
         "submit", help="submit a job to a running service")
     p_submit.add_argument("kind", choices=("run", "scenario", "sweep",
-                                           "figure", "bench", "trace"))
+                                           "figure", "trace"))
     p_submit.add_argument("benchmark", nargs="?", default=None,
                           help="benchmark (run/trace), scenario name "
                                "(scenario) or figure name (figure)")

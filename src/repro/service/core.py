@@ -58,7 +58,7 @@ DEFAULT_QUEUE_SIZE = 256
 DEFAULT_RETENTION = 1024
 
 #: Job kinds whose workers forward live ``job-progress`` rows.  Only
-#: ``run`` for now: scenarios/figures/benches drive their own batching
+#: ``run`` for now: scenarios and figures drive their own batching
 #: and would need per-component budgets to report a meaningful pct.
 PROGRESS_KINDS = ("run",)
 
@@ -131,18 +131,6 @@ def execute_spec(spec_dict: Dict, progress: Optional[Callable] = None,
         result = api.figure(p["figure"], **kwargs)
         return {"kind": "figure", "figure": p["figure"],
                 "result": result.to_dict()}
-    if kind == "bench":
-        from repro.bench import BenchCase, WORKLOAD_MATRIX
-        if p.get("benchmarks"):
-            matrix = tuple(
-                BenchCase(b, instructions=p.get("instructions", 20_000),
-                          warmup=p.get("warmup", 4_000))
-                for b in p["benchmarks"])
-        else:
-            matrix = WORKLOAD_MATRIX
-        result = api.bench(matrix=matrix, repeats=p.get("repeats", 1),
-                           backend=p.get("backend"))
-        return {"kind": "bench", "document": result.document}
     if kind == "trace":
         scale = int(p.get("scale", api.DEFAULT_SCALE))
         kwargs = {k: p[k] for k in ("instructions", "warmup", "seed")

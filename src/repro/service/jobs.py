@@ -1,10 +1,10 @@
 """Job model for the sweep service.
 
 A :class:`JobSpec` is the declarative description of one unit of work
--- a simulation run, a scenario, a whole sweep, a figure, a bench
-matrix or a span trace.  Specs are plain data (JSON round-trippable,
-picklable) so they can cross the HTTP API and the worker-pool boundary
-unchanged.  Every spec has a stable content digest:
+-- a simulation run, a scenario, a whole sweep, a figure or a span
+trace.  Specs are plain data (JSON round-trippable, picklable) so they
+can cross the HTTP API and the worker-pool boundary unchanged.  Every
+spec has a stable content digest:
 
 * ``run`` / ``scenario`` specs reduce to the existing
   :class:`~repro.experiments.parallel.RunKey` and reuse *its* digest,
@@ -32,7 +32,7 @@ from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.obs.progress import EventStream
 from repro.params import DEFAULT_SCALE, default_config
 
-JOB_KINDS = ("run", "scenario", "sweep", "figure", "bench", "trace")
+JOB_KINDS = ("run", "scenario", "sweep", "figure", "trace")
 
 #: Default job priority; smaller numbers run sooner.
 DEFAULT_PRIORITY = 10
@@ -148,7 +148,7 @@ class JobSpec:
 def _validate(kind: str, params: Dict) -> None:
     required = {"run": ("benchmark",), "scenario": ("scenario",),
                 "sweep": ("runs",), "figure": ("figure",),
-                "bench": (), "trace": ("benchmark",)}[kind]
+                "trace": ("benchmark",)}[kind]
     for name in required:
         if name not in params:
             raise JobError(f"{kind} job needs {name!r}")

@@ -8,8 +8,8 @@ scenario payloads are :class:`~repro.experiments.parallel.RunSummary`
 dicts addressed by their :class:`RunKey` digest -- byte-compatible with
 what the parallel runner memoises, so a figure batch warmed through
 ``--jobs``/``ResultCache`` and a sweep submitted to the service share
-results.  Coarse kinds (figure/bench/trace) store their own documents
-under the spec digest.
+results.  Coarse kinds (figure/trace) store their own documents under
+the spec digest.
 
 The store is the dedupe horizon across service restarts: a resubmitted
 digest is served from disk (a *store hit*) without executing anything,

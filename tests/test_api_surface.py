@@ -4,14 +4,14 @@ Every name in ``api.__all__`` must resolve; removing or breaking a
 re-export is a compatibility break and should fail here first.  v2
 promoted job submission (``submit``/``JobHandle``/``JobStatus``/
 ``serve``) to the front door and demoted ``ParallelRunner``/
-``ResultCache``/``RunKey`` to warn-once compatibility re-exports.
+``ResultCache``/``RunKey`` to warn-once compatibility re-exports; v4
+removed those three and the timed bench harness.
 """
 
 import ast
 import asyncio
 import dataclasses
 import inspect
-import warnings
 
 import pytest
 
@@ -106,16 +106,15 @@ def test_api_trace_diff_accepts_documents():
 
 
 # ----------------------------------------------------------------------
-# v1.1 additions: bench, frozen SimConfig, facade-only CLI
+# v1.1 additions: frozen SimConfig, facade-only CLI
 # ----------------------------------------------------------------------
 def test_api_version_pinned():
-    assert api.__api_version__ == "3.0"
+    assert api.__api_version__ == "4.0"
     assert "__api_version__" in api.__all__
 
 
 def test_v11_exports_present():
-    assert {"bench", "BenchResult", "figure_spec",
-            "SimConfig"} <= set(api.__all__)
+    assert {"figure_spec", "SimConfig"} <= set(api.__all__)
 
 
 def test_figure_spec_metadata():
@@ -149,12 +148,11 @@ def test_simconfig_with_resolves_preset_names():
 
 def test_cli_routes_through_api_only():
     """The CLI is a shell over ``repro.api``: its module-level imports
-    must not reach past the facade (and ``repro.bench``, which owns its
-    own subcommand)."""
+    must not reach past the facade."""
     import repro.__main__ as cli
     tree = ast.parse(inspect.getsource(cli))
-    allowed = {"repro", "repro.api", "repro.bench", "argparse", "sys",
-               "os", "__future__"}
+    allowed = {"repro", "repro.api", "argparse", "sys", "os",
+               "__future__"}
     module_level = [node for node in tree.body
                     if isinstance(node, (ast.Import, ast.ImportFrom))]
     for node in module_level:
@@ -165,75 +163,13 @@ def test_cli_routes_through_api_only():
                 assert alias.name in allowed, alias.name
 
 
-def test_bench_runs_and_is_schema_stable(tmp_path):
-    from repro.bench import BENCH_SCHEMA, BenchCase
-    tiny = (BenchCase("tc", instructions=2_000, warmup=500),)
-    result = api.bench(matrix=tiny, out_dir=tmp_path)
-    doc = result.document
-    assert doc["schema"] == BENCH_SCHEMA
-    assert {"schema", "created_utc", "python", "platform", "repeats",
-            "calibration_ops_per_sec", "configs",
-            "aggregate"} <= set(doc)
-    (entry,) = doc["configs"]
-    assert {"benchmark", "enhancements", "scale", "instructions",
-            "warmup", "wall_s", "accesses", "accesses_per_sec", "ipc",
-            "cycles", "phases"} <= set(entry)
-    assert entry["accesses"] > 0 and result.accesses_per_sec > 0
-    assert result.path is not None and result.path.exists()
-    assert result.path.name.startswith("BENCH_")
-
-
-def test_bench_regression_verdict():
-    from repro.bench import compare_to_baseline
-
-    def doc(aps, cal, benchmarks=("tc",)):
-        return {"aggregate": {"accesses_per_sec": aps},
-                "calibration_ops_per_sec": cal,
-                "configs": [{"benchmark": b} for b in benchmarks]}
-
-    cal = 2_000_000.0  # plausible ops/sec for the calibration loop
-    # Same machine speed: 10% drop passes, 20% drop fails at 15%.
-    assert compare_to_baseline(doc(900, cal), doc(1000, cal))["ok"]
-    assert not compare_to_baseline(doc(800, cal), doc(1000, cal))["ok"]
-    # Half-speed machine: the baseline expectation scales down with it.
-    verdict = compare_to_baseline(doc(500, cal / 2), doc(1000, cal))
-    assert verdict["ok"] and verdict["machine_ratio"] == 0.5
-    # A different matrix always fails: numbers aren't comparable.
-    verdict = compare_to_baseline(doc(1000, cal),
-                                  doc(1000, cal, benchmarks=("pr",)))
-    assert not verdict["ok"] and verdict["matrix_mismatch"]
-
-
 # ----------------------------------------------------------------------
-# v1.2 additions: scenario DSL, calibration-gate guards
+# v1.2 additions: scenario DSL
 # ----------------------------------------------------------------------
 def test_v12_exports_present():
     assert {"run_scenario", "list_scenarios", "load_scenario",
             "validate_scenario", "ScenarioDoc", "ScenarioError",
             "ScenarioResult"} <= set(api.__all__)
-
-
-def test_bench_verdict_rejects_degenerate_calibration():
-    from repro.bench import compare_to_baseline
-
-    def doc(aps, cal, benchmarks=("tc",)):
-        return {"aggregate": {"accesses_per_sec": aps},
-                "calibration_ops_per_sec": cal,
-                "configs": [{"benchmark": b} for b in benchmarks]}
-
-    # Near-zero current calibration would scale the floor to ~0 and
-    # wave every regression through: must fail loudly instead.
-    with pytest.raises(ValueError, match="degenerate document"):
-        compare_to_baseline(doc(1, 1e-9), doc(1000, 2e6))
-    # Near-zero baseline calibration would inflate the floor and fail
-    # every run regardless of the code under test.
-    with pytest.raises(ValueError, match="degenerate baseline"):
-        compare_to_baseline(doc(1000, 2e6), doc(1000, 0.0))
-    # Non-positive recorded throughput makes the floor meaningless.
-    with pytest.raises(ValueError, match="accesses_per_sec"):
-        compare_to_baseline(doc(1000, 2e6), doc(0, 2e6))
-    # Calibration-free documents still compare unscaled.
-    assert compare_to_baseline(doc(1000, None), doc(1000, None))["ok"]
 
 
 # ----------------------------------------------------------------------
@@ -249,67 +185,6 @@ def test_build_config_accepts_backend_override():
     assert cfg.backend == "numpy"
     with pytest.raises(ValueError, match="backend"):
         api.build_config(backend="fortran")
-
-
-def test_bench_entries_record_backend(tmp_path):
-    from repro.bench import BenchCase
-    tiny = (BenchCase("tc", instructions=2_000, warmup=500),
-            BenchCase("tc", instructions=2_000, warmup=500,
-                      backend="numpy"))
-    result = api.bench(matrix=tiny, out_dir=tmp_path)
-    doc = result.document
-    assert [e["backend"] for e in doc["configs"]] == ["python", "numpy"]
-    by_backend = doc["aggregate"]["by_backend"]
-    assert set(by_backend) == {"python", "numpy"}
-    assert all(e["accesses_per_sec"] > 0 for e in by_backend.values())
-    # Same trace, same simulated work under both backends.
-    assert doc["configs"][0]["accesses"] == doc["configs"][1]["accesses"]
-    assert doc["configs"][0]["cycles"] == doc["configs"][1]["cycles"]
-
-
-def test_bench_verdict_gates_each_backend():
-    from repro.bench import compare_to_baseline
-
-    def doc(aps, by_backend):
-        return {"aggregate": {"accesses_per_sec": aps,
-                              "by_backend": by_backend},
-                "calibration_ops_per_sec": None,
-                "configs": [{"benchmark": "tc"}]}
-
-    def bb(python, numpy):
-        return {"python": {"accesses_per_sec": python},
-                "numpy": {"accesses_per_sec": numpy}}
-
-    base = doc(1000, bb(1000, 1000))
-    assert compare_to_baseline(doc(1000, bb(1000, 1000)), base)["ok"]
-    # A numpy-only collapse fails even when the aggregate still clears.
-    verdict = compare_to_baseline(doc(950, bb(1100, 700)), base)
-    assert not verdict["ok"]
-    assert verdict["backends"]["numpy"]["ok"] is False
-    assert verdict["backends"]["python"]["ok"] is True
-    # Pre-backend baselines (no by_backend) gate on the aggregate only.
-    legacy = {"aggregate": {"accesses_per_sec": 1000},
-              "calibration_ops_per_sec": None,
-              "configs": [{"benchmark": "tc"}]}
-    verdict = compare_to_baseline(doc(950, bb(1100, 700)), legacy)
-    assert verdict["ok"] and verdict["backends"] == {}
-
-
-def test_calibrate_guards_sub_resolution_timer(monkeypatch):
-    import repro.bench as bench_mod
-
-    # A perf_counter frozen in time models a sub-resolution delta: the
-    # old code divided by zero / returned inf; now it retries with a
-    # bigger loop and ultimately refuses.
-    monkeypatch.setattr(bench_mod.time, "perf_counter", lambda: 1.0)
-    with pytest.raises(RuntimeError, match="calibration unmeasurable"):
-        bench_mod.calibrate(iterations=1)
-
-
-def test_calibrate_returns_credible_score():
-    from repro.bench import MIN_CREDIBLE_CALIBRATION, calibrate
-    score = calibrate(iterations=50_000)
-    assert score >= MIN_CREDIBLE_CALIBRATION
 
 
 # ----------------------------------------------------------------------
@@ -333,19 +208,16 @@ def test_v2_jobstatus_values():
     assert not api.JobStatus.RUNNING.terminal
 
 
-def test_v1_internals_still_importable_with_one_warning():
-    """``api.RunKey``/``ParallelRunner``/``ResultCache`` keep working in
-    v2 but direct callers to the job surface, once per name."""
+def test_v4_removed_names_raise_attribute_error():
+    """v4 removed the warn-once v1 re-exports and the bench harness from
+    the facade; ``repro.experiments.parallel`` keeps the three classes."""
     from repro.experiments import parallel
+    for name in ("RunKey", "ParallelRunner", "ResultCache", "bench"):
+        assert name not in api.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(api, name)
     for name in ("RunKey", "ParallelRunner", "ResultCache"):
-        assert name in api.__all__
-        with pytest.warns(DeprecationWarning, match="api.submit"):
-            obj = getattr(api, name)
-        assert obj is getattr(parallel, name)
-        # Second access is silent (warn-once).
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert getattr(api, name) is obj
+        assert isinstance(getattr(parallel, name), type)
 
 
 def test_unknown_api_attribute_still_raises():
@@ -417,21 +289,6 @@ def test_run_rejects_unknown_backend():
         api.run("tc", backend="fortran")
 
 
-def test_bench_backend_pins_matrix():
-    from repro.bench import BenchCase
-    tiny = (BenchCase("tc", instructions=2_000, warmup=500),
-            BenchCase("tc", instructions=2_000, warmup=500,
-                      backend="numpy"))
-    result = api.bench(matrix=tiny, backend="numpy")
-    entries = result.document["configs"]
-    # Both input rows collapse to the one numpy-pinned configuration.
-    assert len(entries) == 1
-    assert entries[0]["backend"] == "numpy"
-    assert "batch" in entries[0]
-    with pytest.raises(ValueError, match="unknown backend"):
-        api.bench(matrix=tiny, backend="fortran")
-
-
 def test_submit_validates_backend():
     from repro.service.jobs import JobError, JobSpec
     spec = JobSpec.make("run", benchmark="tc", backend="numpy")
@@ -457,67 +314,3 @@ def test_batchstats_is_stable_dataclass():
     assert sum(doc["cohort_sizes"]) == 1
 
 
-def test_vector_parity_gate():
-    from repro.bench import vector_parity
-
-    def entry(benchmark, backend, sim, batch=...):
-        if batch is ...:
-            batch = {"windows": 100, "fallbacks": {}}
-        return {"benchmark": benchmark, "backend": backend,
-                "wall_s": sim + 0.01, "phases": {"simulate": sim},
-                "batch": batch}
-
-    def doc(*configs):
-        return {"configs": list(configs)}
-
-    # Engaged and at parity: passes.
-    verdict = vector_parity(doc(entry("pr", "python", 1.0),
-                                entry("pr", "numpy", 1.0)))
-    assert verdict["ok"] and verdict["workloads"]["pr"]["speedup"] == 1.0
-    # 10% slower is inside the 15% noise tolerance; 50% slower is not.
-    assert vector_parity(doc(entry("pr", "python", 1.0),
-                             entry("pr", "numpy", 1.1)))["ok"]
-    verdict = vector_parity(doc(entry("pr", "python", 1.0),
-                                entry("pr", "numpy", 1.5)))
-    assert not verdict["ok"]
-    assert verdict["workloads"]["pr"]["speedup"] < \
-        verdict["workloads"]["pr"]["floor"]
-    # A fast run that fell back to the scalar core must not pass: the
-    # speed floor alone would wave a disengaged backend through.
-    fallback = {"windows": 0, "fallbacks": {"sampler_tracer": 1}}
-    verdict = vector_parity(doc(entry("pr", "python", 1.0),
-                                entry("pr", "numpy", 0.5,
-                                      batch=fallback)))
-    assert not verdict["ok"]
-    assert verdict["workloads"]["pr"]["fallback_rate"] == 1.0
-    # A scalar entry masquerading as numpy (no batch record) fails too.
-    assert not vector_parity(doc(entry("pr", "python", 1.0),
-                                 entry("pr", "numpy", 0.5,
-                                       batch=None)))["ok"]
-    # Pre-backend documents (no numpy entry) skip the gate.
-    verdict = vector_parity(doc(entry("pr", "python", 1.0)))
-    assert verdict["ok"] and verdict["workloads"] == {}
-
-
-def test_compare_to_baseline_folds_in_vector_parity():
-    from repro.bench import compare_to_baseline
-
-    def doc(numpy_sim):
-        configs = [
-            {"benchmark": "pr", "backend": "python", "wall_s": 1.01,
-             "phases": {"simulate": 1.0}},
-            {"benchmark": "pr", "backend": "numpy",
-             "wall_s": numpy_sim + 0.01,
-             "phases": {"simulate": numpy_sim},
-             "batch": {"windows": 100, "fallbacks": {}}},
-        ]
-        return {"aggregate": {"accesses_per_sec": 1000.0},
-                "calibration_ops_per_sec": None, "configs": configs}
-
-    base = doc(1.0)
-    assert compare_to_baseline(doc(1.0), base)["ok"]
-    # Aggregate throughput is unchanged, but the numpy entry collapsed
-    # to 2x the scalar simulate wall: the folded-in vector gate fails.
-    verdict = compare_to_baseline(doc(2.0), base)
-    assert not verdict["ok"]
-    assert not verdict["vector"]["ok"]

@@ -1,7 +1,7 @@
 """A simulation imports the simulator and nothing else.
 
 Fresh interpreters run a simulation through ``repro.api`` and through
-``python -m repro run``; neither may import the service, bench, scenario,
+``python -m repro run``; neither may import the service, scenario,
 figure, parallel-runner or telemetry stacks, the invariant checkers, or
 the stdlib stacks those pull in.  Every fresh process pays for what it
 imports (see docs/performance.md, "Cold start").
@@ -21,7 +21,7 @@ import repro
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules that a plain simulation must leave unimported.
-OFF_PATH = ("repro.service", "repro.bench", "repro.scenarios",
+OFF_PATH = ("repro.service", "repro.scenarios",
             "repro.experiments.parallel", "repro.experiments.figures",
             "repro.experiments.registry", "repro.obs.telemetry",
             "repro.validate.invariants", "asyncio", "multiprocessing",

@@ -1,9 +1,12 @@
-"""The verdict arithmetic of ``tools/perfbench_ab.py`` on synthetic samples."""
+"""The verdict arithmetic and the record of ``tools/perfbench_ab.py`` on
+synthetic samples."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -100,11 +103,125 @@ def test_report_fails_on_a_worse_metric_or_more_failures(capsys):
         (ROOT / "BENCHMARK.json").read_text())["end_to_end"]
         if spec["name"] == "sim_kips"]
     base = [_line(b) for b in BASE]
-    assert ab.report({"base": base,
-                      "change": [_line(b + 20) for b in BASE]}, end_to_end)
+    assert ab.report(ab.judge({"base": base,
+                               "change": [_line(b + 20) for b in BASE]},
+                              end_to_end))
     assert "gain" in capsys.readouterr().out
-    assert not ab.report({"base": base,
-                          "change": [_line(b / 2) for b in BASE]},
-                         end_to_end)
+    assert not ab.report(ab.judge({"base": base,
+                                   "change": [_line(b / 2) for b in BASE]},
+                                  end_to_end))
     failing = [_line(b + 20, failed=1) for b in BASE]
-    assert not ab.report({"base": base, "change": failing}, end_to_end)
+    assert not ab.report(ab.judge({"base": base, "change": failing},
+                                  end_to_end))
+
+
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+#: Three pairs a side, seeds 1000-1002: each run's sim_kips, setup_s and
+#: peak_rss_mb.
+RUNS = {"base": [(100.0, 0.20, 52.0), (104.0, 0.22, 52.5),
+                 (98.0, 0.21, 51.5)],
+        "change": [(101.0, 0.19, 52.2), (97.0, 0.23, 52.1),
+                   (103.0, 0.20, 51.9)]}
+
+REVISIONS = {"base": {"given": "HEAD~1", "resolved": "a" * 40},
+             "change": {"head": "b" * 40, "dirty": True}}
+
+
+def _results(change_failed: int = 0) -> dict:
+    results = {}
+    for side, runs in RUNS.items():
+        failed = change_failed if side == "change" else 0
+        results[side] = [
+            {"correct": failed == 0, "attempted": 10, "failed": failed,
+             "metrics": {name: {"value": value, "unit": unit}
+                         for (name, unit), value in zip(
+                             (("sim_kips", "kinstr/s"), ("setup_s", "s"),
+                              ("peak_rss_mb", "MiB")), run)},
+             "stamp": {"workload": "walk_storm", "seed": 1000 + i,
+                       "side": side}}
+            for i, run in enumerate(runs)]
+    return results
+
+
+def test_record_holds_every_documented_field():
+    rec = ab.record(SPEC, "walk_storm", 1000, REVISIONS, _results())
+    assert set(rec) == {"schema", "created_utc", "base", "change",
+                        "workload", "run_seconds", "pairs", "metrics",
+                        "operations", "ok"}
+    assert rec["schema"] == "repro.perfbench-ab/v1"
+    assert re.fullmatch(r"\d{8}T\d{6}Z", rec["created_utc"])
+    assert rec["base"] == {"given": "HEAD~1", "resolved": "a" * 40}
+    assert rec["change"] == {"head": "b" * 40, "dirty": True}
+    assert (rec["workload"], rec["run_seconds"]) == ("walk_storm",
+                                                     SPEC["run_seconds"])
+    assert [set(pair) for pair in rec["pairs"]] == [
+        {"seed", "first", "stamps"}] * 3
+    assert list(rec["metrics"]) == [m["name"] for m in SPEC["end_to_end"]]
+    for metric in rec["metrics"].values():
+        assert set(metric) == {"unit", "better", "bound", "base", "change",
+                               "base_quartiles", "change_quartiles",
+                               "wins", "pairs", "verdict"}
+    assert rec["operations"] == {"base": {"failed": 0, "attempted": 30},
+                                 "change": {"failed": 0, "attempted": 30}}
+    json.dumps(rec)  # plain JSON throughout
+
+
+def test_record_verdicts_equal_verdict():
+    rec = ab.record(SPEC, "walk_storm", 1000, REVISIONS, _results())
+    for spec in SPEC["end_to_end"]:
+        metric = rec["metrics"][spec["name"]]
+        v = ab.verdict(metric["base"], metric["change"], spec["better"],
+                       spec["bound"])
+        assert (metric["unit"], metric["better"], metric["bound"]) == (
+            spec["unit"], spec["better"], spec["bound"])
+        assert metric["base_quartiles"] == list(v.base_quartiles)
+        assert metric["change_quartiles"] == list(v.change_quartiles)
+        assert (metric["wins"], metric["pairs"], metric["verdict"]) == (
+            v.wins, v.pairs, v.verdict)
+    assert rec["ok"]
+
+
+def test_record_keeps_pair_order():
+    results = _results()
+    rec = ab.record(SPEC, "walk_storm", 1000, REVISIONS, results)
+    for column, spec in enumerate(SPEC["end_to_end"]):
+        metric = rec["metrics"][spec["name"]]
+        for side in ("base", "change"):
+            assert metric[side] == [run[column] for run in RUNS[side]]
+    assert [(p["seed"], p["first"]) for p in rec["pairs"]] == [
+        (1000, "base"), (1001, "change"), (1002, "base")]
+    for i, pair in enumerate(rec["pairs"]):
+        assert pair["stamps"] == {side: results[side][i]["stamp"]
+                                  for side in ("base", "change")}
+
+
+def test_record_lands_under_the_documented_name(tmp_path, monkeypatch):
+    monkeypatch.setattr(ab, "RECORDS", tmp_path / ".perfbench")
+    rec = ab.record(SPEC, "hit_stream", 1000, REVISIONS, _results())
+    path = ab.write_record(rec)
+    assert path.parent == tmp_path / ".perfbench"
+    assert path.name == f"BENCH_{rec['created_utc']}_hit_stream.json"
+    assert json.loads(path.read_text()) == rec
+
+
+def _main(monkeypatch, tmp_path, results) -> int:
+    """``main`` on canned pairs: no git, no base checkout, no perfbench."""
+    monkeypatch.setattr(ab, "RECORDS", tmp_path)
+    monkeypatch.setattr(ab, "revisions", lambda base: REVISIONS)
+    monkeypatch.setattr(ab, "base_checkout",
+                        lambda commit: contextlib.nullcontext(tmp_path))
+    monkeypatch.setattr(ab, "run_pairs", lambda *args: results)
+    return ab.main(["--base", "HEAD~1", "--workload", "walk_storm",
+                    "--pairs", "3"])
+
+
+def test_main_fails_on_a_larger_failed_share(tmp_path, monkeypatch,
+                                             capsys):
+    assert _main(monkeypatch, tmp_path, _results()) == 0
+    assert _main(monkeypatch, tmp_path, _results(change_failed=1)) == 1
+    out = capsys.readouterr().out
+    assert "change: 3 of 30 operations failed" in out
+    records = sorted(tmp_path.glob("BENCH_*_walk_storm.json"))
+    assert records and f"record: {records[-1]}" in out
+    assert json.loads(records[-1].read_text())["ok"] is False

@@ -23,23 +23,45 @@ won, and a verdict:
   wider than the bound, unless every change run beats every base run;
 * ``no change`` -- otherwise.
 
+Every run writes its record to
+``.perfbench/BENCH_<UTC %Y%m%dT%H%M%SZ>_<workload>.json`` (schema
+``repro.perfbench-ab/v1``) and prints its path.  The record holds the
+base revision as given and as resolved, the change's HEAD and whether
+its tree was dirty, the workload and ``run_seconds``, each pair's seed,
+the side that ran first and both runs' ``stamp`` lines, and for every
+end-to-end metric the raw values in pair order, both sides' quartiles,
+the pairs won, the bound and the verdict, plus each side's failed and
+attempted operations.  The printed table is read from the record.
+
 Exit status 1 when a metric is ``worse`` or the change fails a larger
-share of operations than the base, 2 when the base does not check out.
+share of operations than the base, 2 when the base does not resolve to
+a commit.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+
+#: Where records land: perfbench's own scratch directory, which git
+#: ignores.
+RECORDS = ROOT / ".perfbench"
+RECORD_SCHEMA = "repro.perfbench-ab/v1"
+#: Format of a record's ``created_utc``, which also names its file.
+STAMP_FORMAT = "%Y%m%dT%H%M%SZ"
+
+SIDES = ("base", "change")
 
 #: A gain needs at least this share of the pairs won.
 WIN_SHARE = 0.9
@@ -89,8 +111,16 @@ def verdict(base: Sequence[float], change: Sequence[float], better: str,
     return Verdict(bq, cq, wins, len(base), outcome)
 
 
+def schedule(pairs: int, first_seed: int
+             ) -> List[Tuple[int, Tuple[str, str]]]:
+    """Each pair's seed and the order its sides run in."""
+    return [(first_seed + i, SIDES if i % 2 == 0 else SIDES[::-1])
+            for i in range(pairs)]
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> Dict:
-    """One untraced perfbench run in checkout ``root``; its result line."""
+    """One untraced perfbench run in checkout ``root``: its result line,
+    with the run's stamp line under ``"stamp"``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -99,17 +129,19 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> Dict:
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"perfbench in {root} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["stamp"] = next((json.loads(line[len("stamp "):])
+                            for line in lines if line.startswith("stamp ")),
+                           None)
+    return result
 
 
 def run_pairs(base_root: Path, change_root: Path, workload: str, pairs: int,
               seconds: float, first_seed: int) -> Dict[str, List[Dict]]:
     """``pairs`` interleaved pairs; the result lines of each side."""
-    results: Dict[str, List[Dict]] = {"base": [], "change": []}
+    results: Dict[str, List[Dict]] = {side: [] for side in SIDES}
     roots = {"base": base_root, "change": change_root}
-    for i in range(pairs):
-        seed = first_seed + i
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+    for i, (seed, order) in enumerate(schedule(pairs, first_seed)):
         for side in order:
             results[side].append(run_side(roots[side], workload, seed,
                                           seconds))
@@ -122,30 +154,116 @@ def run_pairs(base_root: Path, change_root: Path, workload: str, pairs: int,
     return results
 
 
-def report(results: Dict[str, List[Dict]], end_to_end: Sequence[Dict]
-           ) -> bool:
-    """Print the per-metric table; True when nothing got worse."""
-    ok = True
-    print(f"{'metric':12} {'base q1/median/q3':>30} "
-          f"{'change q1/median/q3':>30} {'won':>7}  verdict")
+def judge(results: Dict[str, List[Dict]], end_to_end: Sequence[Dict]
+          ) -> Dict:
+    """The verdict pass over the pairs: for every end-to-end metric the
+    values of each side in pair order, both sides' quartiles, the pairs
+    won, the bound and the verdict; each side's failed and attempted
+    operations; and ``ok``, False when a metric is ``worse`` or the
+    change fails a larger share of operations than the base."""
+    metrics = {}
     for spec in end_to_end:
         name = spec["name"]
-        base = [r["metrics"][name]["value"] for r in results["base"]]
-        change = [r["metrics"][name]["value"] for r in results["change"]]
-        v = verdict(base, change, spec["better"], spec["bound"])
+        values = {side: [r["metrics"][name]["value"] for r in results[side]]
+                  for side in SIDES}
+        v = verdict(values["base"], values["change"], spec["better"],
+                    spec["bound"])
+        metrics[name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "bound": spec["bound"], **values,
+            "base_quartiles": list(v.base_quartiles),
+            "change_quartiles": list(v.change_quartiles),
+            "wins": v.wins, "pairs": v.pairs, "verdict": v.verdict}
+    operations = {side: {"failed": sum(r["failed"] for r in results[side]),
+                         "attempted": sum(r["attempted"]
+                                          for r in results[side])}
+                  for side in SIDES}
+    share = {side: ops["failed"] / ops["attempted"] if ops["attempted"]
+             else 0.0 for side, ops in operations.items()}
+    ok = (all(m["verdict"] != "worse" for m in metrics.values())
+          and share["change"] <= share["base"])
+    return {"metrics": metrics, "operations": operations, "ok": ok}
+
+
+def report(judgement: Dict) -> bool:
+    """Print the per-metric table of a :func:`judge` result (or of a
+    record) and return its ``ok``."""
+    print(f"{'metric':12} {'base q1/median/q3':>30} "
+          f"{'change q1/median/q3':>30} {'won':>7}  verdict")
+    for name, m in judgement["metrics"].items():
         fmt = "/".join
-        print(f"{name:12} {fmt(f'{q:.4g}' for q in v.base_quartiles):>30} "
-              f"{fmt(f'{q:.4g}' for q in v.change_quartiles):>30} "
-              f"{v.wins:>3}/{v.pairs:<3}  {v.verdict} "
-              f"(bound {spec['bound']}, {spec['better']} is better)")
-        ok = ok and v.verdict != "worse"
-    shares = {}
-    for side, lines in results.items():
-        attempted = sum(r["attempted"] for r in lines)
-        failed = sum(r["failed"] for r in lines)
-        shares[side] = failed / attempted if attempted else 0.0
-        print(f"{side}: {failed} of {attempted} operations failed")
-    return ok and shares["change"] <= shares["base"]
+        print(f"{name:12} {fmt(f'{q:.4g}' for q in m['base_quartiles']):>30} "
+              f"{fmt(f'{q:.4g}' for q in m['change_quartiles']):>30} "
+              f"{m['wins']:>3}/{m['pairs']:<3}  {m['verdict']} "
+              f"(bound {m['bound']}, {m['better']} is better)")
+    for side, ops in judgement["operations"].items():
+        print(f"{side}: {ops['failed']} of {ops['attempted']} "
+              "operations failed")
+    return judgement["ok"]
+
+
+def git(*args: str) -> str:
+    """The output of ``git args`` in this checkout, stripped."""
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def revisions(base: str) -> Dict:
+    """The base revision as given and as resolved, and the change's HEAD
+    and whether its tree is dirty.  Raises
+    :class:`subprocess.CalledProcessError` when ``base`` names no
+    commit."""
+    return {"base": {"given": base,
+                     "resolved": git("rev-parse", "--verify",
+                                     base + "^{commit}")},
+            "change": {"head": git("rev-parse", "HEAD"),
+                       "dirty": bool(git("status", "--porcelain"))}}
+
+
+@contextlib.contextmanager
+def base_checkout(commit: str) -> Iterator[Path]:
+    """A detached worktree of ``commit`` in a temporary directory,
+    removed again on exit."""
+    holder = Path(tempfile.mkdtemp(prefix="perfbench-ab-"))
+    worktree = holder / "base"
+    try:
+        git("worktree", "add", "--detach", str(worktree), commit)
+        yield worktree
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force",
+                        str(worktree)], cwd=ROOT, check=False,
+                       capture_output=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False,
+                       capture_output=True)
+        shutil.rmtree(holder, ignore_errors=True)
+
+
+def record(spec: Dict, workload: str, first_seed: int, revs: Dict,
+           results: Dict[str, List[Dict]]) -> Dict:
+    """The ``repro.perfbench-ab/v1`` record of one A/B run: ``revs``
+    from :func:`revisions`, ``spec`` the parsed ``BENCHMARK.json``."""
+    pairs = len(results["base"])
+    return {
+        "schema": RECORD_SCHEMA,
+        "created_utc": time.strftime(STAMP_FORMAT, time.gmtime()),
+        **revs,
+        "workload": workload,
+        "run_seconds": spec["run_seconds"],
+        "pairs": [{"seed": seed, "first": order[0],
+                   "stamps": {side: results[side][i]["stamp"]
+                              for side in SIDES}}
+                  for i, (seed, order) in enumerate(schedule(pairs,
+                                                             first_seed))],
+        **judge(results, spec["end_to_end"]),
+    }
+
+
+def write_record(rec: Dict) -> Path:
+    """Write ``rec`` to ``RECORDS/BENCH_<created_utc>_<workload>.json``."""
+    RECORDS.mkdir(parents=True, exist_ok=True)
+    path = RECORDS / f"BENCH_{rec['created_utc']}_{rec['workload']}.json"
+    path.write_text(json.dumps(rec, indent=1) + "\n")
+    return path
 
 
 def main(argv=None) -> int:
@@ -162,29 +280,24 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
-    holder = Path(tempfile.mkdtemp(prefix="perfbench-ab-"))
-    worktree = holder / "base"
     try:
-        added = subprocess.run(["git", "worktree", "add", "--detach",
-                                str(worktree), args.base], cwd=ROOT,
-                               check=False, capture_output=True, text=True)
-        if added.returncode != 0:
-            print(f"perfbench_ab: {added.stderr.strip()}", file=sys.stderr)
-            return 2
-        seconds = spec["run_seconds"]
-        print(f"base {args.base} in {worktree}; change = working tree "
-              f"{ROOT}; {args.workload}, {args.pairs} pairs of {seconds} s",
+        revs = revisions(args.base)
+    except subprocess.CalledProcessError as exc:
+        print(f"perfbench_ab: {exc.stderr.strip()}", file=sys.stderr)
+        return 2
+    seconds = spec["run_seconds"]
+    with base_checkout(revs["base"]["resolved"]) as worktree:
+        print(f"base {args.base} ({revs['base']['resolved'][:12]}) in "
+              f"{worktree}; change = working tree {ROOT}"
+              f"{' (dirty)' if revs['change']['dirty'] else ''}; "
+              f"{args.workload}, {args.pairs} pairs of {seconds} s",
               flush=True)
         results = run_pairs(worktree, ROOT, args.workload, args.pairs,
                             seconds, args.first_seed)
-        return 0 if report(results, spec["end_to_end"]) else 1
-    finally:
-        subprocess.run(["git", "worktree", "remove", "--force",
-                        str(worktree)], cwd=ROOT, check=False,
-                       capture_output=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, check=False,
-                       capture_output=True)
-        shutil.rmtree(holder, ignore_errors=True)
+    rec = record(spec, args.workload, args.first_seed, revs, results)
+    ok = report(rec)
+    print(f"record: {write_record(rec)}")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
