@@ -33,8 +33,9 @@ accuracy:
 figures:
 	python examples/regenerate_experiments.py EXPERIMENTS.md
 
-# Figs 1/4/14 through the parallel, memoised runner at test scale
-# (smoke-tests the whole figure path in well under a minute).
+# Figs 1/4/14 at test scale, every point a memoised run job of an
+# in-process sweep service with 4 pool workers (smoke-tests the whole
+# figure path in well under a minute).
 figures-fast:
 	python -m repro figure fig1 fig4 fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --verbose
@@ -92,10 +93,10 @@ scenarios:
 		--out scenario-artifacts/scenario-results.jsonl
 
 # End-to-end sweep-service smoke (docs/service.md): boot the HTTP
-# service on an ephemeral port, submit a tiny run + one scenario,
-# wait on their event streams, assert the identical resubmission is a
-# store hit, and write the store manifest to service-artifacts/
-# (CI uploads it).
+# service on an ephemeral port, submit a tiny run, one scenario and one
+# figure, wait on their event streams, assert the identical
+# resubmission and a run of the figure's point are store hits, and
+# write the store manifest to service-artifacts/ (CI uploads it).
 serve-smoke:
 	python tools/serve_smoke.py
 

@@ -6,7 +6,7 @@ Subcommands::
     python -m repro run pr --metrics out.json         # ... observed
     python -m repro run pr --trace t.json             # ... span-traced
     python -m repro figure fig14                      # regenerate a figure
-    python -m repro figure fig1 fig4 fig14 --jobs 8   # parallel + memoised
+    python -m repro figure fig1 fig4 fig14 --jobs 8   # pool + memoised
     python -m repro stats out.json                    # render an export
     python -m repro stats a.json b.json               # diff two runs
     python -m repro trace summary t.json              # trace breakdowns
@@ -24,12 +24,12 @@ Subcommands::
     python -m repro list                              # what's available
 
 Figures come from the decorator registry
-(:mod:`repro.experiments.registry`); ``figure`` fans independent runs
-out over ``--jobs`` worker processes and memoises results under
-``~/.cache/repro-runs`` (``--no-cache`` to disable; the cache
-auto-invalidates when the simulator code changes).  ``--metrics``
-exports machine-readable ``repro.obs/v1`` documents (see
-``docs/observability.md``).
+(:mod:`repro.experiments.registry`); ``figure`` runs every point as a
+``run`` job of an in-process sweep service -- inline, or over a pool of
+``--jobs`` worker processes -- memoised under ``~/.cache/repro-runs``
+(``--no-cache`` for a throwaway store; the store auto-invalidates when
+the simulator code changes).  ``--metrics`` exports machine-readable
+``repro.obs/v1`` documents (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -43,23 +43,8 @@ from repro import api
 # thin shell over it and deliberately imports nothing deeper.
 
 
-def _positive_int(value: str) -> int:
-    """Argparse type: a strictly positive integer (``--jobs 0`` and
-    ``--sample-interval -5`` must fail at the parser, not deep in a
-    simulation)."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {number}")
-    return number
-
-
 def _enable_checking() -> None:
-    # Via the environment so parallel worker processes inherit it.
+    # Via the environment so pool worker processes inherit it.
     import os
     os.environ["REPRO_CHECK"] = "1"
 
@@ -107,52 +92,66 @@ def _cmd_trace(args) -> int:
     return cmd_trace(args)
 
 
-def _progress(event) -> None:
-    tag = "cache" if event.source == "cache" else f"{event.wall_time:.1f}s"
-    print(f"  [{event.done}/{event.total}] {event.key.benchmark} "
-          f"cfg={event.key.config_hash[:8]} ({tag})", file=sys.stderr)
+def _progress(done, total, key, source, wall_time) -> None:
+    tag = f"{wall_time:.1f}s" if source == "run" else source
+    print(f"  [{done}/{total}] {key.benchmark} "
+          f"cfg={key.config_hash[:8]} ({tag})", file=sys.stderr)
+
+
+def _run_counters(service) -> dict:
+    """The batch totals (a batch export's ``runner`` block)."""
+    m = service.metrics
+    return {"jobs_done": m.executed + m.store_hits + m.dedup_hits,
+            "executed": m.executed, "cache_hits": m.store_hits,
+            "retries": m.requeues, "failures": m.failures,
+            "total_wall_time": service.telemetry.histogram(
+                "repro_job_run_seconds").series()["sum"]}
 
 
 def _cmd_figure(args) -> int:
     from repro.obs.export import batch_document, export_json, validate_strict
     from repro.obs.manifest import build_batch_manifest
     from repro.obs.progress import Heartbeat
+    from repro.service import serving
+    from repro.service.store import temporary_store
 
     if args.check:
         # Memoised results would skip simulation (and thus validation),
-        # so --check forces every run to execute.
+        # so --check runs every point against a throwaway store.
         _enable_checking()
         args.no_cache = True
     heartbeat = Heartbeat(args.heartbeat) \
         if (args.metrics or args.heartbeat) else None
 
-    def on_progress(event) -> None:
+    def on_point(**point) -> None:
         if heartbeat is not None:
-            heartbeat.emit(event)
+            heartbeat.emit(**point)
         if args.verbose:
-            _progress(event)
+            _progress(**point)
 
-    runner = api.configure_parallel(
-        jobs=args.jobs, use_cache=not args.no_cache,
-        progress=on_progress if (args.verbose or heartbeat) else None)
-    for name in args.names:
-        spec = api.figure_spec(name)
-        kwargs = {"instructions": args.instructions, "warmup": args.warmup}
-        if args.benchmarks and spec.takes_benchmarks:
-            kwargs["benchmarks"] = args.benchmarks
-        print(spec(**kwargs))
-    m = runner.metrics
-    print(f"runs: {m.executed} executed, {m.cache_hits} from cache, "
-          f"{m.retries} retried, {m.total_wall_time:.1f}s simulated",
-          file=sys.stderr)
+    with temporary_store(args.no_cache) as store, serving(
+            workers=args.jobs if args.jobs > 1 else 0, store=store,
+            on_point=on_point if (args.verbose or heartbeat) else None
+    ) as service:
+        for name in args.names:
+            spec = api.figure_spec(name)
+            kwargs = {"instructions": args.instructions,
+                      "warmup": args.warmup}
+            if args.benchmarks and spec.takes_benchmarks:
+                kwargs["benchmarks"] = args.benchmarks
+            print(spec(**kwargs))
+        runs = _run_counters(service)
+    print(f"runs: {runs['executed']} executed, {runs['cache_hits']} from "
+          f"cache, {runs['retries']} retried, "
+          f"{runs['total_wall_time']:.1f}s simulated", file=sys.stderr)
     if args.check:
         print("validation: all runs passed invariant + oracle checks",
               file=sys.stderr)
     if heartbeat is not None:
-        heartbeat.close(runner_metrics=m)
+        heartbeat.close(runs)
         if args.metrics:
             doc = validate_strict(batch_document(
-                build_batch_manifest(args.names, runner_metrics=m),
+                build_batch_manifest(args.names, runner=runs),
                 heartbeat.events))
             export_json(args.metrics, doc)
             print(f"metrics: {args.metrics} ({len(heartbeat.events)} "
@@ -197,6 +196,7 @@ def _check_choice(parser, argument: str, value: str, choices) -> None:
 
 
 def main(argv=None) -> int:
+    from repro.cli import int_at_least
     if argv is None:
         argv = sys.argv[1:]
     parser = argparse.ArgumentParser(
@@ -223,7 +223,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--metrics", metavar="PATH", default=None,
                        help="export manifest + interval time-series as "
                             "repro.obs/v1 JSON (see docs/observability.md)")
-    p_run.add_argument("--sample-interval", type=_positive_int,
+    p_run.add_argument("--sample-interval", type=int_at_least(1),
                        default=None, metavar="N",
                        help="sample the hierarchy every N retired "
                             "instructions (default with --metrics: "
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
                        help="export the request span trace as "
                             "repro.obs/trace-v1 JSON (see "
                             "docs/observability.md)")
-    p_run.add_argument("--trace-sample", type=_positive_int, default=None,
+    p_run.add_argument("--trace-sample", type=int_at_least(1), default=None,
                        metavar="N",
                        help="trace 1 in N requests (default with "
                             "--trace: 1, i.e. every request)")
@@ -245,10 +245,11 @@ def main(argv=None) -> int:
     p_fig = sub.add_parser("figure", help="regenerate paper figures")
     p_fig.add_argument("names", nargs="+", metavar="name")
     p_fig.add_argument("--benchmarks", nargs="*", default=None)
-    p_fig.add_argument("--instructions", type=int,
+    p_fig.add_argument("--instructions", type=int_at_least(1),
                        default=api.DEFAULT_INSTRUCTIONS)
-    p_fig.add_argument("--warmup", type=int, default=api.DEFAULT_WARMUP)
-    p_fig.add_argument("--jobs", type=_positive_int, default=1,
+    p_fig.add_argument("--warmup", type=int_at_least(0),
+                       default=api.DEFAULT_WARMUP)
+    p_fig.add_argument("--jobs", type=int_at_least(1), default=1,
                        help="worker processes for independent runs")
     p_fig.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk result memo "

@@ -1,4 +1,4 @@
-"""Stable public facade for the reproduction (v4).
+"""Stable public facade for the reproduction (v5).
 
 Everything a caller needs lives here; the deep module paths
 (``repro.experiments.runner``, ``repro.service.core``, ...) remain
@@ -23,9 +23,7 @@ The v2 surface promotes *job submission* to the front door:
   around the frozen :class:`SimConfig` (derive variants with
   ``cfg.with_(...)``);
 * :class:`RunResult` / :class:`RunSummary` -- what runs return (live
-  object vs. picklable snapshot);
-* :func:`configure_parallel` -- fan figure batches out over worker
-  processes with on-disk memoisation (the CLI ``--jobs`` path).
+  object vs. picklable snapshot).
 
 Quickstart::
 
@@ -43,11 +41,12 @@ Quickstart::
         return handle.summary()
     print(asyncio.run(sweep()).ipc)
 
-v2 demoted ``ParallelRunner`` / ``ResultCache`` / ``RunKey`` to
-internals behind a one-time ``DeprecationWarning``; v4 drops them from
-this module (they live on in :mod:`repro.experiments.parallel`) along
-with the timed bench harness.  Simulator host time is measured by
-``perfbench/`` and ``tools/perfbench_ab.py`` (see README "Migrating").
+v2 demoted the v1 runner, cache and run-key classes to internals
+behind a one-time ``DeprecationWarning``; v4 drops them from this
+module along with the timed bench harness; v5 drops the runner knob
+(the sweep service is the one executor) and the policy-spelling shim.
+Simulator host time is measured by ``perfbench/`` and
+``tools/perfbench_ab.py`` (see README "Migrating").
 
 ``tests/test_api_surface.py`` pins this module's exports; extend
 ``__all__`` deliberately, never remove from it within a major version.
@@ -72,14 +71,16 @@ from repro.workloads.registry import benchmark_names
 #: 3.0: ``BatchStats`` drops ``walk_cohort``/``precomputed_walks`` (and
 #: their keys in ``RunSummary.batch`` payloads).
 #: 4.0: the timed bench harness (``bench``, its result type and the
-#: ``bench`` job kind) goes, and so do the warn-once
-#: ``RunKey``/``ParallelRunner``/``ResultCache``.
-__api_version__ = "4.0"
+#: ``bench`` job kind) goes, and so do the warn-once v1 runner, cache
+#: and run-key re-exports.
+#: 5.0: the runner knob and the policy-spelling shim go; figure points
+#: run through the sweep service.
+__api_version__ = "5.0"
 
 __all__ = [
     # entry points
     "run", "figure", "figure_spec", "list_figures", "list_benchmarks",
-    "configure_parallel", "trace", "trace_diff",
+    "trace", "trace_diff",
     # jobs (the v2 front door; see docs/service.md)
     "submit", "serve", "JobHandle", "JobStatus", "configure_service",
     "telemetry_snapshot",
@@ -91,7 +92,7 @@ __all__ = [
     "StallCategory", "BatchStats", "FallbackReason",
     # config builders
     "build_config", "enhancement_preset", "default_config", "paper_config",
-    "canonical_policy", "SimConfig", "CacheConfig", "TLBConfig",
+    "SimConfig", "CacheConfig", "TLBConfig",
     "EnhancementConfig", "IdealConfig",
     # constants
     "DEFAULT_INSTRUCTIONS", "DEFAULT_WARMUP", "DEFAULT_SCALE",
@@ -113,7 +114,7 @@ _EXPORTS = {name: module for module, names in (
     ("repro.experiments.figures", ("FigureResult",)),
     ("repro.core.rob", ("StallCategory",)),
     ("repro.core.fallback", ("BatchStats", "FallbackReason")),
-    ("repro.params", ("paper_config", "canonical_policy", "CacheConfig",
+    ("repro.params", ("paper_config", "CacheConfig",
                       "TLBConfig", "IdealConfig",
                       "ENHANCEMENT_PRESET_NAMES")),
     ("repro.obs.sampler", ("DEFAULT_SAMPLE_INTERVAL",)),
@@ -295,12 +296,3 @@ def list_benchmarks() -> Tuple[str, ...]:
     """Every synthetic workload name (Table II of the paper)."""
     return tuple(benchmark_names())
 
-
-def configure_parallel(jobs: int = 1, use_cache: bool = False,
-                       cache_dir=None, progress=None,
-                       timeout: float = 600.0) -> ParallelRunner:
-    """Install the ambient parallel runner the figure harnesses route
-    through (the CLI's ``--jobs`` / ``--no-cache`` land here)."""
-    from repro.experiments.parallel import configure
-    return configure(jobs=jobs, use_cache=use_cache, cache_dir=cache_dir,
-                     progress=progress, timeout=timeout)

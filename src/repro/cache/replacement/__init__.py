@@ -33,13 +33,7 @@ _REGISTRY = {
 
 def make_policy(name: str, num_sets: int, num_ways: int,
                 **kwargs) -> ReplacementPolicy:
-    """Instantiate a replacement policy by registry name.
-
-    Deprecated spellings (hyphenated, capitalised, legacy shorthands) are
-    normalised through :func:`repro.params.canonical_policy` with a
-    one-time DeprecationWarning."""
-    from repro.params import canonical_policy
-    name = canonical_policy(name)
+    """Instantiate a replacement policy by registry name."""
     try:
         cls = _REGISTRY[name]
     except KeyError:

@@ -1,6 +1,7 @@
 """Experiment harness: one function per figure/table of the paper.
 
-Figure regeneration routes through :mod:`repro.experiments.parallel`,
-which memoises completed runs on disk and fans independent simulations
-out over worker processes (see ``ParallelRunner`` / ``ResultCache``).
+Every harness asks for its points through
+:func:`repro.experiments.parallel.run_many`: serially in-process, or --
+under ``repro figure`` and in the sweep service's ``figure`` jobs -- as
+memoised, deduplicated ``run`` jobs of the service.
 """

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures import FigureResult
-from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
-                                      run_benchmark)
+from repro.experiments.figures import FigureResult, _run_grid
+from repro.experiments.parallel import RunKey
+from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
 from repro.stats.report import geometric_mean
 from repro.workloads.registry import benchmark_names
@@ -32,9 +32,15 @@ def prior_work_comparison(benchmarks: Optional[Sequence[str]] = None,
                           scale: int = DEFAULT_SCALE) -> FigureResult:
     """Speedup of CbPred, CSALT and the paper's proposal vs baseline."""
     names = list(benchmarks) if benchmarks else benchmark_names()
-    base = {name: run_benchmark(name, instructions=instructions,
-                                warmup=warmup, scale=scale)
-            for name in names}
+    configs = {"base": None,
+               "cbpred": default_config(scale).with_(comparison="cbpred"),
+               "csalt": default_config(scale).with_(comparison="csalt"),
+               "proposed": default_config(scale).with_(
+                   enhancements=EnhancementConfig.full())}
+    runs = _run_grid({(name, label): RunKey.make(name, cfg, instructions,
+                                                 warmup, scale)
+                      for name in names
+                      for label, cfg in configs.items()})
     rows: List[List] = []
     data: Dict = {}
     speedups: Dict[str, List[float]] = {v: [] for v in COMPARISON_VARIANTS}
@@ -42,14 +48,7 @@ def prior_work_comparison(benchmarks: Optional[Sequence[str]] = None,
         row = [name]
         data[name] = {}
         for variant in COMPARISON_VARIANTS:
-            if variant == "proposed":
-                cfg = default_config(scale).with_(
-                    enhancements=EnhancementConfig.full())
-            else:
-                cfg = default_config(scale).with_(comparison=variant)
-            run = run_benchmark(name, config=cfg, instructions=instructions,
-                                warmup=warmup, scale=scale)
-            sp = run.speedup_over(base[name])
+            sp = runs[(name, variant)].speedup_over(runs[(name, "base")])
             row.append(sp)
             data[name][variant] = sp
             speedups[variant].append(sp)

@@ -70,7 +70,7 @@ def _benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
 def _run_all(benchmarks: Sequence[str], config: Optional[SimConfig],
              instructions: int, warmup: int, scale: int,
              seed: int = 1) -> Dict[str, RunSummary]:
-    """Simulate every benchmark under one config (parallel, memoised)."""
+    """Simulate every benchmark under one config in one batch."""
     keys = {name: RunKey.make(name, config, instructions, warmup, scale,
                               seed)
             for name in benchmarks}
@@ -79,7 +79,7 @@ def _run_all(benchmarks: Sequence[str], config: Optional[SimConfig],
 
 
 def _run_grid(specs: Dict) -> Dict:
-    """Simulate a labelled grid of runs in one parallel batch.
+    """Simulate a labelled grid of runs in one ``run_many`` batch.
 
     ``specs`` maps an arbitrary hashable label to a :class:`RunKey`;
     returns ``{label: RunSummary}``.  Duplicate keys (e.g. a shared

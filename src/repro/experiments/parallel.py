@@ -1,53 +1,46 @@
-"""Parallel, memoised experiment execution.
+"""Run identity, run snapshots, the result store and ``run_many``.
 
-The figure/table harnesses are fleets of independent ``(benchmark,
-config, seed)`` simulations -- exactly how ChampSim evaluations are run
-on real clusters.  This module gives the Python reproduction the same
-treatment:
-
-* :class:`RunKey` -- the identity of one simulation (benchmark,
-  config fingerprint, seed, instructions, warmup, scale).
+* :class:`RunKey` -- the identity of one simulation (benchmark, config
+  fingerprint, seed, instructions, warmup, scale).
 * :class:`RunSummary` -- a picklable, JSON-serialisable snapshot of
   everything the figures consume from a run (a live
-  :class:`~repro.experiments.runner.RunResult` holds ``Cache`` /
-  ``OOOCore`` objects and cannot cross process boundaries).
-* :class:`ResultCache` -- an on-disk JSON memo of completed runs,
-  versioned by a schema number and invalidated by a fingerprint of the
-  simulator's source code (and, per key, by the config hash).
-* :class:`ParallelRunner` -- fans batches of :class:`RunKey` out over a
-  ``ProcessPoolExecutor`` with per-job timeout, retry-once-on-failure
-  and progress/metrics reporting.
-
-The module-level :func:`run_many` / :func:`run_one` helpers route
-through a process-wide runner configured by :func:`configure` (the CLI's
-``--jobs`` / ``--no-cache`` flags land there); the default is serial,
-uncached execution -- bit-identical to calling
-:func:`~repro.experiments.runner.run_benchmark` directly.
+  :class:`~repro.experiments.runner.RunResult` cannot cross processes).
+* :class:`ResultCache` -- the sweep service's content-addressed JSON
+  store, versioned by a schema number and a fingerprint of the code
+  that can change a payload.
+* :func:`execute_key` -- simulates one key, for the serial path, the
+  inline service and the pool workers alike.
+* :func:`run_many` -- runs a batch of keys through the executor bound
+  by :func:`bind_executor` (the sweep service, under ``repro figure``,
+  ``repro scenario run`` and figure jobs), or serially in-process.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import hashlib
 import json
 import os
 import tempfile
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.rob import StallCategory
 from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
                                       RunResult, run_benchmark)
 from repro.obs.log import get_logger
+from repro.obs.manifest import config_digest
 from repro.params import DEFAULT_SCALE, SimConfig, default_config
 
 #: Bump when the RunSummary layout changes (invalidates every cache dir).
 CACHE_SCHEMA_VERSION = 1
+
+#: Schema tag of the store manifest document (``GET /store``).
+MANIFEST_SCHEMA = "repro.service.store/v1"
 
 _RECALL_KINDS = ("translation", "replay")
 _PREFETCH_LEVELS = ("l1d", "l2c", "llc")
@@ -56,13 +49,6 @@ _PREFETCH_LEVELS = ("l1d", "l2c", "llc")
 # ----------------------------------------------------------------------
 # Run identity
 # ----------------------------------------------------------------------
-def config_digest(config: SimConfig) -> str:
-    """Stable hash of a simulation configuration."""
-    blob = json.dumps(dataclasses.asdict(config), sort_keys=True,
-                      default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 @dataclass(frozen=True, eq=False)
 class RunKey:
     """Identity of one simulation (hash/eq use the config *digest*)."""
@@ -293,22 +279,41 @@ def _tracker_data(tracker) -> Dict:
 # ----------------------------------------------------------------------
 # On-disk result memo
 # ----------------------------------------------------------------------
-def code_fingerprint() -> str:
-    """Hash of the simulator's source files (memoised per process).
+#: Source under ``repro/`` that cannot change a stored payload, besides
+#: ``service/`` and every ``cli.py``: it stays out of the fingerprint.
+UNHASHED = ("__main__.py", "obs/stats_cli.py", "obs/telemetry.py",
+            "obs/progress.py", "validate/invariants.py",
+            "validate/oracle.py", "validate/fuzz.py")
 
-    Any edit to ``repro``'s code invalidates every cached result: the
-    cache directory embeds this fingerprint, so stale results are never
-    served after a behavioural change.
-    """
+
+def hashed_sources(root: Path) -> List[Path]:
+    """The ``.py`` files under a ``repro`` package directory that
+    :func:`code_fingerprint` covers, sorted (a new module included)."""
+    return [path for path in sorted(root.rglob("*.py"))
+            if (rel := path.relative_to(root)).parts[0] != "service"
+            and rel.name != "cli.py" and rel.as_posix() not in UNHASHED]
+
+
+def source_fingerprint(root: Path) -> str:
+    """Hash of :func:`hashed_sources` under ``root`` (paths and bytes)."""
+    h = hashlib.sha256()
+    for path in hashed_sources(root):
+        h.update(str(path.relative_to(root)).encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()[:16]
+
+
+def code_fingerprint() -> str:
+    """Fingerprint of the code that can change a stored payload
+    (memoised per process).  The store directory embeds it, so editing
+    the simulator, a harness, :mod:`~repro.experiments.payloads`, the
+    trace exporter, the scenario compiler or ``api.py`` invalidates
+    every stored result; editing the service or a CLI does not."""
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
         import repro
-        root = Path(repro.__file__).resolve().parent
-        h = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            h.update(str(path.relative_to(root)).encode())
-            h.update(path.read_bytes())
-        _CODE_FINGERPRINT = h.hexdigest()[:16]
+        _CODE_FINGERPRINT = source_fingerprint(
+            Path(repro.__file__).resolve().parent)
     return _CODE_FINGERPRINT
 
 
@@ -329,10 +334,9 @@ class ResultCache:
     """Content-addressed JSON memo of completed runs.
 
     Layout: ``<root>/v<schema>-<code>/<digest[:2]>/<digest>.json`` --
-    every entry is addressed purely by its :class:`RunKey` digest, with
-    a :data:`SHARD_WIDTH`-wide fan-out subdirectory.  Pre-sharding
-    caches (flat ``<digest>.json`` files) are still read, so a warm
-    cache survives the upgrade.
+    every entry is addressed purely by its digest (a :class:`RunKey`'s
+    or a job spec's), with a :data:`SHARD_WIDTH`-wide fan-out
+    subdirectory.
     """
 
     def __init__(self, root=None, fingerprint: Optional[str] = None):
@@ -360,16 +364,14 @@ class ResultCache:
 
     def _read(self, key) -> Optional[Dict]:
         digest = self._digest_of(key)
-        for path in (self.path_for(digest),
-                     self.dir / f"{digest}.json"):  # pre-sharding layout
-            try:
-                with open(path) as f:
-                    return json.load(f)
-            except FileNotFoundError:
-                continue
-            except (OSError, ValueError) as exc:
-                self._read_failed(digest, exc)
-        return None
+        try:
+            with open(self.path_for(digest)) as f:
+                return json.load(f)
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            self._read_failed(digest, exc)
+            return None
 
     def _read_failed(self, digest: str, exc: Exception) -> None:
         self.read_errors += 1
@@ -378,9 +380,7 @@ class ResultCache:
     def contains(self, key) -> bool:
         """Whether a result for this key/digest is on disk (no counter
         side effects -- probes are not hits)."""
-        digest = self._digest_of(key)
-        return (self.path_for(digest).is_file()
-                or (self.dir / f"{digest}.json").is_file())
+        return self.path_for(key).is_file()
 
     def get(self, key) -> Optional[RunSummary]:
         data = self._read(key)
@@ -439,11 +439,29 @@ class ResultCache:
         return True
 
     def digests(self) -> List[str]:
-        """Every stored digest, sorted (shards walked, flat layout
-        included)."""
+        """Every stored digest, sorted (shards walked)."""
         if not self.dir.is_dir():
             return []
-        return sorted(p.stem for p in self.dir.glob("**/*.json"))
+        return sorted(p.stem for p in self.dir.glob("*/*.json"))
+
+    def manifest(self) -> Dict:
+        """Store inventory + counters (``GET /store``; uploaded as a CI
+        artifact)."""
+        digests = self.digests()
+        return {
+            "schema": MANIFEST_SCHEMA,
+            "root": str(self.root),
+            "dir": str(self.dir),
+            "cache_schema_version": CACHE_SCHEMA_VERSION,
+            "code_fingerprint": self.fingerprint,
+            "shard_width": SHARD_WIDTH,
+            "entries": len(digests),
+            "digests": digests,
+            "counters": {"hits": self.hits, "misses": self.misses,
+                         "stores": self.stores,
+                         "write_errors": self.write_errors,
+                         "read_errors": self.read_errors},
+        }
 
     def prune_stale(self) -> int:
         """Delete result dirs for other schema versions / code states."""
@@ -458,199 +476,50 @@ class ResultCache:
         return removed
 
 
+
+
 # ----------------------------------------------------------------------
-# The runner
+# Execution
 # ----------------------------------------------------------------------
-@dataclass
-class RunnerMetrics:
-    """Cumulative execution metrics (the acceptance-check surface)."""
-
-    jobs_done: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    retries: int = 0
-    failures: int = 0
-    wall_times: List[float] = field(default_factory=list)
-
-    @property
-    def total_wall_time(self) -> float:
-        return sum(self.wall_times)
-
-
-@dataclass
-class ProgressEvent:
-    """One completed job, as reported to the progress callback."""
-
-    done: int
-    total: int
-    key: RunKey
-    source: str  # "cache" | "run"
-    wall_time: float
-
-
-def _execute_key(key: RunKey):
-    """Worker entry point: simulate one key (module-level: picklable)."""
-    start = time.perf_counter()
+def execute_key(key: RunKey, progress=None) -> RunSummary:
+    """Simulate one key.  The serial path, the inline service and the
+    service's pool workers all run a point through here; ``progress``
+    is an optional :class:`~repro.obs.forward.ProgressForwarder`
+    (observational: the summary is identical with or without it)."""
     run = run_benchmark(key.benchmark, config=key.config,
                         instructions=key.instructions, warmup=key.warmup,
-                        scale=key.scale, seed=key.seed)
-    return RunSummary.from_run(run, seed=key.seed), time.perf_counter() - start
+                        scale=key.scale, seed=key.seed, progress=progress)
+    return RunSummary.from_run(run, seed=key.seed)
 
 
-class ParallelRunner:
-    """Executes batches of :class:`RunKey`, memoised and in parallel.
-
-    ``jobs <= 1`` runs in-process (bit-identical to direct
-    ``run_benchmark`` calls -- the simulations are deterministic, so the
-    parallel path produces the same summaries, just sooner).
-    """
-
-    def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 timeout: float = 600.0,
-                 progress: Optional[Callable[[ProgressEvent], None]] = None):
-        self.jobs = max(1, int(jobs))
-        self.cache = cache
-        self.timeout = timeout
-        self.progress = progress
-        self.metrics = RunnerMetrics()
-
-    # ------------------------------------------------------------------
-    def run(self, benchmark: str, config: Optional[SimConfig] = None,
-            instructions: int = DEFAULT_INSTRUCTIONS,
-            warmup: int = DEFAULT_WARMUP, scale: int = DEFAULT_SCALE,
-            seed: int = 1) -> RunSummary:
-        """Single-run convenience wrapper over :meth:`run_batch`."""
-        key = RunKey.make(benchmark, config, instructions, warmup, scale,
-                          seed)
-        return self.run_batch([key])[key]
-
-    def run_batch(self, keys: Iterable[RunKey]) -> Dict[RunKey, RunSummary]:
-        """Execute every unique key; returns ``{key: summary}``.
-
-        Duplicates collapse to one simulation; memoised results are
-        served from the cache without running anything.
-        """
-        unique = list(dict.fromkeys(keys))
-        total = len(unique)
-        results: Dict[RunKey, RunSummary] = {}
-        pending: List[RunKey] = []
-        for key in unique:
-            cached = self.cache.get(key) if self.cache else None
-            if cached is not None:
-                results[key] = cached
-                self.metrics.cache_hits += 1
-                self._report(len(results), total, key, "cache", 0.0)
-            else:
-                pending.append(key)
-
-        if pending:
-            if self.jobs > 1 and len(pending) > 1:
-                executed = self._run_pool(pending, len(results), total)
-            else:
-                executed = self._run_serial(pending, len(results), total)
-            for key, summary in executed.items():
-                results[key] = summary
-                if self.cache is not None:
-                    self.cache.put(key, summary)
-        return results
-
-    # ------------------------------------------------------------------
-    def _record(self, key: RunKey, elapsed: float, done: int,
-                total: int) -> None:
-        self.metrics.executed += 1
-        self.metrics.wall_times.append(elapsed)
-        self._report(done, total, key, "run", elapsed)
-
-    def _report(self, done: int, total: int, key: RunKey, source: str,
-                elapsed: float) -> None:
-        self.metrics.jobs_done += 1
-        if self.progress is not None:
-            self.progress(ProgressEvent(done=done, total=total, key=key,
-                                        source=source, wall_time=elapsed))
-
-    def _run_serial(self, pending: Sequence[RunKey], done: int,
-                    total: int) -> Dict[RunKey, RunSummary]:
-        out = {}
-        for key in pending:
-            try:
-                summary, elapsed = _execute_key(key)
-            except Exception:
-                self.metrics.retries += 1
-                try:
-                    summary, elapsed = _execute_key(key)
-                except Exception:
-                    self.metrics.failures += 1
-                    raise
-            out[key] = summary
-            done += 1
-            self._record(key, elapsed, done, total)
-        return out
-
-    def _run_pool(self, pending: Sequence[RunKey], done: int,
-                  total: int) -> Dict[RunKey, RunSummary]:
-        out = {}
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(pool.submit(_execute_key, key), key)
-                       for key in pending]
-            for future, key in futures:
-                try:
-                    summary, elapsed = future.result(timeout=self.timeout)
-                except Exception:
-                    # Timeout, worker crash, or job error: retry once
-                    # in-process (robust even if the pool is poisoned).
-                    self.metrics.retries += 1
-                    try:
-                        summary, elapsed = _execute_key(key)
-                    except Exception:
-                        self.metrics.failures += 1
-                        raise
-                out[key] = summary
-                done += 1
-                self._record(key, elapsed, done, total)
-        return out
+#: The executor :func:`run_many` hands its unique keys to; ``None`` runs
+#: them serially in-process.
+_EXECUTOR: contextvars.ContextVar[
+    Optional[Callable[[List[RunKey]], Dict[RunKey, RunSummary]]]
+] = contextvars.ContextVar("repro_run_many_executor", default=None)
 
 
-# ----------------------------------------------------------------------
-# Process-wide runner (what the figure harnesses route through)
-# ----------------------------------------------------------------------
-_active_runner: Optional[ParallelRunner] = None
-
-
-def get_runner() -> ParallelRunner:
-    """The ambient runner; defaults to serial, uncached execution
-    (``$REPRO_JOBS`` overrides the default worker count)."""
-    global _active_runner
-    if _active_runner is None:
-        _active_runner = ParallelRunner(
-            jobs=int(os.environ.get("REPRO_JOBS", "1")))
-    return _active_runner
-
-
-def set_runner(runner: Optional[ParallelRunner]) -> None:
-    global _active_runner
-    _active_runner = runner
-
-
-def configure(jobs: int = 1, use_cache: bool = False, cache_dir=None,
-              progress=None, timeout: float = 600.0) -> ParallelRunner:
-    """Build and install the ambient runner (CLI entry point)."""
-    cache = ResultCache(root=cache_dir) if use_cache else None
-    runner = ParallelRunner(jobs=jobs, cache=cache, timeout=timeout,
-                            progress=progress)
-    set_runner(runner)
-    return runner
+@contextlib.contextmanager
+def bind_executor(execute: Callable[[List[RunKey]],
+                                    Dict[RunKey, RunSummary]]):
+    """Route :func:`run_many` through ``execute`` in the current
+    context (this thread, or this task) until the block exits."""
+    token = _EXECUTOR.set(execute)
+    try:
+        yield execute
+    finally:
+        _EXECUTOR.reset(token)
 
 
 def run_many(keys: Iterable[RunKey]) -> Dict[RunKey, RunSummary]:
-    """Execute a batch of keys through the ambient runner."""
-    return get_runner().run_batch(keys)
+    """Execute every unique key; returns ``{key: summary}``.
 
-
-def run_one(benchmark: str, config: Optional[SimConfig] = None,
-            instructions: int = DEFAULT_INSTRUCTIONS,
-            warmup: int = DEFAULT_WARMUP, scale: int = DEFAULT_SCALE,
-            seed: int = 1) -> RunSummary:
-    """Execute (or recall) one run through the ambient runner."""
-    return get_runner().run(benchmark, config, instructions, warmup,
-                            scale, seed)
+    Duplicates collapse to one simulation.  The keys go to the executor
+    bound by :func:`bind_executor`; with none bound they run serially
+    in-process.
+    """
+    unique = list(dict.fromkeys(keys))
+    execute = _EXECUTOR.get()
+    if execute is None:
+        return {key: execute_key(key) for key in unique}
+    return execute(unique)

@@ -10,8 +10,8 @@ Three pieces, wired through the runner/CLI and exported behind
   workload, enhancement flags, wall/simulated time via
   :class:`~repro.obs.manifest.Profiler` hooks);
 * :mod:`~repro.obs.export` -- JSON/CSV exporters plus a dependency-free
-  schema validator, and :class:`~repro.obs.progress.Heartbeat`, the
-  progress channel for long figure batches.
+  schema validator, and :class:`~repro.obs.progress.Heartbeat`, which
+  records the points a ``repro figure`` batch's sweep service finishes.
 
 Cost when off is one ``is None`` test per retired instruction -- the same
 pattern :mod:`repro.validate` uses.  Enable per run with

@@ -140,9 +140,9 @@ def _describe_scenario(benchmark: str) -> Optional[Dict]:
         return None
 
 
-def build_batch_manifest(figures, runner_metrics=None,
-                         profiler: Optional[Profiler] = None) -> Dict:
-    """Manifest for a figure-batch export (the heartbeat channel)."""
+def build_batch_manifest(figures, runner: Optional[Dict] = None) -> Dict:
+    """Manifest for a figure-batch export (the heartbeat channel);
+    ``runner`` is the batch's totals from the sweep service counters."""
     from repro import __version__
 
     manifest: Dict = {
@@ -150,15 +150,6 @@ def build_batch_manifest(figures, runner_metrics=None,
         "version": __version__,
         "created_unix": time.time(),
     }
-    if runner_metrics is not None:
-        manifest["runner"] = {
-            "jobs_done": runner_metrics.jobs_done,
-            "executed": runner_metrics.executed,
-            "cache_hits": runner_metrics.cache_hits,
-            "retries": runner_metrics.retries,
-            "failures": runner_metrics.failures,
-            "total_wall_time": runner_metrics.total_wall_time,
-        }
-    if profiler is not None:
-        manifest["wall_time"] = profiler.snapshot()
+    if runner is not None:
+        manifest["runner"] = dict(runner)
     return manifest

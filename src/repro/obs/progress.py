@@ -1,17 +1,16 @@
 """Progress / heartbeat channel for long figure batches and jobs.
 
-A :class:`Heartbeat` subscribes to the parallel runner's per-job progress
-events, keeps the full event list in memory (for the batch export), and
-optionally streams each event as one JSON line to a file -- so an external
-watcher (CI, a dashboard, ``tail -f``) can see a multi-minute batch making
-progress without parsing stderr.
+A :class:`Heartbeat` records each point of a ``repro figure`` batch as
+the in-process sweep service finishes it, keeps the full event list in
+memory (for the batch export), and optionally streams each event as one
+JSON line to a file -- so an external watcher (CI, a dashboard, ``tail
+-f``) can see a multi-minute batch making progress without parsing
+stderr.
 
-An :class:`EventStream` is the subscribable generalisation the sweep
-service (:mod:`repro.service`) hangs off every job: an append-only,
-thread-safe sequence of dict events that consumers can snapshot or
-block-follow from any sequence number.  ``GET /jobs/<id>/events`` streams
-one, and a :class:`Heartbeat` can mirror into one (``stream=...``) so
-batch progress is visible over the same channel.
+An :class:`EventStream` is the subscribable sequence the sweep service
+(:mod:`repro.service`) hangs off every job: an append-only, thread-safe
+sequence of dict events that consumers can snapshot or block-follow
+from any sequence number.  ``GET /jobs/<id>/events`` streams one.
 
 The backlog is bounded (:data:`DEFAULT_BACKLOG` events): a stream that is
 emitted into but never drained -- a forgotten subscriber, a job streaming
@@ -156,47 +155,39 @@ class EventStream:
 class Heartbeat:
     """Collects (and optionally streams) batch progress events."""
 
-    def __init__(self, path=None, stream: Optional[EventStream] = None):
+    def __init__(self, path=None):
         self.events: List[Dict] = []
-        self.stream = stream
         self._started = time.time()
         self._file = open(path, "w") if path is not None else None
 
-    def emit(self, event) -> None:
-        """Record one :class:`~repro.experiments.parallel.ProgressEvent`."""
+    def emit(self, *, done: int, total: int, key, source: str,
+             wall_time: float) -> None:
+        """Record one finished point: ``key`` is its
+        :class:`~repro.experiments.parallel.RunKey`, ``source`` is
+        ``run``, ``store`` or ``dedup``."""
         record = {
             "t": round(time.time() - self._started, 3),
-            "done": event.done,
-            "total": event.total,
-            "benchmark": event.key.benchmark,
-            "config": event.key.config_hash[:12],
-            "seed": event.key.seed,
-            "source": event.source,
-            "wall_time": event.wall_time,
+            "done": done,
+            "total": total,
+            "benchmark": key.benchmark,
+            "config": key.config_hash[:12],
+            "seed": key.seed,
+            "source": source,
+            "wall_time": wall_time,
         }
         self.events.append(record)
-        if self.stream is not None:
-            self.stream.emit(kind="heartbeat", **record)
         if self._file is not None:
             self._file.write(json.dumps(record) + "\n")
             self._file.flush()
 
-    def close(self, runner_metrics=None) -> None:
-        """Write a terminating summary line and release the stream."""
+    def close(self, runner: Optional[Dict] = None) -> None:
+        """Write a summary line (counts from ``runner``) and close."""
         if self._file is not None:
             summary = {"t": round(time.time() - self._started, 3),
                        "done": len(self.events), "final": True}
-            if runner_metrics is not None:
-                summary["executed"] = runner_metrics.executed
-                summary["cache_hits"] = runner_metrics.cache_hits
-                summary["failures"] = runner_metrics.failures
+            if runner is not None:
+                summary.update({k: runner[k] for k in
+                                ("executed", "cache_hits", "failures")})
             self._file.write(json.dumps(summary) + "\n")
             self._file.close()
             self._file = None
-
-    def __enter__(self) -> "Heartbeat":
-        return self
-
-    def __exit__(self, *exc) -> Optional[bool]:
-        self.close()
-        return None

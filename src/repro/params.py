@@ -11,9 +11,7 @@ preserves the reuse-distance relationships the paper's mechanisms exploit.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 #: Architectural constants (57-bit VA, 4KB pages, 64B lines, 8B PTEs).
 PAGE_SHIFT = 12
@@ -37,66 +35,6 @@ DEFAULT_SCALE = 16
 BACKENDS = ("python", "numpy")
 
 
-# ----------------------------------------------------------------------
-# Public-name normalisation
-# ----------------------------------------------------------------------
-#: Deprecated replacement-policy spellings -> canonical registry names.
-#: Canonical names are lowercase snake_case (``t_drrip``, ``newsign_ship``);
-#: hyphenated / capitalised paper spellings and historical shorthands are
-#: accepted with a one-time DeprecationWarning.
-_POLICY_ALIASES = {
-    "rand": "random",
-    "tdrrip": "t_drrip",
-    "tship": "t_ship",
-    "thawkeye": "t_hawkeye",
-    "new_sign_ship": "newsign_ship",
-}
-
-#: Deprecated :class:`EnhancementConfig` flag names -> canonical names.
-_FLAG_ALIASES = {
-    "t_llc": "t_ship",
-    "new_signatures": "newsign",
-}
-
-_warned_names: set = set()
-
-
-def _warn_once(old: str, new: str, kind: str) -> None:
-    if old in _warned_names:
-        return
-    _warned_names.add(old)
-    warnings.warn(
-        f"{kind} name {old!r} is deprecated; use {new!r}",
-        DeprecationWarning, stacklevel=3)
-
-
-def reset_deprecation_warnings() -> None:
-    """Clear the warn-once state (every deprecation warns again).
-
-    Warn-once state is process-global; without a reset, whichever test
-    touches a deprecated name first steals the warning from every later
-    assertion, making ``pytest.warns`` order-dependent.  The autouse
-    fixture in ``tests/conftest.py`` calls this around each test.
-    """
-    _warned_names.clear()
-
-
-def canonical_policy(name: str) -> str:
-    """Map a replacement-policy string to its canonical registry name.
-
-    Canonical names pass through untouched.  Deprecated spellings --
-    uppercase, hyphenated (``T-DRRIP``) or legacy shorthands (``rand``)
-    -- are mapped to the canonical name with a one-time
-    DeprecationWarning.  Unknown names pass through unchanged so the
-    registry can report them with its own error.
-    """
-    folded = name.strip().lower().replace("-", "_")
-    canon = _POLICY_ALIASES.get(folded, folded)
-    if canon != name:
-        _warn_once(name, canon, "replacement policy")
-    return canon
-
-
 @dataclass
 class CacheConfig:
     """Geometry and timing of one cache level."""
@@ -109,7 +47,6 @@ class CacheConfig:
     replacement: str = "lru"
 
     def __post_init__(self):
-        self.replacement = canonical_policy(self.replacement)
         if self.ways <= 0 or self.size_bytes <= 0 or self.latency < 0:
             raise ValueError(f"invalid cache geometry for {self.name}")
         if self.size_bytes % (LINE_SIZE * self.ways):
@@ -202,7 +139,7 @@ class CoreConfig:
     replay_issue_latency: int = 24
 
 
-@dataclass(init=False)
+@dataclass
 class EnhancementConfig:
     """Which of the paper's mechanisms are enabled.
 
@@ -216,10 +153,6 @@ class EnhancementConfig:
                         translation miss.
     ``replay_rrpv0`` -- the *misconfiguration* of Fig 10: replays also
                         inserted at RRPV=0.
-
-    The pre-1.1 flag names ``t_llc`` and ``new_signatures`` are accepted
-    as keyword arguments and readable as attributes, with a one-time
-    DeprecationWarning.
     """
 
     t_drrip: bool = False
@@ -228,35 +161,6 @@ class EnhancementConfig:
     atp: bool = False
     tempo: bool = False
     replay_rrpv0: bool = False
-
-    def __init__(self, t_drrip: bool = False, t_ship: bool = False,
-                 newsign: bool = False, atp: bool = False,
-                 tempo: bool = False, replay_rrpv0: bool = False,
-                 **deprecated: bool):
-        values = {"t_drrip": t_drrip, "t_ship": t_ship, "newsign": newsign,
-                  "atp": atp, "tempo": tempo, "replay_rrpv0": replay_rrpv0}
-        for old, value in deprecated.items():
-            try:
-                new = _FLAG_ALIASES[old]
-            except KeyError:
-                raise TypeError(
-                    f"EnhancementConfig got an unexpected flag {old!r}"
-                ) from None
-            _warn_once(old, new, "enhancement flag")
-            values[new] = value
-        for name, value in values.items():
-            setattr(self, name, value)
-
-    # -- deprecated attribute spellings (read-only shims) ----------------
-    @property
-    def t_llc(self) -> bool:
-        _warn_once("t_llc", "t_ship", "enhancement flag")
-        return self.t_ship
-
-    @property
-    def new_signatures(self) -> bool:
-        _warn_once("new_signatures", "newsign", "enhancement flag")
-        return self.newsign
 
     @classmethod
     def none(cls) -> "EnhancementConfig":
@@ -322,8 +226,7 @@ class SimConfig:
     Instances are frozen: deriving a variant goes through
     :meth:`with_`, which returns a new config with the given fields
     overridden (``enhancements`` additionally accepts a preset name).
-    The pre-1.1 ``.replace(...)`` spelling was removed in api v2 and
-    raises with a pointer here.  Sub-configs (:class:`CacheConfig`,
+    Sub-configs (:class:`CacheConfig`,
     :class:`EnhancementConfig`, ...) remain plain mutable dataclasses --
     freezing applies to the top-level field bindings that identify a
     machine, which is what result memoisation hashes.
@@ -402,18 +305,6 @@ class SimConfig:
             overrides = dict(overrides,
                              enhancements=enhancement_preset(enh))
         return dataclasses.replace(self, **overrides)
-
-    def replace(self, **kwargs) -> "SimConfig":
-        """Removed in api v2 -- use :meth:`with_`.
-
-        Deprecated (warn-once) through v1.1-v1.3; the v2 major bump
-        retires it.  The body stays only to name the successor loudly
-        instead of raising a bare ``AttributeError``.
-        """
-        raise RuntimeError(
-            "SimConfig.replace() was removed in repro.api v2; use "
-            "SimConfig.with_(...) instead (same signature, and "
-            "enhancements= additionally accepts a preset name)")
 
 
 def paper_config() -> SimConfig:

@@ -12,9 +12,9 @@ through the ordinary ``repro.api`` / ``experiments.runner`` path.
 * :func:`compile_scenario` -- document -> deterministic ``Trace``;
 * :func:`list_scenarios` / :func:`load_scenario` -- the checked-in
   ``SYN-*`` / ``RL-*`` library;
-* :func:`run_scenario` / :func:`write_results` -- execution through the
-  (memoised, parallel) runner with ``repro.scenario-result/v1`` JSONL
-  output;
+* :func:`run_scenario` / :func:`write_results` -- execution through
+  ``run_many`` (a stored job under ``repro scenario run``) with
+  ``repro.scenario-result/v1`` JSONL output;
 * :func:`validate_scenario` -- parse + config + compile smoke check,
   what ``python -m repro scenario validate`` runs per document.
 

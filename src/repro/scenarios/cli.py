@@ -7,39 +7,13 @@ Kept out of ``repro.__main__`` (which imports nothing deeper than the
 
 from __future__ import annotations
 
-import argparse
 import sys
 from typing import List
 
+from repro.cli import int_at_least
 from repro.scenarios import (ScenarioError, library_paths, list_scenarios,
                              load_scenario, load_scenario_file,
                              run_scenario, validate_scenario, write_results)
-
-
-def positive_int(value: str) -> int:
-    """Argparse type: a strictly positive integer."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {number}")
-    return number
-
-
-def nonnegative_int(value: str) -> int:
-    """Argparse type: an integer >= 0."""
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}") from None
-    if number < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0, got {number}")
-    return number
 
 
 def add_scenario_parser(sub) -> None:
@@ -64,16 +38,14 @@ def add_scenario_parser(sub) -> None:
         "run", help="compile and simulate scenarios, emit JSONL results")
     s_run.add_argument("names", nargs="+", metavar="NAME|PATH",
                        help="library names or document paths")
-    s_run.add_argument("--instructions", type=positive_int, default=None,
+    s_run.add_argument("--instructions", type=int_at_least(1), default=None,
                        help="override the documents' ROI length")
-    s_run.add_argument("--warmup", type=nonnegative_int, default=None,
+    s_run.add_argument("--warmup", type=int_at_least(0), default=None,
                        help="override the documents' warmup length")
-    s_run.add_argument("--scale", type=positive_int, default=None,
+    s_run.add_argument("--scale", type=int_at_least(1), default=None,
                        help="override the documents' reduction scale")
-    s_run.add_argument("--seed", type=nonnegative_int, default=None,
+    s_run.add_argument("--seed", type=int_at_least(0), default=None,
                        help="override the documents' trace seed")
-    s_run.add_argument("--jobs", type=positive_int, default=1,
-                       help="worker processes for independent scenarios")
     s_run.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk result memo")
     s_run.add_argument("--out", metavar="PATH", default=None,
@@ -138,19 +110,21 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.experiments.parallel import configure
-    runner = configure(jobs=args.jobs, use_cache=not args.no_cache)
+    # Inline service: each scenario is one stored job; ad-hoc docs resolve.
+    from repro.service import serving
+    from repro.service.store import temporary_store
     results = []
-    for name in args.names:
-        doc = _load(name)
-        result = run_scenario(doc, instructions=args.instructions,
-                              warmup=args.warmup, scale=args.scale,
-                              seed=args.seed, runner=runner)
-        results.append(result)
-        s = result.summary
-        print(f"{doc.name:<28} ipc={s.ipc:7.4f} cycles={s.cycles:>10} "
-              f"stlb_mpki={s.stlb_mpki:8.3f} "
-              f"run_key={result.key.digest[:12]}")
+    with temporary_store(args.no_cache) as store, serving(store=store):
+        for name in args.names:
+            doc = _load(name)
+            result = run_scenario(doc, instructions=args.instructions,
+                                  warmup=args.warmup, scale=args.scale,
+                                  seed=args.seed)
+            results.append(result)
+            s = result.summary
+            print(f"{doc.name:<28} ipc={s.ipc:7.4f} "
+                  f"cycles={s.cycles:>10} stlb_mpki={s.stlb_mpki:8.3f} "
+                  f"run_key={result.key.digest[:12]}")
     if args.out:
         records = write_results(results, args.out)
         print(f"wrote {len(records)} result line(s) to {args.out}")

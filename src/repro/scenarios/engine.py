@@ -5,11 +5,10 @@ compiled mix: :func:`run_scenario` builds the effective
 :class:`~repro.params.SimConfig` (document overrides over the scale
 default), forms a scenario-aware
 :class:`~repro.experiments.parallel.RunKey` (the key carries the
-document digest, so editing a scenario invalidates its cached results)
-and routes it through the ambient
-:class:`~repro.experiments.parallel.ParallelRunner` -- memoisation,
-worker fan-out and progress reporting all behave exactly as for direct
-runs.
+document digest, so editing a scenario invalidates its stored results)
+and runs it through :func:`~repro.experiments.parallel.run_many`:
+serially in-process, or -- under ``repro scenario run`` -- as one
+``scenario`` job of an inline sweep service, memoised in its store.
 
 Results emit as ``repro.scenario-result/v1`` JSONL lines: schema-stable,
 RunKey-keyed records suitable for time-series tracking and the CI
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.experiments.parallel import (ParallelRunner, RunKey, RunSummary,
-                                        get_runner)
+from repro.experiments.parallel import RunKey, RunSummary, run_many
 from repro.params import SimConfig, default_config
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.doc import ScenarioDoc, ScenarioError, parse_scenario
@@ -83,7 +81,7 @@ def describe_scenario(name: str) -> Optional[Dict]:
 @dataclass
 class ScenarioResult:
     """One executed scenario: the document, its run identity, and the
-    picklable :class:`RunSummary` the runner produced."""
+    picklable :class:`RunSummary` its run produced."""
 
     doc: ScenarioDoc
     key: RunKey
@@ -154,9 +152,8 @@ def run_scenario(scenario: Union[str, Dict, ScenarioDoc], *,
                  warmup: Optional[int] = None,
                  scale: Optional[int] = None,
                  seed: Optional[int] = None,
-                 config: Optional[SimConfig] = None,
-                 runner: Optional[ParallelRunner] = None) -> ScenarioResult:
-    """Execute one scenario through the runner path.
+                 config: Optional[SimConfig] = None) -> ScenarioResult:
+    """Execute one scenario through :func:`run_many`.
 
     ``scenario`` is a library name, a document path, a decoded dict or a
     parsed :class:`ScenarioDoc`; the keyword overrides take precedence
@@ -180,23 +177,17 @@ def run_scenario(scenario: Union[str, Dict, ScenarioDoc], *,
                 f"{doc.name}: bad config override ({exc})") from None
 
     # Library documents resolve by name in any process; everything else
-    # must register in *this* process and run serially (a worker process
-    # could not rebuild the trace from the name alone).
+    # registers in *this* process, so it runs serially or on an inline
+    # service (a pool worker could not rebuild the trace from the name).
     in_library = (doc.name in library_paths()
                   and _ADHOC.get(doc.name) is None
                   and load_scenario(doc.name).digest == doc.digest)
     if not in_library:
         register_scenario(doc)
 
-    active = runner or get_runner()
-    if not in_library and active.jobs > 1:
-        active = ParallelRunner(jobs=1, cache=active.cache,
-                                timeout=active.timeout,
-                                progress=active.progress)
-
     key = RunKey(benchmark=doc.name, config=cfg, seed=sd, instructions=n,
                  warmup=w, scale=sc, scenario=doc.digest)
-    summary = active.run_batch([key])[key]
+    summary = run_many([key])[key]
     return ScenarioResult(doc=doc, key=key, summary=summary)
 
 

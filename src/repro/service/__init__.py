@@ -1,11 +1,12 @@
 """Async sweep service over a content-addressed job store.
 
-The productionised successor to driving ``ParallelRunner`` by hand:
-runs, scenarios, sweeps, figures and traces are submitted as jobs keyed
-by :class:`RunKey` digests, executed across a multiprocess worker pool,
-deduplicated against a sharded on-disk store, with priorities,
-bounded-queue back-pressure, resumable partial sweeps and a per-job
-progress event stream.
+The one executor of simulations: runs, scenarios, sweeps, figures and
+traces are submitted as jobs keyed by :class:`RunKey` digests, executed
+across a multiprocess worker pool, deduplicated against a sharded
+on-disk store, with priorities, bounded-queue back-pressure, resumable
+partial sweeps and a per-job progress event stream.  A figure job's
+points, and every ``repro figure`` / ``repro scenario run`` point
+(:func:`serving`), are ordinary ``run`` jobs of a service.
 
 Three front doors:
 
@@ -25,7 +26,7 @@ from typing import Optional
 
 from repro.service.core import (DEFAULT_QUEUE_SIZE, JobHandle,
                                 ServiceMetrics, ServiceSaturated,
-                                SweepService, execute_spec)
+                                SweepService, execute_spec, serving)
 from repro.service.jobs import (DEFAULT_PRIORITY, JOB_KINDS, Job,
                                 JobError, JobSpec, JobStatus)
 from repro.service.store import MANIFEST_SCHEMA, JobStore
@@ -35,7 +36,7 @@ __all__ = [
     "Job", "JobError", "JobHandle", "JobSpec", "JobStatus", "JobStore",
     "MANIFEST_SCHEMA", "ServiceMetrics", "ServiceSaturated",
     "SweepService", "configure_service", "execute_spec", "get_service",
-    "serve", "submit", "telemetry_snapshot",
+    "serve", "serving", "submit", "telemetry_snapshot",
 ]
 
 # ----------------------------------------------------------------------

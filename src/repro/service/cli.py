@@ -9,12 +9,13 @@ stdlib ``urllib`` only.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import urllib.error
 import urllib.request
 from typing import Dict, Optional
+
+from repro.cli import int_at_least
 
 DEFAULT_URL = "http://127.0.0.1:8765"
 
@@ -163,18 +164,6 @@ def cmd_cancel(args) -> int:
 # ----------------------------------------------------------------------
 # Parser registration (called from repro.__main__)
 # ----------------------------------------------------------------------
-def _positive_int(value: str) -> int:
-    try:
-        number = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {value!r}") from None
-    if number <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {number}")
-    return number
-
-
 def _add_url(parser) -> None:
     parser.add_argument("--url", default=DEFAULT_URL,
                         help=f"service base URL (default {DEFAULT_URL})")
@@ -190,12 +179,12 @@ def add_service_parsers(sub) -> None:
     p_serve.add_argument("--workers", type=int, default=None,
                          help="worker processes (default: cpu count; "
                               "0 executes inline)")
-    p_serve.add_argument("--queue-size", type=_positive_int, default=None,
+    p_serve.add_argument("--queue-size", type=int_at_least(1), default=None,
                          help="bounded queue depth (back-pressure)")
     p_serve.add_argument("--store", metavar="DIR", default=None,
                          help="job-store root (default "
                               "~/.cache/repro-runs or $REPRO_CACHE_DIR)")
-    p_serve.add_argument("--progress-interval", type=_positive_int,
+    p_serve.add_argument("--progress-interval", type=int_at_least(1),
                          default=None,
                          help="instructions between forwarded "
                               "job-progress rows (default 5000)")
@@ -216,11 +205,11 @@ def add_service_parsers(sub) -> None:
                           help="benchmarks of a sweep's child runs")
     p_submit.add_argument("--enhancements", default=None)
     p_submit.add_argument("--backend", default=None)
-    p_submit.add_argument("--instructions", type=_positive_int,
+    p_submit.add_argument("--instructions", type=int_at_least(1),
                           default=None)
-    p_submit.add_argument("--warmup", type=_positive_int, default=None)
-    p_submit.add_argument("--scale", type=_positive_int, default=None)
-    p_submit.add_argument("--seed", type=_positive_int, default=None)
+    p_submit.add_argument("--warmup", type=int_at_least(0), default=None)
+    p_submit.add_argument("--scale", type=int_at_least(1), default=None)
+    p_submit.add_argument("--seed", type=int_at_least(0), default=None)
     p_submit.add_argument("--priority", type=int, default=None,
                           help="lower runs sooner")
     p_submit.add_argument("--wait", action="store_true",
@@ -248,9 +237,9 @@ def add_service_parsers(sub) -> None:
         "top", help="live dashboard over a running service")
     p_top.add_argument("--interval", type=float, default=1.0,
                        help="seconds between redraws")
-    p_top.add_argument("--limit", type=_positive_int, default=20,
+    p_top.add_argument("--limit", type=int_at_least(1), default=20,
                        help="max job rows shown")
-    p_top.add_argument("--width", type=_positive_int, default=None,
+    p_top.add_argument("--width", type=int_at_least(1), default=None,
                        help="frame width (default 100 columns)")
     p_top.add_argument("--once", action="store_true",
                        help="print one frame and exit (no ANSI)")

@@ -14,39 +14,43 @@ interesting properties, all pinned by ``tests/test_service.py``:
   ``wait=False`` (the HTTP server) raises :class:`ServiceSaturated`,
   which surfaces as ``503 Retry-After``.
 * **Priorities.**  Lower numbers run first; ties resolve in submission
-  order (a deterministic total order, relied on by tests).
+  order (a deterministic total order, relied on by tests), a parent's
+  children taking its place.
 * **Worker loss is not job loss.**  A job whose worker process dies
   (``BrokenExecutor``) is re-queued up to ``max_attempts``; the pool is
   rebuilt lazily.
-* **Resumable sweeps.**  A ``sweep`` job expands into child run specs;
-  children whose digests are already stored are skipped, so
-  resubmitting a partially-completed sweep only executes the remainder.
+* **Parents expand into run children.**  A ``sweep`` expands into run
+  specs; a ``figure`` runs its harness on a thread, whose ``run_many``
+  submits each point as a ``run`` job.  Stored children are skipped (a
+  resubmitted partial sweep runs only the gap); parents never hold a
+  drain slot.  :func:`serving` binds ``run_many`` the same way for
+  ``repro figure`` and ``repro scenario run``.
 
-Execution is ``execute_spec`` -- a module-level, picklable function --
-either inline (``workers=0``: synchronous, deterministic, what the
-tests drive) or via ``ProcessPoolExecutor``.
+Queued jobs execute through ``execute_spec`` -- a module-level,
+picklable function -- either inline (``workers=0``: synchronous,
+deterministic, what the tests drive) or via ``ProcessPoolExecutor``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import functools
 import itertools
-import os
 import threading
 import time
 from collections import deque
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import ParallelRunner, RunSummary
+from repro.experiments.parallel import (ResultCache, RunKey, RunSummary,
+                                        bind_executor, execute_key)
+from repro.experiments.payloads import figure_payload, trace_payload
 from repro.obs.log import get_logger
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL
 from repro.obs.telemetry import TelemetryRegistry
 from repro.service.jobs import (DEFAULT_PRIORITY, Job, JobError, JobSpec,
-                                JobStatus)
-from repro.service.store import JobStore
+                                JobStatus, point_spec)
 
 #: Default queue bound; small enough that a runaway sweep generator
 #: feels back-pressure quickly, large enough to keep a pool busy.
@@ -57,10 +61,8 @@ DEFAULT_QUEUE_SIZE = 256
 #: digest; only the in-memory Job (status doc + event history) goes.
 DEFAULT_RETENTION = 1024
 
-#: Job kinds whose workers forward live ``job-progress`` rows.  Only
-#: ``run`` for now: scenarios and figures drive their own batching
-#: and would need per-component budgets to report a meaningful pct.
-PROGRESS_KINDS = ("run",)
+#: Job kinds that run as tasks expanding into children, never in a drain.
+PARENT_KINDS = ("sweep", "figure")
 
 
 class ServiceSaturated(RuntimeError):
@@ -76,71 +78,28 @@ class _WorkerLost(RuntimeError):
 # ----------------------------------------------------------------------
 def execute_spec(spec_dict: Dict, progress: Optional[Callable] = None,
                  progress_interval: Optional[int] = None) -> Dict:
-    """Execute one job spec; returns its JSON payload.
+    """Execute one queued job spec; returns its JSON payload.
 
-    Run/scenario payloads are bare
-    :class:`~repro.experiments.parallel.RunSummary` dicts -- the exact
-    document :class:`~repro.experiments.parallel.ResultCache` memoises,
-    so service store entries and runner cache entries are
-    interchangeable.
-
-    ``progress`` is an optional per-interval row sink (see
-    :mod:`repro.obs.forward`); only ``run`` specs forward (the other
-    kinds ignore it).  Forwarding is observational -- the payload is
-    bit-identical with or without it.
+    A ``run`` or ``scenario`` spec is one :class:`RunKey`, and its
+    payload the bare ``RunSummary`` dict stored under that key's digest.
+    ``progress`` is an optional per-interval row sink for those two
+    kinds (see :mod:`repro.obs.forward`); the payload is bit-identical
+    with or without it.  Sweeps and figures expand in the service.
     """
-    from repro import api
-    from repro.experiments.runner import run_benchmark
-    from repro.service.jobs import run_config, scenario_base_config
-
     spec = JobSpec.from_dict(spec_dict)
-    p = spec.to_dict()
-    kind = spec.kind
-    if kind == "run":
-        key = spec.run_key()
+    key = spec.run_key()
+    if key is not None:
         forwarder = None
         if progress is not None and progress_interval:
             from repro.obs.forward import ProgressForwarder
             forwarder = ProgressForwarder(
                 progress, total_instructions=key.instructions,
                 interval=progress_interval)
-        run = run_benchmark(key.benchmark, config=key.config,
-                            instructions=key.instructions,
-                            warmup=key.warmup, scale=key.scale,
-                            seed=key.seed, progress=forwarder)
-        return RunSummary.from_run(run, seed=key.seed).to_dict()
-    if kind == "scenario":
-        from repro.scenarios import run_scenario
-        scale = p.get("scale")
-        base = None
-        if p.get("backend"):
-            from repro.scenarios import load_scenario
-            doc = load_scenario(p["scenario"])
-            base = scenario_base_config(
-                p, int(scale if scale is not None else doc.scale))
-        result = run_scenario(
-            p["scenario"], instructions=p.get("instructions"),
-            warmup=p.get("warmup"), scale=scale, seed=p.get("seed"),
-            config=base, runner=ParallelRunner(jobs=1))
-        return result.summary.to_dict()
-    if kind == "figure":
-        kwargs = {k: p[k] for k in ("instructions", "warmup")
-                  if k in p}
-        if p.get("benchmarks"):
-            kwargs["benchmarks"] = list(p["benchmarks"])
-        result = api.figure(p["figure"], **kwargs)
-        return {"kind": "figure", "figure": p["figure"],
-                "result": result.to_dict()}
-    if kind == "trace":
-        scale = int(p.get("scale", api.DEFAULT_SCALE))
-        kwargs = {k: p[k] for k in ("instructions", "warmup", "seed")
-                  if k in p}
-        doc = api.trace(p["benchmark"], sample=p.get("sample", 1),
-                        config=run_config(p, scale), scale=scale,
-                        **kwargs)
-        return {"kind": "trace", "benchmark": p["benchmark"],
-                "document": doc}
-    raise JobError(f"unknown job kind {kind!r}")
+        return execute_key(key, progress=forwarder).to_dict()
+    if spec.kind == "trace":
+        return trace_payload(spec.to_dict())
+    raise JobError(f"{spec.kind} jobs expand in the service; "
+                   "only run, scenario and trace specs execute")
 
 
 #: The service checks this attribute before passing progress kwargs, so
@@ -215,7 +174,7 @@ class SweepService:
     fail deterministically).
     """
 
-    def __init__(self, store: Optional[JobStore] = None,
+    def __init__(self, store: Optional[ResultCache] = None,
                  workers: int = 0,
                  queue_size: int = DEFAULT_QUEUE_SIZE,
                  max_attempts: int = 2,
@@ -231,7 +190,7 @@ class SweepService:
             raise ValueError("retention must be positive")
         if progress_interval is not None and progress_interval <= 0:
             raise ValueError("progress_interval must be positive or None")
-        self.store = store if store is not None else JobStore()
+        self.store = store if store is not None else ResultCache()
         self.workers = max(0, int(workers))
         self.queue_size = queue_size
         self.max_attempts = max_attempts
@@ -245,7 +204,10 @@ class SweepService:
         self._seq = itertools.count()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._tasks: List[asyncio.Task] = []
-        self._sweeps: List[asyncio.Task] = []
+        self._parents: List[asyncio.Task] = []  # sweep and figure tasks
+        #: Futures harness threads block on in :meth:`run_points`.
+        self._bridged: set = set()
+        self._bridge_lock = threading.Lock()
         self._done_events: Dict[str, asyncio.Event] = {}
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._started_mono = time.monotonic()
@@ -345,16 +307,21 @@ class SweepService:
         return self
 
     async def close(self) -> None:
-        """Cancel drain tasks and shut the pool down."""
-        for task in self._tasks + self._sweeps:
+        """Cancel drain and parent tasks, release every harness thread
+        blocked on child jobs, and shut the pool down."""
+        with self._bridge_lock:
+            self.loop = None  # run_points refuses new batches from here
+            for future in self._bridged:
+                future.cancel()
+        for task in self._tasks + self._parents:
             task.cancel()
-        for task in self._tasks + self._sweeps:
+        for task in self._tasks + self._parents:
             try:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
         self._tasks.clear()
-        self._sweeps.clear()
+        self._parents.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -370,7 +337,6 @@ class SweepService:
             self._progress_queue = None
             self._progress_thread = None
         self._queue = None
-        self.loop = None
 
     @property
     def started(self) -> bool:
@@ -391,7 +357,10 @@ class SweepService:
 
     async def submit_spec(self, spec: JobSpec, *,
                           priority: int = DEFAULT_PRIORITY,
-                          wait: bool = True) -> Job:
+                          wait: bool = True,
+                          parent: Optional[Job] = None) -> Job:
+        """:meth:`submit` for a built spec; a ``parent`` sweep or figure
+        submits its children here, and they queue at its place."""
         if isinstance(priority, bool) or not isinstance(priority, int):
             # Rejected before the job exists: a non-int would poison the
             # priority heap's tuple ordering for every later submission.
@@ -411,7 +380,7 @@ class SweepService:
                            kind=spec.kind)
             return existing
 
-        stored = self.store.get_payload(digest)
+        stored = self.store.get_raw(digest)
         if stored is not None:
             job = Job(spec=spec, priority=priority, digest=digest)
             job.source = "store"
@@ -425,15 +394,17 @@ class SweepService:
             self._finish(job)
             return job
 
-        job = Job(spec=spec, priority=priority, digest=digest)
+        job = Job(spec=spec, priority=priority, digest=digest,
+                  place=parent.place if parent else next(self._seq))
         self._register(job)
         self._inflight[digest] = job
         job.events.emit(kind="status", status="pending", job=job.id)
         self._log.emit("job-submitted", job=job.id, digest=digest,
                        kind=spec.kind, priority=priority)
-        if spec.kind == "sweep":
-            self._sweeps.append(
-                asyncio.ensure_future(self._run_sweep(job)))
+        if spec.kind in PARENT_KINDS:
+            run = self._run_sweep if spec.kind == "sweep" \
+                else self._run_figure
+            self._parents.append(asyncio.ensure_future(run(job)))
             return job
         await self._enqueue(job, wait=wait)
         return job
@@ -446,7 +417,7 @@ class SweepService:
         job.events.on_drop = self._dropped_events.inc
 
     async def _enqueue(self, job: Job, *, wait: bool) -> None:
-        item = (job.priority, next(self._seq), job)
+        item = (job.priority, job.place, next(self._seq), job)
         try:
             if wait:
                 await self._queue.put(item)
@@ -526,20 +497,20 @@ class SweepService:
         return job
 
     def cancel(self, job: Job) -> bool:
-        """Cancel a pending job (running jobs finish; sweeps cancel
-        their pending children)."""
+        """Cancel a pending job (running jobs finish; sweeps and
+        figures cancel their pending children)."""
+        parent = job.spec.kind in PARENT_KINDS
         if job.status is not JobStatus.PENDING \
-                and not (job.spec.kind == "sweep"
-                         and job.status is JobStatus.RUNNING):
+                and not (parent and job.status is JobStatus.RUNNING):
             return False
-        if job.spec.kind == "sweep":
-            # Only this sweep's own children -- a dedup-shared child
+        if parent:
+            # Only this parent's own children -- a dedup-shared child
             # (another submitter attached to it) keeps running.
             for child in list(job.children):
                 if child.status is JobStatus.PENDING \
                         and child.dedup_hits == 0:
                     self._drop(child, JobStatus.CANCELLED,
-                               error="sweep cancelled")
+                               error=f"{job.spec.kind} cancelled")
         self._drop(job, JobStatus.CANCELLED)
         return True
 
@@ -573,7 +544,7 @@ class SweepService:
     # -- execution -------------------------------------------------------
     async def _drain(self) -> None:
         while True:
-            _, _, job = await self._queue.get()
+            *_, job = await self._queue.get()
             try:
                 if job.status is not JobStatus.PENDING:
                     continue  # cancelled while queued
@@ -605,50 +576,54 @@ class SweepService:
                         # Never a blocking put: this coroutine IS the
                         # consumer that would have to free the slot, so
                         # awaiting a full queue here deadlocks.
-                        self._queue.put_nowait(
-                            (job.priority, next(self._seq), job))
+                        self._queue.put_nowait((job.priority, job.place,
+                                                next(self._seq), job))
                     except asyncio.QueueFull:
                         continue  # retry inline instead of requeueing
                     return
-                self._count("failures")
-                job.error = f"worker lost x{job.attempts}: {exc}"
-                self._log.emit("job-failed", job=job.id, error=job.error)
-                job.transition(JobStatus.FAILED, error=job.error)
-                self._finish(job)
+                self._fail(job, f"worker lost x{job.attempts}: {exc}")
                 return
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # job error: terminal, not retried
-                self._count("failures")
-                job.error = f"{type(exc).__name__}: {exc}"
-                self._log.emit("job-failed", job=job.id, error=job.error)
-                job.transition(JobStatus.FAILED, error=job.error)
-                self._finish(job)
+                self._fail(job, f"{type(exc).__name__}: {exc}")
                 return
             else:
-                self._persist(job, payload)
-                job.payload = payload
-                self._count("executed")
                 self._record_batch_telemetry(payload)
                 self._emit_final_progress(job, payload)
-                self._log.emit("job-done", job=job.id, digest=job.digest)
-                job.transition(JobStatus.DONE, source="run",
-                               persisted=job.persisted)
-                self._finish(job)
+                self._done(job, payload)
                 return
+
+    def _done(self, job: Job, payload: Dict) -> None:
+        """Finish a job that produced ``payload``: store it, count the
+        execution and transition to DONE."""
+        self._persist(job, payload)
+        job.payload = payload
+        self._count("executed")
+        self._log.emit("job-done", job=job.id, digest=job.digest)
+        job.transition(JobStatus.DONE, source="run",
+                       persisted=job.persisted)
+        self._finish(job)
+
+    def _fail(self, job: Job, error: str) -> None:
+        self._count("failures")
+        job.error = error
+        self._log.emit("job-failed", job=job.id, error=error)
+        job.transition(JobStatus.FAILED, error=error)
+        self._finish(job)
 
     def _persist(self, job: Job, payload: Dict) -> None:
         """Store a finished job's payload and record on the job whether
         it landed.  A failed write (already counted in the store's
         ``write_errors``) does not fail the job: its payload is valid."""
-        job.persisted = self.store.put_payload(job.digest, payload)
+        job.persisted = self.store.put_raw(job.digest, payload)
         if not job.persisted:
             self._log.emit("job-not-persisted", job=job.id,
                            digest=job.digest)
 
     async def _execute_job(self, job: Job) -> Dict:
         spec_dict = job.spec.to_dict()
-        forward = self._progress_enabled(job)
+        forward = self._progress_enabled()
         if self.workers <= 0:
             # Inline mode: synchronous and deterministic.  Worker-loss
             # simulation (tests) still surfaces as requeue-able.
@@ -689,12 +664,12 @@ class SweepService:
         return self._pool
 
     # -- progress forwarding ---------------------------------------------
-    def _progress_enabled(self, job: Job) -> bool:
-        """Forward live rows for this job?  Requires an executor that
+    def _progress_enabled(self) -> bool:
+        """Forward live rows from queued jobs?  Requires an executor that
         understands the progress kwargs (injected test stubs keep their
-        one-argument signature and are never handed them)."""
+        one-argument signature and are never handed them); the ``trace``
+        branch ignores them."""
         return (self.progress_interval is not None
-                and job.spec.kind in PROGRESS_KINDS
                 and getattr(self._execute, "supports_progress", False))
 
     def _on_progress_row(self, job_id: str, row: Dict) -> None:
@@ -747,7 +722,7 @@ class SweepService:
         the payload itself, so consumers always see a closing row whose
         counters match the stored RunSummary exactly.
         """
-        if not self._progress_enabled(job):
+        if not self._progress_enabled():
             return
         if not isinstance(payload, dict) or "cycles" not in payload:
             return
@@ -791,67 +766,216 @@ class SweepService:
             except Exception:
                 continue  # a malformed row must not kill the drain
 
-    # -- sweeps ----------------------------------------------------------
-    async def _run_sweep(self, job: Job) -> None:
-        if job.status.terminal:
-            return  # cancelled before expansion got to run
-        try:
-            children = job.spec.sweep_children()
-        except (JobError, TypeError, ValueError) as exc:
-            self._count("failures")
-            job.error = f"bad sweep: {exc}"
-            job.transition(JobStatus.FAILED, error=job.error)
-            self._finish(job)
-            return
-        job.transition(JobStatus.RUNNING, total=len(children))
+    # -- parents: sweeps and figures --------------------------------------
+    async def _run_children(self, parent: Optional[Job],
+                            specs: List[JobSpec],
+                            on_point: Optional[Callable] = None
+                            ) -> Tuple[List[str], List[Job]]:
+        """Skip specs already stored, submit the rest (attaching to
+        identical in-flight jobs), wait for all; returns the skipped
+        digests and the children.  A ``parent`` owns the children and
+        gets ``<kind>-skip``/``-child``/``-progress`` events; ``on_point
+        (done, total, digest, source, wall_time)`` sees each completed
+        point, ``source`` being ``run``, ``store`` or ``dedup``."""
+        total, done, failed = len(specs), 0, 0
+
+        def emit(event: str, **fields) -> None:
+            if parent is not None:
+                parent.events.emit(kind=f"{parent.spec.kind}-{event}",
+                                   **fields)
+
+        def point(digest: str, source: str, wall_time: float) -> None:
+            nonlocal done
+            done += 1
+            if on_point is not None:
+                on_point(done, total, digest, source, wall_time)
+
         skipped: List[str] = []
-        waiting: List[Job] = []
-        for spec in children:
+        waiting: List[Tuple[Job, str]] = []
+        for spec in specs:
+            if parent is not None and parent.status.terminal:
+                break  # cancelled while expanding
             digest = spec.digest
-            if job.status is JobStatus.CANCELLED:
-                return
             if self.store.contains(digest):
                 # Already completed (possibly by an earlier, partial
                 # attempt at this sweep): resume by skipping it.
                 skipped.append(digest)
                 self._count("store_hits")
-                job.events.emit(kind="sweep-skip", digest=digest,
-                                source="store")
+                emit("skip", digest=digest, source="store")
+                point(digest, "store", 0.0)
                 continue
-            child = await self.submit_spec(spec, priority=job.priority)
-            job.children.append(child)
-            waiting.append(child)
-            job.events.emit(kind="sweep-child", digest=digest,
-                            child=child.id)
-        failed: List[str] = []
-        completed: List[str] = list(skipped)
-        for child in waiting:
+            shared = digest in self._inflight
+            child = await self.submit_spec(
+                spec, priority=parent.priority if parent is not None
+                else DEFAULT_PRIORITY, parent=parent)
+            waiting.append((child, "dedup" if shared else child.source))
+            if parent is not None:
+                parent.children.append(child)
+            emit("child", digest=digest, child=child.id)
+        for child, source in waiting:
             await self.wait(child)
             if child.status is JobStatus.DONE:
-                completed.append(child.digest)
+                point(child.digest, source,
+                      0.0 if child.started_mono is None
+                      else child.finished_mono - child.started_mono)
             else:
-                failed.append(child.digest)
-            job.events.emit(kind="sweep-progress",
-                            done=len(completed), failed=len(failed),
-                            total=len(children))
+                failed += 1
+            emit("progress", done=done, failed=failed, total=total)
+        return skipped, [child for child, _ in waiting]
+
+    async def _run_sweep(self, job: Job) -> None:
+        if job.status.terminal:
+            return  # cancelled before expansion got to run
+        try:
+            specs = job.spec.sweep_children()
+        except (JobError, TypeError, ValueError) as exc:
+            self._fail(job, f"bad sweep: {exc}")
+            return
+        job.transition(JobStatus.RUNNING, total=len(specs))
+        skipped, children = await self._run_children(job, specs)
         if job.status is JobStatus.CANCELLED:
             return
-        payload = {"kind": "sweep", "total": len(children),
-                   "skipped": skipped, "completed": completed,
-                   "failed": failed}
-        job.payload = payload
+        completed = skipped + [c.digest for c in children
+                               if c.status is JobStatus.DONE]
+        failed = [c.digest for c in children
+                  if c.status is not JobStatus.DONE]
+        job.payload = {"kind": "sweep", "total": len(specs),
+                       "skipped": skipped, "completed": completed,
+                       "failed": failed}
         if failed:
-            self._count("failures")
-            job.error = f"{len(failed)}/{len(children)} children failed"
-            job.transition(JobStatus.FAILED, error=job.error)
+            self._fail(job, f"{len(failed)}/{len(specs)} children failed")
         else:
             # Only a fully-completed sweep is stored: a partial one must
             # re-expand (and skip per-child) on resubmission.
-            self._persist(job, payload)
-            self._count("executed")
-            job.transition(JobStatus.DONE, source="run",
-                           persisted=job.persisted)
-        self._finish(job)
+            self._done(job, job.payload)
+
+    async def _run_figure(self, job: Job) -> None:
+        """Run the harness on a thread with ``run_many`` bound to this
+        service: each point is a child ``run`` job of the figure."""
+        if job.status.terminal:
+            return  # cancelled before it started
+        job.started_mono = time.monotonic()
+        self._wait_hist.observe(job.started_mono - job.created_mono)
+        job.transition(JobStatus.RUNNING)
+        try:
+            payload = await asyncio.to_thread(self._harness, job)
+        except Exception as exc:
+            if not job.status.terminal:
+                self._fail(job, f"{type(exc).__name__}: {exc}")
+            return
+        if not job.status.terminal:  # not cancelled meanwhile
+            self._done(job, payload)
+
+    def _harness(self, job: Job) -> Dict:
+        with bind_executor(functools.partial(self.run_points,
+                                             parent=job)):
+            return figure_payload(job.spec.to_dict())
+
+    # -- run_many bridge -----------------------------------------------------
+    def run_points(self, keys: List[RunKey], parent: Optional[Job] = None,
+                   on_point: Optional[Callable] = None
+                   ) -> Dict[RunKey, RunSummary]:
+        """Run keys as child jobs and block until every one finished:
+        the executor :func:`serving` and figure jobs bind ``run_many``
+        to.  Call it from a thread other than the service loop's.  A
+        failed point raises and names the point."""
+        with self._bridge_lock:
+            if self.loop is None:
+                raise RuntimeError("sweep service is not running")
+            future = asyncio.run_coroutine_threadsafe(
+                self._run_points(keys, parent, on_point), self.loop)
+            self._bridged.add(future)
+        try:
+            return future.result()
+        finally:
+            with self._bridge_lock:
+                self._bridged.discard(future)
+
+    async def _run_points(self, keys: List[RunKey], parent: Optional[Job],
+                          on_point: Optional[Callable]
+                          ) -> Dict[RunKey, RunSummary]:
+        by_digest = {key.digest: key for key in keys}
+        report = None
+        if on_point is not None:
+            def report(done, total, digest, source, wall_time):
+                on_point(done=done, total=total, key=by_digest[digest],
+                         source=source, wall_time=wall_time)
+        _, children = await self._run_children(
+            parent, [point_spec(key) for key in keys], report)
+        jobs = {child.digest: child for child in children}
+        out: Dict[RunKey, RunSummary] = {}
+        for key in keys:
+            child = jobs.get(key.digest)
+            if child is None:  # skipped: already in the store
+                payload, error = self.store.get_raw(key.digest), \
+                    "stored payload unreadable"
+            else:
+                payload = child.payload \
+                    if child.status is JobStatus.DONE else None
+                error = child.error or child.status.value
+            if payload is None:
+                raise RuntimeError(f"point {key!r} failed: {error}")
+            out[key] = RunSummary.from_dict(payload)
+        return out
+
+
+# ----------------------------------------------------------------------
+# A service on its own loop thread
+# ----------------------------------------------------------------------
+class ServiceRuntime:
+    """Owns the service's event-loop thread; thread-safe call bridge."""
+
+    def __init__(self, service: SweepService):
+        self.service = service
+        self.loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run, name="repro-service-loop", daemon=True)
+
+    def _run(self) -> None:
+        asyncio.set_event_loop(self.loop)
+        self.loop.run_forever()
+
+    def start(self) -> "ServiceRuntime":
+        self._thread.start()
+        self.call(self.service.start())
+        return self
+
+    def call(self, coro, timeout: Optional[float] = 60.0):
+        """Run a coroutine on the service loop; block for its result."""
+        future = asyncio.run_coroutine_threadsafe(coro, self.loop)
+        return future.result(timeout)
+
+    def sync(self, fn, *args, timeout: Optional[float] = 60.0):
+        """Run a plain callable on the service loop thread."""
+        async def invoke():
+            return fn(*args)
+        return self.call(invoke(), timeout)
+
+    def stop(self) -> None:
+        with contextlib.suppress(Exception):
+            self.call(self.service.close(), timeout=10.0)
+        self.loop.call_soon_threadsafe(self.loop.stop)
+        self._thread.join(timeout=10.0)
+        if not self._thread.is_alive():
+            self.loop.close()
+
+
+@contextlib.contextmanager
+def serving(workers: int = 0, store: Optional[ResultCache] = None,
+            on_point: Optional[Callable] = None):
+    """A service on a loop thread with ``run_many`` bound to it for the
+    block; ``workers=0`` runs inline, where ad-hoc scenario documents
+    resolve.  ``on_point(done=, total=, key=, source=, wall_time=)``
+    sees each finished point.  No progress forwarding: nothing reads it."""
+    service = SweepService(store=store, workers=workers,
+                           progress_interval=None)
+    runtime = ServiceRuntime(service).start()
+    try:
+        with bind_executor(functools.partial(service.run_points,
+                                             on_point=on_point)):
+            yield service
+    finally:
+        runtime.stop()
 
 
 # ----------------------------------------------------------------------

@@ -22,15 +22,13 @@ GET      /metrics                    Prometheus text exposition
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 from repro.obs.log import get_logger
-from repro.service.core import ServiceSaturated, SweepService
+from repro.service.core import (ServiceRuntime, ServiceSaturated,
+                                SweepService)
 from repro.service.jobs import JobError
 
 #: Seconds an idle event-stream read blocks before emitting a keepalive.
@@ -40,51 +38,6 @@ STREAM_TICK = 0.5
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 _log = get_logger("http")
-
-
-class ServiceRuntime:
-    """Owns the service's event-loop thread; thread-safe call bridge."""
-
-    def __init__(self, service: SweepService):
-        self.service = service
-        self.loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-service-loop", daemon=True)
-
-    def _run(self) -> None:
-        asyncio.set_event_loop(self.loop)
-        self.loop.run_forever()
-
-    def start(self) -> "ServiceRuntime":
-        self._thread.start()
-        self.call(self.service.start())
-        return self
-
-    def call(self, coro, timeout: Optional[float] = 60.0):
-        """Run a coroutine on the service loop; block for its result."""
-        future = asyncio.run_coroutine_threadsafe(coro, self.loop)
-        return future.result(timeout)
-
-    def sync(self, fn, *args, timeout: Optional[float] = 60.0):
-        """Run a plain callable on the service loop thread."""
-        future: concurrent.futures.Future = concurrent.futures.Future()
-
-        def _invoke() -> None:
-            try:
-                future.set_result(fn(*args))
-            except BaseException as exc:  # propagated to the caller
-                future.set_exception(exc)
-
-        self.loop.call_soon_threadsafe(_invoke)
-        return future.result(timeout)
-
-    def stop(self) -> None:
-        try:
-            self.call(self.service.close(), timeout=10.0)
-        except Exception:
-            pass
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=10.0)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -140,7 +93,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["store"]:
             self._send_json(200, service.store.manifest())
         elif len(parts) == 2 and parts[0] == "store":
-            payload = service.store.get_payload(parts[1])
+            payload = service.store.get_raw(parts[1])
             if payload is None:
                 self._not_found(f"digest {parts[1]}")
             else:
@@ -290,7 +243,6 @@ def serve(host: str = "127.0.0.1", port: int = 8765, *, store=None,
     (stderr)."""
     import os
 
-    from repro.service.store import JobStore
     if log_json:
         from repro.obs.log import configure_logging
         configure_logging(True)
@@ -300,7 +252,7 @@ def serve(host: str = "127.0.0.1", port: int = 8765, *, store=None,
     if progress_interval != "default":
         kwargs["progress_interval"] = progress_interval
     service = SweepService(
-        store=store if store is not None else JobStore(),
+        store=store,
         workers=(os.cpu_count() or 2) if workers is None else workers,
         **kwargs)
     server, runtime = build_server(service, host, port, verbose=verbose)

@@ -8,8 +8,8 @@ spec has a stable content digest:
 
 * ``run`` / ``scenario`` specs reduce to the existing
   :class:`~repro.experiments.parallel.RunKey` and reuse *its* digest,
-  so service-store entries, ``ResultCache`` memo entries and dedupe all
-  agree on run identity;
+  so store entries and dedupe agree on run identity (a figure's point
+  is an ordinary ``run`` spec: :func:`point_spec`);
 * other kinds hash their canonical JSON form.
 
 A :class:`Job` is one accepted spec inside the service: status,
@@ -19,15 +19,18 @@ its stored payload.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import RunKey, RunSummary
+from repro.experiments.payloads import run_config, sweep_runs
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.obs.progress import EventStream
 from repro.params import DEFAULT_SCALE, default_config
@@ -105,13 +108,18 @@ class JobSpec:
             return _run_key(p["benchmark"], p)
         if self.kind == "scenario":
             # Resolving the document pins its digest into the key, so a
-            # scenario edit changes the job identity.
-            from repro.scenarios import load_scenario
-            doc = load_scenario(p["scenario"])
+            # scenario edit changes the job identity.  An ad-hoc document
+            # registered in this process resolves here too.
+            from repro.scenarios.engine import (load_scenario,
+                                                resolve_scenario)
+            doc = resolve_scenario(p["scenario"]) \
+                or load_scenario(p["scenario"])
             scale = int(p.get("scale", doc.scale))
             # Mirrors run_scenario: base config (+ backend override),
             # then the document's own config block on top.
-            cfg = scenario_base_config(p, scale)
+            cfg = default_config(scale)
+            if p.get("backend"):
+                cfg = cfg.with_(backend=p["backend"])
             if doc.config:
                 cfg = cfg.with_(**doc.config)
             return RunKey(
@@ -119,11 +127,11 @@ class JobSpec:
                 seed=int(p.get("seed", doc.seed)),
                 instructions=int(p.get("instructions", doc.instructions)),
                 warmup=int(p.get("warmup", doc.warmup)),
-                scale=int(p.get("scale", doc.scale)),
+                scale=scale,
                 scenario=doc.digest)
         return None
 
-    @property
+    @cached_property
     def digest(self) -> str:
         key = self.run_key()
         if key is not None:
@@ -135,14 +143,8 @@ class JobSpec:
         """Expand a ``sweep`` spec into its child ``run`` specs."""
         if self.kind != "sweep":
             raise JobError(f"not a sweep: {self.kind}")
-        p = _thaw(self.params)
-        shared = {k: v for k, v in p.items() if k != "runs"}
-        children = []
-        for entry in p["runs"]:
-            if isinstance(entry, str):
-                entry = {"benchmark": entry}
-            children.append(JobSpec.make("run", **{**shared, **entry}))
-        return children
+        return [JobSpec.make("run", **params)
+                for params in sweep_runs(_thaw(self.params))]
 
 
 def _validate(kind: str, params: Dict) -> None:
@@ -152,13 +154,16 @@ def _validate(kind: str, params: Dict) -> None:
     for name in required:
         if name not in params:
             raise JobError(f"{kind} job needs {name!r}")
-    for name in ("instructions", "warmup", "scale", "seed"):
+    # Warmup and seed may be 0, as the simulator and scenario schema allow.
+    for name, least in (("instructions", 1), ("scale", 1), ("warmup", 0),
+                        ("seed", 0)):
         if name in params:
             value = params[name]
             if not isinstance(value, int) or isinstance(value, bool) \
-                    or value <= 0:
-                raise JobError(f"{name} must be a positive integer, "
-                               f"got {value!r}")
+                    or value < least:
+                raise JobError(f"{name} must be a "
+                               f"{'positive' if least else 'non-negative'}"
+                               f" integer, got {value!r}")
     if "backend" in params:
         from repro.params import BACKENDS
         if params["backend"] not in BACKENDS:
@@ -207,25 +212,32 @@ def _thaw(value):
     return value
 
 
-def scenario_base_config(params: Dict, scale: int):
-    """The base config a ``scenario`` spec hands to ``run_scenario``
-    (the document's own ``config:`` block applies on top of it)."""
-    cfg = default_config(scale)
-    if params.get("backend"):
-        cfg = cfg.with_(backend=params["backend"])
-    return cfg
+def _changed(value, default) -> Dict:
+    """The fields of config ``value`` that differ from ``default``; a
+    changed sub-config shrinks to a dict of its changed fields."""
+    return {f.name: _changed(v, d) if dataclasses.is_dataclass(v) else v
+            for f in dataclasses.fields(value)
+            for v, d in [(getattr(value, f.name), getattr(default, f.name))]
+            if v != d}
 
 
-def run_config(params: Dict, scale: int):
-    """The full SimConfig a ``run``/``trace`` spec describes."""
-    from repro.api import build_config
-    cfg = build_config(scale, enhancements=params.get("enhancements"))
-    overrides = params.get("config") or {}
-    if overrides:
-        cfg = cfg.with_(**overrides)
-    if params.get("backend"):
-        cfg = cfg.with_(backend=params["backend"])
-    return cfg
+def point_spec(key: RunKey) -> JobSpec:
+    """The job spec that runs exactly ``key``: a ``run`` spec whose
+    ``config`` lists only what differs from the scale default, or a
+    ``scenario`` spec for a scenario key.  Raises :class:`JobError`
+    when no spec reproduces the key's digest."""
+    geometry = dict(instructions=key.instructions, warmup=key.warmup,
+                    scale=key.scale, seed=key.seed)
+    config = _changed(key.config, default_config(key.scale))
+    if key.scenario is not None:
+        spec = JobSpec.make("scenario", scenario=key.benchmark,
+                            backend=config.get("backend"), **geometry)
+    else:
+        spec = JobSpec.make("run", benchmark=key.benchmark,
+                            config=config or None, **geometry)
+    if spec.digest != key.digest:
+        raise JobError(f"{key!r} has no job spec with its digest")
+    return spec
 
 
 def _run_key(benchmark: str, params: Dict) -> RunKey:
@@ -252,6 +264,9 @@ class Job:
 
     spec: JobSpec
     priority: int = DEFAULT_PRIORITY
+    #: Arrival order of the top-level submission, which breaks priority
+    #: ties in the queue: a sweep's or figure's children keep its place.
+    place: int = 0
     id: str = field(default="")
     digest: str = field(default="")
     status: JobStatus = JobStatus.PENDING
@@ -265,8 +280,9 @@ class Job:
     events: EventStream = field(default_factory=EventStream)
     #: Submissions that were folded into this job (identical digest).
     dedup_hits: int = 0
-    #: Child jobs this sweep submitted (empty for non-sweeps).  Cancel
-    #: scopes to exactly these -- never to unrelated in-flight jobs.
+    #: Child jobs this sweep or figure submitted (empty for the other
+    #: kinds).  Cancel scopes to exactly these -- never to unrelated
+    #: in-flight jobs.
     children: List["Job"] = field(default_factory=list)
     #: Latest forwarded ``job-progress`` row (None until the first
     #: interval arrives; the full history is on ``events``).

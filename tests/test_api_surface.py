@@ -3,9 +3,10 @@
 Every name in ``api.__all__`` must resolve; removing or breaking a
 re-export is a compatibility break and should fail here first.  v2
 promoted job submission (``submit``/``JobHandle``/``JobStatus``/
-``serve``) to the front door and demoted ``ParallelRunner``/
-``ResultCache``/``RunKey`` to warn-once compatibility re-exports; v4
-removed those three and the timed bench harness.
+``serve``) to the front door and demoted the v1 runner, cache and
+run-key classes to warn-once compatibility re-exports; v4 removed those
+three and the timed bench harness; v5 removed the runner knob and the
+policy-spelling shim.
 """
 
 import ast
@@ -29,7 +30,7 @@ def test_all_is_sorted_sets_no_duplicates():
 
 def test_expected_entry_points_present():
     expected = {"run", "figure", "list_figures", "list_benchmarks",
-                "build_config", "enhancement_preset", "configure_parallel",
+                "build_config", "enhancement_preset",
                 "RunResult", "RunSummary", "EnhancementConfig",
                 "StallCategory", "trace", "trace_diff"}
     assert expected <= set(api.__all__)
@@ -109,7 +110,7 @@ def test_api_trace_diff_accepts_documents():
 # v1.1 additions: frozen SimConfig, facade-only CLI
 # ----------------------------------------------------------------------
 def test_api_version_pinned():
-    assert api.__api_version__ == "4.0"
+    assert api.__api_version__ == "5.0"
     assert "__api_version__" in api.__all__
 
 
@@ -141,9 +142,8 @@ def test_simconfig_with_resolves_preset_names():
         cfg.with_(no_such_field=1)
 
 
-# SimConfig.replace was removed under the v2 major bump; its removal
-# (RuntimeError naming SimConfig.with_) is pinned in
-# tests/test_removed_shims.py alongside the JourneyTracer retirement.
+# SimConfig.replace, removed under the v2 major bump, is gone
+# altogether (tests/test_params.py::test_retired_name_shims_are_gone).
 
 
 def test_cli_routes_through_api_only():
@@ -216,8 +216,17 @@ def test_v4_removed_names_raise_attribute_error():
         assert name not in api.__all__
         with pytest.raises(AttributeError, match=name):
             getattr(api, name)
-    for name in ("RunKey", "ParallelRunner", "ResultCache"):
+    for name in ("RunKey", "ResultCache"):
         assert isinstance(getattr(parallel, name), type)
+
+
+def test_v5_removed_names_raise_attribute_error():
+    """v5 removed the second scheduler's knob and the policy-spelling
+    shim; ``run_many`` binds to the sweep service instead."""
+    for name in ("configure_parallel", "canonical_policy"):
+        assert name not in api.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(api, name)
 
 
 def test_unknown_api_attribute_still_raises():

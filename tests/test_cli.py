@@ -130,10 +130,12 @@ def test_stats_diff_two_runs(metrics_export, tmp_path, capsys):
     ["run", "tc", "--trace-sample", "-1"],
     ["figure", "fig3", "--jobs", "0"],
     ["figure", "fig3", "--jobs", "-2"],
-    ["scenario", "run", "SYN-01-STLB-THRASH", "--jobs", "0"],
+    ["scenario", "run", "SYN-01-STLB-THRASH", "--warmup", "-1"],
     ["scenario", "run", "SYN-01-STLB-THRASH", "--instructions", "-1"],
     ["scenario", "run", "SYN-01-STLB-THRASH", "--scale", "0"],
     ["scenario", "run", "SYN-01-STLB-THRASH", "--seed", "-1"],
+    ["figure", "fig3", "--instructions", "0"],
+    ["figure", "fig3", "--warmup", "-1"],
 ])
 def test_nonpositive_counts_rejected_at_parser(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -196,3 +198,52 @@ def test_scenario_run_unknown_name(capsys):
     assert main(["scenario", "run", "NO-SUCH-SCENARIO",
                  "--no-cache"]) == 1
     assert "scenario error" in capsys.readouterr().err
+
+
+def test_scenario_run_has_no_jobs_flag(capsys):
+    # Each scenario is one run on an inline service: nothing to fan out.
+    with pytest.raises(SystemExit) as exc:
+        main(["scenario", "run", "SYN-01-STLB-THRASH", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_zero_warmup_and_seed_run_through_the_service(capsys):
+    # Warmup and seed may be 0 (the simulator and the scenario schema
+    # allow it): the service path prints what the unbound path returns.
+    from repro import api
+    assert main(["scenario", "run", "SYN-01-STLB-THRASH", "--instructions",
+                 "2000", "--warmup", "0", "--seed", "0", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    direct = api.run_scenario("SYN-01-STLB-THRASH", instructions=2000,
+                              warmup=0, seed=0)
+    assert (direct.key.warmup, direct.key.seed) == (0, 0)
+    assert f"cycles={direct.cycles:>10}" in out
+    assert f"run_key={direct.key.digest[:12]}" in out
+    assert main(["figure", "fig1", "--benchmarks", "pr", "--instructions",
+                 "2000", "--warmup", "0", "--no-cache"]) == 0
+    table = api.figure("fig1", benchmarks=["pr"], instructions=2000,
+                       warmup=0)
+    assert capsys.readouterr().out == f"{table}\n"
+
+
+def test_scenario_run_adhoc_document_resolves_in_process(tmp_path, capsys,
+                                                        monkeypatch):
+    # A document outside the library resolves only in this process; the
+    # inline service runs it here, then serves the rerun from its store.
+    import json
+    from repro import api
+    from repro.scenarios import SCENARIO_SCHEMA
+    path = tmp_path / "adhoc.json"
+    path.write_text(json.dumps({"schema": SCENARIO_SCHEMA,
+                                "name": "t-cli-adhoc",
+                                "mix": {"pr": 0.5, "cc": 0.5}}))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
+    argv = ["scenario", "run", str(path), "--instructions", "3000",
+            "--warmup", "500"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    direct = api.run_scenario(str(path), instructions=3000, warmup=500)
+    assert f"cycles={direct.cycles:>10}" in first

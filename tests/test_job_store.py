@@ -1,9 +1,9 @@
 """Tests for the sharded content-addressed job store.
 
 The service store is :class:`~repro.experiments.parallel.ResultCache`
-grown digest-level access: the two must agree byte-for-byte at the same
-digest so figure batches warmed through ``--jobs`` and sweeps submitted
-to the service share results.
+(``JobStore`` is a second name for it): a ``RunSummary`` entry and a
+job payload at the same digest are the same bytes, so figure points and
+sweeps submitted to the service share results.
 """
 
 import asyncio
@@ -33,43 +33,33 @@ def store(tmp_path):
 # Sharded layout
 # ----------------------------------------------------------------------
 def test_payloads_land_in_fanout_shards(store):
-    store.put_payload(DIGEST, {"x": 1})
+    store.put_raw(DIGEST, {"x": 1})
     path = store.dir / DIGEST[:SHARD_WIDTH] / f"{DIGEST}.json"
     assert path.is_file()
     assert json.loads(path.read_text()) == {"x": 1}
-    assert store.get_payload(DIGEST) == {"x": 1}
+    assert store.get_raw(DIGEST) == {"x": 1}
 
 
 def test_distinct_prefixes_get_distinct_shards(store):
-    store.put_payload(DIGEST, {"x": 1})
-    store.put_payload(OTHER, {"y": 2})
+    store.put_raw(DIGEST, {"x": 1})
+    store.put_raw(OTHER, {"y": 2})
     assert (store.dir / DIGEST[:SHARD_WIDTH]).is_dir()
     assert (store.dir / OTHER[:SHARD_WIDTH]).is_dir()
     assert store.digests() == sorted([DIGEST, OTHER])
-
-
-def test_pre_sharding_flat_entries_still_readable(store):
-    # Entries written by the pre-sharding ResultCache live flat in the
-    # fingerprint directory; reads (and contains) must still find them.
-    store.dir.mkdir(parents=True, exist_ok=True)
-    (store.dir / f"{DIGEST}.json").write_text(json.dumps({"legacy": True}))
-    assert store.contains(DIGEST)
-    assert store.get_payload(DIGEST) == {"legacy": True}
-    assert DIGEST in store.digests()
 
 
 # ----------------------------------------------------------------------
 # Counters
 # ----------------------------------------------------------------------
 def test_counters_track_hits_misses_stores(store):
-    assert store.get_payload(DIGEST) is None
-    store.put_payload(DIGEST, {"x": 1})
-    store.get_payload(DIGEST)
+    assert store.get_raw(DIGEST) is None
+    store.put_raw(DIGEST, {"x": 1})
+    store.get_raw(DIGEST)
     assert (store.hits, store.misses, store.stores) == (1, 1, 1)
 
 
 def test_contains_has_no_counter_side_effects(store):
-    store.put_payload(DIGEST, {"x": 1})
+    store.put_raw(DIGEST, {"x": 1})
     hits, misses = store.hits, store.misses
     assert store.contains(DIGEST)
     assert not store.contains(OTHER)
@@ -80,9 +70,9 @@ def test_contains_has_no_counter_side_effects(store):
 # Manifest (the CI artifact / GET /store document)
 # ----------------------------------------------------------------------
 def test_manifest_inventory(store):
-    store.put_payload(DIGEST, {"x": 1})
-    store.get_payload(DIGEST)
-    store.get_payload(OTHER)  # miss
+    store.put_raw(DIGEST, {"x": 1})
+    store.get_raw(DIGEST)
+    store.get_raw(OTHER)  # miss
     doc = store.manifest()
     assert doc["schema"] == MANIFEST_SCHEMA
     assert doc["cache_schema_version"] == CACHE_SCHEMA_VERSION
@@ -105,7 +95,7 @@ def test_runner_cache_entry_serves_as_job_payload(tmp_path):
 
     store = JobStore(root=tmp_path, fingerprint="pinned")
     assert store.contains(key.digest)
-    assert store.get_payload(key.digest) == summary.to_dict()
+    assert store.get_raw(key.digest) == summary.to_dict()
 
 
 def test_job_payload_serves_runner_cache(tmp_path):
@@ -113,7 +103,7 @@ def test_job_payload_serves_runner_cache(tmp_path):
     summary = RunSummary.from_run(
         api.run("tc", instructions=2_000, warmup=500), seed=1)
     store = JobStore(root=tmp_path, fingerprint="pinned")
-    store.put_payload(key.digest, summary.to_dict())
+    store.put_raw(key.digest, summary.to_dict())
 
     cache = ResultCache(root=tmp_path, fingerprint="pinned")
     cached = cache.get(key)
@@ -200,7 +190,7 @@ def test_absent_entry_is_a_plain_miss(store, log_sink):
 
 def test_health_store_block_shows_failure_counters(store, monkeypatch):
     monkeypatch.setattr(store, "_write", _fail_write)
-    store.put_payload(DIGEST, {"x": 1})
+    store.put_raw(DIGEST, {"x": 1})
     block = SweepService(store=store, workers=0).describe()["store"]
     assert (block["write_errors"], block["read_errors"]) == (1, 0)
 

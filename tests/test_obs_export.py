@@ -184,17 +184,11 @@ def test_heartbeat_collects_and_streams(tmp_path):
     class Key:
         benchmark, config_hash, seed = "pr", "a" * 64, 1
 
-    class Event:
-        def __init__(self, done):
-            self.done, self.total = done, 3
-            self.key = Key()
-            self.source = "executed"
-            self.wall_time = 0.5
-
     path = tmp_path / "beat.ndjson"
     hb = Heartbeat(path=str(path))
     for i in range(3):
-        hb.emit(Event(i + 1))
+        hb.emit(done=i + 1, total=3, key=Key(), source="run",
+                wall_time=0.5)
     hb.close()
     assert len(hb.events) == 3
     streamed = [json.loads(line)

@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs.progress import DEFAULT_BACKLOG, EventStream, Heartbeat
+from repro.obs.progress import DEFAULT_BACKLOG, EventStream
 
 
 # ----------------------------------------------------------------------
@@ -156,35 +156,6 @@ def test_on_drop_callback_failure_is_swallowed():
 def test_maxlen_must_be_positive():
     with pytest.raises(ValueError):
         EventStream(maxlen=0)
-
-
-# ----------------------------------------------------------------------
-# Heartbeat -> EventStream mirroring
-# ----------------------------------------------------------------------
-class _Key:
-    benchmark = "pr"
-    config_hash = "ab" * 16
-    seed = 1
-
-
-class _Event:
-    key = _Key()
-    done, total, source, wall_time = 3, 10, "run", 1.25
-
-
-def test_heartbeat_mirrors_into_stream_and_file(tmp_path):
-    path = tmp_path / "hb.jsonl"
-    stream = EventStream()
-    with Heartbeat(path, stream=stream) as hb:
-        hb.emit(_Event())
-        hb.emit(_Event())
-    mirrored = stream.snapshot()
-    assert [e["kind"] for e in mirrored] == ["heartbeat", "heartbeat"]
-    assert mirrored[0]["benchmark"] == "pr"
-    assert mirrored[0]["done"] == 3
-    lines = [json.loads(line) for line in
-             path.read_text().splitlines()]
-    assert len(lines) == 3 and lines[-1]["final"] is True
 
 
 # ----------------------------------------------------------------------

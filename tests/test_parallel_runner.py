@@ -1,24 +1,19 @@
-"""Tests for the parallel, memoised experiment runner
-(:mod:`repro.experiments.parallel`)."""
+"""Tests for run identity, run snapshots, the result store and
+``run_many`` (:mod:`repro.experiments.parallel`), serial and bound to
+the sweep service."""
 
 import pytest
 
 from repro.experiments import parallel
 from repro.experiments.figures import (fig1_rob_stalls, fig4_translation_mpki,
                                        fig14_performance)
-from repro.experiments.parallel import (ParallelRunner, ResultCache, RunKey,
-                                        RunSummary, config_digest)
+from repro.experiments.parallel import (ResultCache, RunKey, RunSummary,
+                                        config_digest, run_many)
 from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, default_config
+from repro.service import serving
 
 TINY_N, TINY_W = 2500, 600
-
-
-@pytest.fixture(autouse=True)
-def _isolate_ambient_runner():
-    """Leave no test-configured global runner behind."""
-    yield
-    parallel.set_runner(None)
 
 
 def keys_for(benchmarks, config=None, seed=1):
@@ -74,38 +69,37 @@ def test_summary_round_trips_through_json_dict():
 # Determinism: parallel == serial, bit for bit (satellite requirement)
 # ----------------------------------------------------------------------
 def test_parallel_matches_serial_bit_identical(tmp_path):
-    """jobs=4 over 3 benchmarks x 2 configs must produce bit-identical
-    RunSummary dicts to serial execution, and a second invocation must
-    be served entirely from the ResultCache."""
+    """A 2-worker service pool over 3 benchmarks x 2 configs must
+    produce bit-identical RunSummary dicts to serial run_many, and a
+    second pass must be served entirely from the store."""
     benchmarks = ("pr", "tc", "mcf")
     configs = (None,
                default_config().with_(
                    enhancements=EnhancementConfig.full()))
     keys = [k for cfg in configs for k in keys_for(benchmarks, cfg)]
 
-    serial = ParallelRunner(jobs=1)
-    serial_out = serial.run_batch(keys)
-    assert serial.metrics.executed == 6
+    serial_out = run_many(keys)
+    assert len(serial_out) == 6
 
-    par = ParallelRunner(jobs=4, cache=ResultCache(root=tmp_path))
-    par_out = par.run_batch(keys)
-    assert par.metrics.executed == 6
-    assert par.metrics.cache_hits == 0
-    for key in keys:
-        assert par_out[key].to_dict() == serial_out[key].to_dict(), key
+    with serving(workers=2, store=ResultCache(root=tmp_path)) as service:
+        par_out = run_many(keys)
+        assert service.metrics.executed == 6
+        assert service.metrics.store_hits == 0
+        for key in keys:
+            assert par_out[key].to_dict() == serial_out[key].to_dict(), key
 
-    again = par.run_batch(keys)
-    assert par.metrics.executed == 6        # nothing re-simulated
-    assert par.metrics.cache_hits == 6      # all six memoised
+        again = run_many(keys)
+        assert service.metrics.executed == 6     # nothing re-simulated
+        assert service.metrics.store_hits == 6   # all six memoised
     for key in keys:
         assert again[key].to_dict() == serial_out[key].to_dict(), key
 
 
-def test_duplicate_keys_collapse_to_one_simulation():
-    runner = ParallelRunner(jobs=1)
+def test_duplicate_keys_collapse_to_one_simulation(tmp_path):
     key = RunKey.make("pr", None, TINY_N, TINY_W)
-    out = runner.run_batch([key, RunKey.make("pr", None, TINY_N, TINY_W)])
-    assert runner.metrics.executed == 1
+    with serving(store=ResultCache(root=tmp_path)) as service:
+        out = run_many([key, RunKey.make("pr", None, TINY_N, TINY_W)])
+        assert service.metrics.executed == 1
     assert len(out) == 1
 
 
@@ -141,43 +135,26 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
 # ----------------------------------------------------------------------
 # Failure handling and progress reporting
 # ----------------------------------------------------------------------
-def test_transient_failure_is_retried_once(monkeypatch):
-    real = parallel._execute_key
-    calls = {"n": 0}
-
-    def flaky(key):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise RuntimeError("transient")
-        return real(key)
-
-    monkeypatch.setattr(parallel, "_execute_key", flaky)
-    runner = ParallelRunner(jobs=1)
-    out = runner.run_batch(keys_for(["pr"]))
-    assert len(out) == 1
-    assert runner.metrics.retries == 1
-    assert runner.metrics.failures == 0
-
-
-def test_persistent_failure_raises_after_retry():
-    runner = ParallelRunner(jobs=1)
-    with pytest.raises(ValueError):
-        runner.run_batch(keys_for(["no-such-benchmark"]))
-    assert runner.metrics.retries == 1
-    assert runner.metrics.failures == 1
+def test_failed_point_raises_and_names_it(tmp_path):
+    with serving(store=ResultCache(root=tmp_path)) as service:
+        with pytest.raises(RuntimeError,
+                           match=r"point RunKey\('no-such-benchmark'"):
+            run_many(keys_for(["no-such-benchmark"]))
+        assert service.metrics.failures == 1
 
 
 def test_progress_callback_sees_cache_and_run_events(tmp_path):
     events = []
-    cache = ResultCache(root=tmp_path)
-    runner = ParallelRunner(jobs=1, cache=cache, progress=events.append)
-    runner.run_batch(keys_for(["pr", "tc"]))
-    runner.run_batch(keys_for(["pr", "tc"]))
-    sources = [e.source for e in events]
-    assert sources == ["run", "run", "cache", "cache"]
-    assert [e.done for e in events] == [1, 2, 1, 2]
-    assert all(e.total == 2 for e in events)
-    assert all(e.wall_time > 0 for e in events if e.source == "run")
+    store = ResultCache(root=tmp_path)
+    with serving(store=store, on_point=lambda **e: events.append(e)):
+        run_many(keys_for(["pr", "tc"]))
+        run_many(keys_for(["pr", "tc"]))
+    sources = [e["source"] for e in events]
+    assert sources == ["run", "run", "store", "store"]
+    assert [e["done"] for e in events] == [1, 2, 1, 2]
+    assert all(e["total"] == 2 for e in events)
+    assert [e["key"] for e in events] == keys_for(["pr", "tc"]) * 2
+    assert all(e["wall_time"] > 0 for e in events if e["source"] == "run")
 
 
 # ----------------------------------------------------------------------
@@ -186,28 +163,39 @@ def test_progress_callback_sees_cache_and_run_events(tmp_path):
 # ----------------------------------------------------------------------
 def test_figures_back_to_back_simulate_each_unique_run_once(tmp_path):
     two = ["pr", "xalancbmk"]
-    runner = parallel.configure(jobs=4, use_cache=True, cache_dir=tmp_path)
-    fig1_rob_stalls(benchmarks=two, instructions=TINY_N, warmup=TINY_W)
-    fig4_translation_mpki(benchmarks=two, policies=["lru", "ship"],
-                          instructions=TINY_N, warmup=TINY_W)
-    fig14_performance(benchmarks=two, instructions=TINY_N, warmup=TINY_W)
-    # 16 (benchmark, config) pairs are requested across the three
-    # figures but only 12 are unique: fig4's "ship" column IS the
-    # default baseline (cache hit with fig1's runs), and fig14's "base"
-    # column recurs again.  Each unique simulation runs exactly once.
-    assert runner.metrics.jobs_done == 16
-    assert runner.metrics.executed == 12
-    assert runner.metrics.cache_hits == 4
-    # Regenerating a figure again simulates nothing new.
-    fig14_performance(benchmarks=two, instructions=TINY_N, warmup=TINY_W)
-    assert runner.metrics.executed == 12
-    assert runner.metrics.cache_hits == 14
+    with serving(workers=2, store=ResultCache(root=tmp_path)) as service:
+        m = service.metrics
+        fig1_rob_stalls(benchmarks=two, instructions=TINY_N, warmup=TINY_W)
+        fig4_translation_mpki(benchmarks=two, policies=["lru", "ship"],
+                              instructions=TINY_N, warmup=TINY_W)
+        fig14_performance(benchmarks=two, instructions=TINY_N,
+                          warmup=TINY_W)
+        # 16 (benchmark, config) pairs are requested across the three
+        # figures but only 12 are unique: fig4's "ship" column IS the
+        # default baseline (a store hit on fig1's points), and fig14's
+        # "base" column recurs again.  Each unique point runs once.
+        assert m.executed + m.store_hits + m.dedup_hits == 16
+        assert m.executed == 12
+        assert m.store_hits == 4
+        # Regenerating a figure again simulates nothing new.
+        fig14_performance(benchmarks=two, instructions=TINY_N,
+                          warmup=TINY_W)
+        assert m.executed == 12
+        assert m.store_hits == 14
 
 
-def test_run_one_routes_through_ambient_runner(tmp_path):
-    runner = parallel.configure(jobs=1, use_cache=True, cache_dir=tmp_path)
-    first = parallel.run_one("pr", instructions=TINY_N, warmup=TINY_W)
-    second = parallel.run_one("pr", instructions=TINY_N, warmup=TINY_W)
-    assert runner.metrics.executed == 1
-    assert runner.metrics.cache_hits == 1
-    assert first.to_dict() == second.to_dict()
+def test_unbound_run_many_is_serial_and_unstored(tmp_path, monkeypatch):
+    """With no executor bound, run_many simulates in-process through
+    execute_key -- the same function the service's workers call."""
+    calls = []
+    real = parallel.execute_key
+    monkeypatch.setattr(parallel, "execute_key",
+                        lambda key: calls.append(key) or real(key))
+    key = keys_for(["pr"])[0]
+    first = run_many([key, key])
+    second = run_many([key])
+    assert calls == [key, key]  # deduped per batch, memoised nowhere
+    assert first[key].to_dict() == second[key].to_dict()
+    for name in ("ParallelRunner", "RunnerMetrics", "ProgressEvent",
+                 "get_runner", "set_runner", "configure", "run_one"):
+        assert not hasattr(parallel, name), name

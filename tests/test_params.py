@@ -4,8 +4,7 @@ import pytest
 
 from repro.params import (CacheConfig, DEFAULT_SCALE, EnhancementConfig,
                           IdealConfig, LINE_SIZE, PTES_PER_LINE, SimConfig,
-                          TLBConfig, canonical_policy, default_config,
-                          paper_config)
+                          TLBConfig, default_config, paper_config)
 
 
 def test_paper_config_matches_table1():
@@ -59,6 +58,13 @@ def test_default_config_scales_structures_under_study():
     assert cfg.l1d.size_bytes == paper.l1d.size_bytes // (DEFAULT_SCALE // 4)
 
 
+def test_simconfig_with_still_works():
+    cfg = default_config()
+    out = cfg.with_(llc_inclusion="inclusive")
+    assert out.llc_inclusion == "inclusive"
+    assert cfg.llc_inclusion == "non_inclusive"
+
+
 def test_with_returns_new_config():
     cfg = default_config()
     cfg2 = cfg.with_(l2c_prefetcher="spp")
@@ -84,79 +90,29 @@ def test_ptes_per_line():
 
 
 # ----------------------------------------------------------------------
-# Name normalisation and deprecation shims
+# Retired spellings are gone, not normalised
 # ----------------------------------------------------------------------
+def test_retired_name_shims_are_gone():
+    import importlib
 
-# Warn-once state is reset around every test by the autouse fixture in
-# conftest.py (params.reset_deprecation_warnings), so each test observes
-# first-touch behaviour without a local fixture.
+    from repro import api, params
+    from repro.cache.replacement import make_policy
 
-def test_canonical_policy_passthrough():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for name in ("lru", "srrip", "drrip", "ship", "hawkeye",
-                     "t_drrip", "t_ship", "newsign_ship"):
-            assert canonical_policy(name) == name
-
-
-@pytest.mark.parametrize("old, new", [
-    ("T-DRRIP", "t_drrip"),
-    ("t-ship", "t_ship"),
-    ("rand", "random"),
-    ("tdrrip", "t_drrip"),
-    ("thawkeye", "t_hawkeye"),
-    ("new_sign_ship", "newsign_ship"),
-    ("  LRU ", "lru"),
-])
-def test_canonical_policy_maps_deprecated_spellings(
-                                                    old, new):
-    with pytest.warns(DeprecationWarning):
-        assert canonical_policy(old) == new
-
-
-def test_canonical_policy_warns_once():
-    import warnings
-
-    with pytest.warns(DeprecationWarning):
-        canonical_policy("T-DRRIP")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert canonical_policy("T-DRRIP") == "t_drrip"
-
-
-def test_canonical_policy_unknown_passes_through():
-    # The replacement registry reports unknown names with its own error.
-    assert canonical_policy("plru") == "plru"
-
-
-def test_enhancement_deprecated_kwargs():
-    with pytest.warns(DeprecationWarning, match="t_llc"):
-        enh = EnhancementConfig(t_llc=True)
-    assert enh.t_ship is True
-    with pytest.warns(DeprecationWarning, match="new_signatures"):
-        enh = EnhancementConfig(new_signatures=True)
-    assert enh.newsign is True
-
-
-def test_enhancement_deprecated_attribute_shims():
-    enh = EnhancementConfig(t_ship=True, newsign=False)
-    with pytest.warns(DeprecationWarning):
-        assert enh.t_llc is True
-    with pytest.warns(DeprecationWarning):
-        assert enh.new_signatures is False
+    for name in ("canonical_policy", "_POLICY_ALIASES", "_FLAG_ALIASES",
+                 "reset_deprecation_warnings"):
+        assert not hasattr(params, name), name
+    assert "canonical_policy" not in api.__all__
+    with pytest.raises(ValueError, match="T-DRRIP"):
+        make_policy("T-DRRIP", num_sets=16, num_ways=4)
+    for old in ("t_llc", "new_signatures"):
+        with pytest.raises(TypeError, match=old):
+            EnhancementConfig(**{old: True})
+        assert not hasattr(EnhancementConfig(), old)
+    assert not hasattr(default_config(), "replace")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.debug")
 
 
 def test_enhancement_unknown_flag_rejected():
     with pytest.raises(TypeError, match="frobnicate"):
         EnhancementConfig(frobnicate=True)
-
-
-def test_make_policy_accepts_deprecated_spelling():
-    from repro.cache.replacement import make_policy
-
-    with pytest.warns(DeprecationWarning):
-        policy = make_policy("T-DRRIP", num_sets=16, num_ways=4)
-    assert policy.name == make_policy("t_drrip", num_sets=16,
-                                      num_ways=4).name

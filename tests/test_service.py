@@ -531,6 +531,14 @@ def test_non_positive_int_rejected():
         JobSpec.make("run", benchmark="tc", instructions=0)
 
 
+def test_zero_warmup_and_seed_accepted():
+    key = JobSpec.make("run", benchmark="tc", warmup=0, seed=0).run_key()
+    assert (key.warmup, key.seed) == (0, 0)
+    for name in ("warmup", "seed"):
+        with pytest.raises(JobError, match="non-negative integer"):
+            JobSpec.make("run", benchmark="tc", **{name: -1})
+
+
 def test_non_int_priority_rejected_before_registration(tmp_path):
     # A str (or bool) priority would poison the heap's tuple ordering;
     # it must be rejected before the job lands in _inflight, or every

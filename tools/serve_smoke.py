@@ -9,13 +9,16 @@ then drives it exactly the way a user would:
 2. submit a scenario the same way;
 3. resubmit the identical run and assert it is a *store hit* that
    executed nothing (the same-RunKey-executes-once acceptance check);
-4. assert the run payload is bit-identical to a direct ``api.run``;
-5. assert the telemetry plane: the ``/health`` telemetry block
+4. submit a tiny ``figure`` job, then a ``run`` job for one of the
+   figure's points, and assert that run is a store hit (figure points
+   are ordinary run jobs);
+5. assert the run payload is bit-identical to a direct ``api.run``;
+6. assert the telemetry plane: the ``/health`` telemetry block
    validates against ``repro.obs/telemetry-v1``, ``/metrics`` parses as
    Prometheus text with the queue/latency/dedupe series, at least one
    ``job-progress`` event arrived on the run's stream, and the final
    progress row agrees with the stored ``RunSummary``;
-6. write the store manifest and a telemetry snapshot to
+7. write the store manifest and a telemetry snapshot to
    ``service-artifacts/`` (CI uploads them).
 
 Exits non-zero on any violated expectation.  Stdlib + repro only.
@@ -35,6 +38,11 @@ RUN_SPEC = {"kind": "run", "benchmark": "tc",
             "instructions": INSTRUCTIONS, "warmup": WARMUP}
 SCENARIO_SPEC = {"kind": "scenario", "scenario": "SYN-01-STLB-THRASH",
                  "instructions": 6_000, "warmup": 1_000}
+FIGURE_SPEC = {"kind": "figure", "figure": "fig1", "benchmarks": ["pr"],
+               "instructions": 6_000, "warmup": 1_000}
+#: fig1's one point on ``pr``: the default config at the figure's ROI.
+FIGURE_POINT_SPEC = {"kind": "run", "benchmark": "pr",
+                     "instructions": 6_000, "warmup": 1_000}
 
 REQUIRED_SERIES = ("repro_jobs_submitted_total",
                    "repro_jobs_executed_total",
@@ -130,7 +138,26 @@ def main() -> int:
         check("store-hit counter advanced",
               health["metrics"]["store_hits"] == 1)
 
-        # 4. the job payload is bit-identical to the direct API run
+        # 4. a tiny figure job; its point then serves a run job from
+        #    the store
+        fig = request(url, "/jobs", method="POST", body=FIGURE_SPEC)
+        final_fig = wait_for_job(url, fig["id"])
+        check("figure completes", final_fig["status"] == "done")
+        table = request(url, f"/jobs/{fig['id']}/result")
+        check("figure payload is its table",
+              table.get("kind") == "figure"
+              and table["result"]["figure"] == "Fig 1")
+        point = request(url, "/jobs", method="POST",
+                        body=FIGURE_POINT_SPEC)
+        final_point = wait_for_job(url, point["id"])
+        check("run job for the figure's point is a store hit",
+              final_point["status"] == "done"
+              and final_point["source"] == "store")
+        health = request(url, "/health")
+        check("figure ran its one point as a child run job",
+              health["metrics"]["executed"] == 4)
+
+        # 5. the job payload is bit-identical to the direct API run
         payload = request(url, f"/jobs/{run1['id']}/result")
         direct = api.RunSummary.from_run(
             api.run("tc", instructions=INSTRUCTIONS, warmup=WARMUP),
@@ -138,7 +165,7 @@ def main() -> int:
         check("payload bit-identical to direct api.run",
               payload == direct)
 
-        # 5. the telemetry plane
+        # 6. the telemetry plane
         problems = validate_telemetry(health["telemetry"])
         check("health telemetry block validates (telemetry-v1)",
               problems == [],)
@@ -173,11 +200,12 @@ def main() -> int:
         check("progress rows counted in gauges",
               health["gauges"]["progress_events"] >= len(progress))
 
-        # 6. manifest + telemetry artifacts
+        # 7. manifest + telemetry artifacts
         manifest = request(url, "/store")
-        check("manifest lists both digests",
+        check("manifest lists the run, scenario, figure and its point",
               sorted(manifest["digests"]) == sorted(
-                  {final1["digest"], final_scen["digest"]}))
+                  {final1["digest"], final_scen["digest"],
+                   final_fig["digest"], final_point["digest"]}))
         artifacts = pathlib.Path("service-artifacts")
         artifacts.mkdir(exist_ok=True)
         out = artifacts / "store-manifest.json"
