@@ -5,7 +5,7 @@ export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: install test perfbench-ab accuracy figures figures-fast \
 	figures-check figures-observed scenarios serve-smoke fuzz calibrate \
-	all
+	reachability all
 
 install:
 	pip install -e . --no-build-isolation
@@ -41,10 +41,20 @@ figures-fast:
 		--jobs 4 --instructions 20000 --warmup 4000 --verbose
 
 # Same smoke suite with the runtime invariant checkers and differential
-# oracle attached to every run (--check implies --no-cache).
+# oracle attached to every run (--check implies --no-cache), then every
+# registered figure and study at 4000 + 1000 over 2 workers, then each
+# library scenario through `repro run --check` at 6000 + 1000.
 figures-check:
 	python -m repro figure fig1 fig4 fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --check
+	python -m repro figure $$(python -m repro list | \
+		awk -F' *: ' '$$1 == "figures" || $$1 == "studies" {print $$2}') \
+		--jobs 2 --instructions 4000 --warmup 1000 --check
+	for name in $(basename $(notdir \
+		$(wildcard src/repro/scenarios/library/*.yaml))); do \
+		python -m repro run $$name --instructions 6000 --warmup 1000 \
+			--check || exit 1; \
+	done
 
 # One checked figure with the observability subsystem attached: a batch
 # export + heartbeat stream from the figure run, a run export from a
@@ -107,5 +117,12 @@ fuzz:
 
 calibrate:
 	python tools/calibrate.py
+
+# Run every entry point above (and the CLI verbs, perfbench and the
+# examples) under a profiler, and fail if a function under src/repro is
+# never entered and not listed with a reason in
+# tools/reachability_keep.txt (a few minutes on 2 vCPUs).
+reachability:
+	python tools/reachability.py
 
 all: test accuracy

@@ -1,20 +1,17 @@
-"""Stable public facade for the reproduction (v5).
+"""Stable public facade for the reproduction (v6).
 
 Everything a caller needs lives here; the deep module paths
 (``repro.experiments.runner``, ``repro.service.core``, ...) remain
 importable but are implementation detail and may move between releases.
-The v2 surface promotes *job submission* to the front door:
 
-* :func:`submit` / :class:`JobHandle` / :class:`JobStatus` -- the async
-  in-process client of the sweep service: runs, scenarios, sweeps,
-  figures and traces submitted as deduplicated, memoised jobs
-  (``await api.submit("run", benchmark="pr")``; see ``docs/service.md``);
-* :func:`serve` -- the HTTP sweep service (``python -m repro serve``:
-  ``POST /jobs``, ``GET /jobs/<id>/events``, ``GET /store/<digest>``);
+* :func:`serve` / :class:`JobStatus` -- the HTTP sweep service
+  (``python -m repro serve``: ``POST /jobs``, ``GET /jobs/<id>/events``,
+  ``GET /store/<digest>``; see ``docs/service.md``): runs, scenarios,
+  sweeps, figures and traces submitted as deduplicated, memoised jobs;
 * :func:`run` -- simulate one benchmark synchronously, optionally
   observed (``metrics=...``) and/or traced (``trace=...``);
-* :func:`trace` / :func:`trace_diff` -- request-level causal tracing:
-  run-and-export, and cycle-delta attribution between two traced runs;
+* :func:`trace` -- request-level causal tracing: run and export (``repro
+  trace diff`` attributes the cycle delta between two exports);
 * :func:`figure` / :func:`list_figures` -- regenerate any registered
   figure/table by name (see :mod:`repro.experiments.registry`);
 * :func:`run_scenario` / :func:`list_scenarios` / :func:`load_scenario`
@@ -27,25 +24,19 @@ The v2 surface promotes *job submission* to the front door:
 
 Quickstart::
 
-    import asyncio
     from repro import api
 
     base = api.run("pr")
     enhanced = api.run("pr", enhancements="full")
     print(enhanced.speedup_over(base))
 
-    async def sweep():
-        handle = await api.submit("run", benchmark="pr",
-                                  enhancements="full")
-        await handle.wait()
-        return handle.summary()
-    print(asyncio.run(sweep()).ipc)
-
 v2 demoted the v1 runner, cache and run-key classes to internals
 behind a one-time ``DeprecationWarning``; v4 drops them from this
 module along with the timed bench harness; v5 drops the runner knob
-(the sweep service is the one executor) and the policy-spelling shim.
-Simulator host time is measured by ``perfbench/`` and
+(the sweep service is the one executor) and the policy-spelling shim;
+v6 drops the in-process job client (``submit``, ``JobHandle``,
+``configure_service``, ``telemetry_snapshot``) and ``trace_diff``, which
+no entry point used.  Simulator host time is measured by ``perfbench/`` and
 ``tools/perfbench_ab.py`` (see README "Migrating").
 
 ``tests/test_api_surface.py`` pins this module's exports; extend
@@ -75,15 +66,16 @@ from repro.workloads.registry import benchmark_names
 #: and run-key re-exports.
 #: 5.0: the runner knob and the policy-spelling shim go; figure points
 #: run through the sweep service.
-__api_version__ = "5.0"
+#: 6.0: the in-process job client (``submit``, ``JobHandle``,
+#: ``configure_service``, ``telemetry_snapshot``) and ``trace_diff`` go.
+__api_version__ = "6.0"
 
 __all__ = [
     # entry points
     "run", "figure", "figure_spec", "list_figures", "list_benchmarks",
-    "trace", "trace_diff",
-    # jobs (the v2 front door; see docs/service.md)
-    "submit", "serve", "JobHandle", "JobStatus", "configure_service",
-    "telemetry_snapshot",
+    "trace",
+    # jobs (the HTTP sweep service; see docs/service.md)
+    "serve", "JobStatus",
     # scenarios (repro.scenario/v1; see docs/scenarios.md)
     "run_scenario", "list_scenarios", "load_scenario", "validate_scenario",
     "ScenarioDoc", "ScenarioError", "ScenarioResult",
@@ -105,8 +97,7 @@ __all__ = [
 #: facade loads the simulator but not the service, scenario or figure
 #: stacks.
 _EXPORTS = {name: module for module, names in (
-    ("repro.service", ("submit", "serve", "JobHandle", "JobStatus",
-                       "configure_service", "telemetry_snapshot")),
+    ("repro.service", ("serve", "JobStatus")),
     ("repro.scenarios", ("run_scenario", "list_scenarios", "load_scenario",
                          "validate_scenario", "ScenarioDoc",
                          "ScenarioError", "ScenarioResult")),
@@ -246,22 +237,6 @@ def trace(benchmark: str, *, path=None, sample: int = 1,
         from repro.obs.trace import export_trace
         export_trace(path, doc)
     return doc
-
-
-def trace_diff(baseline, enhanced, top: int = 10) -> Dict:
-    """Attribute the cycle delta between two traced runs of the same
-    workload (see :mod:`repro.obs.trace.diff`).
-
-    ``baseline``/``enhanced`` are trace documents (dicts, e.g. from
-    :func:`trace`) or paths to ``repro.obs/trace-v1`` exports.
-    """
-    from repro.obs.trace import load_trace
-    from repro.obs.trace import trace_diff as _trace_diff
-    if not isinstance(baseline, dict):
-        baseline = load_trace(baseline)
-    if not isinstance(enhanced, dict):
-        enhanced = load_trace(enhanced)
-    return _trace_diff(baseline, enhanced, top=top)
 
 
 def figure(name: str, **kwargs) -> FigureResult:

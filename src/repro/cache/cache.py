@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.cache.block import CacheBlock
 from repro.cache.replacement import make_policy
 from repro.cache.replacement.base import ReplacementPolicy
-from repro.cache.store import BlockView, CacheStore
+from repro.cache.store import CacheStore
 from repro.memsys import request as request_pool
 from repro.memsys.mshr import MSHR
 from repro.memsys.request import AccessType, MemoryRequest
@@ -119,11 +118,6 @@ class Cache:
         """Tag probe without side effects (used by tests and prefetchers)."""
         return line_addr in self._slot_of
 
-    def block_for(self, line_addr: int) -> Optional[BlockView]:
-        """A live block view for ``line_addr`` (no side effects)."""
-        slot = self._slot_of.get(line_addr)
-        return self._store.view(slot) if slot is not None else None
-
     # ------------------------------------------------------------------
     def access(self, req: MemoryRequest) -> int:
         """Process one request; returns the data-ready cycle."""
@@ -149,9 +143,9 @@ class Cache:
     def _handle_hit(self, req: MemoryRequest, set_idx: int, slot: int,
                     ready: int) -> int:
         store = self._store
-        # Counter updates and the MSHR merge probe are inlined (they match
-        # CacheStats.record and MSHR.lookup): this runs once per hit on the
-        # innermost path.
+        # Counter updates and the MSHR merge probe are inlined (the probe
+        # matches MSHR.lookup): this runs once per hit on the innermost
+        # path.
         stats = self.stats
         cat = req._category
         stats.accesses[cat] += 1
@@ -198,9 +192,9 @@ class Cache:
     def _handle_miss(self, req: MemoryRequest, set_idx: int,
                      ready: int) -> int:
         line = req.line_addr
-        # Counter updates and the MSHR merge probe are inlined (they match
-        # CacheStats.record and MSHR.lookup): this runs once per miss on
-        # the innermost path.
+        # Counter updates and the MSHR merge probe are inlined (the probe
+        # matches MSHR.lookup): this runs once per miss on the innermost
+        # path.
         stats = self.stats
         cat = req._category
         stats.accesses[cat] += 1
@@ -310,18 +304,17 @@ class Cache:
         if is_prefetch:
             self.stats.prefetch_fills += 1
 
-    def invalidate(self, line_addr: int) -> Optional[CacheBlock]:
+    def invalidate(self, line_addr: int) -> Optional[bool]:
         """Drop ``line_addr`` if resident (inclusion back-invalidation).
 
-        Returns a detached snapshot of the dropped block (still carrying
-        its dirty bit) so the inclusive parent can fold a dirty
-        upper-level copy into its own eviction writeback, or None when the
-        line was not resident."""
+        Returns the dropped line's dirty bit, so the inclusive parent can
+        fold a dirty upper-level copy into its own eviction writeback, or
+        None when the line was not resident."""
         slot = self._slot_of.pop(line_addr, None)
         if slot is None:
             return None
         self._store.valid[slot] = 0
-        return self._store.snapshot(slot)
+        return bool(self._store.dirty[slot])
 
     def _evict(self, set_idx: int, slot: int, cycle: int) -> None:
         store = self._store
@@ -332,10 +325,10 @@ class Cache:
         # so it upgrades this eviction to a writeback.
         upper_dirty = False
         for upper in self.back_invalidate_targets:
-            dropped = upper.invalidate(victim_line)
-            if dropped:
+            dropped_dirty = upper.invalidate(victim_line)
+            if dropped_dirty is not None:
                 self.back_invalidations += 1
-                upper_dirty = upper_dirty or getattr(dropped, "dirty", False)
+                upper_dirty = upper_dirty or dropped_dirty
         if self.recall_translation is not None:
             if store.is_leaf_translation[slot]:
                 self.recall_translation.on_evict(set_idx, victim_line)
@@ -396,7 +389,7 @@ class Cache:
     def rrpv_histogram(self) -> List[int]:
         """Counts of valid blocks by RRPV value (index = RRPV).
 
-        Policies without RRPV state (LRU, Random) leave every block at
+        Policies without RRPV state (LRU) leave every block at
         RRPV 0, so the histogram degenerates to one bucket."""
         max_rrpv = getattr(self._policy, "max_rrpv", 0)
         counts = [0] * (max_rrpv + 1)

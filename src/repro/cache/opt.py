@@ -67,16 +67,6 @@ class OPTAnalysis:
                     del resident[victim]
             resident[line] = next_use[i]
 
-    # -- reporting -------------------------------------------------------
-    def mpki(self, category: str, instructions: int) -> float:
-        if instructions <= 0:
-            return 0.0
-        return 1000.0 * self.misses[category] / instructions
-
-    def hit_rate(self, category: str) -> float:
-        total = self.hits[category] + self.misses[category]
-        return self.hits[category] / total if total else 0.0
-
 
 class AccessRecorder:
     """Wraps a cache's ``access`` to record its (line, category) stream.

@@ -1,30 +1,25 @@
-"""Replacement policies: baselines (LRU, Random, SRRIP, BRRIP, DRRIP, SHiP,
-Hawkeye) and the paper's translation-conscious variants (T-DRRIP, T-SHiP,
+"""Replacement policies: baselines (LRU, SRRIP, DRRIP, SHiP, Hawkeye) and
+the paper's translation-conscious variants (T-DRRIP, T-SHiP,
 T-Hawkeye, plus the signature-only "NewSign" ablation)."""
 
 from __future__ import annotations
 
 from repro.cache.replacement.base import ReplacementPolicy
 from repro.cache.replacement.lru import LRUPolicy
-from repro.cache.replacement.random_policy import RandomPolicy
-from repro.cache.replacement.srrip import SRRIPPolicy, BRRIPPolicy
+from repro.cache.replacement.srrip import SRRIPPolicy
 from repro.cache.replacement.drrip import DRRIPPolicy
 from repro.cache.replacement.ship import SHiPPolicy
 from repro.cache.replacement.hawkeye import HawkeyePolicy
 from repro.cache.replacement.translation_aware import (
-    AdaptiveTDRRIPPolicy, TDRRIPPolicy, TSHiPPolicy, THawkeyePolicy,
-    NewSignSHiPPolicy)
+    TDRRIPPolicy, TSHiPPolicy, THawkeyePolicy, NewSignSHiPPolicy)
 
 _REGISTRY = {
     "lru": LRUPolicy,
-    "random": RandomPolicy,
     "srrip": SRRIPPolicy,
-    "brrip": BRRIPPolicy,
     "drrip": DRRIPPolicy,
     "ship": SHiPPolicy,
     "hawkeye": HawkeyePolicy,
     "t_drrip": TDRRIPPolicy,
-    "t_drrip_adaptive": AdaptiveTDRRIPPolicy,
     "t_ship": TSHiPPolicy,
     "t_hawkeye": THawkeyePolicy,
     "newsign_ship": NewSignSHiPPolicy,
@@ -43,13 +38,7 @@ def make_policy(name: str, num_sets: int, num_ways: int,
     return cls(num_sets, num_ways, **kwargs)
 
 
-def available_policies():
-    """Names of all registered policies."""
-    return sorted(_REGISTRY)
-
-
-__all__ = ["ReplacementPolicy", "LRUPolicy", "RandomPolicy", "SRRIPPolicy",
-           "BRRIPPolicy", "DRRIPPolicy", "SHiPPolicy", "HawkeyePolicy",
-           "TDRRIPPolicy", "AdaptiveTDRRIPPolicy", "TSHiPPolicy",
-           "THawkeyePolicy", "NewSignSHiPPolicy", "make_policy",
-           "available_policies"]
+__all__ = ["ReplacementPolicy", "LRUPolicy", "SRRIPPolicy",
+           "DRRIPPolicy", "SHiPPolicy", "HawkeyePolicy",
+           "TDRRIPPolicy", "TSHiPPolicy",
+           "THawkeyePolicy", "NewSignSHiPPolicy", "make_policy"]

@@ -119,9 +119,6 @@ class HawkeyePolicy(RRIPBase):
         seg = self.store.rrpv[base:base + self.num_ways]
         return seg.index(max(seg))
 
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        return 0 if self._is_friendly(self.signature(req)) else self.max_rrpv
-
     def on_fill(self, set_idx: int, way: int, req: MemoryRequest) -> None:
         self._observe(set_idx, req)
         sig = self.signature(req)
@@ -150,7 +147,3 @@ class HawkeyePolicy(RRIPBase):
         if (self.store.rrpv[slot] < self.max_rrpv
                 and not self.store.reused[slot]):
             self._train(self.store.signature[slot], False)
-
-    # -- introspection ------------------------------------------------------
-    def predictor_value(self, req: MemoryRequest) -> int:
-        return self._predictor[self.signature(req)]

@@ -61,7 +61,3 @@ class SHiPPolicy(RRIPBase):
             counter = self._shct[sig]
             if counter > 0:
                 self._shct[sig] = counter - 1
-
-    # -- introspection (tests) ---------------------------------------------
-    def shct_value(self, req: MemoryRequest) -> int:
-        return self._shct[self.signature(req)]

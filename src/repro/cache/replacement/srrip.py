@@ -1,14 +1,12 @@
-"""SRRIP and BRRIP (Jaleel et al., ISCA'10).
+"""SRRIP (Jaleel et al., ISCA'10).
 
 SRRIP inserts every block with a *long* re-reference prediction
-(RRPV = max-1); BRRIP inserts mostly at *distant* (RRPV = max) and only
-occasionally at long, which protects the cache against thrashing patterns.
+(RRPV = max-1), :class:`RRIPBase`'s default insertion.
 """
 
 from __future__ import annotations
 
 from repro.cache.replacement.base import RRIPBase
-from repro.memsys.request import MemoryRequest
 
 
 class SRRIPPolicy(RRIPBase):
@@ -16,25 +14,3 @@ class SRRIPPolicy(RRIPBase):
 
     name = "srrip"
     rrpv_bits = 2
-
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        return self.max_rrpv - 1
-
-
-class BRRIPPolicy(RRIPBase):
-    """Bimodal RRIP: insert at RRPV = max except for 1/32 of fills."""
-
-    name = "brrip"
-    rrpv_bits = 2
-    #: One in this many fills is inserted with a long (max-1) RRPV.
-    LONG_INTERVAL = 32
-
-    def __init__(self, num_sets: int, num_ways: int):
-        super().__init__(num_sets, num_ways)
-        self._fill_count = 0
-
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        self._fill_count += 1
-        if self._fill_count % self.LONG_INTERVAL == 0:
-            return self.max_rrpv - 1
-        return self.max_rrpv

@@ -60,57 +60,6 @@ class TDRRIPPolicy(DRRIPPolicy):
         return super().insertion_rrpv(set_idx, req)
 
 
-class AdaptiveTDRRIPPolicy(TDRRIPPolicy):
-    """Set-dueling between T-DRRIP and plain DRRIP insertion (a design
-    extension beyond the paper).
-
-    The paper's T-DRRIP is statically enabled; on workloads with few
-    translations it is naturally inert, but an adversarial pattern could
-    in principle be hurt by pinning PTE lines.  This variant duels the
-    translation-conscious insertion against plain DRRIP with a second
-    PSEL counter and lets followers use whichever side misses less on
-    demand traffic.
-    """
-
-    name = "t_drrip_adaptive"
-
-    def __init__(self, num_sets: int, num_ways: int, leader_sets: int = 16):
-        super().__init__(num_sets, num_ways, leader_sets)
-        self._tpsel_max = (1 << self.PSEL_BITS) - 1
-        self._tpsel = self._tpsel_max // 2
-        stride = max(1, num_sets // (2 * leader_sets))
-        offset = stride // 2  # interleave away from the DRRIP leaders
-        self._t_leaders = set()
-        self._plain_leaders = set()
-        s = offset
-        for _ in range(leader_sets):
-            self._t_leaders.add(s % num_sets)
-            s += stride
-            self._plain_leaders.add(s % num_sets)
-            s += stride
-        self._plain_leaders -= self._t_leaders
-
-    def _t_enabled(self, set_idx: int) -> bool:
-        if set_idx in self._t_leaders:
-            return True
-        if set_idx in self._plain_leaders:
-            return False
-        # High TPSEL means the T-leaders are missing more: disable.
-        return self._tpsel <= self._tpsel_max // 2
-
-    def record_miss(self, set_idx: int) -> None:
-        super().record_miss(set_idx)
-        if set_idx in self._t_leaders:
-            self._tpsel = min(self._tpsel_max, self._tpsel + 1)
-        elif set_idx in self._plain_leaders:
-            self._tpsel = max(0, self._tpsel - 1)
-
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        if self._t_enabled(set_idx):
-            return super().insertion_rrpv(set_idx, req)
-        return DRRIPPolicy.insertion_rrpv(self, set_idx, req)
-
-
 class NewSignSHiPPolicy(SHiPPolicy):
     """SHiP with translation/replay-aware signatures only (Fig 12 ablation)."""
 
@@ -151,11 +100,6 @@ class THawkeyePolicy(HawkeyePolicy):
     def signature(self, req: MemoryRequest) -> int:
         ip = _aware_ip(req)
         return (ip ^ (ip >> 13) ^ (ip >> 26)) % self.PREDICTOR_SIZE
-
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        if req.is_leaf_translation:
-            return 0
-        return super().insertion_rrpv(set_idx, req)
 
     def on_fill(self, set_idx: int, way: int, req: MemoryRequest) -> None:
         super().on_fill(set_idx, way, req)

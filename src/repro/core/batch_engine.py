@@ -36,7 +36,7 @@ the ``repro.validate`` fuzz axis):
   counter and the fill-completion max), and the deferred counter adds
   are plain integer arithmetic whose total is order-independent.
 * Configurations with per-hit side effects the fast path does not model
-  (frontend, huge pages, L1D prefetchers, non-LRU L1D policy, comparison
+  (huge pages, L1D prefetchers, non-LRU L1D policy, comparison
   modes, attached checkers/samplers/tracers, instance-patched hot
   methods) are refused wholesale: :func:`vector_ineligibility` routes
   the entire run through an ordinary :class:`OOOCore`, recording a
@@ -71,8 +71,6 @@ def vector_ineligibility(config: SimConfig,
     fast path does not model; ineligible runs execute on the scalar core
     and remain bit-identical by construction.
     """
-    if config.model_frontend or hierarchy.frontend is not None:
-        return FallbackReason.FRONTEND
     if config.huge_page_policy != "none" \
             or hierarchy.page_table.huge_page_predicate is not None:
         return FallbackReason.HUGE_PAGES
@@ -107,7 +105,6 @@ class BatchCore:
         self.rob_entries = core.rob_entries
         self.dispatch_width = core.dispatch_width
         self.retire_width = core.retire_width
-        self.nonmem_latency = core.nonmem_latency
         #: Why the last ``run`` fell back to the scalar core (or None).
         self.last_fallback_reason: Optional[FallbackReason] = None
         #: Engagement record of the last ``run`` (stable api surface).
@@ -189,11 +186,9 @@ class BatchCore:
 
         stalls = StallAccounting()
         record_load = stalls.record_load_stall
-        record_other = stalls.record_other_stall
         rob_entries = self.rob_entries
         dispatch_width = self.dispatch_width
         retire_width = self.retire_width
-        nonmem_latency = self.nonmem_latency
         kind_load, kind_nonmem = KIND_LOAD, KIND_NONMEM
 
         chain_completion = 0
@@ -262,19 +257,14 @@ class BatchCore:
                 kind = kinds_l[i]
                 is_load = kind == kind_load
                 if kind == kind_nonmem:
-                    completion = dc + nonmem_latency
-                    # retire (shared epilogue below)
+                    # retire (shared epilogue below); completing at
+                    # dc + 1, it never waits past ``earliest``
                     earliest = retire_cycle
                     if retire_slots >= retire_width:
                         earliest += 1
                     if earliest < dc + 1:
                         earliest = dc + 1
-                    if completion > earliest:
-                        if counting:
-                            record_other(completion - earliest)
-                        rt = completion
-                    else:
-                        rt = earliest
+                    rt = earliest
                     if rt > retire_cycle:
                         retire_cycle = rt
                         retire_slots = 1
@@ -319,7 +309,7 @@ class BatchCore:
                             if pending is not None \
                                     and pending > dc + dtlb_lat:
                                 n_fast_merges += 1
-                            completion = dc + nonmem_latency
+                            completion = dc + 1
                         n_fast_mem += 1
                         clock_d += 1
                         entries[vpn] = clock_d
@@ -335,14 +325,12 @@ class BatchCore:
                         if earliest < dc + 1:
                             earliest = dc + 1
                         if completion > earliest:
+                            # only a load: a store completes at dc + 1
                             if counting:
-                                if is_load:
-                                    record_load(
-                                        completion - earliest, False,
-                                        translation_pending=translation_done
-                                        - earliest)
-                                else:
-                                    record_other(completion - earliest)
+                                record_load(
+                                    completion - earliest, False,
+                                    translation_pending=translation_done
+                                    - earliest)
                             rt = completion
                         else:
                             rt = earliest
@@ -375,7 +363,7 @@ class BatchCore:
                         chain_completion = completion
                 else:
                     hierarchy_store(addr, dc, ips_l[i])
-                    completion = dc + nonmem_latency
+                    completion = dc + 1
                 clock_d = dtlb._clock
                 clock_p = policy._clock
 
@@ -385,14 +373,12 @@ class BatchCore:
                 if earliest < dc + 1:
                     earliest = dc + 1
                 if completion > earliest:
+                    # only a load: a store completes at dc + 1
                     if counting:
-                        if is_load:
-                            record_load(
-                                completion - earliest, is_replay,
-                                translation_pending=translation_done
-                                - earliest)
-                        else:
-                            record_other(completion - earliest)
+                        record_load(
+                            completion - earliest, is_replay,
+                            translation_pending=translation_done
+                            - earliest)
                     rt = completion
                 else:
                     rt = earliest

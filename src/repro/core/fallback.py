@@ -35,7 +35,6 @@ class FallbackReason(str, Enum):
     """
 
     #: Static (config-time) refusals -- see ``vector_ineligibility``.
-    FRONTEND = "frontend"
     HUGE_PAGES = "huge_pages"
     COMPARISON = "comparison"
     L1D_PREFETCHER = "l1d_prefetcher"
@@ -54,8 +53,6 @@ class FallbackReason(str, Enum):
 #: Human-readable detail per reason (docs table, error surfaces).  Every
 #: member must have an entry -- the drift test enforces it.
 REASON_DETAIL: Dict[FallbackReason, str] = {
-    FallbackReason.FRONTEND:
-        "frontend modelled (per-instruction fetch path)",
     FallbackReason.HUGE_PAGES:
         "huge-page policy active (per-access key/sub split)",
     FallbackReason.COMPARISON:

@@ -53,16 +53,6 @@ class CoreResult:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def execution_time(self) -> int:
-        """Cycles taken for the ROI (the paper's performance metric is the
-        reduction in execution time)."""
-        return self.cycles
-
-    def speedup_over(self, baseline: "CoreResult") -> float:
-        """Normalized performance: baseline time / this time."""
-        return baseline.cycles / self.cycles if self.cycles else 0.0
-
 
 class OOOCore:
     """Single-thread core bound to one memory hierarchy.
@@ -84,7 +74,6 @@ class OOOCore:
         self.rob_entries = core.rob_entries
         self.dispatch_width = core.dispatch_width
         self.retire_width = core.retire_width
-        self.nonmem_latency = core.nonmem_latency
         from repro import validate
         self.checker = validate.maybe_attach_core(self)
 
@@ -131,7 +120,6 @@ class OOOCore:
         self.stalls = StallAccounting()
         self.roi_start_cycle = 0
         self.counting = False
-        self._prev_fetch_line = -1
         # The window read last: its first index and its four columns.
         self._window = (0, [], [], [], [])
         if warmup == 0:
@@ -166,12 +154,9 @@ class OOOCore:
         checker = self.checker
         sampler = hierarchy.sampler
         tracer = hierarchy.tracer
-        frontend = hierarchy.frontend
-        fetch_hidden = frontend.hidden_latency if frontend else 0
         rob_entries = self.rob_entries
         dispatch_width = self.dispatch_width
         retire_width = self.retire_width
-        nonmem_latency = self.nonmem_latency
         hierarchy_load = hierarchy.load
         hierarchy_store = hierarchy.store
         kind_load, kind_store = KIND_LOAD, KIND_STORE
@@ -183,7 +168,6 @@ class OOOCore:
         retire_cycle = self.retire_cycle
         retire_slots = self.retire_slots
         retire_times = self.retire_times
-        prev_fetch_line = self._prev_fetch_line
         lo, ips, kinds, addrs, deps = self._window
         hi = lo + len(kinds)
 
@@ -210,19 +194,6 @@ class OOOCore:
                     dispatch_cycle += 1
                     dispatch_slots = 0
 
-                # -- fetch (optional frontend) -------------------------------
-                if frontend is not None:
-                    fetch_line = ips[j] >> 6
-                    if fetch_line != prev_fetch_line:
-                        prev_fetch_line = fetch_line
-                        fetch_done = frontend.fetch(ips[j], dc)
-                        # An L1I hit is hidden by the fetch pipeline; misses
-                        # push dispatch back by the uncovered latency.
-                        if fetch_done - dc > fetch_hidden:
-                            dc = fetch_done - fetch_hidden
-                            dispatch_cycle = dc
-                            dispatch_slots = 0
-
                 # -- execute --------------------------------------------------
                 kind = kinds[j]
                 is_replay = False
@@ -239,9 +210,9 @@ class OOOCore:
                         chain_completion = completion
                 elif kind == kind_store:
                     hierarchy_store(addrs[j], dc, ips[j])
-                    completion = dc + nonmem_latency
+                    completion = dc + 1
                 else:
-                    completion = dc + nonmem_latency
+                    completion = dc + 1
 
                 # -- retire (in order, retire_width per cycle) ---------------
                 earliest = retire_cycle
@@ -250,18 +221,17 @@ class OOOCore:
                 if earliest < dc + 1:
                     earliest = dc + 1
                 if completion > earliest:
+                    # Only a load gets here: every other instruction
+                    # completes at dc + 1, and ``earliest`` is never less.
                     stall = completion - earliest
                     if counting:
-                        if kind == kind_load:
-                            stalls.record_load_stall(
-                                stall, is_replay, translation_pending=(
-                                    translation_done - earliest))
-                            if tracer is not None:
-                                tracer.attach_load_stall(
-                                    earliest, completion, is_replay,
-                                    translation_done, ip=ips[j])
-                        else:
-                            stalls.record_other_stall(stall)
+                        stalls.record_load_stall(
+                            stall, is_replay, translation_pending=(
+                                translation_done - earliest))
+                        if tracer is not None:
+                            tracer.attach_load_stall(
+                                earliest, completion, is_replay,
+                                translation_done, ip=ips[j])
                     rt = completion
                 else:
                     rt = earliest
@@ -285,5 +255,4 @@ class OOOCore:
         self.dispatch_slots = dispatch_slots
         self.retire_cycle = retire_cycle
         self.retire_slots = retire_slots
-        self._prev_fetch_line = prev_fetch_line
         self._window = (lo, ips, kinds, addrs, deps)

@@ -68,18 +68,9 @@ class StallAccounting:
         else:
             self.by_category[StallCategory.NON_REPLAY].add(stall)
 
-    def record_other_stall(self, stall: int) -> None:
-        self.by_category[StallCategory.OTHER].add(stall)
-
     # -- reporting ----------------------------------------------------
     def total(self, category: StallCategory) -> int:
         return self.by_category[category].total_cycles
-
-    def avg(self, category: StallCategory) -> float:
-        return self.by_category[category].avg_cycles
-
-    def max(self, category: StallCategory) -> int:
-        return self.by_category[category].max_cycles
 
     def total_stall_cycles(self) -> int:
         return sum(s.total_cycles for s in self.by_category.values())

@@ -23,48 +23,6 @@ from repro.workloads.registry import benchmark_names
 from repro.experiments.registry import figure
 
 
-def adaptive_tdrrip_study(benchmarks: Optional[Sequence[str]] = None,
-                          instructions: int = DEFAULT_INSTRUCTIONS,
-                          warmup: int = DEFAULT_WARMUP,
-                          scale: int = DEFAULT_SCALE) -> FigureResult:
-    """Static T-DRRIP vs the set-dueling adaptive variant at the L2C.
-
-    The adaptive variant (an extension beyond the paper) duels
-    translation-conscious insertion against plain DRRIP so that a
-    workload hurt by PTE pinning would automatically disable it.  On the
-    paper's benchmarks the two should be equivalent -- the dueling's
-    value is insurance, not speedup.
-    """
-    names = list(benchmarks) if benchmarks else benchmark_names()
-    specs = {}
-    for name in names:
-        specs[(name, "base")] = RunKey.make(name, None, instructions,
-                                            warmup, scale)
-        for label, policy in (("static", "t_drrip"),
-                              ("adaptive", "t_drrip_adaptive")):
-            cfg = default_config(scale)
-            cfg.l2c.replacement = policy
-            specs[(name, label)] = RunKey.make(name, cfg, instructions,
-                                               warmup, scale)
-    runs = _run_grid(specs)
-    rows, data = [], {}
-    speedups = {"static": [], "adaptive": []}
-    for name in names:
-        row = [name]
-        data[name] = {}
-        for label in ("static", "adaptive"):
-            sp = runs[(name, label)].speedup_over(runs[(name, "base")])
-            row.append(sp)
-            data[name][label] = sp
-            speedups[label].append(sp)
-        rows.append(row)
-    rows.append(["gmean", geometric_mean(speedups["static"]),
-                 geometric_mean(speedups["adaptive"])])
-    data["gmean"] = {k: geometric_mean(v) for k, v in speedups.items()}
-    return FigureResult("Extension", "Static vs adaptive T-DRRIP (L2C)",
-                        ["benchmark", "static", "adaptive"], rows, data)
-
-
 @figure("hugepages", paper=False)
 def huge_page_study(benchmarks: Optional[Sequence[str]] = None,
                     instructions: int = DEFAULT_INSTRUCTIONS,

@@ -44,24 +44,6 @@ class FigureResult:
                 "headers": list(self.headers),
                 "rows": [list(r) for r in self.rows], "data": self.data}
 
-    def save_json(self, path) -> None:
-        """Write the result to ``path`` as JSON."""
-        import json
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, default=str)
-
-    def chart(self, column: int = 1, baseline: float = 0.0) -> str:
-        """ASCII bar chart of one numeric column against the row labels."""
-        from repro.stats.report import bar_chart
-        labels, values = [], []
-        for row in self.rows:
-            value = row[column] if column < len(row) else None
-            if isinstance(value, (int, float)):
-                labels.append(str(row[0]))
-                values.append(float(value))
-        return bar_chart(f"[{self.figure}] {self.headers[column]}",
-                         labels, values, baseline=baseline)
-
 
 def _benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
     return list(benchmarks) if benchmarks else benchmark_names()

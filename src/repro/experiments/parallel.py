@@ -228,10 +228,6 @@ class RunSummary:
     def stall_max(self, category: StallCategory) -> int:
         return self.stalls[category.value]["max"]
 
-    def translation_replay_stalls(self) -> int:
-        return (self.stall_cycles(StallCategory.TRANSLATION)
-                + self.stall_cycles(StallCategory.REPLAY))
-
     def summary(self) -> Dict[str, float]:
         return dict(self.metrics)
 
@@ -382,20 +378,6 @@ class ResultCache:
         side effects -- probes are not hits)."""
         return self.path_for(key).is_file()
 
-    def get(self, key) -> Optional[RunSummary]:
-        data = self._read(key)
-        if data is None:
-            self.misses += 1
-            return None
-        try:
-            summary = RunSummary.from_dict(data)
-        except (ValueError, TypeError, KeyError) as exc:
-            self._read_failed(self._digest_of(key), exc)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return summary
-
     def get_raw(self, key) -> Optional[Dict]:
         """The stored JSON document, schema-agnostic (the sweep service
         stores non-``RunSummary`` payloads through the same shards)."""
@@ -420,10 +402,6 @@ class ResultCache:
                 os.unlink(tmp)
             raise
         self.stores += 1
-
-    def put(self, key, summary: RunSummary) -> None:
-        """Atomic write (temp file + rename) of one run's summary."""
-        self.put_raw(key, summary.to_dict())
 
     def put_raw(self, key, document: Dict) -> bool:
         """Store an arbitrary JSON document under a key/digest; whether
@@ -462,20 +440,6 @@ class ResultCache:
                          "write_errors": self.write_errors,
                          "read_errors": self.read_errors},
         }
-
-    def prune_stale(self) -> int:
-        """Delete result dirs for other schema versions / code states."""
-        removed = 0
-        if not self.root.is_dir():
-            return removed
-        for child in self.root.iterdir():
-            if child.is_dir() and child != self.dir:
-                import shutil
-                shutil.rmtree(child, ignore_errors=True)
-                removed += 1
-        return removed
-
-
 
 
 # ----------------------------------------------------------------------

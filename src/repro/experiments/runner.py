@@ -82,12 +82,6 @@ class RunResult:
     def stall_cycles(self, category: StallCategory) -> int:
         return self.core.stalls.total(category)
 
-    def stall_avg(self, category: StallCategory) -> float:
-        return self.core.stalls.avg(category)
-
-    def stall_max(self, category: StallCategory) -> int:
-        return self.core.stalls.max(category)
-
     def translation_replay_stalls(self) -> int:
         return self.core.stalls.translation_plus_replay()
 
@@ -163,24 +157,6 @@ class MultiSeedResult:
 
     benchmark: str
     runs: list = field(repr=False, default_factory=list)
-
-    @property
-    def cycles_mean(self) -> float:
-        return sum(r.cycles for r in self.runs) / len(self.runs)
-
-    @property
-    def cycles_spread(self) -> float:
-        """Relative spread (max-min)/mean -- a noise estimate."""
-        cycles = [r.cycles for r in self.runs]
-        return (max(cycles) - min(cycles)) / self.cycles_mean
-
-    @property
-    def stlb_mpki_mean(self) -> float:
-        return sum(r.stlb_mpki for r in self.runs) / len(self.runs)
-
-    def speedup_over(self, baseline: "MultiSeedResult") -> float:
-        """Mean-cycles speedup (seeds are paired by construction)."""
-        return baseline.cycles_mean / self.cycles_mean
 
 
 def run_benchmark_multi(name: str, seeds,

@@ -156,8 +156,3 @@ class DRAM:
         self._open_row[bank_idx] = row
         start = self._banks[bank_idx].reserve(start, cfg.row_miss_latency)
         return start + cfg.row_miss_latency
-
-    def bandwidth_only_access(self, line_addr: int, cycle: int) -> int:
-        """An access that consumes bandwidth but whose latency nobody waits
-        on (ideal-cache modes forward misses this way)."""
-        return self._raw_access(line_addr, cycle)

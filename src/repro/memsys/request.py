@@ -38,7 +38,6 @@ class AccessType(enum.Enum):
 
     LOAD = "load"
     STORE = "store"
-    IFETCH = "ifetch"
     TRANSLATION = "translation"
     PREFETCH = "prefetch"
     WRITEBACK = "writeback"

@@ -67,14 +67,6 @@ def configure_logging(enabled: bool = True, stream: Optional[IO[str]] = None,
         return _state["run_id"]
 
 
-def logging_enabled() -> bool:
-    return _state["enabled"]
-
-
-def current_run_id() -> Optional[str]:
-    return _state["run_id"]
-
-
 class JsonLinesLogger:
     """A component-scoped handle onto the process-wide log plane."""
 

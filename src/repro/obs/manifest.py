@@ -105,7 +105,6 @@ def build_manifest(benchmark: str, config: SimConfig, *,
             "l2c_prefetcher": config.l2c_prefetcher,
             "atp": hierarchy.atp is not None,
             "tempo": hierarchy.tempo is not None,
-            "frontend": hierarchy.frontend is not None,
             "checker": hierarchy.checker is not None,
         }
     if result is not None:

@@ -116,19 +116,6 @@ class EventStream:
             return [self._events[i]
                     for i in range(offset, len(self._events))]
 
-    def wait_for(self, index: int, timeout: Optional[float] = None) -> bool:
-        """Block until event ``index`` has been emitted or the stream
-        closes.
-
-        Returns ``True`` when the event has been emitted (it may since
-        have been dropped from the backlog -- :meth:`snapshot` tells),
-        ``False`` on close-before-available or timeout.
-        """
-        with self._cond:
-            return self._cond.wait_for(
-                lambda: self._next > index or self._closed,
-                timeout=timeout) and self._next > index
-
     def follow(self, start: int = 0,
                timeout: Optional[float] = None) -> Iterator[Dict]:
         """Yield events with ``seq >= start`` until the stream closes.

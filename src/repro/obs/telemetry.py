@@ -44,10 +44,6 @@ DEFAULT_BUCKETS = (0.005, 0.025, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0,
 _TYPES = ("counter", "gauge", "histogram")
 
 
-class TelemetrySchemaError(ValueError):
-    """A document that does not conform to ``repro.obs/telemetry-v1``."""
-
-
 def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
@@ -96,39 +92,24 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """Point-in-time value; explicit (:meth:`set`) or callback-backed."""
+    """Point-in-time value, read from a callback at scrape time."""
 
     kind = "gauge"
 
     def __init__(self, name: str, help: str = "",
-                 labels: Optional[Dict[str, str]] = None,
-                 fn: Optional[Callable[[], float]] = None):
+                 labels: Optional[Dict[str, str]] = None, *,
+                 fn: Callable[[], float]):
         super().__init__(name, help, labels)
-        self._value = 0.0
         self._fn = fn
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = value
-
-    def inc(self, n: float = 1) -> None:
-        with self._lock:
-            self._value += n
-
-    def dec(self, n: float = 1) -> None:
-        self.inc(-n)
 
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            # Callback gauges read live service state; a failing
-            # callback must not take /metrics down with it.
-            try:
-                return float(self._fn())
-            except Exception:
-                return 0.0
-        with self._lock:
-            return self._value
+        # Callback gauges read live service state; a failing callback
+        # must not take /metrics down with it.
+        try:
+            return float(self._fn())
+        except Exception:
+            return 0.0
 
     def series(self) -> Dict:
         return {"name": self.name, "type": self.kind,
@@ -232,11 +213,10 @@ class TelemetryRegistry:
         return self._get_or_create(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "",
-              labels: Optional[Dict[str, str]] = None,
-              fn: Optional[Callable[[], float]] = None) -> Gauge:
+              labels: Optional[Dict[str, str]] = None, *,
+              fn: Callable[[], float]) -> Gauge:
         gauge = self._get_or_create(Gauge, name, help, labels, fn=fn)
-        if fn is not None:
-            gauge._fn = fn
+        gauge._fn = fn
         return gauge
 
     def histogram(self, name: str, help: str = "",
@@ -393,11 +373,3 @@ def _check_histogram(entry: Dict, where: str, name: str) -> List[str]:
             or isinstance(entry.get("sum"), bool):
         problems.append(f"{where} ({name}): missing sum")
     return problems
-
-
-def validate_telemetry_strict(doc) -> Dict:
-    """Raise :class:`TelemetrySchemaError` on any problem; else the doc."""
-    problems = validate_telemetry(doc)
-    if problems:
-        raise TelemetrySchemaError("; ".join(problems))
-    return doc

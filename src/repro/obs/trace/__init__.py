@@ -26,14 +26,14 @@ See ``docs/observability.md``.
 """
 
 from repro.obs.trace.analysis import (TraceIndex, category_breakdown,
-                                      critical_path, hotspots,
-                                      latency_breakdown, render_trace,
-                                      summarize, walk_hit_matrix)
+                                      hotspots, latency_breakdown,
+                                      render_trace, summarize,
+                                      walk_hit_matrix)
 from repro.obs.trace.diff import (TraceAlignmentError, render_trace_diff,
                                   trace_diff)
 from repro.obs.trace.export import (TRACE_SCHEMA, export_perfetto,
-                                    export_trace, load_perfetto,
-                                    load_trace, perfetto_document,
+                                    export_trace, load_trace,
+                                    perfetto_document,
                                     trace_document, validate_trace,
                                     validate_trace_strict)
 from repro.obs.trace.instrument import attach, detach
@@ -42,8 +42,8 @@ from repro.obs.trace.spans import DEFAULT_RING_CAPACITY, Span, SpanTracer
 __all__ = [
     "DEFAULT_RING_CAPACITY", "Span", "SpanTracer", "TRACE_SCHEMA",
     "TraceAlignmentError", "TraceIndex", "attach", "category_breakdown",
-    "critical_path", "detach", "export_perfetto", "export_trace",
-    "hotspots", "latency_breakdown", "load_perfetto", "load_trace",
+    "detach", "export_perfetto", "export_trace",
+    "hotspots", "latency_breakdown", "load_trace",
     "perfetto_document", "render_trace", "render_trace_diff", "summarize",
     "trace_diff", "trace_document", "validate_trace",
     "validate_trace_strict", "walk_hit_matrix",

@@ -46,11 +46,6 @@ class TraceIndex:
                 return child
         return None
 
-    def root_of(self, span: Dict) -> Dict:
-        while span["parent"] is not None:
-            span = self.by_id[span["parent"]]
-        return span
-
 
 def _stats(durations: List[int]) -> Dict[str, float]:
     if not durations:
@@ -144,22 +139,6 @@ def walk_hit_matrix(doc: Dict) -> Dict[str, Dict[str, int]]:
         row = matrix.setdefault(depth, {})
         row[served] = row.get(served, 0) + 1
     return matrix
-
-
-def critical_path(doc: Dict, root_id: int) -> List[Dict]:
-    """The chain of spans that determined ``root_id``'s completion:
-    from the root down, always descend into the child whose subtree
-    completes last."""
-    index = TraceIndex(doc)
-    span = index.by_id[root_id]
-    path = [span]
-    while True:
-        children = index.children_of(span["id"])
-        children = [c for c in children if c["name"] != "stall"]
-        if not children:
-            return path
-        span = max(children, key=lambda c: (c["end"], c["start"]))
-        path.append(span)
 
 
 # ----------------------------------------------------------------------

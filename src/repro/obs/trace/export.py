@@ -251,8 +251,3 @@ def export_perfetto(path, doc: Dict) -> None:
         json.dump(perfetto_document(doc), f, indent=None,
                   separators=(",", ":"), sort_keys=True)
         f.write("\n")
-
-
-def load_perfetto(path) -> Dict:
-    with open(path) as f:
-        return json.load(f)

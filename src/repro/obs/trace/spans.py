@@ -51,10 +51,6 @@ class Span:
     end: int
     args: Dict = field(default_factory=dict)
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
     def to_dict(self) -> Dict:
         return {"id": self.id, "parent": self.parent, "name": self.name,
                 "cat": self.cat, "start": self.start, "end": self.end,
@@ -229,14 +225,3 @@ class SpanTracer:
         """All recorded spans, group by group (creation order within)."""
         for group in self.requests:
             yield from group
-
-    def clear(self) -> None:
-        self.requests.clear()
-        self.dropped_requests = 0
-        self.seq = 0
-        self.sampled_requests = 0
-        self._next_id = 1
-        self._stack = []
-        self._group = None
-        self._last_group = None
-        self._last_root = None

@@ -131,7 +131,6 @@ class CoreConfig:
     rob_entries: int = 352
     dispatch_width: int = 6
     retire_width: int = 4
-    nonmem_latency: int = 1
     #: Cycles to re-schedule and re-issue a load from the load queue after
     #: its STLB-missing translation finally fills (pipeline replay).  This
     #: is the window in which ATP's prefetch -- launched the moment the
@@ -213,11 +212,6 @@ class IdealConfig:
     l2c_translations: bool = False
     l2c_replays: bool = False
 
-    @property
-    def any_enabled(self) -> bool:
-        return (self.llc_translations or self.llc_replays
-                or self.l2c_translations or self.l2c_replays)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -234,11 +228,8 @@ class SimConfig:
 
     core: CoreConfig = field(default_factory=CoreConfig)
     dtlb: TLBConfig = field(default_factory=lambda: TLBConfig("DTLB", 64, 4, 1))
-    itlb: TLBConfig = field(default_factory=lambda: TLBConfig("ITLB", 64, 4, 1))
     stlb: TLBConfig = field(default_factory=lambda: TLBConfig("STLB", 2048, 16, 8))
     psc: PSCConfig = field(default_factory=PSCConfig)
-    l1i: CacheConfig = field(default_factory=lambda: CacheConfig(
-        "L1I", 32 * 1024, 8, 4, mshr_entries=8, replacement="lru"))
     l1d: CacheConfig = field(default_factory=lambda: CacheConfig(
         "L1D", 48 * 1024, 12, 5, mshr_entries=24, replacement="lru"))
     l2c: CacheConfig = field(default_factory=lambda: CacheConfig(
@@ -253,11 +244,6 @@ class SimConfig:
     #: L1D/L2C copies -- which also evicts retained translations early,
     #: an interesting interaction with T-DRRIP).
     llc_inclusion: str = "non_inclusive"
-    #: Model the instruction side (ITLB + L1I fetch path).  Off by
-    #: default: the paper's workloads are data-bound and their code
-    #: footprints hit the L1I, but the structures are Table I components
-    #: and xalancbmk-style code-heavy workloads can exercise them.
-    model_frontend: bool = False
     #: Huge-page policy (extension study): "none" maps everything with
     #: 4KB pages (the paper's setting); "gather_region" backs the
     #: irregular gather region with 2MB pages (THP-style).
@@ -266,7 +252,8 @@ class SimConfig:
     #: (DpPred dead-page bypass at STLB + CbPred dead-block bypass at
     #: LLC) or "csalt" (translation/data way partitioning at the LLC).
     comparison: str = "none"
-    #: L1D prefetcher name ("none", "ipcp", "ip_stride", "next_line").
+    #: L1D prefetcher name ("none", "ipcp", "next_line", or any L2C
+    #: prefetcher).
     l1d_prefetcher: str = "none"
     #: L2C prefetcher name ("none", "spp", "bingo", "isb", "next_line").
     l2c_prefetcher: str = "none"
@@ -308,7 +295,9 @@ class SimConfig:
 
 
 def paper_config() -> SimConfig:
-    """Table I of the paper, verbatim."""
+    """Table I of the paper, verbatim, less its instruction side (ITLB
+    and L1I): the paper's workloads are data-bound, and nothing here
+    models instruction fetch."""
     return SimConfig()
 
 
@@ -329,9 +318,7 @@ def default_config(scale: int = DEFAULT_SCALE) -> SimConfig:
     # (Fig 3: only 23% of leaf translations are served at the L1D).
     return cfg.with_(
         dtlb=cfg.dtlb.scaled(max(1, scale // 4)),
-        itlb=cfg.itlb.scaled(max(1, scale // 4)),
         stlb=cfg.stlb.scaled(scale),
-        l1i=cfg.l1i.scaled(max(1, scale // 4)),
         l1d=cfg.l1d.scaled(max(1, scale // 4)),
         l2c=cfg.l2c.scaled(scale),
         llc=cfg.llc.scaled(scale),

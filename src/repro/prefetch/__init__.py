@@ -7,7 +7,6 @@ import importlib
 #: module is imported only when that prefetcher is requested.
 _L2C_REGISTRY = {
     "next_line": ("repro.prefetch.next_line", "NextLinePrefetcher"),
-    "ip_stride": ("repro.prefetch.ip_stride", "IPStridePrefetcher"),
     "spp": ("repro.prefetch.spp", "SPPPrefetcher"),
     "bingo": ("repro.prefetch.bingo", "BingoPrefetcher"),
     "isb": ("repro.prefetch.isb", "ISBPrefetcher"),

@@ -7,8 +7,8 @@ schedule -- and compile into deterministic interleaved traces that run
 through the ordinary ``repro.api`` / ``experiments.runner`` path.
 
 * :func:`parse_scenario` / :func:`load_scenario_file` -- strict parsing
-  into :class:`ScenarioDoc` (canonical re-emission via
-  :func:`emit_scenario`, content identity via ``doc.digest``);
+  into :class:`ScenarioDoc` (canonical form via ``doc.canonical()``,
+  content identity via ``doc.digest``);
 * :func:`compile_scenario` -- document -> deterministic ``Trace``;
 * :func:`list_scenarios` / :func:`load_scenario` -- the checked-in
   ``SYN-*`` / ``RL-*`` library;
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.scenarios.compile import compile_scenario
 from repro.scenarios.doc import (SCENARIO_SCHEMA, ArrivalSpec, PhaseSpec,
-                                 ScenarioDoc, ScenarioError, emit_scenario,
+                                 ScenarioDoc, ScenarioError,
                                  load_scenario_file, parse_scenario)
 from repro.scenarios.engine import (RESULT_SCHEMA, ScenarioResult,
                                     describe_scenario, register_scenario,
@@ -38,7 +38,7 @@ __all__ = [
     "SCENARIO_SCHEMA", "RESULT_SCHEMA", "LIBRARY_DIR",
     "ArrivalSpec", "PhaseSpec", "ScenarioDoc", "ScenarioError",
     "ScenarioResult",
-    "parse_scenario", "load_scenario_file", "emit_scenario",
+    "parse_scenario", "load_scenario_file",
     "compile_scenario", "validate_scenario",
     "library_paths", "list_scenarios", "load_scenario",
     "register_scenario", "resolve_scenario", "resolve_trace",

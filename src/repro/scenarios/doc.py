@@ -364,15 +364,3 @@ def load_scenario_file(path: "str | os.PathLike") -> ScenarioDoc:
     except OSError as exc:
         raise ScenarioError(f"{p}: cannot read scenario ({exc})") from None
     return parse_scenario(_decode_text(text, str(p)), source=p.name)
-
-
-def emit_scenario(doc: ScenarioDoc, path=None) -> str:
-    """Serialise the canonical form (JSON text -- valid YAML too).
-
-    ``path`` additionally writes the text there.  ``parse -> emit ->
-    parse`` is the identity on the canonical form.
-    """
-    text = json.dumps(doc.canonical(), indent=2, sort_keys=True) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text

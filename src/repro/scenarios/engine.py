@@ -87,14 +87,6 @@ class ScenarioResult:
     key: RunKey
     summary: RunSummary
 
-    @property
-    def ipc(self) -> float:
-        return self.summary.ipc
-
-    @property
-    def cycles(self) -> int:
-        return self.summary.cycles
-
     def jsonl_record(self, *, timestamp: bool = True) -> Dict:
         """The ``repro.scenario-result/v1`` line for this run.
 

@@ -10,7 +10,7 @@ interesting properties, all pinned by ``tests/test_service.py``:
   submissions execute the simulation exactly once and fan the result
   out); otherwise it queues and executes.
 * **Back-pressure.**  The queue is bounded: ``submit(..., wait=True)``
-  (the in-process client) suspends the submitter until a slot frees;
+  (in-process callers) suspends the submitter until a slot frees;
   ``wait=False`` (the HTTP server) raises :class:`ServiceSaturated`,
   which surfaces as ``503 Retry-After``.
 * **Priorities.**  Lower numbers run first; ties resolve in submission
@@ -337,10 +337,6 @@ class SweepService:
             self._progress_queue = None
             self._progress_thread = None
         self._queue = None
-
-    @property
-    def started(self) -> bool:
-        return self._queue is not None
 
     # -- submission ------------------------------------------------------
     async def submit(self, kind: str = "run", *,
@@ -976,94 +972,3 @@ def serving(workers: int = 0, store: Optional[ResultCache] = None,
             yield service
     finally:
         runtime.stop()
-
-
-# ----------------------------------------------------------------------
-# In-process client handle
-# ----------------------------------------------------------------------
-class JobHandle:
-    """What :func:`repro.api.submit` returns: a thin async view of one
-    job inside an in-process :class:`SweepService`."""
-
-    def __init__(self, service: SweepService, job: Job):
-        self._service = service
-        self._job = job
-
-    # -- identity --------------------------------------------------------
-    @property
-    def id(self) -> str:
-        return self._job.id
-
-    @property
-    def digest(self) -> str:
-        return self._job.digest
-
-    @property
-    def status(self) -> JobStatus:
-        return self._job.status
-
-    @property
-    def source(self) -> str:
-        return self._job.source
-
-    def describe(self) -> Dict:
-        return self._job.describe()
-
-    def events(self, start: int = 0) -> List[Dict]:
-        return self._job.events.snapshot(start)
-
-    @property
-    def progress(self) -> Optional[Dict]:
-        """Latest forwarded ``job-progress`` row (None before the
-        first interval / when forwarding is off)."""
-        return self._job.progress
-
-    # -- outcome ---------------------------------------------------------
-    async def wait(self, timeout: Optional[float] = None) -> "JobHandle":
-        await self._service.wait(self._job, timeout)
-        return self
-
-    async def watch(self, on_event: Optional[Callable[[Dict], None]] = None,
-                    on_progress: Optional[Callable[[Dict], None]] = None,
-                    tick: float = 0.05) -> "JobHandle":
-        """Follow the job to completion, streaming events to callbacks.
-
-        ``on_event`` sees every event (lifecycle + progress);
-        ``on_progress`` sees only ``job-progress`` rows -- the live
-        IPC/MPKI/% feed a dashboard wants.  Returns once the job is
-        terminal and the backlog is drained; callback exceptions
-        propagate to the caller.
-        """
-        index = 0
-        while True:
-            for event in self._job.events.snapshot(index):
-                index = event["seq"] + 1
-                if on_event is not None:
-                    on_event(event)
-                if on_progress is not None \
-                        and event.get("kind") == "job-progress":
-                    on_progress(event)
-            if self._job.status.terminal \
-                    and len(self._job.events) <= index:
-                return self
-            try:
-                await self._service.wait(self._job, timeout=tick)
-            except asyncio.TimeoutError:
-                pass
-
-    def result(self) -> Dict:
-        """The payload; raises if the job is not DONE."""
-        job = self._job
-        if job.status is not JobStatus.DONE:
-            raise RuntimeError(
-                f"{job.id} is {job.status.value}"
-                + (f": {job.error}" if job.error else ""))
-        return job.payload
-
-    def summary(self) -> RunSummary:
-        """The payload as a RunSummary (run/scenario jobs)."""
-        self.result()
-        return self._job.summary()
-
-    async def cancel(self) -> bool:
-        return self._service.cancel(self._job)

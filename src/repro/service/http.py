@@ -31,9 +31,6 @@ from repro.service.core import (ServiceRuntime, ServiceSaturated,
                                 SweepService)
 from repro.service.jobs import JobError
 
-#: Seconds an idle event-stream read blocks before emitting a keepalive.
-STREAM_TICK = 0.5
-
 #: Content type of ``GET /metrics`` (Prometheus text format 0.0.4).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -144,16 +141,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.wfile.flush()
 
         try:
-            index = start
-            while True:
-                for event in job.events.snapshot(index):
-                    # Advance by the event's own seq: a bounded-backlog
-                    # drop skips forward instead of under-counting.
-                    index = event["seq"] + 1
-                    chunk(json.dumps(event, sort_keys=True) + "\n")
-                if job.events.closed and len(job.events) <= index:
-                    break
-                job.events.wait_for(index, timeout=STREAM_TICK)
+            for event in job.events.follow(start):
+                chunk(json.dumps(event, sort_keys=True) + "\n")
             self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream
@@ -165,17 +154,6 @@ class _Handler(BaseHTTPRequestHandler):
             self._submit()
         elif len(parts) == 3 and parts[0] == "jobs" \
                 and parts[2] == "cancel":
-            job = self._job_or_404(parts[1])
-            if job is not None:
-                ok = self.runtime.sync(self.runtime.service.cancel, job)
-                self._send_json(200, {"id": job.id, "cancelled": ok,
-                                      "status": job.status.value})
-        else:
-            self._not_found(self.path)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        parts = [p for p in self.path.split("?")[0].split("/") if p]
-        if len(parts) == 2 and parts[0] == "jobs":
             job = self._job_or_404(parts[1])
             if job is not None:
                 ok = self.runtime.sync(self.runtime.service.cancel, job)

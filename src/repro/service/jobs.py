@@ -29,7 +29,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import RunKey, RunSummary
+from repro.experiments.parallel import RunKey
 from repro.experiments.payloads import run_config, sweep_runs
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.obs.progress import EventStream
@@ -95,9 +95,6 @@ class JobSpec:
     # -- views -----------------------------------------------------------
     def to_dict(self) -> Dict:
         return {"kind": self.kind, **_thaw(self.params)}
-
-    def param(self, name: str, default=None):
-        return dict(self.params).get(name, default)
 
     # -- identity --------------------------------------------------------
     def run_key(self) -> Optional[RunKey]:
@@ -325,11 +322,3 @@ class Job:
         if self.error is not None:
             doc["error"] = self.error
         return doc
-
-    def summary(self) -> RunSummary:
-        """The payload as a :class:`RunSummary` (run/scenario jobs)."""
-        if self.payload is None:
-            raise ValueError(f"{self.id}: no payload (status "
-                             f"{self.status.value})")
-        data = self.payload.get("summary", self.payload)
-        return RunSummary.from_dict(data)

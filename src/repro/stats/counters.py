@@ -26,19 +26,6 @@ class CacheStats:
         self.prefetch_useful = 0
         self.prefetch_fills = 0
 
-    def record(self, category: str, hit: bool, leaf: bool = False) -> None:
-        self.accesses[category] += 1
-        if hit:
-            self.hits[category] += 1
-        else:
-            self.misses[category] += 1
-        if leaf:
-            self.leaf_accesses += 1
-            if hit:
-                self.leaf_hits += 1
-            else:
-                self.leaf_misses += 1
-
     def mpki(self, category: str, instructions: int) -> float:
         """Misses per kilo-instruction for one category."""
         if instructions <= 0:
@@ -51,20 +38,6 @@ class CacheStats:
             return 0.0
         return 1000.0 * self.leaf_misses / instructions
 
-    def hit_rate(self, category: str) -> float:
-        acc = self.accesses[category]
-        return self.hits[category] / acc if acc else 0.0
-
-    def total_misses(self) -> int:
-        return sum(self.misses.values())
-
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
-        return {"accesses": dict(self.accesses), "hits": dict(self.hits),
-                "misses": dict(self.misses),
-                "leaf": {"accesses": self.leaf_accesses,
-                         "hits": self.leaf_hits,
-                         "misses": self.leaf_misses}}
-
 
 class LevelDistribution:
     """Which level of the hierarchy served each request class (Fig 3)."""
@@ -75,10 +48,6 @@ class LevelDistribution:
         self.counts: Dict[str, Dict[str, int]] = {
             "translation": defaultdict(int), "replay": defaultdict(int),
             "non_replay": defaultdict(int)}
-
-    def record(self, category: str, level: str) -> None:
-        if category in self.counts:
-            self.counts[category][level] += 1
 
     def fractions(self, category: str) -> Dict[str, float]:
         total = sum(self.counts[category].values())

@@ -121,16 +121,6 @@ class RecallTracker:
             out.append(running / self.samples)
         return out
 
-    def fraction_within(self, bound: int) -> float:
-        """Fraction of recalls with distance <= ``bound`` (a bucket edge)."""
-        if self.samples == 0:
-            return 0.0
-        total = 0
-        for i, edge in enumerate(RECALL_BUCKETS):
-            if edge <= bound:
-                total += self.histogram[i]
-        return total / self.samples
-
     def flush(self) -> None:
         """Resolve all still-pending evictions as never-recalled (censored
         into the > 50 bucket)."""

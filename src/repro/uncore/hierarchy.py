@@ -157,12 +157,6 @@ class MemoryHierarchy:
             self.tempo = TEMPOPrefetcher(self.dram, self.llc)
             self.tempo.attach()
 
-        #: Optional instruction-side path (Table I: ITLB + L1I).
-        self.frontend = None
-        if config.model_frontend:
-            from repro.core.frontend import Frontend
-            self.frontend = Frontend(config, self.mmu, self.l2c)
-
         self._replay_issue_latency = config.core.replay_issue_latency
 
         #: Fig 3: which level served leaf translations / replays.
@@ -199,8 +193,7 @@ class MemoryHierarchy:
             # fills the TLBs (pipeline re-issue latency).
             issue_at += self._replay_issue_latency
             if tr.walk is not None and tr.walk.leaf_served_by:
-                # inlined response_distribution.record (hot path; the
-                # category literal is always present in the table)
+                # the category literal is always present in the table
                 self.response_distribution.counts["translation"][
                     tr.walk.leaf_served_by] += 1
 
@@ -213,7 +206,7 @@ class MemoryHierarchy:
         data_done = self.l1d.access(req)
         if tracer is not None:
             tracer.end(dspan, data_done, served_by=req.served_by)
-        # inlined response_distribution.record + _level_key (hot path)
+        # a request no cache level served came from DRAM
         self.response_distribution.counts[category][
             req.served_by or "DRAM"] += 1
         if self.ipcp is not None:
@@ -277,10 +270,6 @@ class MemoryHierarchy:
             self.l1d.access(pref)
             request_pool.release(pref)
 
-    @staticmethod
-    def _level_key(served_by: str) -> str:
-        return served_by if served_by else "DRAM"
-
     def reset_stats(self) -> None:
         """Zero every statistics counter (warmup boundary).  Cache, TLB and
         predictor *contents* are preserved -- only the counting restarts."""
@@ -308,11 +297,6 @@ class MemoryHierarchy:
         if self.ipcp is not None:
             self.ipcp.issued = 0
             self.ipcp.cross_page_issued = 0
-        if self.frontend is not None:
-            self.frontend.itlb.reset_stats()
-            self.frontend.l1i.reset_stats()
-            self.frontend.fetches = 0
-            self.frontend.itlb_walks = 0
 
     # ------------------------------------------------------------------
     def leaf_translation_hit_rate(self) -> float:

@@ -7,9 +7,9 @@ core call :func:`maybe_attach` / :func:`maybe_attach_core`, which return
 shadowing bound methods on individual instances (never by patching
 classes), so unchecked runs execute the exact original code paths.
 
-Enable with the ``--check`` CLI flag, the ``REPRO_CHECK=1`` environment
-variable (inherited by parallel worker processes), or programmatically via
-:func:`enable_checking`.  See ``docs/validation.md``.
+Enable with the ``--check`` CLI flag or the ``REPRO_CHECK=1`` environment
+variable (inherited by parallel worker processes).  See
+``docs/validation.md``.
 """
 
 from __future__ import annotations
@@ -20,20 +20,11 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from repro.validate.invariants import HierarchyChecker, ROBChecker
 
-__all__ = ["checking_enabled", "enable_checking", "maybe_attach",
-           "maybe_attach_core"]
-
-_FORCED = False
-
-
-def enable_checking(on: bool = True) -> None:
-    """Force checking on (or off) for hierarchies built after this call."""
-    global _FORCED
-    _FORCED = on
+__all__ = ["checking_enabled", "maybe_attach", "maybe_attach_core"]
 
 
 def checking_enabled() -> bool:
-    return _FORCED or os.environ.get("REPRO_CHECK", "") not in ("", "0")
+    return os.environ.get("REPRO_CHECK", "") not in ("", "0")
 
 
 def maybe_attach(hierarchy) -> Optional[HierarchyChecker]:

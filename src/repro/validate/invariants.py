@@ -13,8 +13,11 @@ the rest of the code relies on *while the simulation runs*:
 * **RRPV bounds** -- for RRIP-family policies, every valid block's RRPV
   stays within ``[0, max_rrpv]``.
 * **MSHR conservation** -- ``allocations - expirations`` equals the live
-  entry count, occupancy never exceeds demand + prefetch-queue capacity,
-  and neither does the recorded peak.
+  entry count; the entries admitted and live at a probe never exceed
+  demand + prefetch-queue capacity; the misses admitted for a later
+  start stay within the queue limit; and the recorded peak stays within
+  their sum.  Each entry's admitted start is recorded by shadowing
+  ``MSHR.allocate``.
 * **Inclusion** -- under an inclusive LLC, every line resident in a
   back-invalidation target is also resident in the LLC.
 * **TLB / PSC sanity** -- per-set entry counts within associativity, tag
@@ -31,10 +34,11 @@ Checkers attach by wrapping *instance* methods (``cache.access``,
 
 from __future__ import annotations
 
-from typing import List, Optional
+from bisect import bisect_right
+from typing import Dict, List, Optional
 
 from repro.memsys.request import AccessType, MemoryRequest
-from repro.params import PAGE_SHIFT, PAGE_SIZE
+from repro.params import PAGE_SHIFT, PAGE_SIZE, PT_LEVELS
 from repro.vm.psc import PSC_LEVELS
 
 
@@ -66,10 +70,23 @@ class CheckContext:
             self.fail(site, message)
 
 
+def mshr_queue_limit(rob_entries: int) -> int:
+    """Most misses an MSHR may hold admitted for a start later than a
+    probe.  Requests reach a level out of cycle order, so a probe can
+    see misses that earlier requests admitted for later starts (behind
+    a full table, or issued after a page walk).  Each belongs to an
+    instruction in flight, which issues one data access and at most one
+    PTE read per page-table level, and each may have started a
+    prefetch: at most ``2 * (1 + PT_LEVELS)`` entries per ROB entry.
+    Growth past that means admission delays are running away."""
+    return 2 * (1 + PT_LEVELS) * rob_entries
+
+
 class CacheChecker:
     """Per-event invariant checks for one cache level."""
 
-    def __init__(self, cache, ctx: CheckContext, inclusion_parent=None):
+    def __init__(self, cache, ctx: CheckContext, queue_limit: int,
+                 inclusion_parent=None):
         self.cache = cache
         self.ctx = ctx
         #: The inclusive LLC this cache's contents must be a subset of
@@ -77,6 +94,12 @@ class CacheChecker:
         self.inclusion_parent = inclusion_parent
         #: Live MSHR entries at the last stats reset (conservation base).
         self._mshr_live_base = len(cache.mshr._inflight)
+        #: Admitted start (the ``now`` passed to ``MSHR.allocate``) of
+        #: each MSHR entry, by line.
+        self._mshr_starts: Dict[int, int] = {}
+        #: Limit on misses admitted for a later start
+        #: (:func:`mshr_queue_limit`).
+        self.queue_limit = queue_limit
 
     # ------------------------------------------------------------------
     def attach(self) -> "CacheChecker":
@@ -94,8 +117,18 @@ class CacheChecker:
             orig_reset()
             self._mshr_live_base = len(cache.mshr._inflight)
 
+        mshr = cache.mshr
+        orig_allocate = mshr.allocate
+        starts = self._mshr_starts
+
+        def tracked_allocate(line_addr: int, fill_cycle: int,
+                             now: int) -> int:
+            starts[line_addr] = now
+            return orig_allocate(line_addr, fill_cycle, now)
+
         cache.access = checked_access
         cache.reset_stats = checked_reset
+        mshr.allocate = tracked_allocate
         cache._validation_attached = True
         return self
 
@@ -167,23 +200,41 @@ class CacheChecker:
         cache = self.cache
         ctx = self.ctx
         mshr = cache.mshr
-        # Requests arrive with non-monotonic cycles (walk and replay
-        # traffic issues into the past relative to the latest admission),
-        # so "entries live at an arbitrary probe cycle" can transiently
-        # exceed the capacity that each admission decision respected at
-        # its own time.  The exact gate is enforced at admission by
-        # construction; this check is a *leak detector* -- sustained
-        # growth past twice the capacity means expiry or admission broke.
+        # The entries live at ``now`` (fill after it) split by admitted
+        # start.  Those admitted by ``now`` passed the admission gate:
+        # the last of them to be allocated found every other one still
+        # in flight, and a demand miss waits until fewer than
+        # ``entries`` are, a prefetch is dropped unless fewer than
+        # ``entries + _prefetch_queue`` are.  So they never exceed
+        # that capacity.  The rest were admitted for a later start and
+        # only look live because requests probe out of cycle order;
+        # they get the queue limit.
         capacity = mshr.entries + cache._prefetch_queue
-        bound = 2 * capacity
-        occ = mshr.occupancy(now)
-        ctx.require(occ <= bound, cache.name,
-                    f"MSHR occupancy {occ} exceeds 2x capacity {bound} "
+        starts = self._mshr_starts
+        admitted = queued = 0
+        for line in mshr._lines[bisect_right(mshr._fills, now):]:
+            if starts.get(line, now) > now:
+                queued += 1
+            else:
+                admitted += 1
+        ctx.require(admitted <= capacity, cache.name,
+                    f"MSHR occupancy {admitted} (entries admitted and "
+                    f"live at cycle {now}) exceeds capacity {capacity} "
                     f"({mshr.entries} demand + {cache._prefetch_queue} "
                     f"prefetch): entries are leaking")
-        ctx.require(mshr.peak_occupancy <= bound, cache.name,
+        limit = self.queue_limit
+        ctx.require(queued <= limit, cache.name,
+                    f"MSHR queue {queued} (misses admitted for a start "
+                    f"after cycle {now}) exceeds the limit {limit}: "
+                    f"admission delays are running away")
+        ctx.require(mshr.peak_occupancy <= capacity + limit, cache.name,
                     f"MSHR peak occupancy {mshr.peak_occupancy} exceeds "
-                    f"2x capacity {bound}: entries are leaking")
+                    f"capacity {capacity} + queue limit {limit}: entries "
+                    f"are leaking")
+        # Bound the record: forget lines whose entries have expired.
+        if len(starts) > 2 * len(mshr._inflight) + 64:
+            for line in [l for l in starts if l not in mshr._inflight]:
+                del starts[line]
         live = len(mshr._inflight) - self._mshr_live_base
         ctx.require(mshr.allocations - mshr.expirations == live, cache.name,
                     f"MSHR conservation: {mshr.allocations} allocations - "
@@ -323,17 +374,15 @@ class HierarchyChecker:
         llc = hierarchy.llc
         inclusive = (hierarchy.config.llc_inclusion == "inclusive"
                      and llc.bypass_predicate is None)
-        levels = [hierarchy.l1d, hierarchy.l2c, llc]
-        if hierarchy.frontend is not None:
-            levels.append(hierarchy.frontend.l1i)
-        for cache in levels:
+        queue_limit = mshr_queue_limit(hierarchy.config.core.rob_entries)
+        for cache in (hierarchy.l1d, hierarchy.l2c, llc):
             if getattr(cache, "_validation_attached", False):
                 continue  # shared LLC: its owner already checks it
             parent = (llc if inclusive
                       and cache in llc.back_invalidate_targets else None)
             self.cache_checkers.append(
-                CacheChecker(cache, self.ctx, inclusion_parent=parent)
-                .attach())
+                CacheChecker(cache, self.ctx, queue_limit,
+                             inclusion_parent=parent).attach())
             # The oracle only models true-LRU exactly; other policies are
             # covered by the invariant checkers and golden tests.
             if cache.policy.name == "lru":

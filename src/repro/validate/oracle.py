@@ -27,7 +27,7 @@ from repro.memsys.request import AccessType, MemoryRequest
 from repro.validate.invariants import CheckContext
 
 #: Categories whose hits/misses the shadow model mirrors.
-_MODELLED = ("translation", "replay", "non_replay", "writeback", "ifetch")
+_MODELLED = ("translation", "replay", "non_replay", "writeback")
 
 
 class FunctionalCache:
@@ -50,9 +50,6 @@ class FunctionalCache:
 
     def set_index(self, line_addr: int) -> int:
         return line_addr % self.num_sets
-
-    def contains(self, line_addr: int) -> bool:
-        return line_addr in self.sets[self.set_index(line_addr)]
 
     def access(self, req: MemoryRequest) -> bool:
         """Apply one request; returns True on a hit."""

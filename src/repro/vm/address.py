@@ -16,16 +16,6 @@ _LEVEL_MASK = (1 << BITS_PER_LEVEL) - 1
 VA_LIMIT = 1 << VA_BITS
 
 
-def page_number(va: int) -> int:
-    """Virtual page number of ``va``."""
-    return va >> PAGE_SHIFT
-
-
-def page_offset(va: int) -> int:
-    """Offset of ``va`` within its 4KB page."""
-    return va & ((1 << PAGE_SHIFT) - 1)
-
-
 def level_index(va: int, level: int) -> int:
     """9-bit index of ``va`` into the page table at ``level`` (5..1)."""
     if not 1 <= level <= PT_LEVELS:

@@ -113,6 +113,3 @@ class MMU:
             tracer.end(tspan, done, dtlb_hit=False, stlb_hit=False)
         return TranslationResult((walk.pfn << PAGE_SHIFT) | offset, done,
                                  False, False, walk)
-
-    def stlb_mpki(self, instructions: int) -> float:
-        return self.stlb.mpki(instructions)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.params import (BITS_PER_LEVEL, LINE_SHIFT, PAGE_SHIFT, PTE_SIZE,
-                          PT_LEVELS)
-from repro.vm.address import level_index, page_number
+from repro.params import BITS_PER_LEVEL, PAGE_SHIFT, PTE_SIZE, PT_LEVELS
+from repro.vm.address import level_index
 
 
 class FrameAllocator:
@@ -55,10 +54,6 @@ class FrameAllocator:
         self._huge_next = base
         self._allocated += count
         return base
-
-    @property
-    def allocated(self) -> int:
-        return self._allocated
 
 
 class _TableNode:
@@ -103,10 +98,6 @@ class PageTable:
         """Page-table level holding ``va``'s leaf PTE (1, or 2 for 2MB)."""
         return 2 if self.is_huge(va) else 1
 
-    @property
-    def cr3_frame(self) -> int:
-        return self._root.frame
-
     # ------------------------------------------------------------------
     def _descend(self, va: int, allocate: bool) -> Optional[List[_TableNode]]:
         """Nodes along the walk path, root (level 5) first; the node
@@ -150,14 +141,6 @@ class PageTable:
             return pfn + level_index(va, 1)  # 4KB frame within the 2MB page
         return pfn
 
-    def huge_base_frame(self, va: int) -> int:
-        """Base frame of the 2MB page mapping ``va`` (huge VAs only)."""
-        if not self.is_huge(va):
-            raise ValueError("not a huge-page VA")
-        self.translate(va)
-        path = self._descend(va, allocate=False)
-        return path[-1].slots[level_index(va, 2)]
-
     def lookup(self, va: int) -> Optional[int]:
         """Physical frame of ``va``'s page, or None if never touched."""
         leaf_level = self.leaf_level(va)
@@ -178,9 +161,9 @@ class PageTable:
         Returns ``(pfn, [(level, pte_physical_address, child_frame), ...])``
         root (level 5) first.  ``child_frame`` is the frame of the next
         level's table page -- what PSCL<level> caches after reading that
-        level's PTE -- and 0 at the leaf.  Equivalent to ``translate`` +
-        ``walk_path`` + per-level ``node_frame`` in a single radix descent
-        (this is the walker's hot path, hence the inlined descend).
+        level's PTE -- and 0 at the leaf: ``translate`` plus the walk's
+        PTE addresses in a single radix descent (this is the walker's hot
+        path, hence the inlined descend).
         """
         pred = self.huge_page_predicate
         leaf_level = 2 if pred is not None and pred(va) else 1
@@ -221,32 +204,3 @@ class PageTable:
                         path[pos + 1].frame if pos < last else 0))
             shift -= BITS_PER_LEVEL
         return pfn, out
-
-    def walk_path(self, va: int) -> List[Tuple[int, int]]:
-        """Return ``[(level, pte_physical_address), ...]`` for the walk,
-        root (level 5) first, leaf level (1, or 2 for huge pages) last.
-
-        The PTE at ``level`` lives in the table page for that level, at
-        slot ``level_index(va, level)``; eight PTEs share a cache line.
-        Allocates pages on demand (hardware walks only referenced VAs).
-        """
-        self.translate(va)  # ensure the whole path exists
-        path = self._descend(va, allocate=False)
-        out = []
-        for node, level in zip(path, range(PT_LEVELS, 0, -1)):
-            idx = level_index(va, level)
-            pte_pa = (node.frame << PAGE_SHIFT) | (idx * PTE_SIZE)
-            out.append((level, pte_pa))
-        return out
-
-    def pte_line_addr(self, va: int, level: int) -> int:
-        """Cache-line address of the PTE for ``va`` at ``level``."""
-        for lvl, pa in self.walk_path(va):
-            if lvl == level:
-                return pa >> LINE_SHIFT
-        raise ValueError(f"no level {level} in walk path")
-
-    def node_frame(self, va: int, level: int) -> int:
-        """Frame of the table page holding ``va``'s level-``level`` PTE."""
-        path = self._descend(va, allocate=True)
-        return path[PT_LEVELS - level].frame

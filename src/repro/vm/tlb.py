@@ -40,9 +40,6 @@ class TLB:
         #: on_stlb_evict hooks (DpPred training).
         self.observer = None
 
-    def _set_index(self, vpn: int) -> int:
-        return vpn % self.num_sets
-
     def lookup(self, vpn: int, count: bool = True) -> Optional[int]:
         """Probe the TLB; returns the frame on a hit, None on a miss.
 
@@ -108,10 +105,6 @@ class TLB:
         for entries, frames in zip(self._sets, self._frames):
             entries.clear()
             frames.clear()
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
 
     def mpki(self, instructions: int) -> float:
         if instructions <= 0:

@@ -2,19 +2,18 @@
 
 Used to calibrate the synthetic workloads against the paper's Table II
 and to sanity-check that the generated address streams have the
-properties the mechanisms react to (page-level reuse, working-set size,
-stride structure).
+properties the mechanisms react to (working-set size, translation
+working set, STLB reach).
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
 from repro.params import LINE_SHIFT, PAGE_SHIFT
-from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, Trace
+from repro.workloads.trace import KIND_NONMEM, Trace
 
 
 def memory_addresses(trace: Trace) -> np.ndarray:
@@ -30,36 +29,6 @@ def working_set(trace: Trace) -> Dict[str, int]:
         return {"pages": 0, "lines": 0}
     return {"pages": int(np.unique(addrs >> PAGE_SHIFT).size),
             "lines": int(np.unique(addrs >> LINE_SHIFT).size)}
-
-
-def page_reuse_histogram(trace: Trace,
-                         buckets: Sequence[int] = (1, 2, 4, 8, 16, 64)
-                         ) -> Dict[str, int]:
-    """How many pages are touched 1x, 2x, ... (page-level reuse is what
-    gives leaf-PTE lines their recall behaviour)."""
-    addrs = memory_addresses(trace)
-    counts = Counter((addrs >> PAGE_SHIFT).tolist())
-    histogram = {f"<={b}": 0 for b in buckets}
-    histogram[f">{buckets[-1]}"] = 0
-    for touches in counts.values():
-        for b in buckets:
-            if touches <= b:
-                histogram[f"<={b}"] += 1
-                break
-        else:
-            histogram[f">{buckets[-1]}"] += 1
-    return histogram
-
-
-def stride_profile(trace: Trace, top: int = 5) -> List[Tuple[int, float]]:
-    """The most common successive load strides (bytes) and their share."""
-    loads = trace.addrs[trace.kinds == KIND_LOAD]
-    if loads.size < 2:
-        return []
-    strides = np.diff(loads)
-    counts = Counter(strides.tolist())
-    total = strides.size
-    return [(int(s), c / total) for s, c in counts.most_common(top)]
 
 
 def stlb_reach_ratio(trace: Trace, stlb_entries: int) -> float:

@@ -104,15 +104,6 @@ def categorize(stlb_mpki: float) -> str:
     return "High"
 
 
-def benchmark(name: str) -> BenchmarkInfo:
-    """Look up one benchmark by name."""
-    try:
-        return BENCHMARKS[name]
-    except KeyError:
-        raise ValueError(f"unknown benchmark {name!r}; "
-                         f"available: {sorted(BENCHMARKS)}") from None
-
-
 def benchmark_names(include_controls: bool = False) -> List[str]:
     """Table II benchmark names, in ascending-STLB-MPKI order.
 

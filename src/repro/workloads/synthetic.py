@@ -68,12 +68,8 @@ class PatternMix:
     n_local_ips: int = 8
     n_random_ips: int = 4
     #: Code footprint in 64B instruction lines for non-memory IPs
-    #: (exercises the optional ITLB/L1I frontend; small by default).
+    #: (small by default).
     code_lines: int = 16
-
-    @property
-    def local_fraction(self) -> float:
-        return max(0.0, 1.0 - self.random_fraction - self.seq_fraction)
 
 
 class SyntheticWorkload:
@@ -111,7 +107,7 @@ class SyntheticWorkload:
 
         addrs = np.zeros(n, dtype=np.int64)
         # Non-memory IPs sweep the code footprint in short sequential
-        # bursts (loop bodies), giving the frontend realistic locality.
+        # bursts (loop bodies).
         code_bytes = mix.code_lines * 64
         ips = (0x400000
                + (np.arange(n, dtype=np.int64) * 4) % code_bytes)
@@ -229,49 +225,3 @@ class SyntheticWorkload:
                                             + (page_pick << PAGE_SHIFT)
                                             + offsets)
         ips[store_idx] = 0x800000 + 4 * rng.integers(0, 8, size=n_stores)
-
-
-class PhasedWorkload:
-    """A workload that alternates between pattern mixes (program phases).
-
-    Real applications shift phase (build structures, then traverse them);
-    phase changes are what set-dueling policies like DRRIP -- and the
-    adaptive T-DRRIP extension -- must adapt to.  Each phase is a
-    (:class:`PatternMix`, weight) pair; the trace is the concatenation of
-    per-phase segments whose lengths follow the weights.
-    """
-
-    def __init__(self, phases, name: str = "phased", repeats: int = 1):
-        if not phases:
-            raise ValueError("need at least one phase")
-        self.phases = [(mix, float(weight)) for mix, weight in phases]
-        if any(w <= 0 for _, w in self.phases):
-            raise ValueError("phase weights must be positive")
-        self.name = name
-        self.repeats = max(1, repeats)
-
-    def generate(self, instructions: int, scale: int = DEFAULT_SCALE,
-                 seed: int = 1) -> "Trace":
-        from repro.workloads.trace import Trace
-        total_weight = sum(w for _, w in self.phases) * self.repeats
-        segments = []
-        remaining = instructions
-        i = 0
-        for _ in range(self.repeats):
-            for mix, weight in self.phases:
-                length = min(remaining,
-                             max(1, int(instructions * weight
-                                        / total_weight)))
-                if length <= 0:
-                    continue
-                workload = SyntheticWorkload(mix, name=f"{self.name}.{i}")
-                segments.append(workload.generate(length, scale=scale,
-                                                  seed=seed + i))
-                remaining -= length
-                i += 1
-        if remaining > 0 and segments:
-            mix = self.phases[-1][0]
-            workload = SyntheticWorkload(mix, name=f"{self.name}.tail")
-            segments.append(workload.generate(remaining, scale=scale,
-                                              seed=seed + i))
-        return Trace.concatenate(segments, name=self.name)

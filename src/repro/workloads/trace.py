@@ -7,7 +7,7 @@ of a ChampSim trace file.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -61,29 +61,13 @@ class Trace:
         return (self.ips[lo:hi].tolist(), self.kinds[lo:hi].tolist(),
                 self.addrs[lo:hi].tolist(), self.deps[lo:hi].tolist())
 
-    def records(self) -> Iterator[Tuple[int, int, int]]:
-        """Iterate (ip, kind, vaddr) tuples (tests and tools)."""
-        for i in range(len(self.ips)):
-            yield int(self.ips[i]), int(self.kinds[i]), int(self.addrs[i])
-
     # -- summary properties --------------------------------------------
     @property
     def num_loads(self) -> int:
         return int(np.count_nonzero(self.kinds == KIND_LOAD))
 
-    @property
-    def num_stores(self) -> int:
-        return int(np.count_nonzero(self.kinds == KIND_STORE))
-
     def loads_per_kilo(self) -> float:
         return 1000.0 * self.num_loads / len(self) if len(self) else 0.0
-
-    def footprint_pages(self) -> int:
-        """Distinct 4KB pages touched by memory operations."""
-        mem = self.kinds != KIND_NONMEM
-        if not mem.any():
-            return 0
-        return int(np.unique(self.addrs[mem] >> 12).size)
 
     @staticmethod
     def concatenate(traces, name: str = "") -> "Trace":

@@ -6,7 +6,8 @@ promoted job submission (``submit``/``JobHandle``/``JobStatus``/
 ``serve``) to the front door and demoted the v1 runner, cache and
 run-key classes to warn-once compatibility re-exports; v4 removed those
 three and the timed bench harness; v5 removed the runner knob and the
-policy-spelling shim.
+policy-spelling shim; v6 removed the in-process job client and
+``trace_diff``.
 """
 
 import ast
@@ -32,7 +33,7 @@ def test_expected_entry_points_present():
     expected = {"run", "figure", "list_figures", "list_benchmarks",
                 "build_config", "enhancement_preset",
                 "RunResult", "RunSummary", "EnhancementConfig",
-                "StallCategory", "trace", "trace_diff"}
+                "StallCategory", "trace"}
     assert expected <= set(api.__all__)
 
 
@@ -97,20 +98,11 @@ def test_api_trace_returns_valid_document():
     assert doc["spans"]
 
 
-def test_api_trace_diff_accepts_documents():
-    a = api.trace("tc", instructions=2_000, warmup=500)
-    b = api.trace("tc", instructions=2_000, warmup=500,
-                  enhancements="full")
-    diff = api.trace_diff(a, b)
-    assert set(diff["attribution"]) == {
-        "walk_latency", "replay_release", "insertion_policy"}
-
-
 # ----------------------------------------------------------------------
 # v1.1 additions: frozen SimConfig, facade-only CLI
 # ----------------------------------------------------------------------
 def test_api_version_pinned():
-    assert api.__api_version__ == "5.0"
+    assert api.__api_version__ == "6.0"
     assert "__api_version__" in api.__all__
 
 
@@ -191,12 +183,9 @@ def test_build_config_accepts_backend_override():
 # v2.0: job surface promoted, v1 internals demoted (docs/service.md)
 # ----------------------------------------------------------------------
 def test_v2_job_surface_present():
-    assert {"submit", "serve", "JobHandle", "JobStatus",
-            "configure_service"} <= set(api.__all__)
+    assert {"serve", "JobStatus"} <= set(api.__all__)
     import repro.service
-    assert api.JobHandle is repro.service.JobHandle
     assert api.JobStatus is repro.service.JobStatus
-    assert asyncio.iscoroutinefunction(api.submit)
     assert callable(api.serve)
 
 
@@ -229,6 +218,21 @@ def test_v5_removed_names_raise_attribute_error():
             getattr(api, name)
 
 
+def test_v6_removed_names_raise_attribute_error():
+    """v6 removed the in-process job client and ``trace_diff``: no entry
+    point used them.  ``serving()`` and the HTTP service remain, and
+    ``repro trace diff`` attributes cycle deltas."""
+    import repro.service
+    for name in ("submit", "JobHandle", "configure_service",
+                 "telemetry_snapshot", "trace_diff"):
+        assert name not in api.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(api, name)
+    for name in ("submit", "JobHandle", "configure_service",
+                 "get_service", "telemetry_snapshot"):
+        assert not hasattr(repro.service, name)
+
+
 def test_unknown_api_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         api.no_such_name
@@ -243,27 +247,26 @@ def test_submit_roundtrip_matches_direct_run(tmp_path):
     service = SweepService(store=JobStore(root=tmp_path), workers=0)
 
     async def scenario():
-        h1 = await api.submit("run", benchmark="tc",
-                              instructions=2_000, warmup=500,
-                              service=service)
-        await h1.wait()
-        h2 = await api.submit("run", benchmark="tc",
-                              instructions=2_000, warmup=500,
-                              service=service)
-        await h2.wait()
+        await service.start()
+        jobs = []
+        for _ in range(2):
+            job = await service.submit("run", benchmark="tc",
+                                       instructions=2_000, warmup=500)
+            await service.wait(job)
+            jobs.append(job)
         await service.close()
-        return h1, h2
+        return jobs
 
-    h1, h2 = asyncio.run(scenario())
-    assert h1.status is api.JobStatus.DONE and h1.source == "run"
-    assert h2.status is api.JobStatus.DONE and h2.source == "store"
+    j1, j2 = asyncio.run(scenario())
+    assert j1.status is api.JobStatus.DONE and j1.source == "run"
+    assert j2.status is api.JobStatus.DONE and j2.source == "store"
     assert service.metrics.executed == 1
     assert service.metrics.store_hits == 1
 
     direct = api.run("tc", instructions=2_000, warmup=500)
     expected = api.RunSummary.from_run(direct, seed=1)
-    assert h1.summary().to_dict() == expected.to_dict()
-    assert h2.summary().to_dict() == expected.to_dict()
+    assert j1.payload == expected.to_dict()
+    assert j2.payload == expected.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +304,7 @@ def test_run_rejects_unknown_backend():
 def test_submit_validates_backend():
     from repro.service.jobs import JobError, JobSpec
     spec = JobSpec.make("run", benchmark="tc", backend="numpy")
-    assert spec.param("backend") == "numpy"
+    assert spec.to_dict()["backend"] == "numpy"
     assert spec.run_key().config.backend == "numpy"
     with pytest.raises(JobError, match="unknown backend"):
         JobSpec.make("run", benchmark="tc", backend="fortran")

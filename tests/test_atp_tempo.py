@@ -66,9 +66,9 @@ def test_atp_prefetch_fill_has_eviction_priority():
     atp.attach()
     l2c.access(leaf_read(0x1000, replay_line=0x500, cycle=0))
     l2c.access(leaf_read(0x1000, replay_line=0x600, cycle=1000))
-    block = l2c.block_for(0x600)
-    assert block is not None
-    assert block.dead_on_hit
+    slot = l2c.store.slot_of.get(0x600)
+    assert slot is not None
+    assert l2c.store.dead_on_hit[slot]
 
 
 def test_atp_skips_when_no_replay_line():

@@ -17,6 +17,8 @@ closeness.  This suite pins that promise three ways:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.engine import make_core
@@ -78,8 +80,10 @@ MATRIX = [
      False),
     ("xalancbmk-l1d-pf", _cfg(l1d_prefetcher="next_line"),
      "xalancbmk", 4000, 500, 1, False),
-    ("compute-frontend", _cfg(model_frontend=True), "compute", 4000, 500,
-     1, False),
+    ("compute-l1d-srrip",
+     _cfg(l1d=dataclasses.replace(default_config(64).l1d,
+                                  replacement="srrip")),
+     "compute", 4000, 500, 1, False),
 ]
 
 assert len(MATRIX) == 23, "the oracle matrix is pinned at 23 configs"

@@ -98,8 +98,8 @@ def test_store_hit_marks_dirty():
     cache, _ = small_cache()
     cache.access(load(0x40, cycle=0))
     cache.access(load(0x40, cycle=500, access_type=AccessType.STORE))
-    block = cache.block_for(0x40 >> 6)
-    assert block.dirty
+    store = cache.store
+    assert store.dirty[store.slot_of[0x40 >> 6]]
 
 
 def test_ideal_translation_mode_responds_at_hit_latency():
@@ -195,7 +195,7 @@ def test_reset_stats_preserves_contents():
     cache, _ = small_cache()
     cache.access(load(0x1000, cycle=0))
     cache.reset_stats()
-    assert cache.stats.total_misses() == 0
+    assert sum(cache.stats.misses.values()) == 0
     assert cache.contains(0x1000 >> 6)
 
 
@@ -213,7 +213,7 @@ def test_writeback_miss_installs_line():
     cache, mem = small_cache()
     cache.access(load(0x9000, cycle=0, access_type=AccessType.WRITEBACK))
     assert cache.contains(0x9000 >> 6)
-    assert cache.block_for(0x9000 >> 6).dirty
+    assert cache.store.dirty[cache.store.slot_of[0x9000 >> 6]]
     assert not mem.accesses  # absorbed, not forwarded
 
 
@@ -239,10 +239,10 @@ def test_post_throttle_request_to_throttling_line_still_merges():
 
 
 class _InvalidateRecorder:
-    """Stand-in upper level that accepts every back-invalidation."""
+    """Stand-in upper level that holds a clean copy of every line."""
 
     def invalidate(self, line_addr):
-        return True
+        return False
 
 
 def test_reset_stats_clears_congestion_counters():

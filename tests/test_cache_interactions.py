@@ -55,8 +55,7 @@ def test_dirty_translation_eviction_writes_back():
     cache.access(MemoryRequest(address=0, cycle=0,
                                access_type=AccessType.TRANSLATION,
                                pt_level=1))
-    block = cache.block_for(0)
-    block.dirty = True  # walker set the accessed bit
+    cache.store.dirty[cache.store.slot_of[0]] = 1  # walker set the A bit
     stride = cache.num_sets * 64
     cache.access(MemoryRequest(address=stride, cycle=100))
     cache.access(MemoryRequest(address=2 * stride, cycle=200))

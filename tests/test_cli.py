@@ -218,7 +218,7 @@ def test_zero_warmup_and_seed_run_through_the_service(capsys):
     direct = api.run_scenario("SYN-01-STLB-THRASH", instructions=2000,
                               warmup=0, seed=0)
     assert (direct.key.warmup, direct.key.seed) == (0, 0)
-    assert f"cycles={direct.cycles:>10}" in out
+    assert f"cycles={direct.summary.cycles:>10}" in out
     assert f"run_key={direct.key.digest[:12]}" in out
     assert main(["figure", "fig1", "--benchmarks", "pr", "--instructions",
                  "2000", "--warmup", "0", "--no-cache"]) == 0
@@ -246,4 +246,4 @@ def test_scenario_run_adhoc_document_resolves_in_process(tmp_path, capsys,
     assert main(argv) == 0
     assert capsys.readouterr().out == first
     direct = api.run_scenario(str(path), instructions=3000, warmup=500)
-    assert f"cycles={direct.cycles:>10}" in first
+    assert f"cycles={direct.summary.cycles:>10}" in first

@@ -44,14 +44,6 @@ def test_dependent_chain_serializes():
     assert serial.cycles > n * cfg.dram.row_hit_latency
 
 
-def test_chain_survives_trace_io(tmp_path):
-    from repro.workloads.io import load_trace, save_trace
-    t = make_trace("mcf", 3000)
-    save_trace(t, tmp_path / "m.npz")
-    loaded = load_trace(tmp_path / "m.npz")
-    assert np.array_equal(loaded.deps, t.deps)
-
-
 def test_slicing_preserves_deps():
     t = make_trace("mcf", 4000)
     half = t[:2000]

@@ -94,9 +94,3 @@ def test_tempo_callback_skips_non_leaf():
                               access_type=AccessType.TRANSLATION, pt_level=3))
     dram.access(MemoryRequest(address=0x80, cycle=0))
     assert not seen
-
-
-def test_bandwidth_only_access_advances_state():
-    dram = make_dram()
-    dram.bandwidth_only_access(0x1000 >> 6, 0)
-    assert dram.row_misses == 1

@@ -74,8 +74,6 @@ def test_static_reasons_come_from_the_enum():
 
     cases = {
         None: default_config(64),
-        FallbackReason.FRONTEND: default_config(64).with_(
-            model_frontend=True),
         FallbackReason.HUGE_PAGES: default_config(64).with_(
             huge_page_policy="gather_region"),
         FallbackReason.COMPARISON: default_config(64).with_(

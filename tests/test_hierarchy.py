@@ -50,7 +50,8 @@ def test_store_translates_and_fills():
     h = build()
     res = h.store(VA, cycle=0)
     assert res.is_replay
-    assert h.l1d.block_for(res.paddr >> 6).dirty
+    store = h.l1d.store
+    assert store.dirty[store.slot_of[res.paddr >> 6]]
 
 
 def test_response_distribution_tracks_replays():
@@ -147,5 +148,5 @@ def test_reset_stats_clears_everything():
     assert h.loads == 0
     assert h.dram.accesses == 0
     assert h.mmu.stlb.accesses == 0
-    assert h.l1d.stats.total_misses() == 0
+    assert sum(h.l1d.stats.misses.values()) == 0
     assert sum(h.response_distribution.counts["replay"].values()) == 0

@@ -16,8 +16,8 @@ def huge_everything(va):
 
 def test_huge_walk_path_stops_at_level2():
     pt = PageTable(huge_page_predicate=huge_everything)
-    path = pt.walk_path(make_va([1, 2, 3, 4, 5]))
-    assert [lvl for lvl, _ in path] == [5, 4, 3, 2]
+    _, entries = pt.walk_entries(make_va([1, 2, 3, 4, 5]))
+    assert [lvl for lvl, _, _ in entries] == [5, 4, 3, 2]
 
 
 def test_huge_translate_contiguous_within_page():
@@ -29,8 +29,8 @@ def test_huge_translate_contiguous_within_page():
 
 def test_huge_base_frame_aligned():
     pt = PageTable(huge_page_predicate=huge_everything)
-    base = pt.huge_base_frame(make_va([1, 2, 3, 4, 77]))
-    assert base % FRAMES_PER_HUGE_PAGE == 0
+    pfn = pt.translate(make_va([1, 2, 3, 4, 77]))
+    assert (pfn - 77) % FRAMES_PER_HUGE_PAGE == 0
 
 
 def test_huge_lookup_matches_translate():

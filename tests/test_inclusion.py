@@ -20,9 +20,9 @@ def test_invalidate_api():
     cache.access(MemoryRequest(address=0x1000, cycle=0))
     line = 0x1000 >> 6
     assert cache.contains(line)
-    assert cache.invalidate(line)
+    assert cache.invalidate(line) is False  # resident and clean
     assert not cache.contains(line)
-    assert not cache.invalidate(line)  # second time: not resident
+    assert cache.invalidate(line) is None  # second time: not resident
 
 
 def test_back_invalidation_on_eviction():
@@ -71,8 +71,7 @@ def test_invalidate_returns_dropped_block_with_dirty_bit():
     cache = Cache(CacheConfig("T", 2 * 64 * 2, 2, 10), Null())
     cache.access(MemoryRequest(address=0x1000, cycle=0,
                                access_type=AccessType.STORE))
-    block = cache.invalidate(0x1000 >> 6)
-    assert block is not None and block.dirty
+    assert cache.invalidate(0x1000 >> 6) is True
     assert cache.invalidate(0x1000 >> 6) is None
 
 
@@ -101,8 +100,8 @@ def test_back_invalidation_of_dirty_upper_copy_issues_writeback():
     upper.access(MemoryRequest(address=0x0, cycle=0))
     upper.access(MemoryRequest(address=0x0, cycle=100,
                                access_type=AccessType.STORE))
-    assert upper.block_for(0).dirty
-    assert not lower.block_for(0).dirty
+    assert upper.store.dirty[upper.store.slot_of[0]]
+    assert not lower.store.dirty[lower.store.slot_of[0]]
     # Evict the (clean) LLC copy: the dirty upper copy must reach memory.
     lower.access(MemoryRequest(address=stride, cycle=1000))
     assert not upper.contains(0)

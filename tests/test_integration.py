@@ -10,6 +10,7 @@ import pytest
 from repro.core.rob import StallCategory
 from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, IdealConfig, default_config
+from repro.stats.recall import RECALL_BUCKETS
 from repro.workloads.registry import categorize
 
 MID = dict(instructions=20_000, warmup=5_000)
@@ -30,8 +31,8 @@ def test_stlb_mpki_category_bands():
     """Benchmarks land in their Table II Low/Medium/High bands."""
     for name in ("xalancbmk", "mcf", "pr"):
         r = run_benchmark(name, **MID)
-        from repro.workloads.registry import benchmark
-        assert categorize(r.stlb_mpki) == benchmark(name).category, name
+        from repro.workloads.registry import BENCHMARKS
+        assert categorize(r.stlb_mpki) == BENCHMARKS[name].category, name
 
 
 def test_replay_mpki_tracks_stlb_mpki(baseline_pr):
@@ -49,7 +50,7 @@ def test_replay_blocks_are_dead(baseline_pr):
     tracker = baseline_pr.hierarchy.llc.recall_replay
     tracker.flush()
     if tracker.samples >= 20:
-        assert tracker.fraction_within(50) < 0.5
+        assert tracker.cdf()[RECALL_BUCKETS.index(50)] < 0.5
 
 
 def test_translation_recall_is_short(baseline_pr):
@@ -58,7 +59,7 @@ def test_translation_recall_is_short(baseline_pr):
     tracker = baseline_pr.hierarchy.llc.recall_translation
     tracker.flush()
     if tracker.samples >= 20:
-        assert tracker.fraction_within(50) > 0.1
+        assert tracker.cdf()[RECALL_BUCKETS.index(50)] > 0.1
 
 
 def test_tship_reduces_translation_mpki(baseline_pr):

@@ -91,7 +91,7 @@ def test_runner_cache_entry_serves_as_job_payload(tmp_path):
     summary = RunSummary.from_run(
         api.run("tc", instructions=2_000, warmup=500), seed=1)
     cache = ResultCache(root=tmp_path, fingerprint="pinned")
-    cache.put(key, summary)
+    cache.put_raw(key, summary.to_dict())
 
     store = JobStore(root=tmp_path, fingerprint="pinned")
     assert store.contains(key.digest)
@@ -106,9 +106,9 @@ def test_job_payload_serves_runner_cache(tmp_path):
     store.put_raw(key.digest, summary.to_dict())
 
     cache = ResultCache(root=tmp_path, fingerprint="pinned")
-    cached = cache.get(key)
+    cached = cache.get_raw(key)
     assert cached is not None
-    assert cached.to_dict() == summary.to_dict()
+    assert RunSummary.from_dict(cached).to_dict() == summary.to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -172,14 +172,6 @@ def test_corrupt_entry_is_a_counted_read_error(store, log_sink):
     (record,) = _records(log_sink)
     assert record["event"] == "store-read-error"
     assert record["digest"] == DIGEST
-
-
-def test_undecodable_summary_is_a_counted_read_error(tmp_path):
-    cache = ResultCache(root=tmp_path, fingerprint="pinned")
-    key = RunKey.make("tc", instructions=2_000, warmup=500)
-    cache.put_raw(key, {"not": "a run summary"})
-    assert cache.get(key) is None
-    assert (cache.read_errors, cache.misses) == (1, 1)
 
 
 def test_absent_entry_is_a_plain_miss(store, log_sink):

@@ -82,4 +82,4 @@ def test_count_stats_false_suppresses_counters():
 def test_stlb_mpki():
     mmu, _, _ = make_mmu()
     mmu.translate(VA, cycle=0)
-    assert mmu.stlb_mpki(1000) == 1.0
+    assert mmu.stlb.mpki(1000) == 1.0

@@ -80,16 +80,6 @@ def test_follower_thread_sees_live_emits_in_order():
     assert seen == list(range(200))
 
 
-def test_wait_for_unblocks_on_emit_and_close():
-    stream = EventStream()
-    assert stream.wait_for(0, timeout=0.01) is False
-    stream.emit(i=0)
-    assert stream.wait_for(0) is True
-    assert stream.wait_for(1, timeout=0.01) is False
-    stream.close()
-    assert stream.wait_for(1, timeout=0.01) is False  # closed, never emitted
-
-
 # ----------------------------------------------------------------------
 # Bounded backlog (the dropped_events satellite)
 # ----------------------------------------------------------------------

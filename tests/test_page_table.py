@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.params import PAGE_SHIFT, PT_LEVELS
+from repro.params import LINE_SHIFT, PAGE_SHIFT, PT_LEVELS
 from repro.vm.address import make_va
 from repro.vm.page_table import FrameAllocator, PageTable
 
@@ -55,26 +55,30 @@ def test_same_page_different_offset_same_frame():
 def test_walk_path_levels_descend():
     pt = PageTable()
     va = make_va([1, 2, 3, 4, 5])
-    path = pt.walk_path(va)
-    assert [lvl for lvl, _ in path] == [5, 4, 3, 2, 1]
+    _, entries = pt.walk_entries(va)
+    assert [lvl for lvl, _, _ in entries] == [5, 4, 3, 2, 1]
 
 
 def test_walk_path_pte_addresses_in_table_frames():
     pt = PageTable()
     va = make_va([1, 2, 3, 4, 5])
-    path = pt.walk_path(va)
-    level5_pa = path[0][1]
-    assert level5_pa >> PAGE_SHIFT == pt.cr3_frame
+    _, entries = pt.walk_entries(va)
+    # Each PTE lives in the table page the level above points to.
+    for (_, _, next_frame), (_, pte_pa, _) in zip(entries, entries[1:]):
+        assert pte_pa >> PAGE_SHIFT == next_frame
+    assert entries[-1][2] == 0  # the leaf points at data, not a table
 
 
 def test_adjacent_pages_share_leaf_pte_line():
     """Eight contiguous PTEs live in one 64-byte line (8B each)."""
     pt = PageTable()
     base = make_va([1, 2, 3, 4, 0])
-    lines = {pt.pte_line_addr(base + (i << PAGE_SHIFT), 1) for i in range(8)}
+    def leaf_line(va):
+        return pt.walk_entries(va)[1][-1][1] >> LINE_SHIFT
+
+    lines = {leaf_line(base + (i << PAGE_SHIFT)) for i in range(8)}
     assert len(lines) == 1
-    lines16 = {pt.pte_line_addr(base + (i << PAGE_SHIFT), 1)
-               for i in range(16)}
+    lines16 = {leaf_line(base + (i << PAGE_SHIFT)) for i in range(16)}
     assert len(lines16) == 2
 
 
@@ -82,8 +86,8 @@ def test_distinct_regions_use_distinct_tables():
     pt = PageTable()
     va1 = make_va([1, 0, 0, 0, 0])
     va2 = make_va([2, 0, 0, 0, 0])
-    path1 = dict(pt.walk_path(va1))
-    path2 = dict(pt.walk_path(va2))
+    path1 = {lvl: pa for lvl, pa, _ in pt.walk_entries(va1)[1]}
+    path2 = {lvl: pa for lvl, pa, _ in pt.walk_entries(va2)[1]}
     assert path1[5] != path2[5]          # different level-5 slots
     assert (path1[4] >> PAGE_SHIFT) != (path2[4] >> PAGE_SHIFT)
 
@@ -94,17 +98,3 @@ def test_table_page_accounting():
     pt.translate(make_va([1, 2, 3, 4, 5]))
     assert pt.table_pages == 1 + (PT_LEVELS - 1)
     assert pt.data_pages == 1
-
-
-def test_node_frame_matches_walk_path():
-    pt = PageTable()
-    va = make_va([3, 1, 4, 1, 5])
-    pt.translate(va)
-    for level, pte_pa in pt.walk_path(va):
-        assert pt.node_frame(va, level) == pte_pa >> PAGE_SHIFT
-
-
-def test_pte_line_addr_unknown_level():
-    pt = PageTable()
-    with pytest.raises(ValueError):
-        pt.pte_line_addr(make_va([1, 2, 3, 4, 5]), 9)

@@ -46,6 +46,7 @@ def test_full_size_caches_absorb_reduced_footprints():
 
 def test_paper_scale_workload_generation():
     """scale=1 footprints generate (big address space) without issue."""
+    from repro.workloads.analysis import working_set
     from repro.workloads.registry import make_trace
     trace = make_trace("pr", 3000, scale=1)
-    assert trace.footprint_pages() > 100
+    assert working_set(trace)["pages"] > 100

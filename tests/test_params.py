@@ -3,8 +3,8 @@
 import pytest
 
 from repro.params import (CacheConfig, DEFAULT_SCALE, EnhancementConfig,
-                          IdealConfig, LINE_SIZE, PTES_PER_LINE, SimConfig,
-                          TLBConfig, default_config, paper_config)
+                          LINE_SIZE, PTES_PER_LINE, SimConfig, TLBConfig,
+                          default_config, paper_config)
 
 
 def test_paper_config_matches_table1():
@@ -78,11 +78,6 @@ def test_enhancement_presets():
     assert full.t_drrip and full.t_ship and full.newsign
     assert full.atp and full.tempo
     assert not full.replay_rrpv0  # the misconfiguration is never default
-
-
-def test_ideal_any_enabled():
-    assert not IdealConfig().any_enabled
-    assert IdealConfig(l2c_replays=True).any_enabled
 
 
 def test_ptes_per_line():

@@ -6,7 +6,6 @@ from repro.memsys.request import AccessType, MemoryRequest
 from repro.prefetch import make_l2c_prefetcher
 from repro.prefetch.base import LINES_PER_PAGE, clamp_to_page, same_page
 from repro.prefetch.bingo import BingoPrefetcher
-from repro.prefetch.ip_stride import IPStridePrefetcher
 from repro.prefetch.ipcp import IPCPPrefetcher
 from repro.prefetch.isb import ISBPrefetcher
 from repro.prefetch.next_line import NextLinePrefetcher
@@ -34,21 +33,6 @@ def test_next_line_prefetches_within_page():
     # At the page edge: cross-page candidates are clamped.
     edge = LINES_PER_PAGE - 1
     assert pf.operate(load(edge), hit=False) == []
-
-
-def test_ip_stride_learns_constant_stride():
-    pf = IPStridePrefetcher(degree=2)
-    out = []
-    for i in range(6):
-        out = pf.operate(load(10 + 3 * i, ip=0x42), hit=False)
-    assert out == [10 + 15 + 3, 10 + 15 + 6]
-
-
-def test_ip_stride_ignores_random():
-    pf = IPStridePrefetcher()
-    seq = [5, 17, 2, 33, 9, 21]
-    outs = [pf.operate(load(l, ip=0x42), hit=False) for l in seq]
-    assert all(not o for o in outs)
 
 
 def test_spp_learns_intra_page_stride():

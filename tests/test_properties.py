@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cache.cache import Cache
-from repro.cache.replacement import available_policies, make_policy
+from repro.cache.replacement import make_policy
 from repro.cache.store import CacheStore
 from repro.memsys.mshr import MSHR
 from repro.memsys.request import AccessType, MemoryRequest
@@ -50,7 +50,12 @@ def build_request(line, kind, ip, cycle):
                          access_type=AccessType.PREFETCH)
 
 
-@pytest.mark.parametrize("policy_name", available_policies())
+#: Every registered replacement policy.
+POLICIES = ("drrip", "hawkeye", "lru", "newsign_ship", "ship", "srrip",
+            "t_drrip", "t_hawkeye", "t_ship")
+
+
+@pytest.mark.parametrize("policy_name", POLICIES)
 @settings(max_examples=25, deadline=None)
 @given(accesses=ACCESS_STRATEGY)
 def test_cache_invariants_under_random_traffic(policy_name, accesses):
@@ -83,50 +88,6 @@ def test_cache_invariants_under_random_traffic(policy_name, accesses):
         all_valid_lines.extend(valid_lines)
     assert set(store.slot_of) == set(all_valid_lines)
     assert len(store.slot_of) == len(all_valid_lines)
-
-
-_BLOCK_FIELDS = ("line_addr", "valid", "dirty", "reused", "is_translation",
-                 "is_leaf_translation", "is_replay", "is_prefetch",
-                 "dead_on_hit", "signature", "rrpv", "fill_cycle")
-
-
-@pytest.mark.parametrize("policy_name", available_policies())
-@settings(max_examples=25, deadline=None)
-@given(accesses=ACCESS_STRATEGY)
-def test_store_round_trips_through_cacheblock(policy_name, accesses):
-    """Slot-array state survives a round trip through the old per-block
-    representation: snapshot() -> CacheBlock -> load_block() into a
-    fresh store reproduces every column, for every slot the randomized
-    stream populated.  This pins the column layout against the
-    block-object layout the flat store replaced."""
-    config = CacheConfig("T", size_bytes=4 * 64 * 2, ways=2, latency=10,
-                         mshr_entries=4, replacement="lru")
-    cache = Cache(config, NullMemory(),
-                  policy=make_policy(policy_name, 4, 2),
-                  track_recall=True)
-    cycle = 0
-    for line, kind, ip in accesses:
-        cycle += 7
-        cache.access(build_request(line, kind, ip, cycle))
-
-    store = cache.store
-    clone = CacheStore(store.num_sets, store.num_ways)
-    for slot in range(store.size):
-        block = store.snapshot(slot)
-        # The detached copy matches the live view field-for-field.
-        view = store.view(slot)
-        for name in _BLOCK_FIELDS:
-            assert getattr(block, name) == getattr(view, name), (slot, name)
-        if store.valid[slot]:
-            clone.load_block(slot, block)
-            clone.slot_of[block.line_addr] = slot
-    for slot in range(store.size):
-        if not store.valid[slot]:
-            continue
-        for name in _BLOCK_FIELDS:
-            assert getattr(clone.view(slot), name) == \
-                getattr(store.view(slot), name), (slot, name)
-    assert clone.slot_of == store.slot_of
 
 
 @settings(max_examples=50, deadline=None)

@@ -50,7 +50,9 @@ def test_predictor_trains_toward_averse():
     for _ in range(10):
         pol._train(sig, positive=False)
     assert not pol._is_friendly(sig)
-    assert pol.insertion_rrpv(0, r) == pol.max_rrpv
+    store = bound(pol)
+    pol.on_fill(0, 0, r)
+    assert store.rrpv[0] == pol.max_rrpv
 
 
 def test_predictor_trains_toward_friendly():
@@ -60,7 +62,9 @@ def test_predictor_trains_toward_friendly():
     for _ in range(10):
         pol._train(sig, positive=True)
     assert pol._is_friendly(sig)
-    assert pol.insertion_rrpv(0, r) == 0
+    store = bound(pol)
+    pol.on_fill(0, 0, r)
+    assert store.rrpv[0] == 0
 
 
 def test_victim_prefers_cache_averse():

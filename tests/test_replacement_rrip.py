@@ -1,9 +1,9 @@
-"""Tests for the RRIP-family replacement policies (SRRIP, BRRIP, DRRIP)."""
+"""Tests for the RRIP-family replacement policies (SRRIP, DRRIP)."""
 
 import pytest
 
 from repro.cache.replacement.drrip import DRRIPPolicy
-from repro.cache.replacement.srrip import BRRIPPolicy, SRRIPPolicy
+from repro.cache.replacement.srrip import SRRIPPolicy
 from repro.cache.store import CacheStore
 from repro.memsys.request import MemoryRequest
 
@@ -51,15 +51,6 @@ def test_srrip_victim_ages_until_max():
     way = pol.victim(0, req())
     assert way == 1                # aged by one: block 1 reaches 3 first
     assert store.rrpv[0] == 2      # aging side effect
-
-
-def test_brrip_inserts_mostly_distant():
-    pol = BRRIPPolicy(4, 4)
-    rrpvs = [pol.insertion_rrpv(0, req()) for _ in range(64)]
-    distant = sum(1 for r in rrpvs if r == pol.max_rrpv)
-    long = sum(1 for r in rrpvs if r == pol.max_rrpv - 1)
-    assert long == 64 // BRRIPPolicy.LONG_INTERVAL
-    assert distant == 64 - long
 
 
 def test_drrip_has_disjoint_leader_sets():

@@ -35,10 +35,10 @@ def test_hit_trains_signature_up():
     pol = SHiPPolicy(16, 4)
     store = bound(pol)
     r = req(ip=0x42)
-    before = pol.shct_value(r)
+    before = pol._shct[pol.signature(r)]
     slot = fill(pol, store, r)
     pol.on_hit(0, 0, r)
-    assert pol.shct_value(r) == min(before + 1, pol.SHCT_MAX)
+    assert pol._shct[pol.signature(r)] == min(before + 1, pol.SHCT_MAX)
     assert store.rrpv[slot] == 0
 
 
@@ -46,22 +46,22 @@ def test_unreused_eviction_trains_down():
     pol = SHiPPolicy(16, 4)
     store = bound(pol)
     r = req(ip=0x42)
-    before = pol.shct_value(r)
+    before = pol._shct[pol.signature(r)]
     slot = fill(pol, store, r)
     store.reused[slot] = 0
     pol.on_evict(0, 0)
-    assert pol.shct_value(r) == max(before - 1, 0)
+    assert pol._shct[pol.signature(r)] == max(before - 1, 0)
 
 
 def test_reused_eviction_does_not_train_down():
     pol = SHiPPolicy(16, 4)
     store = bound(pol)
     r = req(ip=0x42)
-    before = pol.shct_value(r)
+    before = pol._shct[pol.signature(r)]
     slot = fill(pol, store, r)
     store.reused[slot] = 1
     pol.on_evict(0, 0)
-    assert pol.shct_value(r) == before
+    assert pol._shct[pol.signature(r)] == before
 
 
 def test_dead_signature_inserts_distant():
@@ -72,7 +72,7 @@ def test_dead_signature_inserts_distant():
     for _ in range(10):
         fill(pol, store, r)
         pol.on_evict(0, 0)
-    assert pol.shct_value(r) == 0
+    assert pol._shct[pol.signature(r)] == 0
     assert pol.insertion_rrpv(0, r) == pol.max_rrpv
 
 

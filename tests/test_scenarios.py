@@ -17,10 +17,9 @@ import pytest
 from repro import api
 from repro.experiments.parallel import RunKey
 from repro.scenarios import (SCENARIO_SCHEMA, ScenarioError, compile_scenario,
-                             emit_scenario, library_paths, list_scenarios,
-                             load_scenario, load_scenario_file,
-                             parse_scenario, run_scenario, validate_scenario,
-                             write_results)
+                             library_paths, list_scenarios, load_scenario,
+                             load_scenario_file, parse_scenario, run_scenario,
+                             validate_scenario, write_results)
 from repro.workloads.registry import make_trace
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "scenarios"
@@ -126,14 +125,6 @@ def test_canonical_round_trip_preserves_digest():
         assert reparsed == doc, name
 
 
-def test_emit_parse_round_trip(tmp_path):
-    doc = load_scenario("SYN-03-REPLAY-DEAD-STREAMS")
-    out = tmp_path / "copy.json"
-    emit_scenario(doc, out)
-    again = load_scenario_file(out)
-    assert again.digest == doc.digest
-
-
 def test_digest_tracks_content():
     a = parse_scenario(minimal())
     b = parse_scenario(minimal(seed=2))
@@ -181,7 +172,7 @@ def test_single_workload_scenario_matches_direct_run():
         "mix": {"pr": 1.0}})
     via_scenario = run_scenario(doc, instructions=4_000, warmup=500)
     direct = api.run("pr", instructions=4_000, warmup=500, seed=5)
-    assert via_scenario.cycles == direct.cycles
+    assert via_scenario.summary.cycles == direct.cycles
     assert via_scenario.summary.metrics == pytest.approx(direct.summary())
 
 

@@ -12,8 +12,7 @@ from concurrent.futures import BrokenExecutor
 
 import pytest
 
-from repro.service import (JobHandle, JobStore, ServiceSaturated,
-                           SweepService)
+from repro.service import JobStore, ServiceSaturated, SweepService
 from repro.service.jobs import Job, JobError, JobSpec, JobStatus
 
 RUN = dict(benchmark="tc", instructions=2_000, warmup=500)
@@ -601,10 +600,10 @@ def test_sweep_children_inherit_shared_params():
                         instructions=2_000, warmup=500)
     children = spec.sweep_children()
     assert [c.kind for c in children] == ["run", "run"]
-    assert children[0].param("benchmark") == "tc"
-    assert children[0].param("instructions") == 2_000
-    assert children[1].param("seed") == 7
-    assert children[1].param("warmup") == 500
+    assert children[0].to_dict()["benchmark"] == "tc"
+    assert children[0].to_dict()["instructions"] == 2_000
+    assert children[1].to_dict()["seed"] == 7
+    assert children[1].to_dict()["warmup"] == 500
 
 
 # ----------------------------------------------------------------------
@@ -635,32 +634,6 @@ def test_execute_spec_rejects_unknown_kind():
     from repro.service.core import execute_spec
     with pytest.raises(JobError, match="unknown job kind"):
         execute_spec({"kind": "warp", "benchmark": "tc"})
-
-
-# ----------------------------------------------------------------------
-# JobHandle surface
-# ----------------------------------------------------------------------
-def test_handle_result_raises_until_done(tmp_path):
-    service = make_service(tmp_path)
-
-    async def body():
-        await service.start()
-        job = await service.submit("run", **RUN)
-        handle = JobHandle(service, job)
-        with pytest.raises(RuntimeError, match="pending"):
-            handle.result()
-        await handle.wait()
-        payload = handle.result()
-        await service.close()
-        return handle, payload
-
-    handle, payload = drive(body)
-    assert handle.status is JobStatus.DONE
-    assert payload["benchmark"] == "tc"
-    kinds = [e["kind"] for e in handle.events()]
-    statuses = [e["status"] for e in handle.events() if "status" in e]
-    assert kinds[0] == "status"
-    assert statuses == ["pending", "running", "done"]
 
 
 def test_event_stream_is_ordered_and_closed(tmp_path):

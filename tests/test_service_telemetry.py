@@ -1,6 +1,6 @@
 """Tests for the service telemetry plane: registry instrumentation of
-SweepService, /metrics exposition, health gauges, JobHandle.watch and
-the `repro top` dashboard renderer."""
+SweepService, /metrics exposition, health gauges, the job event stream
+and the `repro top` dashboard renderer."""
 
 import asyncio
 import json
@@ -10,8 +10,7 @@ import urllib.request
 import pytest
 
 from repro.obs.telemetry import validate_telemetry
-from repro.service import (JobHandle, JobStore, ServiceMetrics,
-                           SweepService)
+from repro.service import JobStore, ServiceMetrics, SweepService
 from repro.service.top import render_dashboard
 
 RUN = {"kind": "run", "benchmark": "tc", "instructions": 2000,
@@ -147,7 +146,7 @@ def test_events_dropped_rolls_up_to_service_counter(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# JobHandle.watch
+# Job event stream
 # ----------------------------------------------------------------------
 def test_watch_streams_events_and_progress(tmp_path):
     def forwarding_execute(spec_dict, progress=None,
@@ -168,28 +167,16 @@ def test_watch_streams_events_and_progress(tmp_path):
                                progress_interval=500)
         await service.start()
         job = await service.submit(**RUN)
-        handle = JobHandle(service, job)
-        events, rows = [], []
-        await handle.watch(on_event=events.append,
-                           on_progress=rows.append)
+        await service.wait(job)
+        events = job.events.snapshot()
+        rows = [e for e in events if e.get("kind") == "job-progress"]
         assert [e["status"] for e in events
                 if e.get("kind") == "status"] \
             == ["pending", "running", "done"]
         assert len(rows) == 4  # 3 worker rows + the final row
         assert rows[-1]["final"] is True
         assert rows[-1]["cycle"] == 3200
-        assert handle.progress["final"] is True
-        await service.close()
-    run_async(main())
-
-
-def test_watch_without_callbacks_just_waits(tmp_path):
-    async def main():
-        service = make_service(tmp_path)
-        await service.start()
-        job = await service.submit(**RUN)
-        handle = await JobHandle(service, job).watch()
-        assert handle.status.value == "done"
+        assert job.progress["final"] is True
         await service.close()
     run_async(main())
 

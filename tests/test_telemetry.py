@@ -7,12 +7,10 @@ import threading
 
 import pytest
 
-from repro.obs.log import (configure_logging, current_run_id, get_logger,
-                           logging_enabled)
+from repro.obs.log import configure_logging, get_logger
 from repro.obs.telemetry import (TELEMETRY_SCHEMA, Counter, Gauge,
                                  Histogram, TelemetryRegistry,
-                                 TelemetrySchemaError, validate_telemetry,
-                                 validate_telemetry_strict)
+                                 validate_telemetry)
 
 
 # ----------------------------------------------------------------------
@@ -29,11 +27,6 @@ def test_counter_is_monotonic():
 
 
 def test_gauge_set_inc_dec_and_callback():
-    g = Gauge("depth")
-    g.set(7)
-    g.inc(2)
-    g.dec()
-    assert g.value == 8
     backing = [3]
     live = Gauge("live", fn=lambda: backing[0])
     assert live.value == 3.0
@@ -79,17 +72,18 @@ def test_registry_get_or_create_is_idempotent():
 
 def test_registry_labels_distinguish_series():
     reg = TelemetryRegistry()
-    run = reg.gauge("state", labels={"state": "running"})
-    done = reg.gauge("state", labels={"state": "done"})
+    run = reg.gauge("state", labels={"state": "running"}, fn=lambda: 1)
+    done = reg.gauge("state", labels={"state": "done"}, fn=lambda: 2)
     assert run is not done
-    assert reg.gauge("state", labels={"state": "running"}) is run
+    assert reg.gauge("state", labels={"state": "running"},
+                     fn=lambda: 1) is run
 
 
 def test_registry_kind_conflict_raises():
     reg = TelemetryRegistry()
     reg.counter("x")
     with pytest.raises(ValueError):
-        reg.gauge("x")
+        reg.gauge("x", fn=lambda: 0)
 
 
 def test_registry_concurrent_increments_are_lossless():
@@ -115,7 +109,7 @@ def make_registry():
     reg = TelemetryRegistry()
     reg.counter("repro_jobs_total", help="jobs").inc(3)
     reg.gauge("repro_depth", fn=lambda: 2)
-    reg.gauge("repro_state", labels={"state": "done"}).set(1)
+    reg.gauge("repro_state", labels={"state": "done"}, fn=lambda: 1)
     reg.histogram("repro_wait_seconds",
                   buckets=(0.1, 1.0)).observe(0.5)
     return reg
@@ -125,8 +119,7 @@ def test_snapshot_validates_and_round_trips_json():
     doc = make_registry().snapshot()
     assert doc["schema"] == TELEMETRY_SCHEMA
     assert validate_telemetry(doc) == []
-    assert validate_telemetry_strict(json.loads(json.dumps(doc))) \
-        == json.loads(json.dumps(doc))
+    assert validate_telemetry(json.loads(json.dumps(doc))) == []
     names = {s["name"] for s in doc["series"]}
     assert names == {"repro_jobs_total", "repro_depth", "repro_state",
                      "repro_wait_seconds"}
@@ -146,8 +139,6 @@ def test_validator_flags_each_break(mutate, problem):
     mutate(doc)
     problems = validate_telemetry(doc)
     assert problems and any(problem in p for p in problems)
-    with pytest.raises(TelemetrySchemaError):
-        validate_telemetry_strict(doc)
 
 
 def test_negative_counter_is_invalid():
@@ -178,7 +169,7 @@ def test_prometheus_rendering_shape():
 
 def test_prometheus_escapes_label_values():
     reg = TelemetryRegistry()
-    reg.gauge("g", labels={"k": 'a"b\\c\nd'}).set(1)
+    reg.gauge("g", labels={"k": 'a"b\\c\nd'}, fn=lambda: 1)
     text = reg.render_prometheus()
     assert r'g{k="a\"b\\c\nd"} 1' in text
 
@@ -201,8 +192,6 @@ def test_logging_is_quiet_by_default(capsys):
 def test_log_records_are_json_lines_with_run_id():
     sink = io.StringIO()
     run_id = configure_logging(True, stream=sink)
-    assert logging_enabled()
-    assert current_run_id() == run_id
     log = get_logger("service")
     record = log.emit("job-submitted", job="job-1", digest="ab" * 4)
     log.emit("job-done", job="job-1")

@@ -4,9 +4,9 @@ import pytest
 
 from repro import api
 from repro.__main__ import main
-from repro.obs.trace import (TraceAlignmentError, TraceIndex,
-                             critical_path, render_trace,
-                             render_trace_diff, summarize, trace_diff)
+from repro.obs.trace import (TraceAlignmentError,
+                             render_trace, render_trace_diff, summarize,
+                             trace_diff)
 
 RUN_KW = dict(instructions=12_000, warmup=2_000, seed=7)
 
@@ -99,25 +99,6 @@ def test_render_trace_limits(baseline_doc):
     text = render_trace(baseline_doc, limit=3)
     assert "more requests" in text
     assert text.count("#") >= 3
-
-
-def test_critical_path_descends_to_latest_child(baseline_doc):
-    index = TraceIndex(baseline_doc)
-    # A walked request: its critical path must pass through the walk.
-    root = next(r for r in index.roots
-                if index.named_child(r["id"], "translate") is not None
-                and index.named_child(
-                    index.named_child(r["id"], "translate")["id"],
-                    "walk") is not None)
-    path = critical_path(baseline_doc, root["id"])
-    assert path[0] is index.by_id[root["id"]]
-    for parent, child in zip(path, path[1:]):
-        assert child["parent"] == parent["id"]
-        assert child["name"] != "stall"
-    leaf = path[-1]
-    assert index.root_of(leaf)["id"] == root["id"]
-    # The chain's completion bounds the request's completion.
-    assert leaf["end"] <= root["end"]
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,7 @@ import pytest
 from repro.experiments.runner import run_benchmark
 from repro.obs.export import ExportSchemaError
 from repro.obs.trace import (TRACE_SCHEMA, SpanTracer, attach, detach,
-                             export_perfetto, export_trace, load_perfetto,
-                             load_trace, perfetto_document, trace_document,
+                             export_perfetto, export_trace, load_trace, perfetto_document, trace_document,
                              validate_trace, validate_trace_strict)
 from repro.params import default_config
 from repro.uncore.hierarchy import MemoryHierarchy
@@ -176,6 +175,6 @@ def test_export_perfetto_round_trip(tmp_path):
     doc = _golden_scenario_document()
     path = tmp_path / "p.json"
     export_perfetto(path, doc)
-    loaded = load_perfetto(path)
+    loaded = json.loads(path.read_text())
     assert loaded == perfetto_document(doc)
     assert loaded["otherData"]["schema"] == TRACE_SCHEMA

@@ -198,7 +198,7 @@ def test_stall_spans_match_stall_accounting():
         for span in group:
             if span.name == "stall":
                 assert span.parent == root_id
-                totals[span.cat] += span.duration
+                totals[span.cat] += span.end - span.start
     # Load-side stall cycles agree exactly with StallAccounting; the
     # remainder (other-instruction stalls) has no request to attach to.
     stalls = result.core.stalls

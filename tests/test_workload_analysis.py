@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.workloads.analysis import (leaf_pte_lines, memory_addresses,
-                                      page_reuse_histogram, stride_profile,
                                       stlb_reach_ratio, summarize,
                                       working_set)
 from repro.workloads.registry import make_trace
@@ -35,20 +34,6 @@ def test_working_set_counts():
 def test_working_set_empty():
     t = simple_trace([0], kinds=[KIND_NONMEM])
     assert working_set(t) == {"pages": 0, "lines": 0}
-
-
-def test_page_reuse_histogram():
-    t = simple_trace([0x1000] * 5 + [0x2000])
-    h = page_reuse_histogram(t, buckets=(1, 4))
-    assert h["<=1"] == 1    # 0x2000 touched once
-    assert h[">4"] == 1     # 0x1000 touched five times
-
-
-def test_stride_profile_detects_dominant_stride():
-    t = simple_trace(list(range(0, 640, 64)))
-    top = stride_profile(t, top=1)
-    assert top[0][0] == 64
-    assert top[0][1] == pytest.approx(1.0)
 
 
 def test_leaf_pte_lines_groups_eight_pages():

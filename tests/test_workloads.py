@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.params import DEFAULT_SCALE, PAGE_SHIFT
-from repro.workloads.registry import (BENCHMARKS, benchmark,
-                                      benchmark_names, categorize,
-                                      make_trace)
+from repro.workloads.analysis import working_set
+from repro.workloads.registry import (BENCHMARKS, benchmark_names,
+                                      categorize, make_trace)
 from repro.workloads.synthetic import (RANDOM_BASE, SEQ_BASE, PatternMix,
                                        SyntheticWorkload)
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, KIND_STORE, Trace
@@ -21,9 +21,8 @@ def test_trace_slicing_and_records():
     t = make_trace("tc", 100)
     half = t[:50]
     assert len(half) == 50
-    recs = list(half.records())
-    assert len(recs) == 50
-    assert all(isinstance(r[0], int) for r in recs[:3])
+    assert (half.ips == t.ips[:50]).all()
+    assert (half.addrs == t.addrs[:50]).all()
 
 
 def test_trace_concatenate():
@@ -42,7 +41,7 @@ def test_generation_deterministic_per_seed():
 
 
 def test_load_rate_matches_mix():
-    info = benchmark("pr")
+    info = BENCHMARKS["pr"]
     t = make_trace("pr", 50_000)
     expected = info.mix.loads_per_kilo
     assert t.loads_per_kilo() == pytest.approx(expected, rel=0.1)
@@ -68,11 +67,11 @@ def test_memory_addresses_populated():
 def test_footprint_scales_down():
     big = make_trace("pr", 20_000, scale=1)
     small = make_trace("pr", 20_000, scale=DEFAULT_SCALE)
-    assert small.footprint_pages() < big.footprint_pages()
+    assert working_set(small)["pages"] < working_set(big)["pages"]
 
 
 def test_random_region_bounded_by_mix():
-    info = benchmark("cc")
+    info = BENCHMARKS["cc"]
     t = make_trace("cc", 30_000, scale=DEFAULT_SCALE)
     rand = t.addrs[(t.addrs >= RANDOM_BASE)]
     pages = np.unique(rand >> PAGE_SHIFT) - (RANDOM_BASE >> PAGE_SHIFT)
@@ -105,13 +104,13 @@ def test_registry_has_table2_benchmarks():
     assert benchmark_names() == ["xalancbmk", "tc", "canneal", "mis", "mcf",
                                  "bf", "radii", "cc", "pr"]
     for name in benchmark_names():
-        info = benchmark(name)
+        info = BENCHMARKS[name]
         assert info.category in ("Low", "Medium", "High")
 
 
 def test_registry_unknown_benchmark():
-    with pytest.raises(ValueError):
-        benchmark("gcc")
+    with pytest.raises(ValueError, match="unknown benchmark"):
+        make_trace("gcc", 1000)
 
 
 def test_categorize_thresholds():
@@ -124,4 +123,4 @@ def test_categories_match_registry():
     """The registry categories agree with the paper's Table II bands."""
     from repro.workloads.registry import TABLE2_REFERENCE
     for name, ref in TABLE2_REFERENCE.items():
-        assert categorize(ref["stlb"]) == benchmark(name).category
+        assert categorize(ref["stlb"]) == BENCHMARKS[name].category
