@@ -68,7 +68,10 @@ from repro.workloads.registry import benchmark_names
 #: run through the sweep service.
 #: 6.0: the in-process job client (``submit``, ``JobHandle``,
 #: ``configure_service``, ``telemetry_snapshot``) and ``trace_diff`` go.
-__api_version__ = "6.0"
+#: 6.1: ``RunSummary`` gains ``streams``, ``replay_loads`` and
+#: ``replay_latency_total``; a ``run`` spec may name the ``threads`` of
+#: an SMT pair or the ``cores`` of a multicore mix.
+__api_version__ = "6.1"
 
 __all__ = [
     # entry points
@@ -268,6 +271,7 @@ def list_figures() -> Tuple[str, ...]:
 
 
 def list_benchmarks() -> Tuple[str, ...]:
-    """Every synthetic workload name (Table II of the paper)."""
-    return tuple(benchmark_names())
+    """Every synthetic workload name: Table II of the paper, then the
+    control workloads (``compute``)."""
+    return tuple(benchmark_names(include_controls=True))
 

@@ -1,7 +1,9 @@
-"""Experiment harness: one function per figure/table of the paper.
+"""Experiment harness: one generator per figure/table of the paper.
 
-Every harness asks for its points through
-:func:`repro.experiments.parallel.run_many`: serially in-process, or --
-under ``repro figure`` and in the sweep service's ``figure`` jobs -- as
-memoised, deduplicated ``run`` jobs of the service.
+Every harness yields its grid of points once and reduces their
+summaries (:mod:`repro.experiments.registry`).  The registry runs the
+grid through :func:`repro.experiments.parallel.run_many`: serially
+in-process, or -- under ``repro figure`` -- as memoised, deduplicated
+``run`` jobs of the sweep service, whose ``figure`` jobs submit the
+same points as child ``run`` jobs.
 """

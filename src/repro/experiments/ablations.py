@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures import FigureResult, _run_grid
+from repro.experiments.figures import FigureResult
 from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
@@ -47,7 +47,7 @@ def single_mechanism_ablation(benchmarks: Optional[Sequence[str]] = None,
             cfg = default_config(scale).with_(enhancements=enh)
             specs[(name, label)] = RunKey.make(name, cfg, instructions,
                                                warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     speedups: Dict[str, List[float]] = {v: [] for v in ABLATION_VARIANTS}
     for name in names:
@@ -81,9 +81,8 @@ def atp_trigger_placement(benchmarks: Optional[Sequence[str]] = None,
     names = list(benchmarks) if benchmarks else benchmark_names()
     cfg = default_config(scale).with_(
         enhancements=EnhancementConfig.full())
-    runs = _run_grid({name: RunKey.make(name, cfg, instructions, warmup,
-                                        scale)
-                      for name in names})
+    runs = yield {name: RunKey.make(name, cfg, instructions, warmup, scale)
+                  for name in names}
     rows, data = [], {}
     for name in names:
         run = runs[name]

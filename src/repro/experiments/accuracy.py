@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures import FigureResult, _run_grid
+from repro.experiments.figures import FigureResult
 from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
@@ -52,7 +52,7 @@ def prefetch_accuracy(benchmarks: Optional[Sequence[str]] = None,
             cfg = default_config(scale).with_(**overrides)
             specs[(name, label)] = RunKey.make(name, cfg, instructions,
                                                warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows: List[List] = []
     data: Dict = {}
     totals = {v: [0, 0] for v in variants}

@@ -3,69 +3,27 @@
 ATP's benefit per replay load equals the head start its prefetch gets
 over the replay demand: the translation-response climb back to the
 core, the TLB fills, the load-queue re-issue, and the demand's descent
-back to the trigger level.  This analysis measures, per benchmark:
+back to the trigger level.  This analysis measures, per benchmark and
+over the region of interest, from Fig 14's ``+T-SHiP`` and ``+ATP``
+points:
 
-* the distribution of walk-hit levels (the trigger opportunities);
+* the number of ATP triggers;
 * the mean replay data latency with and without ATP -- whose difference
   is the realized head start;
-* the fraction of replay loads that found their line in flight or
-  resident at the trigger level.
+* the fraction of replay loads that the L2C or LLC served (the line was
+  in flight or resident at the trigger level).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.ooo_core import OOOCore
-from repro.experiments.figures import FigureResult
+from repro.experiments.figures import FIG14_VARIANTS, FigureResult
+from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
-from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
-from repro.uncore.hierarchy import MemoryHierarchy
-from repro.workloads.registry import benchmark_names, make_trace
+from repro.params import DEFAULT_SCALE, default_config
+from repro.workloads.registry import benchmark_names
 from repro.experiments.registry import figure
-
-
-class _ReplayLatencyProbe:
-    """Wraps MemoryHierarchy.load to accumulate replay data latencies."""
-
-    def __init__(self, hierarchy: MemoryHierarchy):
-        self.hierarchy = hierarchy
-        self.total_latency = 0
-        self.count = 0
-        self.served: Dict[str, int] = {}
-        self._original = hierarchy.load
-
-    def __enter__(self) -> "_ReplayLatencyProbe":
-        probe = self
-
-        def probed_load(va, cycle, ip=0):
-            res = probe._original(va, cycle, ip)
-            if res.is_replay:
-                probe.total_latency += res.data_done - res.translation_done
-                probe.count += 1
-                probe.served[res.data_served_by] = \
-                    probe.served.get(res.data_served_by, 0) + 1
-            return res
-
-        self.hierarchy.load = probed_load
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.hierarchy.load = self._original
-
-    @property
-    def mean_latency(self) -> float:
-        return self.total_latency / self.count if self.count else 0.0
-
-
-def _measure(name: str, enh: EnhancementConfig, instructions: int,
-             warmup: int, scale: int):
-    cfg = default_config(scale).with_(enhancements=enh)
-    hierarchy = MemoryHierarchy(cfg)
-    trace = make_trace(name, instructions + warmup, scale=scale)
-    with _ReplayLatencyProbe(hierarchy) as probe:
-        OOOCore(cfg, hierarchy).run(trace, warmup=warmup)
-        return probe.mean_latency, dict(probe.served), hierarchy
 
 
 @figure("atp_scope", paper=False)
@@ -75,26 +33,24 @@ def atp_scope(benchmarks: Optional[Sequence[str]] = None,
               scale: int = DEFAULT_SCALE) -> FigureResult:
     """Realized ATP head start per benchmark (cycles per replay load)."""
     names = list(benchmarks) if benchmarks else benchmark_names()
-    t_stack = EnhancementConfig(t_drrip=True, t_ship=True,
-                                newsign=True)
-    with_atp = EnhancementConfig(t_drrip=True, t_ship=True,
-                                 newsign=True, atp=True)
+    runs = yield {(name, label): RunKey.make(
+        name, default_config(scale).with_(
+            enhancements=FIG14_VARIANTS[label]),
+        instructions, warmup, scale)
+        for name in names for label in ("+T-SHiP", "+ATP")}
     rows: List[List] = []
     data: Dict = {}
     for name in names:
-        base_lat, _, _ = _measure(name, t_stack, instructions, warmup,
-                                  scale)
-        atp_lat, served, hierarchy = _measure(name, with_atp, instructions,
-                                              warmup, scale)
-        covered = served.get("L2C", 0) + served.get("LLC", 0)
-        total_replays = sum(served.values())
-        coverage = covered / total_replays if total_replays else 0.0
+        base, atp = runs[(name, "+T-SHiP")], runs[(name, "+ATP")]
+        served = atp.response_fractions("replay")
+        coverage = served["L2C"] + served["LLC"]
+        base_lat, atp_lat = base.replay_latency, atp.replay_latency
         head_start = base_lat - atp_lat
         rows.append([name, base_lat, atp_lat, head_start, coverage,
-                     hierarchy.atp.triggered])
+                     atp.atp_triggered])
         data[name] = {"base_latency": base_lat, "atp_latency": atp_lat,
                       "head_start": head_start, "coverage": coverage,
-                      "triggers": hierarchy.atp.triggered}
+                      "triggers": atp.atp_triggered}
     return FigureResult(
         "ATP scope", "Replay data latency with/without ATP (Fig 13)",
         ["benchmark", "latency (T-stack)", "latency (+ATP)",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures import FigureResult, _run_grid
+from repro.experiments.figures import FigureResult
 from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
@@ -37,10 +37,10 @@ def prior_work_comparison(benchmarks: Optional[Sequence[str]] = None,
                "csalt": default_config(scale).with_(comparison="csalt"),
                "proposed": default_config(scale).with_(
                    enhancements=EnhancementConfig.full())}
-    runs = _run_grid({(name, label): RunKey.make(name, cfg, instructions,
-                                                 warmup, scale)
-                      for name in names
-                      for label, cfg in configs.items()})
+    runs = yield {(name, label): RunKey.make(name, cfg, instructions,
+                                             warmup, scale)
+                  for name in names
+                  for label, cfg in configs.items()}
     rows: List[List] = []
     data: Dict = {}
     speedups: Dict[str, List[float]] = {v: [] for v in COMPARISON_VARIANTS}

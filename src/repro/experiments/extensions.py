@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.figures import FigureResult, _run_grid
+from repro.experiments.figures import FigureResult
 from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
@@ -48,7 +48,7 @@ def huge_page_study(benchmarks: Optional[Sequence[str]] = None,
                                                 enhancements=enh)
             specs[(name, label)] = RunKey.make(name, cfg, instructions,
                                                warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows: List[List] = []
     data: Dict = {}
     speedup_cols = {"4K+enh": [], "2M": [], "2M+enh": []}

@@ -1,8 +1,10 @@
-"""One function per data figure/table of the paper.
+"""One harness per data figure/table of the paper.
 
-Each function returns a :class:`FigureResult` whose ``rows``/``headers``
-regenerate the figure's series, and whose ``data`` dict holds the raw
-values for programmatic checks.  ``str(result)`` renders the ASCII table.
+Each harness yields its grid of runs once (``runs = yield {label:
+RunKey}``; see :mod:`repro.experiments.registry`) and returns a
+:class:`FigureResult` whose ``rows``/``headers`` regenerate the
+figure's series, and whose ``data`` dict holds the raw values for
+programmatic checks.  ``str(result)`` renders the ASCII table.
 
 All functions accept ``instructions``/``warmup``/``scale`` so tests can use
 tiny runs and full regenerations can use longer ones.
@@ -11,10 +13,10 @@ tiny runs and full regenerations can use longer ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.core.rob import StallCategory
-from repro.experiments.parallel import RunKey, RunSummary, run_many
+from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import (DEFAULT_SCALE, EnhancementConfig, IdealConfig,
                           SimConfig, default_config)
@@ -49,26 +51,11 @@ def _benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
     return list(benchmarks) if benchmarks else benchmark_names()
 
 
-def _run_all(benchmarks: Sequence[str], config: Optional[SimConfig],
-             instructions: int, warmup: int, scale: int,
-             seed: int = 1) -> Dict[str, RunSummary]:
-    """Simulate every benchmark under one config in one batch."""
-    keys = {name: RunKey.make(name, config, instructions, warmup, scale,
-                              seed)
+def _baseline_grid(benchmarks: Sequence[str], instructions: int,
+                   warmup: int, scale: int) -> Dict[str, RunKey]:
+    """Every benchmark under the baseline config, labelled by name."""
+    return {name: RunKey.make(name, None, instructions, warmup, scale)
             for name in benchmarks}
-    results = run_many(keys.values())
-    return {name: results[key] for name, key in keys.items()}
-
-
-def _run_grid(specs: Dict) -> Dict:
-    """Simulate a labelled grid of runs in one ``run_many`` batch.
-
-    ``specs`` maps an arbitrary hashable label to a :class:`RunKey`;
-    returns ``{label: RunSummary}``.  Duplicate keys (e.g. a shared
-    baseline) are simulated once.
-    """
-    results = run_many(specs.values())
-    return {label: results[key] for label, key in specs.items()}
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +69,7 @@ def fig1_rob_stalls(benchmarks: Optional[Sequence[str]] = None,
     """Average/max head-of-ROB stall cycles for STLB-miss translations,
     replay loads and non-replay loads (baseline DRRIP+SHiP)."""
     names = _benchmarks(benchmarks)
-    runs = _run_all(names, None, instructions, warmup, scale)
+    runs = yield _baseline_grid(names, instructions, warmup, scale)
     rows, data = [], {}
     for name in names:
         r = runs[name]
@@ -145,7 +132,7 @@ def fig2_ideal(benchmarks: Optional[Sequence[str]] = None,
             cfg = default_config(scale).with_(ideal=_IDEAL_MODES[mode])
             specs[(name, mode)] = RunKey.make(name, cfg, instructions,
                                               warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     speedups_by_mode: Dict[str, List[float]] = {m: [] for m in mode_names}
     for name in names:
@@ -176,7 +163,7 @@ def fig3_response_distribution(benchmarks: Optional[Sequence[str]] = None,
     """Distribution of memory-hierarchy responses to leaf translations (T)
     and replay loads (R) after STLB misses."""
     names = _benchmarks(benchmarks)
-    runs = _run_all(names, None, instructions, warmup, scale)
+    runs = yield _baseline_grid(names, instructions, warmup, scale)
     rows, data = [], {}
     sums = {"T": {lvl: 0.0 for lvl in ("L1D", "L2C", "LLC", "DRAM")},
             "R": {lvl: 0.0 for lvl in ("L1D", "L2C", "LLC", "DRAM")}}
@@ -212,7 +199,8 @@ _POLICY_SWEEP = ("lru", "srrip", "drrip", "ship", "hawkeye")
 def _policy_mpki_figure(figure: str, title: str, metric: str,
                         benchmarks: Optional[Sequence[str]],
                         instructions: int, warmup: int, scale: int,
-                        policies: Sequence[str]) -> FigureResult:
+                        policies: Sequence[str]
+                        ) -> Generator[Dict, Dict, FigureResult]:
     names = _benchmarks(benchmarks)
     specs = {}
     for name in names:
@@ -222,7 +210,7 @@ def _policy_mpki_figure(figure: str, title: str, metric: str,
             cfg.llc.replacement = policy
             specs[(name, policy)] = RunKey.make(name, cfg, instructions,
                                                 warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     totals = {p: 0.0 for p in policies}
     for name in names:
@@ -250,9 +238,9 @@ def fig4_translation_mpki(benchmarks: Optional[Sequence[str]] = None,
                           policies: Sequence[str] = _POLICY_SWEEP
                           ) -> FigureResult:
     """Leaf-level translation MPKI at the LLC per replacement policy."""
-    return _policy_mpki_figure(
+    return (yield from _policy_mpki_figure(
         "Fig 4", "Leaf-translation MPKI at LLC by replacement policy",
-        "ptl1", benchmarks, instructions, warmup, scale, policies)
+        "ptl1", benchmarks, instructions, warmup, scale, policies))
 
 
 @figure("fig6")
@@ -264,9 +252,9 @@ def fig6_replay_mpki(benchmarks: Optional[Sequence[str]] = None,
                      ) -> FigureResult:
     """Replay-load MPKI at the LLC per replacement policy (all ~equal:
     replay blocks are dead and no policy can keep them)."""
-    return _policy_mpki_figure(
+    return (yield from _policy_mpki_figure(
         "Fig 6", "Replay-load MPKI at LLC by replacement policy",
-        "replay", benchmarks, instructions, warmup, scale, policies)
+        "replay", benchmarks, instructions, warmup, scale, policies))
 
 
 # ----------------------------------------------------------------------
@@ -275,9 +263,9 @@ def fig6_replay_mpki(benchmarks: Optional[Sequence[str]] = None,
 def _recall_figure(figure: str, title: str, kind: str,
                    benchmarks: Optional[Sequence[str]],
                    instructions: int, warmup: int,
-                   scale: int) -> FigureResult:
+                   scale: int) -> Generator[Dict, Dict, FigureResult]:
     names = _benchmarks(benchmarks)
-    runs = _run_all(names, None, instructions, warmup, scale)
+    runs = yield _baseline_grid(names, instructions, warmup, scale)
     bucket_labels = [f"<={b}" for b in RECALL_BUCKETS] + [">50"]
     rows, data = [], {}
     for name in names:
@@ -301,10 +289,9 @@ def fig5_recall_translations(benchmarks: Optional[Sequence[str]] = None,
                              warmup: int = DEFAULT_WARMUP,
                              scale: int = DEFAULT_SCALE) -> FigureResult:
     """Recall-distance CDF of leaf translations at LLC and L2C."""
-    return _recall_figure("Fig 5",
-                          "Recall distance of leaf translations (CDF)",
-                          "translation", benchmarks, instructions, warmup,
-                          scale)
+    return (yield from _recall_figure(
+        "Fig 5", "Recall distance of leaf translations (CDF)",
+        "translation", benchmarks, instructions, warmup, scale))
 
 
 @figure("fig7")
@@ -314,8 +301,9 @@ def fig7_recall_replays(benchmarks: Optional[Sequence[str]] = None,
                         scale: int = DEFAULT_SCALE) -> FigureResult:
     """Recall-distance CDF of replay loads at LLC and L2C (mostly >50:
     replay blocks are dead)."""
-    return _recall_figure("Fig 7", "Recall distance of replay loads (CDF)",
-                          "replay", benchmarks, instructions, warmup, scale)
+    return (yield from _recall_figure(
+        "Fig 7", "Recall distance of replay loads (CDF)",
+        "replay", benchmarks, instructions, warmup, scale))
 
 
 @figure("fig18")
@@ -324,8 +312,9 @@ def fig18_stlb_recall(benchmarks: Optional[Sequence[str]] = None,
                       warmup: int = DEFAULT_WARMUP,
                       scale: int = DEFAULT_SCALE) -> FigureResult:
     """Recall distance of translations at the STLB (Section V-B)."""
-    return _recall_figure("Fig 18", "Recall distance at the STLB (CDF)",
-                          "stlb", benchmarks, instructions, warmup, scale)
+    return (yield from _recall_figure(
+        "Fig 18", "Recall distance at the STLB (CDF)",
+        "stlb", benchmarks, instructions, warmup, scale))
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +340,7 @@ def fig8_prefetcher_replay_mpki(benchmarks: Optional[Sequence[str]] = None,
                 cfg = cfg.with_(l2c_prefetcher=pf)
             specs[(name, pf)] = RunKey.make(name, cfg, instructions,
                                             warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     totals = {p: 0.0 for p in prefetchers}
     for name in names:
@@ -391,7 +380,7 @@ def fig10_replay_rrpv0_degradation(benchmarks: Optional[Sequence[str]] = None,
                                             warmup, scale)
         specs[(name, "rrpv0")] = RunKey.make(name, cfg, instructions,
                                              warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     speedups = []
     for name in names:
@@ -430,7 +419,7 @@ def fig12_newsign_mpki(benchmarks: Optional[Sequence[str]] = None,
             cfg = default_config(scale).with_(enhancements=enh)
             specs[(name, label)] = RunKey.make(name, cfg, instructions,
                                                warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     totals = {v: 0.0 for v in variants}
     for name in names:
@@ -480,7 +469,7 @@ def fig14_performance(benchmarks: Optional[Sequence[str]] = None,
             cfg = base_cfg.with_(enhancements=enh)
             specs[(name, label)] = RunKey.make(name, cfg, instructions,
                                                warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     speedups = {v: [] for v in FIG14_VARIANTS}
     for name in names:
@@ -528,7 +517,7 @@ def fig15_with_prefetchers(benchmarks: Optional[Sequence[str]] = None,
             specs[(name, pf, "enh")] = RunKey.make(name, enh_cfg,
                                                    instructions, warmup,
                                                    scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     speedups = {p: [] for p in prefetchers}
     for name in names:
@@ -569,7 +558,7 @@ def fig16_stall_reduction(benchmarks: Optional[Sequence[str]] = None,
                                             warmup, scale)
         specs[(name, "enh")] = RunKey.make(name, cfg, instructions,
                                            warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     base = {name: runs[(name, "base")] for name in names}
     enh = {name: runs[(name, "enh")] for name in names}
     rows, data = [], {}
@@ -613,7 +602,7 @@ def table2_characterization(benchmarks: Optional[Sequence[str]] = None,
                             scale: int = DEFAULT_SCALE) -> FigureResult:
     """Per-benchmark STLB / L2C / LLC MPKIs (measured vs paper)."""
     names = _benchmarks(benchmarks)
-    runs = _run_all(names, None, instructions, warmup, scale)
+    runs = yield _baseline_grid(names, instructions, warmup, scale)
     rows, data = [], {}
     for name in names:
         s = runs[name].summary()

@@ -3,22 +3,20 @@ multi-core study).
 
 SMT mixes pair benchmarks across the paper's Low/Medium/High STLB-MPKI
 categories; the reported metric is the *harmonic speedup* of the enhanced
-configuration over the baseline, both run as 2-thread SMT.
+configuration over the baseline, both run as 2-thread SMT.  Each mix
+is one point whose key names its streams: SMT threads traced with seeds
+7, 8 and multicore cores with seeds 11, 12, ...
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.core.smt import SMTCore
-from repro.core.multicore import MultiCore
 from repro.experiments.figures import FigureResult
+from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
-from repro.params import (DEFAULT_SCALE, EnhancementConfig, SimConfig,
-                          default_config)
+from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
 from repro.stats.report import geometric_mean, harmonic_mean
-from repro.uncore.hierarchy import MemoryHierarchy
-from repro.workloads.registry import make_trace
 from repro.experiments.registry import figure
 
 #: The paper's example SMT pairings, covering category combinations.
@@ -34,14 +32,18 @@ SMT_MIXES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _run_smt(mix: Tuple[str, str], config: SimConfig, instructions: int,
-             warmup: int, scale: int) -> List:
-    traces = [make_trace(name, instructions + warmup, scale=scale,
-                         seed=7 + i)
-              for i, name in enumerate(mix)]
-    hierarchy = MemoryHierarchy(config)
-    smt = SMTCore(config, hierarchy)
-    return smt.run(traces, warmup=warmup)
+def _mix_grid(mixes: Sequence[Sequence[str]], stream: str, seed: int,
+              instructions: int, warmup: int, scale: int):
+    """Each mix under the baseline and the full enhancements, labelled
+    ``(index, "base"|"enh")``; ``stream`` is the key field that names
+    the mix (``threads`` or ``cores``)."""
+    base_cfg = default_config(scale)
+    configs = {"base": base_cfg, "enh": base_cfg.with_(
+        enhancements=EnhancementConfig.full())}
+    return {(i, label): RunKey.make(None, cfg, instructions, warmup, scale,
+                                    seed, **{stream: mix})
+            for i, mix in enumerate(mixes)
+            for label, cfg in configs.items()}
 
 
 @figure("fig17", takes_benchmarks=False)
@@ -50,14 +52,12 @@ def fig17_smt(mixes: Sequence[Tuple[str, str]] = SMT_MIXES,
               warmup: int = DEFAULT_WARMUP,
               scale: int = DEFAULT_SCALE) -> FigureResult:
     """Harmonic speedup of the full enhancements for 2-way SMT mixes."""
+    runs = yield _mix_grid(mixes, "threads", 7, instructions, warmup, scale)
     rows, data = [], {}
     speedups = []
-    for mix in mixes:
-        base_cfg = default_config(scale)
-        enh_cfg = base_cfg.with_(enhancements=EnhancementConfig.full())
-        base = _run_smt(mix, base_cfg, instructions, warmup, scale)
-        enh = _run_smt(mix, enh_cfg, instructions, warmup, scale)
-        per_thread = [b.cycles / e.cycles for b, e in zip(base, enh)]
+    for i, mix in enumerate(mixes):
+        base, enh = runs[(i, "base")].streams, runs[(i, "enh")].streams
+        per_thread = [b["cycles"] / e["cycles"] for b, e in zip(base, enh)]
         hsp = harmonic_mean(per_thread)
         label = f"{mix[0]}-{mix[1]}"
         rows.append([label, per_thread[0], per_thread[1], hsp])
@@ -83,39 +83,20 @@ MULTICORE_MIXES: Tuple[Tuple[str, ...], ...] = (
 )
 
 
-def multicore_speedup(mix: Sequence[str],
-                      instructions: int = DEFAULT_INSTRUCTIONS,
-                      warmup: int = DEFAULT_WARMUP,
-                      scale: int = DEFAULT_SCALE) -> Dict:
-    """Harmonic speedup of the enhancements for one multi-core mix (one
-    core per workload)."""
-    traces = [make_trace(name, instructions + warmup, scale=scale,
-                         seed=11 + i)
-              for i, name in enumerate(mix)]
-
-    def run(config: SimConfig):
-        machine = MultiCore(config, len(mix))
-        return machine.run(traces, warmup=warmup)
-
-    base = run(default_config(scale))
-    enh = run(default_config(scale).with_(
-        enhancements=EnhancementConfig.full()))
-    per_core = [b.cycles / e.cycles for b, e in zip(base, enh)]
-    return {"mix": tuple(mix), "per_core": per_core,
-            "harmonic": harmonic_mean(per_core)}
-
-
 @figure("multicore", takes_benchmarks=False)
 def multicore_study(mixes: Sequence[Sequence[str]] = MULTICORE_MIXES,
                     instructions: int = DEFAULT_INSTRUCTIONS,
                     warmup: int = DEFAULT_WARMUP,
                     scale: int = DEFAULT_SCALE) -> FigureResult:
     """Section V multi-core results over a set of 8-core mixes."""
+    runs = yield _mix_grid(mixes, "cores", 11, instructions, warmup, scale)
     rows, data = [], {}
     speedups = []
-    for mix in mixes:
-        res = multicore_speedup(mix, instructions=instructions,
-                                warmup=warmup, scale=scale)
+    for i, mix in enumerate(mixes):
+        base, enh = runs[(i, "base")].streams, runs[(i, "enh")].streams
+        per_core = [b["cycles"] / e["cycles"] for b, e in zip(base, enh)]
+        res = {"mix": tuple(mix), "per_core": per_core,
+               "harmonic": harmonic_mean(per_core)}
         label = "+".join(sorted(set(mix)))
         rows.append([label, res["harmonic"]])
         data[label] = res

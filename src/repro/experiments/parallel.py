@@ -1,7 +1,7 @@
 """Run identity, run snapshots, the result store and ``run_many``.
 
-* :class:`RunKey` -- the identity of one simulation (benchmark, config
-  fingerprint, seed, instructions, warmup, scale).
+* :class:`RunKey` -- the identity of one simulation (benchmark or mix,
+  config fingerprint, seed, instructions, warmup, scale).
 * :class:`RunSummary` -- a picklable, JSON-serialisable snapshot of
   everything the figures consume from a run (a live
   :class:`~repro.experiments.runner.RunResult` cannot cross processes).
@@ -27,17 +27,17 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rob import StallCategory
 from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
-                                      RunResult, run_benchmark)
+                                      RunResult, run_benchmark, run_mix)
 from repro.obs.log import get_logger
 from repro.obs.manifest import config_digest
 from repro.params import DEFAULT_SCALE, SimConfig, default_config
 
 #: Bump when the RunSummary layout changes (invalidates every cache dir).
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 #: Schema tag of the store manifest document (``GET /store``).
 MANIFEST_SCHEMA = "repro.service.store/v1"
@@ -63,18 +63,31 @@ class RunKey:
     #: editing a scenario file invalidates its memoised results even
     #: though the name is unchanged.  ``None`` for plain benchmarks.
     scenario: Optional[str] = None
+    #: The streams of a mix, one workload each: the two ``threads`` of a
+    #: 2-way SMT core, or one workload per core of a ``MultiCore``
+    #: sharing its LLC (``cores``).  Stream ``i`` is traced with
+    #: ``seed + i``, and ``benchmark`` joins the names with ``+``.
+    #: ``None`` for one benchmark.
+    threads: Optional[Tuple[str, ...]] = None
+    cores: Optional[Tuple[str, ...]] = None
 
     @classmethod
-    def make(cls, benchmark: str, config: Optional[SimConfig] = None,
+    def make(cls, benchmark: Optional[str],
+             config: Optional[SimConfig] = None,
              instructions: int = DEFAULT_INSTRUCTIONS,
              warmup: int = DEFAULT_WARMUP, scale: int = DEFAULT_SCALE,
-             seed: int = 1) -> "RunKey":
-        """Normalised constructor (``config=None`` -> the scale default)."""
-        return cls(benchmark=benchmark,
+             seed: int = 1, *, threads: Optional[Sequence[str]] = None,
+             cores: Optional[Sequence[str]] = None) -> "RunKey":
+        """Normalised constructor (``config=None`` -> the scale default;
+        a mix names ``threads`` or ``cores`` and ``benchmark=None``)."""
+        streams = threads or cores
+        return cls(benchmark="+".join(streams) if streams else benchmark,
                    config=config if config is not None
                    else default_config(scale),
                    seed=seed, instructions=instructions, warmup=warmup,
-                   scale=scale)
+                   scale=scale,
+                   threads=tuple(threads) if threads else None,
+                   cores=tuple(cores) if cores else None)
 
     @cached_property
     def config_hash(self) -> str:
@@ -91,12 +104,18 @@ class RunKey:
             # Only present for scenario keys: plain-benchmark digests
             # (and therefore existing cache entries) are unchanged.
             fields["scenario"] = self.scenario
+        # Likewise the streams of a mix.
+        if self.threads is not None:
+            fields["threads"] = list(self.threads)
+        if self.cores is not None:
+            fields["cores"] = list(self.cores)
         blob = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def _identity(self):
         return (self.benchmark, self.config_hash, self.seed,
-                self.instructions, self.warmup, self.scale, self.scenario)
+                self.instructions, self.warmup, self.scale, self.scenario,
+                self.threads, self.cores)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RunKey)
@@ -121,7 +140,9 @@ class RunSummary:
     Mirrors the figure-facing accessors of
     :class:`~repro.experiments.runner.RunResult` (``ipc``, ``cycles``,
     ``speedup_over``, ``stall_*``, ``cache_mpki``, ...) so harnesses can
-    consume either interchangeably.
+    consume either interchangeably.  A mix's summary describes stream
+    0 -- its core and the hierarchy it runs on, which both threads of
+    an SMT pair share -- and ``streams`` has every stream's ROI.
     """
 
     benchmark: str
@@ -147,6 +168,13 @@ class RunSummary:
     #: Page-walk totals (PSC sensitivity study).
     walks: int = 0
     walk_cycles_total: int = 0
+    #: ROI replay loads and their summed data latency (data done minus
+    #: translation done), the ATP head-start analysis.
+    replay_loads: int = 0
+    replay_latency_total: int = 0
+    #: ROI ``instructions`` and ``cycles`` of each stream (one entry
+    #: for a single benchmark).
+    streams: List[Dict[str, int]] = field(default_factory=list)
     #: ``BatchStats.to_dict()`` from a ``backend="numpy"`` run
     #: (vectorization engagement / fallback accounting); empty for
     #: scalar runs.  Rides the snapshot so the sweep service can feed
@@ -198,6 +226,12 @@ class RunSummary:
             tempo_triggered=tempo.triggered if tempo else 0,
             walks=h.mmu.walker.walks,
             walk_cycles_total=h.mmu.walk_cycles_total,
+            replay_loads=sum(h.response_distribution.counts["replay"]
+                             .values()),
+            replay_latency_total=h.replay_latency_total,
+            streams=[{"instructions": core.instructions,
+                      "cycles": core.cycles}
+                     for core in run.streams or [run.core]],
             batch=(run.batch.to_dict()
                    if getattr(run, "batch", None) is not None else {}))
 
@@ -252,6 +286,11 @@ class RunSummary:
     @property
     def walk_latency(self) -> float:
         return self.walk_cycles_total / max(1, self.walks)
+
+    @property
+    def replay_latency(self) -> float:
+        """Mean data latency of a ROI replay load (cycles)."""
+        return self.replay_latency_total / max(1, self.replay_loads)
 
     # -- serialisation ---------------------------------------------------
     def to_dict(self) -> Dict:
@@ -449,10 +488,17 @@ def execute_key(key: RunKey, progress=None) -> RunSummary:
     """Simulate one key.  The serial path, the inline service and the
     service's pool workers all run a point through here; ``progress``
     is an optional :class:`~repro.obs.forward.ProgressForwarder`
-    (observational: the summary is identical with or without it)."""
-    run = run_benchmark(key.benchmark, config=key.config,
-                        instructions=key.instructions, warmup=key.warmup,
-                        scale=key.scale, seed=key.seed, progress=progress)
+    (observational: the summary is identical with or without it; a mix
+    forwards no interval rows)."""
+    if key.threads or key.cores:
+        run = run_mix(threads=key.threads, cores=key.cores,
+                      config=key.config, instructions=key.instructions,
+                      warmup=key.warmup, scale=key.scale, seed=key.seed)
+    else:
+        run = run_benchmark(key.benchmark, config=key.config,
+                            instructions=key.instructions,
+                            warmup=key.warmup, scale=key.scale,
+                            seed=key.seed, progress=progress)
     return RunSummary.from_run(run, seed=key.seed)
 
 

@@ -2,15 +2,15 @@
 
 These jobs store their payloads under a digest of the spec alone, not
 of the resolved config as ``run`` and ``scenario`` jobs do, so the code
-that maps such a spec onto a harness call, a traced run or a list of
-runs lives here, inside the store's code fingerprint: editing it
+that maps such a spec onto a harness, a traced run or a list of runs
+lives here, inside the store's code fingerprint: editing it
 invalidates their payloads.  The service only dispatches.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List
+from typing import Dict, Generator, List
 
 
 def run_config(params: Dict, scale: int):
@@ -38,14 +38,15 @@ def sweep_runs(params: Dict) -> List[Dict]:
             for entry in params["runs"]]
 
 
-def figure_payload(params: Dict) -> Dict:
-    """Run a ``figure`` spec's harness; returns the stored document."""
-    from repro import api
+def figure_payload(params: Dict) -> Generator:
+    """A ``figure`` spec's harness: yields its grid of points once and
+    returns the stored document (see :mod:`repro.experiments.registry`)."""
+    from repro.experiments import registry
     kwargs = {k: params[k] for k in ("instructions", "warmup")
               if k in params}
     if params.get("benchmarks"):
         kwargs["benchmarks"] = list(params["benchmarks"])
-    result = api.figure(params["figure"], **kwargs)
+    result = yield from registry.get(params["figure"]).harness(**kwargs)
     return {"kind": "figure", "figure": params["figure"],
             "result": result.to_dict()}
 

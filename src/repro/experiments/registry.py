@@ -1,13 +1,19 @@
 """Decorator-based figure registry: one source of truth for "what can be
 regenerated".
 
-Figure/table harnesses register themselves at definition time::
+Figure/table harnesses register themselves at definition time.  A
+harness is a generator: it yields its grid of points once, receives
+their summaries and returns its :class:`FigureResult`::
 
     @registry.figure("fig14", title="Performance of the proposed stack")
     def fig14_performance(benchmarks=None, ...):
-        ...
+        runs = yield {label: RunKey(...), ...}  # {label: RunSummary}
+        return FigureResult(...)
 
-and every consumer -- the CLI's ``figure`` subcommand, ``repro.api``,
+The decorated name is a plain function that runs the grid through
+``run_many``; a ``figure`` job of the sweep service drives the same
+generator on its loop, each point a child ``run`` job.  Every
+consumer -- the CLI's ``figure`` subcommand, ``repro.api``,
 ``make figures*``, the ``benchmarks/`` suite and the docs -- resolves
 names through :func:`get` / :func:`names`, so the lists cannot drift
 (``tests/test_figure_registry.py`` enforces the benchmark-suite side).
@@ -18,10 +24,13 @@ lookup, not at ``import repro`` time.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Generator, Tuple
+
+from repro.experiments.parallel import run_many
 
 #: Modules whose import registers figures.  Order is irrelevant (display
 #: order is the natural sort of the names); membership matters.
@@ -42,7 +51,10 @@ class FigureSpec:
     """One registered figure/table harness."""
 
     name: str
+    #: Runs the grid through ``run_many`` and returns the result.
     fn: Callable
+    #: The generator function (see the module docstring).
+    harness: Callable[..., Generator]
     title: str
     #: Defining module (for ``repro list`` and the docs).
     source: str
@@ -62,23 +74,42 @@ _REGISTRY: Dict[str, FigureSpec] = {}
 
 def figure(name: str, *, title: str = "", paper: bool = True,
            takes_benchmarks: bool = True) -> Callable:
-    """Decorator that registers a figure harness under ``name``.
+    """Decorator that registers a figure harness under ``name`` and
+    returns the function that runs it through ``run_many``.
 
     ``title`` defaults to the first line of the function's docstring.
     Duplicate names are a programming error and raise immediately.
     """
-    def decorate(fn: Callable) -> Callable:
+    def decorate(harness: Callable[..., Generator]) -> Callable:
         if name in _REGISTRY:
             raise ValueError(f"figure {name!r} registered twice "
-                             f"({_REGISTRY[name].source} and {fn.__module__})")
-        doc_title = (fn.__doc__ or "").strip().splitlines()
+                             f"({_REGISTRY[name].source} and "
+                             f"{harness.__module__})")
+
+        @functools.wraps(harness)
+        def fn(*args, **kwargs):
+            points = harness(*args, **kwargs)
+            grid = next(points)
+            return finish(points, grid, run_many(grid.values()))
+
+        doc_title = (harness.__doc__ or "").strip().splitlines()
         _REGISTRY[name] = FigureSpec(
-            name=name, fn=fn,
+            name=name, fn=fn, harness=harness,
             title=title or (doc_title[0] if doc_title else name),
-            source=fn.__module__, paper=paper,
+            source=harness.__module__, paper=paper,
             takes_benchmarks=takes_benchmarks)
         return fn
     return decorate
+
+
+def finish(points: Generator, grid: Dict, results: Dict):
+    """Send a harness the summaries of the ``grid`` it yielded
+    (``results`` maps each key to its summary); returns its result."""
+    try:
+        points.send({label: results[key] for label, key in grid.items()})
+    except StopIteration as stop:
+        return stop.value
+    raise RuntimeError("a figure harness yields its grid once")
 
 
 def ensure_loaded() -> None:

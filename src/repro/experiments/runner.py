@@ -1,14 +1,15 @@
-"""Single-benchmark simulation driver.
+"""Simulation drivers.
 
-``run_benchmark`` is the one entry point every figure/table harness uses:
-generate the trace, build the hierarchy, run the core, return a
-:class:`RunResult` exposing the metrics the paper reports.
+``run_benchmark`` simulates one benchmark: generate the trace, build
+the hierarchy, run the core, return a :class:`RunResult` exposing the
+metrics the paper reports.  ``run_mix`` does the same for several
+streams on a 2-way SMT core or a multicore with a shared LLC.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.engine import make_core
 from repro.core.ooo_core import CoreResult
@@ -44,6 +45,9 @@ class RunResult:
     #: (:class:`repro.core.fallback.BatchStats`); ``None`` on scalar
     #: (``backend="python"``) runs.
     batch: Optional[object] = field(repr=False, default=None)
+    #: Every stream's :class:`CoreResult` of a mix (``core`` is stream
+    #: 0's); empty for one benchmark.
+    streams: List[CoreResult] = field(repr=False, default_factory=list)
 
     # -- headline metrics ------------------------------------------------
     @property
@@ -241,3 +245,39 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
                      warmup=warmup, scale=scale, sampler=sampler,
                      profiler=profiler, tracer=tracer,
                      batch=getattr(core, "batch_stats", None))
+
+
+def run_mix(threads: Optional[Sequence[str]] = None,
+            cores: Optional[Sequence[str]] = None,
+            config: Optional[SimConfig] = None,
+            instructions: int = DEFAULT_INSTRUCTIONS,
+            warmup: int = DEFAULT_WARMUP,
+            scale: int = DEFAULT_SCALE, seed: int = 1) -> RunResult:
+    """Simulate a mix: the two ``threads`` of a 2-way SMT core, or one of
+    ``cores`` per core of a multicore sharing its LLC and DRAM.
+
+    Stream ``i`` is traced with ``seed + i``.  The result's ``core`` is
+    stream 0's and ``streams`` holds every stream's.  A checked run ends
+    with ``final_check()`` on every hierarchy, as :func:`run_benchmark`
+    does.
+    """
+    from repro.core.multicore import MultiCore
+    from repro.core.smt import SMTCore
+    cfg = config or default_config(scale)
+    names = list(threads or cores)
+    traces = [make_trace(name, instructions + warmup, scale=scale,
+                         seed=seed + i)
+              for i, name in enumerate(names)]
+    if threads:
+        hierarchies = [MemoryHierarchy(cfg)]
+        results = SMTCore(cfg, hierarchies[0]).run(traces, warmup=warmup)
+    else:
+        machine = MultiCore(cfg, len(names))
+        hierarchies = machine.hierarchies
+        results = machine.run(traces, warmup=warmup)
+    for hierarchy in hierarchies:
+        if hierarchy.checker is not None:
+            hierarchy.checker.final_check()
+    return RunResult(benchmark="+".join(names), config=cfg,
+                     core=results[0], seed=seed, warmup=warmup,
+                     scale=scale, streams=results)

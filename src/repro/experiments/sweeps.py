@@ -9,9 +9,9 @@ baselines").
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
-from repro.experiments.figures import FigureResult, _run_grid
+from repro.experiments.figures import FigureResult
 from repro.experiments.parallel import RunKey
 from repro.experiments.runner import DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP
 from repro.params import DEFAULT_SCALE, EnhancementConfig, default_config
@@ -32,7 +32,8 @@ _LLC_LATENCY = {1 << 20: 18, 2 << 20: 20, 4 << 20: 22, 8 << 20: 24}
 
 def _sweep(figure: str, title: str, structure: str, points: Sequence[int],
            benchmarks: Optional[Sequence[str]], instructions: int,
-           warmup: int, scale: int) -> FigureResult:
+           warmup: int, scale: int
+           ) -> Generator[Dict, Dict, FigureResult]:
     names = list(benchmarks) if benchmarks else benchmark_names()
 
     def point_config(point: int):
@@ -61,7 +62,7 @@ def _sweep(figure: str, title: str, structure: str, points: Sequence[int],
                 name, cfg, instructions, warmup, scale)
             specs[(point, name, "enh")] = RunKey.make(
                 name, enh_cfg, instructions, warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows: List[List] = []
     data: Dict = {}
     gmeans = []
@@ -109,7 +110,7 @@ def psc_sensitivity(benchmarks: Optional[Sequence[str]] = None,
             cfg = default_config(scale).with_(psc=psc)
             specs[(name, label)] = RunKey.make(name, cfg, instructions,
                                                warmup, scale)
-    runs = _run_grid(specs)
+    runs = yield specs
     rows, data = [], {}
     for name in names:
         row = [name]
@@ -133,8 +134,9 @@ def fig19_stlb_sensitivity(benchmarks: Optional[Sequence[str]] = None,
                            points: Sequence[int] = STLB_SWEEP_ENTRIES
                            ) -> FigureResult:
     """Speedup of the enhancements vs baseline across STLB sizes."""
-    return _sweep("Fig 19", "STLB sensitivity (entries at paper scale)",
-                  "stlb", points, benchmarks, instructions, warmup, scale)
+    return (yield from _sweep(
+        "Fig 19", "STLB sensitivity (entries at paper scale)",
+        "stlb", points, benchmarks, instructions, warmup, scale))
 
 
 @figure("fig20")
@@ -145,8 +147,9 @@ def fig20_l2c_sensitivity(benchmarks: Optional[Sequence[str]] = None,
                           points: Sequence[int] = L2C_SWEEP_BYTES
                           ) -> FigureResult:
     """Speedup of the enhancements vs baseline across L2C sizes."""
-    return _sweep("Fig 20", "L2C sensitivity (bytes at paper scale)",
-                  "l2c", points, benchmarks, instructions, warmup, scale)
+    return (yield from _sweep(
+        "Fig 20", "L2C sensitivity (bytes at paper scale)",
+        "l2c", points, benchmarks, instructions, warmup, scale))
 
 
 @figure("fig21")
@@ -157,5 +160,6 @@ def fig21_llc_sensitivity(benchmarks: Optional[Sequence[str]] = None,
                           points: Sequence[int] = LLC_SWEEP_BYTES
                           ) -> FigureResult:
     """Speedup of the enhancements vs baseline across LLC sizes."""
-    return _sweep("Fig 21", "LLC sensitivity (bytes at paper scale)",
-                  "llc", points, benchmarks, instructions, warmup, scale)
+    return (yield from _sweep(
+        "Fig 21", "LLC sensitivity (bytes at paper scale)",
+        "llc", points, benchmarks, instructions, warmup, scale))

@@ -19,12 +19,12 @@ interesting properties, all pinned by ``tests/test_service.py``:
 * **Worker loss is not job loss.**  A job whose worker process dies
   (``BrokenExecutor``) is re-queued up to ``max_attempts``; the pool is
   rebuilt lazily.
-* **Parents expand into run children.**  A ``sweep`` expands into run
-  specs; a ``figure`` runs its harness on a thread, whose ``run_many``
-  submits each point as a ``run`` job.  Stored children are skipped (a
-  resubmitted partial sweep runs only the gap); parents never hold a
-  drain slot.  :func:`serving` binds ``run_many`` the same way for
-  ``repro figure`` and ``repro scenario run``.
+* **Parents expand into run children.**  A ``sweep`` into its run
+  specs, a ``figure`` into its harness's grid, reduced on the loop.
+  Stored children are skipped (a resubmitted partial sweep runs only
+  the gap); parents never hold a drain slot.  :func:`serving` binds
+  ``run_many`` to the same points for ``repro figure`` and ``repro
+  scenario run``.
 
 Queued jobs execute through ``execute_spec`` -- a module-level,
 picklable function -- either inline (``workers=0``: synchronous,
@@ -46,6 +46,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from repro.experiments.parallel import (ResultCache, RunKey, RunSummary,
                                         bind_executor, execute_key)
 from repro.experiments.payloads import figure_payload, trace_payload
+from repro.experiments.registry import finish
 from repro.obs.log import get_logger
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL
 from repro.obs.telemetry import TelemetryRegistry
@@ -205,7 +206,7 @@ class SweepService:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._tasks: List[asyncio.Task] = []
         self._parents: List[asyncio.Task] = []  # sweep and figure tasks
-        #: Futures harness threads block on in :meth:`run_points`.
+        #: Futures that callers of :meth:`run_points` block on.
         self._bridged: set = set()
         self._bridge_lock = threading.Lock()
         self._done_events: Dict[str, asyncio.Event] = {}
@@ -307,8 +308,8 @@ class SweepService:
         return self
 
     async def close(self) -> None:
-        """Cancel drain and parent tasks, release every harness thread
-        blocked on child jobs, and shut the pool down."""
+        """Cancel drain and parent tasks, release every thread blocked
+        in :meth:`run_points`, and shut the pool down."""
         with self._bridge_lock:
             self.loop = None  # run_points refuses new batches from here
             for future in self._bridged:
@@ -846,15 +847,18 @@ class SweepService:
             self._done(job, job.payload)
 
     async def _run_figure(self, job: Job) -> None:
-        """Run the harness on a thread with ``run_many`` bound to this
-        service: each point is a child ``run`` job of the figure."""
+        """Run the harness's grid as child ``run`` jobs of the figure,
+        then reduce on the loop."""
         if job.status.terminal:
             return  # cancelled before it started
         job.started_mono = time.monotonic()
         self._wait_hist.observe(job.started_mono - job.created_mono)
         job.transition(JobStatus.RUNNING)
         try:
-            payload = await asyncio.to_thread(self._harness, job)
+            points = figure_payload(job.spec.to_dict())
+            grid = next(points)
+            payload = finish(points, grid, await self._run_points(
+                list(dict.fromkeys(grid.values())), job, None))
         except Exception as exc:
             if not job.status.terminal:
                 self._fail(job, f"{type(exc).__name__}: {exc}")
@@ -862,24 +866,19 @@ class SweepService:
         if not job.status.terminal:  # not cancelled meanwhile
             self._done(job, payload)
 
-    def _harness(self, job: Job) -> Dict:
-        with bind_executor(functools.partial(self.run_points,
-                                             parent=job)):
-            return figure_payload(job.spec.to_dict())
-
     # -- run_many bridge -----------------------------------------------------
-    def run_points(self, keys: List[RunKey], parent: Optional[Job] = None,
+    def run_points(self, keys: List[RunKey],
                    on_point: Optional[Callable] = None
                    ) -> Dict[RunKey, RunSummary]:
-        """Run keys as child jobs and block until every one finished:
-        the executor :func:`serving` and figure jobs bind ``run_many``
-        to.  Call it from a thread other than the service loop's.  A
-        failed point raises and names the point."""
+        """Run keys as jobs and block until every one finished: the
+        executor :func:`serving` binds ``run_many`` to.  Call it from a
+        thread other than the service loop's.  A failed point raises and
+        names the point."""
         with self._bridge_lock:
             if self.loop is None:
                 raise RuntimeError("sweep service is not running")
             future = asyncio.run_coroutine_threadsafe(
-                self._run_points(keys, parent, on_point), self.loop)
+                self._run_points(keys, None, on_point), self.loop)
             self._bridged.add(future)
         try:
             return future.result()

@@ -64,7 +64,8 @@ class JobError(ValueError):
 class JobSpec:
     """One unit of submittable work.
 
-    ``params`` carries the kind-specific fields (``benchmark``,
+    ``params`` carries the kind-specific fields (``benchmark`` -- or
+    the ``threads`` of an SMT pair or ``cores`` of a multicore mix --
     ``enhancements``, ``instructions``, ... for runs; ``scenario`` for
     scenarios; ``runs: [...]`` for sweeps; ``figure`` / ``benchmark``
     for figures and traces).  It is stored as a sorted item tuple so the
@@ -102,7 +103,7 @@ class JobSpec:
         for the coarse kinds)."""
         p = _thaw(self.params)
         if self.kind == "run":
-            return _run_key(p["benchmark"], p)
+            return _run_key(p)
         if self.kind == "scenario":
             # Resolving the document pins its digest into the key, so a
             # scenario edit changes the job identity.  An ad-hoc document
@@ -145,12 +146,25 @@ class JobSpec:
 
 
 def _validate(kind: str, params: Dict) -> None:
-    required = {"run": ("benchmark",), "scenario": ("scenario",),
+    required = {"run": (), "scenario": ("scenario",),
                 "sweep": ("runs",), "figure": ("figure",),
                 "trace": ("benchmark",)}[kind]
     for name in required:
         if name not in params:
             raise JobError(f"{kind} job needs {name!r}")
+    if kind == "run":
+        # One benchmark, or the streams of an SMT pair or multicore mix.
+        named = [n for n in ("benchmark", "threads", "cores") if n in params]
+        if len(named) != 1:
+            raise JobError("run job needs 'benchmark', or a mix's "
+                           "'threads' or 'cores': exactly one, got "
+                           f"{named or 'none'}")
+        streams = params.get("threads", params.get("cores"))
+        if streams is not None and (
+                not isinstance(streams, (list, tuple)) or not streams
+                or not all(isinstance(name, str) for name in streams)):
+            raise JobError(f"{named[0]} must be a non-empty list of "
+                           f"workload names, got {streams!r}")
     # Warmup and seed may be 0, as the simulator and scenario schema allow.
     for name, least in (("instructions", 1), ("scale", 1), ("warmup", 0),
                         ("seed", 0)):
@@ -229,6 +243,9 @@ def point_spec(key: RunKey) -> JobSpec:
     if key.scenario is not None:
         spec = JobSpec.make("scenario", scenario=key.benchmark,
                             backend=config.get("backend"), **geometry)
+    elif key.threads or key.cores:
+        spec = JobSpec.make("run", threads=key.threads, cores=key.cores,
+                            config=config or None, **geometry)
     else:
         spec = JobSpec.make("run", benchmark=key.benchmark,
                             config=config or None, **geometry)
@@ -237,16 +254,15 @@ def point_spec(key: RunKey) -> JobSpec:
     return spec
 
 
-def _run_key(benchmark: str, params: Dict) -> RunKey:
+def _run_key(params: Dict) -> RunKey:
     scale = int(params.get("scale", DEFAULT_SCALE))
-    cfg = run_config(params, scale)
-    return RunKey(
-        benchmark=benchmark, config=cfg,
-        seed=int(params.get("seed", 1)),
+    return RunKey.make(
+        params.get("benchmark"), run_config(params, scale),
         instructions=int(params.get("instructions",
                                     DEFAULT_INSTRUCTIONS)),
         warmup=int(params.get("warmup", DEFAULT_WARMUP)),
-        scale=scale)
+        scale=scale, seed=int(params.get("seed", 1)),
+        threads=params.get("threads"), cores=params.get("cores"))
 
 
 # ----------------------------------------------------------------------

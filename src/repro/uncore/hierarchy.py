@@ -163,6 +163,9 @@ class MemoryHierarchy:
         self.response_distribution = LevelDistribution()
         self.loads = 0
         self.stores = 0
+        #: Summed data latency (data done minus translation done) of
+        #: replay loads; ATP's head start is how far it lowers the mean.
+        self.replay_latency_total = 0
 
         #: Runtime invariant checkers (None unless --check/REPRO_CHECK=1).
         from repro import validate
@@ -204,6 +207,8 @@ class MemoryHierarchy:
             dspan = tracer.begin("data", issue_at, cat=category,
                                  line=req.line_addr)
         data_done = self.l1d.access(req)
+        if is_replay:
+            self.replay_latency_total += data_done - tr.done_cycle
         if tracer is not None:
             tracer.end(dspan, data_done, served_by=req.served_by)
         # a request no cache level served came from DRAM
@@ -289,6 +294,7 @@ class MemoryHierarchy:
         self.response_distribution = LevelDistribution()
         self.loads = 0
         self.stores = 0
+        self.replay_latency_total = 0
         if self.atp is not None:
             self.atp.triggered_l2c = 0
             self.atp.triggered_llc = 0

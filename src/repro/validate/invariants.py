@@ -129,7 +129,7 @@ class CacheChecker:
         cache.access = checked_access
         cache.reset_stats = checked_reset
         mshr.allocate = tracked_allocate
-        cache._validation_attached = True
+        cache._validation_checker = self
         return self
 
     # ------------------------------------------------------------------
@@ -376,8 +376,12 @@ class HierarchyChecker:
                      and llc.bypass_predicate is None)
         queue_limit = mshr_queue_limit(hierarchy.config.core.rob_entries)
         for cache in (hierarchy.l1d, hierarchy.l2c, llc):
-            if getattr(cache, "_validation_attached", False):
-                continue  # shared LLC: its owner already checks it
+            owner = getattr(cache, "_validation_checker", None)
+            if owner is not None:
+                # A shared LLC: its owner checks it, and this core's
+                # misses queue there too.
+                owner.queue_limit += queue_limit
+                continue
             parent = (llc if inclusive
                       and cache in llc.back_invalidate_targets else None)
             self.cache_checkers.append(

@@ -48,6 +48,16 @@ def test_invalid_benchmark_rejected():
         main(["run", "gcc"])
 
 
+def test_run_accepts_the_control_workload(capsys):
+    """``compute`` is listed, and runs as ``api.run`` does."""
+    assert main(["list"]) == 0
+    assert "compute" in capsys.readouterr().out.split("\n")[0].split()
+    rc = main(["run", "compute", "--instructions", "2000", "--warmup",
+               "500"])
+    assert rc == 0
+    assert "IPC" in capsys.readouterr().out
+
+
 def test_run_accepts_library_scenario_name(capsys):
     rc = main(["run", "SYN-01-STLB-THRASH",
                "--instructions", "2000", "--warmup", "500"])

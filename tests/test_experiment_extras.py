@@ -57,19 +57,6 @@ def test_atp_accuracy_high_even_on_tiny_runs():
     assert res.data["canneal"]["atp"]["accuracy"] > 0.9
 
 
-def test_atp_scope_probe_restores_load():
-    from repro.experiments.atp_scope import _ReplayLatencyProbe
-    from repro.params import default_config
-    from repro.uncore.hierarchy import MemoryHierarchy
-    h = MemoryHierarchy(default_config())
-    original = h.load
-    with _ReplayLatencyProbe(h) as probe:
-        from repro.vm.address import make_va
-        h.load(make_va([1, 2, 3, 4, 5]), cycle=0)
-        assert probe.count == 1
-    assert h.load == original
-
-
 def test_atp_scope_reports_positive_head_start():
     from repro.experiments.atp_scope import atp_scope
     res = atp_scope(benchmarks=["canneal"], instructions=10_000,
@@ -78,6 +65,27 @@ def test_atp_scope_reports_positive_head_start():
     assert d["triggers"] > 0
     assert d["head_start"] > 0
     assert 0.0 <= d["coverage"] <= 1.0
+
+
+def test_atp_scope_reads_the_roi_of_fig14_points():
+    """Coverage and latencies are those of Fig 14's ``+T-SHiP`` and
+    ``+ATP`` points, which count the region of interest only."""
+    from repro.experiments.atp_scope import atp_scope
+    from repro.experiments.figures import FIG14_VARIANTS
+    from repro.experiments.parallel import RunKey, run_many
+    from repro.params import default_config
+    kw = dict(instructions=10_000, warmup=2_500)
+    keys = {label: RunKey.make("canneal", default_config().with_(
+        enhancements=FIG14_VARIANTS[label]), **kw)
+        for label in ("+T-SHiP", "+ATP")}
+    runs = run_many(keys.values())
+    base, atp = runs[keys["+T-SHiP"]], runs[keys["+ATP"]]
+    d = atp_scope(benchmarks=["canneal"], **kw).data["canneal"]
+    replay = atp.response_fractions("replay")
+    assert d["coverage"] == replay["L2C"] + replay["LLC"]
+    assert d["base_latency"] == base.replay_latency
+    assert d["atp_latency"] == atp.replay_latency
+    assert d["triggers"] == atp.atp_triggered
 
 
 def test_figure_result_json_roundtrip():

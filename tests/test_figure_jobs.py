@@ -1,13 +1,13 @@
 """Figure jobs of the sweep service.
 
-A ``figure`` job runs its harness on a thread of the service process;
-the harness's ``run_many`` call submits each point as a child ``run``
-job, which dedupes against the store and in-flight jobs and spreads
-over the workers.  The payload stays the figure's table.
+A ``figure`` job drives its harness on the service loop: each point of
+the grid the harness yields is a child ``run`` job, which dedupes
+against the store and in-flight jobs and spreads over the workers, and
+the harness reduces their summaries on the loop.  The payload stays the
+figure's table.
 """
 
 import asyncio
-import threading
 
 import pytest
 
@@ -117,18 +117,8 @@ def test_failing_child_fails_the_figure_and_names_the_point(tmp_path):
     assert not service.store.contains(job.digest)
 
 
-def test_close_releases_an_in_flight_figure(tmp_path, monkeypatch):
+def test_close_cancels_a_figure_with_points_in_flight(tmp_path):
     service = SweepService(store=JobStore(root=tmp_path), workers=1)
-    released = threading.Event()
-    harness = SweepService._harness
-
-    def spy(self, *args):
-        try:
-            return harness(self, *args)
-        finally:
-            released.set()
-
-    monkeypatch.setattr(SweepService, "_harness", spy)
 
     async def body():
         job = await service.submit("figure", figure="fig14",
@@ -136,13 +126,41 @@ def test_close_releases_an_in_flight_figure(tmp_path, monkeypatch):
                                    warmup=4_000)
         while not job.children:
             await asyncio.sleep(0.01)
-        in_flight = not job.status.terminal
+        (task,) = service._parents
+        in_flight = not any(child.status.terminal
+                            for child in job.children)
         await asyncio.wait_for(service.close(), timeout=30)
-        # close() itself must free the harness thread while the loop still
-        # runs: a served service's loop is stopped, not drained of tasks.
-        freed = await asyncio.to_thread(released.wait, 30)
-        return in_flight, freed
+        return job, task, in_flight
 
-    in_flight, freed = drive(body)
+    job, task, in_flight = drive(body)
     assert in_flight  # closed with the figure's points still running
-    assert freed      # and its harness thread is not left blocked
+    assert task.cancelled()
+    assert job.status is not JobStatus.DONE
+    assert not service.store.contains(job.digest)
+
+
+@pytest.mark.parametrize("name", ["fig17", "multicore", "atp_scope"])
+def test_mix_and_atp_scope_figures_are_stored_points(tmp_path, name):
+    """The SMT, multicore and ATP-scope harnesses yield grids too: every
+    point is a child ``run`` job, and a resubmitted child is a store
+    hit."""
+    kw = dict(instructions=2_000, warmup=500)
+    if name == "atp_scope":
+        kw["benchmarks"] = ["canneal", "pr"]
+    service = SweepService(store=JobStore(root=tmp_path), workers=0)
+
+    async def body():
+        job = await service.submit("figure", figure=name, **kw)
+        await service.wait(job, timeout=300)
+        again = [await service.submit_spec(child.spec)
+                 for child in job.children]
+        await service.close()
+        return job, again
+
+    job, again = drive(body)
+    expected = {"kind": "figure", "figure": name,
+                "result": api.figure(name, **kw).to_dict()}
+    assert job.status is JobStatus.DONE and job.payload == expected
+    assert job.children
+    assert {child.spec.kind for child in job.children} == {"run"}
+    assert [child.source for child in again] == ["store"] * len(again)

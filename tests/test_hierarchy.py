@@ -62,6 +62,19 @@ def test_response_distribution_tracks_replays():
     assert sum(dist.counts["translation"].values()) == 1
 
 
+def test_replay_latency_counts_replay_loads_only():
+    """The ATP head-start counter sums data done minus translation done
+    over replay loads; a warm load and a store add nothing."""
+    h = build()
+    res = h.load(VA, cycle=0)
+    assert h.replay_latency_total == res.data_done - res.translation_done
+    h.load(VA, cycle=10_000)
+    h.store(make_va([9, 2, 3, 4, 5], 0x40), cycle=20_000)
+    assert h.replay_latency_total == res.data_done - res.translation_done
+    h.reset_stats()
+    assert h.replay_latency_total == 0
+
+
 def test_t_policies_swapped_in():
     h = build(EnhancementConfig(t_drrip=True, t_ship=True,
                                 newsign=True))

@@ -13,7 +13,8 @@ from concurrent.futures import BrokenExecutor
 import pytest
 
 from repro.service import JobStore, ServiceSaturated, SweepService
-from repro.service.jobs import Job, JobError, JobSpec, JobStatus
+from repro.service.jobs import (Job, JobError, JobSpec, JobStatus,
+                                point_spec)
 
 RUN = dict(benchmark="tc", instructions=2_000, warmup=500)
 
@@ -523,6 +524,22 @@ def test_unknown_kind_rejected():
 def test_missing_required_field_rejected():
     with pytest.raises(JobError, match="needs 'benchmark'"):
         JobSpec.make("run")
+
+
+def test_run_spec_names_a_mix():
+    """A run spec names one benchmark, or the threads of an SMT pair or
+    the cores of a multicore mix; a mix key round-trips to its spec."""
+    spec = JobSpec.make("run", threads=["pr", "cc"], seed=7)
+    key = spec.run_key()
+    assert (key.benchmark, key.threads, key.cores) \
+        == ("pr+cc", ("pr", "cc"), None)
+    assert point_spec(key).digest == spec.digest == key.digest
+    assert JobSpec.make("run", cores=["pr", "cc"], seed=7).digest \
+        != spec.digest
+    with pytest.raises(JobError, match="exactly one"):
+        JobSpec.make("run", benchmark="pr", threads=["pr", "cc"])
+    with pytest.raises(JobError, match="non-empty list"):
+        JobSpec.make("run", cores=[])
 
 
 def test_non_positive_int_rejected():

@@ -9,7 +9,8 @@ from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, default_config
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.validate.invariants import (CheckContext, HierarchyChecker,
-                                       ROBChecker, ValidationError)
+                                       ROBChecker, ValidationError,
+                                       mshr_queue_limit)
 from repro.vm.address import make_va
 from repro.workloads.registry import make_trace
 
@@ -194,6 +195,19 @@ def test_smt_and_multicore_threads_are_rob_checked(monkeypatch):
     for checked_hierarchy in (hierarchy, *multicore.hierarchies):
         checked_hierarchy.checker.final_check()
         assert checked_hierarchy.checker.violations == []
+
+
+def test_shared_llc_queue_limit_counts_every_core(monkeypatch):
+    """Core 0's checker checks a multicore run's shared LLC, and every
+    core queues misses there: 4 cores give it 4 cores' limit, while
+    each private level keeps one core's."""
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    multicore = MultiCore(default_config(), 4)
+    one_core = mshr_queue_limit(default_config().core.rob_entries)
+    l1d, l2c, llc = multicore.hierarchies[0].checker.cache_checkers
+    assert llc.cache is multicore.llc
+    assert llc.queue_limit == 4 * one_core
+    assert l1d.queue_limit == l2c.queue_limit == one_core
 
 
 def test_record_mode_collects_instead_of_raising(checked):
