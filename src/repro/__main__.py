@@ -29,7 +29,7 @@ Figures come from the decorator registry
 ``--jobs`` worker processes -- memoised under ``~/.cache/repro-runs``
 (``--no-cache`` for a throwaway store; the store auto-invalidates when
 the simulator code changes).  ``--metrics`` exports machine-readable
-``repro.obs/v1`` documents (see ``docs/observability.md``).
+``repro.obs/v2`` documents (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
                             "core (see docs/performance.md)")
     p_run.add_argument("--metrics", metavar="PATH", default=None,
                        help="export manifest + interval time-series as "
-                            "repro.obs/v1 JSON (see docs/observability.md)")
+                            "repro.obs/v2 JSON (see docs/observability.md)")
     p_run.add_argument("--sample-interval", type=int_at_least(1),
                        default=None, metavar="N",
                        help="sample the hierarchy every N retired "
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
                        help="per-run progress on stderr")
     p_fig.add_argument("--metrics", metavar="PATH", default=None,
                        help="export the batch manifest + per-run "
-                            "heartbeat events as repro.obs/v1 JSON")
+                            "heartbeat events as repro.obs/v2 JSON")
     p_fig.add_argument("--heartbeat", metavar="PATH", default=None,
                        help="stream one JSON line per completed run "
                             "(tail -f friendly)")
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
                          help="one export renders it; two run exports "
                               "diff their summaries")
     p_stats.add_argument("--validate", action="store_true",
-                         help="check documents against the repro.obs/v1 "
+                         help="check documents against the repro.obs/v2 "
                               "schema and exit non-zero on problems")
     p_stats.add_argument("--csv", metavar="PATH", default=None,
                          help="also write a run export's interval "

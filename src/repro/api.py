@@ -1,4 +1,4 @@
-"""Stable public facade for the reproduction (v6).
+"""Stable public facade for the reproduction (v7).
 
 Everything a caller needs lives here; the deep module paths
 (``repro.experiments.runner``, ``repro.service.core``, ...) remain
@@ -36,8 +36,10 @@ module along with the timed bench harness; v5 drops the runner knob
 (the sweep service is the one executor) and the policy-spelling shim;
 v6 drops the in-process job client (``submit``, ``JobHandle``,
 ``configure_service``, ``telemetry_snapshot``) and ``trace_diff``, which
-no entry point used.  Simulator host time is measured by ``perfbench/`` and
-``tools/perfbench_ab.py`` (see README "Migrating").
+no entry point used; v7 drops the ``other`` stall category, the
+``sampler_tracer`` fallback reason (now ``tracer``) and the
+``repro.obs/v1`` export.  Simulator host time is measured by
+``perfbench/`` and ``tools/perfbench_ab.py`` (see README "Migrating").
 
 ``tests/test_api_surface.py`` pins this module's exports; extend
 ``__all__`` deliberately, never remove from it within a major version.
@@ -71,7 +73,9 @@ from repro.workloads.registry import benchmark_names
 #: 6.1: ``RunSummary`` gains ``streams``, ``replay_loads`` and
 #: ``replay_latency_total``; a ``run`` spec may name the ``threads`` of
 #: an SMT pair or the ``cores`` of a multicore mix.
-__api_version__ = "6.1"
+#: 7.0: ``StallCategory.OTHER`` goes; ``FallbackReason.SAMPLER_TRACER``
+#: becomes ``TRACER``; exports are ``repro.obs/v2``.
+__api_version__ = "7.0"
 
 __all__ = [
     # entry points
@@ -189,7 +193,8 @@ def run(benchmark: str, *,
     Observability: ``sample_interval=N`` attaches the interval sampler
     (``result.intervals``); ``metrics=PATH`` additionally profiles the
     run and writes the schema-validated JSON export there, defaulting the
-    interval to :data:`DEFAULT_SAMPLE_INTERVAL`.  Tracing:
+    interval to :data:`DEFAULT_SAMPLE_INTERVAL`; the sampler runs at
+    slice edges on either backend.  Tracing:
     ``trace_sample=N`` attaches the 1-in-N request span tracer
     (``result.tracer``); ``trace=PATH`` writes the schema-validated
     ``repro.obs/trace-v1`` export there, defaulting the sampling to

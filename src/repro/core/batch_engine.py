@@ -37,10 +37,12 @@ the ``repro.validate`` fuzz axis):
   are plain integer arithmetic whose total is order-independent.
 * Configurations with per-hit side effects the fast path does not model
   (huge pages, L1D prefetchers, non-LRU L1D policy, comparison
-  modes, attached checkers/samplers/tracers, instance-patched hot
-  methods) are refused wholesale: :func:`vector_ineligibility` routes
-  the entire run through an ordinary :class:`OOOCore`, recording a
+  modes, attached checkers/tracers, instance-patched hot methods) are
+  refused wholesale: :func:`vector_ineligibility` routes the entire run
+  through an ordinary :class:`OOOCore`, recording a
   :class:`repro.core.fallback.FallbackReason`.
+* An interval sampler needs no per-instruction hook: windows end at
+  its edges, after the deferred counters are flushed.
 
 The engine recurrences below are verbatim copies of ``OOOCore.run_slice`` --
 divergence there is divergence in cycles, which the parity suite pins.
@@ -123,9 +125,8 @@ class BatchCore:
         h = self.hierarchy
         if h.checker is not None:
             return FallbackReason.CHECKER
-        if h.sampler is not None or h.tracer is not None \
-                or h.mmu.tracer is not None:
-            return FallbackReason.SAMPLER_TRACER
+        if h.tracer is not None or h.mmu.tracer is not None:
+            return FallbackReason.TRACER
         # The oracle and some tests shadow bound methods on *instances*;
         # a shadowed hot method means per-access hooks we must honour.
         for obj, name in ((h, "load"), (h, "store"), (h.l1d, "access"),
@@ -201,23 +202,29 @@ class BatchCore:
         append = retire_times.append
         n_rt = 0
         roi_start_cycle = 0
-        counting = warmup == 0
+        counting = False
+        sampler = hierarchy.sampler
 
         lo = 0
         while lo < total:
             if not counting and lo == warmup:
                 counting = True
                 roi_start_cycle = retire_cycle
-                hierarchy.reset_stats()
-                # reset_stats rebinds these objects; re-capture them.
-                stats = l1d.stats
-                resp_counts = hierarchy.response_distribution.counts[
-                    "non_replay"]
+                if warmup:
+                    hierarchy.reset_stats()
+                    # reset_stats rebinds these objects; re-capture them.
+                    stats = l1d.stats
+                    resp_counts = hierarchy.response_distribution.counts[
+                        "non_replay"]
+                if sampler is not None:
+                    sampler.begin(stalls, roi_start_cycle, lo)
             hi = lo + WINDOW
             if hi > total:
                 hi = total
             if not counting and hi > warmup:
                 hi = warmup  # windows never straddle the ROI boundary
+            if counting and sampler is not None and hi > sampler.next_edge:
+                hi = sampler.next_edge  # nor a sampler edge
             ips_l, kinds_l, addrs_l, deps_l = trace.window(lo, hi)
 
             # ATP/TEMPO-style fills would set these 0/1 columns; eligible
@@ -411,6 +418,9 @@ class BatchCore:
             bstats.record_window(hi - lo, n_fast_mem, n_fast_merges,
                                  n_excur)
             lo = hi
+            if counting and sampler is not None \
+                    and (lo == sampler.next_edge or lo == total):
+                sampler.on_retire(retire_cycle, lo)
 
         instructions = total - warmup if warmup < total else 0
         cycles = max(1, retire_cycle - roi_start_cycle)

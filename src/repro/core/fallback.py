@@ -43,7 +43,7 @@ class FallbackReason(str, Enum):
     DTLB_RECALL = "dtlb_recall"
     #: Runtime (attachment-time) refusals -- see ``_runtime_reason``.
     CHECKER = "checker"
-    SAMPLER_TRACER = "sampler_tracer"
+    TRACER = "tracer"
     INSTANCE_PATCH = "instance_patch"
 
     def __str__(self) -> str:  # reads as the slug in messages/JSON
@@ -67,8 +67,8 @@ REASON_DETAIL: Dict[FallbackReason, str] = {
         "DTLB recall/observer attached",
     FallbackReason.CHECKER:
         "runtime checkers attached (per-event hooks)",
-    FallbackReason.SAMPLER_TRACER:
-        "sampler/tracer attached (per-event hooks)",
+    FallbackReason.TRACER:
+        "span tracer attached (per-request hooks)",
     FallbackReason.INSTANCE_PATCH:
         "instance-patched hot method (per-access shadowing)",
 }

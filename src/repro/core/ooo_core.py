@@ -32,8 +32,9 @@ from repro.workloads.trace import KIND_LOAD, KIND_STORE
 #: Drain window (instructions): the cores read the trace this many
 #: instructions at a time (``Trace.window``), so a run holds list copies
 #: of one window, not of the whole trace.  The numpy backend's windows
-#: never straddle the warmup edge; it flushes its deferred fast-path
-#: counters once per window (the unit of ``BatchStats.windows``).
+#: never straddle the warmup edge or an interval sampler's edge; it
+#: flushes its deferred fast-path counters once per window (the unit of
+#: ``BatchStats.windows``).
 WINDOW = 1024
 
 #: :meth:`OOOCore.run_slice` bound that no dispatch clock reaches.
@@ -85,17 +86,21 @@ class OOOCore:
         ``trace`` is a :class:`repro.workloads.trace.Trace`, read one
         :data:`WINDOW` at a time through its ``window`` method.  The run
         is one slice to the warmup edge, the statistics reset, and one
-        slice to the end.
+        slice to the end -- or, with an interval sampler attached, one
+        slice to each of its edges.
         """
         self.start(trace, warmup, limit)
         self.run_slice(warmup)
         if not self.counting and warmup < self.total:
             self.hierarchy.reset_stats()
             self.begin_roi()
-        self.run_slice(self.total)
         sampler = self.hierarchy.sampler
-        if sampler is not None:
-            sampler.finalize(self.retire_cycle)
+        if sampler is None:
+            self.run_slice(self.total)
+        else:
+            while self.index < self.total:
+                self.run_slice(sampler.next_edge)
+                sampler.on_retire(self.retire_cycle, self.index)
         return self.result()
 
     def start(self, trace, warmup: int = 0,
@@ -131,7 +136,8 @@ class OOOCore:
         self.roi_start_cycle = self.retire_cycle
         hierarchy = self.hierarchy
         if hierarchy.sampler is not None:
-            hierarchy.sampler.begin(self.stalls, self.roi_start_cycle)
+            hierarchy.sampler.begin(self.stalls, self.roi_start_cycle,
+                                    self.index)
         if hierarchy.tracer is not None:
             hierarchy.tracer.enable()
 
@@ -152,7 +158,6 @@ class OOOCore:
         counting = self.counting
         hierarchy = self.hierarchy
         checker = self.checker
-        sampler = hierarchy.sampler
         tracer = hierarchy.tracer
         rob_entries = self.rob_entries
         dispatch_width = self.dispatch_width
@@ -243,8 +248,6 @@ class OOOCore:
                 retire_times.append(rt)
                 if checker is not None:
                     checker.on_retire(rt, len(retire_times))
-                if sampler is not None and counting:
-                    sampler.on_retire(rt, len(retire_times))
                 if dispatch_cycle >= bound:
                     break
             i = lo + j + 1

@@ -7,8 +7,9 @@ translation missed the STLB the stall splits into two intervals:
 * while the page-table walk is still pending  -> **translation** stall;
 * after the walk, while the data is pending   -> **replay** stall.
 
-Loads that hit the STLB charge their stall to **non_replay**; non-load
-instructions to **other**.
+Loads that hit the STLB charge their stall to **non_replay**.  No other
+instruction stalls the head: each completes one cycle after dispatch,
+never later than its earliest retire slot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ class StallCategory(enum.Enum):
     TRANSLATION = "translation"
     REPLAY = "replay"
     NON_REPLAY = "non_replay"
-    OTHER = "other"
 
 
 @dataclass

@@ -37,7 +37,7 @@ from repro.obs.manifest import config_digest
 from repro.params import DEFAULT_SCALE, SimConfig, default_config
 
 #: Bump when the RunSummary layout changes (invalidates every cache dir).
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 #: Schema tag of the store manifest document (``GET /store``).
 MANIFEST_SCHEMA = "repro.service.store/v1"

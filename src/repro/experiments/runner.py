@@ -112,7 +112,7 @@ class RunResult:
         return self.sampler.intervals if self.sampler is not None else []
 
     def metrics_document(self) -> Dict:
-        """The run's ``repro.obs/v1`` export (manifest + intervals +
+        """The run's ``repro.obs/v2`` export (manifest + intervals +
         summary).  Valid for unobserved runs too -- the time-series is
         just empty."""
         from repro.obs.export import run_document
@@ -208,8 +208,9 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
     :class:`repro.obs.forward.ProgressForwarder`) forwards a condensed row per
     interval to the sweep service -- purely observational; the sampler
     it implies runs at ``sample_interval`` when both are given, else at
-    the forwarder's own interval.  All default to off and then cost
-    nothing -- the same is-None-guard pattern :mod:`repro.validate` uses.
+    the forwarder's own interval.  All default to off.  The sampler
+    runs at slice edges, so a sampled or forwarding run executes the
+    same per-instruction code as a plain one, on either backend.
     """
     cfg = config or default_config(scale)
     with _phase(profiler, "trace"):
@@ -219,15 +220,11 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
         hierarchy = MemoryHierarchy(cfg)
         core = make_core(cfg, hierarchy)
     sampler = None
-    if progress is not None:
-        from repro.obs.forward import ForwardingSampler
-        sampler = ForwardingSampler(
-            hierarchy, sample_interval or progress.interval,
-            forwarder=progress)
-        hierarchy.sampler = sampler
-    elif sample_interval is not None:
+    if sample_interval is not None or progress is not None:
         from repro.obs.sampler import IntervalSampler
-        sampler = IntervalSampler(hierarchy, sample_interval)
+        sampler = IntervalSampler(
+            hierarchy, sample_interval or progress.interval,
+            forward=progress.on_interval if progress is not None else None)
         hierarchy.sampler = sampler
     tracer = None
     if trace_sample is not None:

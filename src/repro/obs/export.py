@@ -1,6 +1,6 @@
 """Machine-readable exporters for observed runs and figure batches.
 
-Two document kinds share the ``repro.obs/v1`` schema:
+Two document kinds share the ``repro.obs/v2`` schema:
 
 * ``run``   -- manifest + interval time-series + end-of-run summary
   (produced by ``python -m repro run ... --metrics out.json``);
@@ -63,7 +63,7 @@ _RUN_MANIFEST_KEYS = {
 }
 _INTERVAL_KEYS = {
     "index": int, "instructions": int, "cycle_start": int, "cycle_end": int,
-    "ipc": (int, float), "rob": dict, "levels": dict, "rrpv": dict,
+    "ipc": (int, float), "levels": dict, "rrpv": dict,
     "occupancy": dict, "tlb": dict, "psc": dict, "dram": dict,
     "walks": dict, "stalls": dict,
 }
@@ -164,20 +164,17 @@ def validate_strict(doc: Dict) -> Dict:
 #: subset of the JSON record; the JSON remains the complete export).
 CSV_COLUMNS = [
     "index", "instructions", "cycle_start", "cycle_end", "ipc",
-    "rob_avg_occupancy", "rob_max_occupancy",
     "l1d_hit_rate", "l2c_hit_rate", "llc_hit_rate",
     "l2c_leaf_misses", "llc_leaf_misses",
     "dtlb_hit_rate", "stlb_hit_rate", "psc_hit_rate",
     "walks", "walk_cycles", "dram_accesses",
-    "stall_translation", "stall_replay", "stall_non_replay", "stall_other",
+    "stall_translation", "stall_replay", "stall_non_replay",
 ]
 
 
 def _flatten(interval: Dict) -> Dict:
     row = {key: interval[key] for key in
            ("index", "instructions", "cycle_start", "cycle_end", "ipc")}
-    row["rob_avg_occupancy"] = interval["rob"]["avg_occupancy"]
-    row["rob_max_occupancy"] = interval["rob"]["max_occupancy"]
     for level in ("l1d", "l2c", "llc"):
         row[f"{level}_hit_rate"] = interval["levels"][level]["hit_rate"]
     for level in ("l2c", "llc"):
@@ -188,7 +185,7 @@ def _flatten(interval: Dict) -> Dict:
     row["walks"] = interval["walks"]["walks"]
     row["walk_cycles"] = interval["walks"]["walk_cycles"]
     row["dram_accesses"] = interval["dram"]["accesses"]
-    for cat in ("translation", "replay", "non_replay", "other"):
+    for cat in ("translation", "replay", "non_replay"):
         row[f"stall_{cat}"] = interval["stalls"][cat]
     return row
 

@@ -2,32 +2,28 @@
 
 A service-submitted run is a black box between SUBMITTED and DONE unless
 the worker tells the parent what the simulator is doing.  This module is
-that bridge: :class:`ForwardingSampler` is an
-:class:`~repro.obs.sampler.IntervalSampler` that, besides collecting the
-full interval time-series, condenses each interval into one small
-``job-progress`` row (cycle, IPC, L2/LLC MPKI, walk cycles, % complete
-against the instruction budget) and hands it to a sink callable -- in
-the sweep service that sink is a ``multiprocessing`` queue back to the
-parent (pool workers) or a direct callback (inline mode), and the
-service re-emits the rows on the job's
-:class:`~repro.obs.progress.EventStream`.
+that bridge: a :class:`ProgressForwarder` is the ``forward`` callable of
+an :class:`~repro.obs.sampler.IntervalSampler`
+(``IntervalSampler(hierarchy, interval, forward=forwarder.on_interval)``).
+It condenses each interval into one small ``job-progress`` row (cycle,
+IPC, L2/LLC MPKI, walk cycles, % complete against the instruction
+budget) and hands it to a sink callable -- in the sweep service that
+sink is a ``multiprocessing`` queue back to the parent (pool workers) or
+a direct callback (inline mode), and the service re-emits the rows on
+the job's :class:`~repro.obs.progress.EventStream`.
 
-Forwarding is strictly observational: :class:`ForwardingSampler` only
-*reads* the interval records the base sampler already produces, and a
-sink failure (queue gone, parent dead) silently stops forwarding rather
-than killing the run -- simulation results stay bit-identical whether
-rows reach anyone or not.
+Forwarding is strictly observational: the forwarder only *reads* the
+interval records the sampler already produces, and a sink failure (queue
+gone, parent dead) silently stops forwarding rather than killing the run
+-- simulation results stay bit-identical whether rows reach anyone or
+not.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL, IntervalSampler
-
-#: Keys every forwarded ``job-progress`` row carries.
-PROGRESS_ROW_KEYS = ("interval", "instructions", "cycle", "ipc",
-                     "l2_mpki", "llc_mpki", "walk_cycles", "pct")
+from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL
 
 
 def progress_row(interval: Dict, retired: int,
@@ -85,21 +81,3 @@ class ProgressForwarder:
         except Exception:
             self._broken = True
 
-
-class ForwardingSampler(IntervalSampler):
-    """An interval sampler that also forwards each interval as a row.
-
-    Drop-in for :class:`IntervalSampler` -- the collected
-    ``self.intervals`` time-series is byte-identical to the base class;
-    the only addition is the post-append forward hook.
-    """
-
-    def __init__(self, hierarchy, interval: int = DEFAULT_SAMPLE_INTERVAL,
-                 forwarder: Optional[ProgressForwarder] = None):
-        super().__init__(hierarchy, interval)
-        self.forwarder = forwarder
-
-    def _emit(self, cycle: int) -> None:
-        super()._emit(cycle)
-        if self.forwarder is not None:
-            self.forwarder.on_interval(self.intervals[-1])

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 from repro.params import SimConfig
 
 #: Export format identifier; bump the version on breaking layout changes.
-SCHEMA = "repro.obs/v1"
+SCHEMA = "repro.obs/v2"
 
 
 def config_digest(config: SimConfig) -> str:

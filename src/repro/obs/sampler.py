@@ -2,29 +2,30 @@
 
 Every ``interval`` retired instructions the sampler snapshots the whole
 hierarchy -- per-level :class:`~repro.stats.counters.CacheStats` *deltas*,
-MSHR and ROB occupancy, RRPV distributions, TLB/PSC hit rates, DRAM row
+MSHR occupancy, RRPV distributions, TLB/PSC hit rates, DRAM row
 behaviour and per-category head-of-ROB stall attribution -- into one
 time-series record.  Counters are cumulative inside the simulator, so the
 sampler differences consecutive snapshots: each interval describes only
 what happened *during* it.
 
-Cost model: when no sampler is attached (the default) the core's retire
-loop pays a single ``is None`` test per instruction, the same pattern the
-validate subsystem uses.  When attached, the per-retire work is three
-integer updates; the O(sets x ways) structure scans run only at interval
-boundaries.
+Cost model: the cores run the region of interest in slices that end at
+the sampler's next edge (:attr:`IntervalSampler.next_edge`) and call it
+once per edge, so an observed run executes the same per-instruction code
+as an unobserved one; the O(sets x ways) structure scans run only at
+interval boundaries.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
+
+from repro.core.rob import StallCategory
 
 #: Default sampling period in retired instructions.  At the default
 #: 120K-instruction ROI this yields 24 intervals.
 DEFAULT_SAMPLE_INTERVAL = 5_000
 
 _LEVELS = ("l1d", "l2c", "llc")
-_STALL_CATEGORIES = ("translation", "replay", "non_replay", "other")
 
 
 def _diff(now: Dict[str, int], then: Dict[str, int]) -> Dict[str, int]:
@@ -34,70 +35,63 @@ def _diff(now: Dict[str, int], then: Dict[str, int]) -> Dict[str, int]:
 class IntervalSampler:
     """Snapshots per-interval hierarchy state into ``self.intervals``.
 
-    Lifecycle (driven by :class:`~repro.core.ooo_core.OOOCore`):
+    Lifecycle (driven by :class:`~repro.core.ooo_core.OOOCore` and
+    :class:`~repro.core.batch_engine.BatchCore`):
 
-    * :meth:`begin` when ``OOOCore.begin_roi`` opens the ROI (in
-      ``run``, right after the warmup stat reset);
-    * :meth:`on_retire` once per retired ROI instruction, from inside
-      ``OOOCore.run_slice``;
-    * :meth:`finalize` at the end of ``OOOCore.run`` (flushes a partial
-      interval).
+    * :meth:`begin` when the region of interest opens (right after the
+      warmup stat reset);
+    * :meth:`on_retire` each time the core has retired through
+      :attr:`next_edge`, and once more at the end of the trace, which
+      records the trailing partial interval.
 
     The multi-stream scheduler (:func:`repro.core.engine.interleave`)
-    never calls :meth:`finalize`: samplers observe single-stream runs.
+    drives no edges: samplers observe single-stream runs.  ``forward``
+    (for example :meth:`repro.obs.forward.ProgressForwarder.on_interval`)
+    sees each record as it is appended.
     """
 
-    def __init__(self, hierarchy, interval: int = DEFAULT_SAMPLE_INTERVAL):
+    def __init__(self, hierarchy, interval: int = DEFAULT_SAMPLE_INTERVAL,
+                 forward: Optional[Callable[[Dict], None]] = None):
         if interval <= 0:
             raise ValueError("sample interval must be positive")
         self.hierarchy = hierarchy
         self.interval = interval
+        self.forward = forward
         self.intervals: List[Dict] = []
+        #: Trace index at which the next interval ends.
+        self.next_edge = 0
         self._stalls = None
-        self._since = 0
-        self._rob_sum = 0
-        self._rob_max = 0
+        self._interval_start_index = 0
         self._interval_start_cycle = 0
-        self._last_cycle = 0
         self._baseline: Optional[Dict] = None
 
     # -- lifecycle -----------------------------------------------------
-    def begin(self, stalls, start_cycle: int) -> None:
-        """Start sampling: ``stalls`` is the live ROI StallAccounting."""
+    def begin(self, stalls, start_cycle: int, start_index: int) -> None:
+        """Start sampling at trace index ``start_index`` and retire clock
+        ``start_cycle``; ``stalls`` is the live ROI StallAccounting."""
         self._stalls = stalls
+        self._interval_start_index = start_index
         self._interval_start_cycle = start_cycle
-        self._last_cycle = start_cycle
-        self._since = 0
-        self._rob_sum = 0
-        self._rob_max = 0
+        self.next_edge = start_index + self.interval
         self._baseline = self._cumulative()
 
-    def on_retire(self, cycle: int, rob_occupancy: int) -> None:
-        """One instruction retired at ``cycle`` with ``rob_occupancy``
-        instructions in flight."""
-        self._since += 1
-        self._rob_sum += rob_occupancy
-        if rob_occupancy > self._rob_max:
-            self._rob_max = rob_occupancy
-        self._last_cycle = cycle
-        if self._since >= self.interval:
-            self._emit(cycle)
-
-    def finalize(self, cycle: int) -> None:
-        """Flush the trailing partial interval (if any instruction retired
-        since the last boundary)."""
-        if self._since > 0 and self._baseline is not None:
-            self._emit(max(cycle, self._last_cycle))
+    def on_retire(self, cycle: int, index: int) -> None:
+        """The core retired every instruction before trace index
+        ``index``, the last at ``cycle``: record the interval that ends
+        here (if it holds any instruction)."""
+        if index > self._interval_start_index:
+            self._emit(cycle, index - self._interval_start_index)
+            self._interval_start_index = index
+            self.next_edge = index + self.interval
 
     # -- snapshotting --------------------------------------------------
     def _cumulative(self) -> Dict:
         """Copy every cumulative counter the intervals difference."""
         h = self.hierarchy
-        state: Dict = {"stalls": {}, "levels": {}}
-        if self._stalls is not None:
-            snap = self._stalls.snapshot()
-            state["stalls"] = {cat: snap[cat]["total"]
-                               for cat in _STALL_CATEGORIES}
+        stalls = self._stalls
+        state: Dict = {"stalls": {cat.value: stalls.total(cat)
+                                  for cat in StallCategory},
+                       "levels": {}}
         for name in _LEVELS:
             cache = getattr(h, name)
             s = cache.stats
@@ -133,12 +127,11 @@ class IntervalSampler:
     def _hit_rate(accesses: int, misses: int) -> float:
         return 1.0 - misses / accesses if accesses else 0.0
 
-    def _emit(self, cycle: int) -> None:
+    def _emit(self, cycle: int, n: int) -> None:
         now = self._cumulative()
         then = self._baseline
         h = self.hierarchy
         dcycles = max(1, cycle - self._interval_start_cycle)
-        n = self._since
 
         levels: Dict[str, Dict] = {}
         for name in _LEVELS:
@@ -179,8 +172,6 @@ class IntervalSampler:
             "cycle_start": self._interval_start_cycle,
             "cycle_end": cycle,
             "ipc": n / dcycles,
-            "rob": {"avg_occupancy": self._rob_sum / n if n else 0.0,
-                    "max_occupancy": self._rob_max},
             "levels": levels,
             "rrpv": {name: getattr(h, name).rrpv_histogram()
                      for name in ("l2c", "llc")},
@@ -199,9 +190,7 @@ class IntervalSampler:
             "stalls": _diff(now["stalls"], then["stalls"]),
         }
         self.intervals.append(record)
-
         self._baseline = now
         self._interval_start_cycle = cycle
-        self._since = 0
-        self._rob_sum = 0
-        self._rob_max = 0
+        if self.forward is not None:
+            self.forward(record)

@@ -3,7 +3,7 @@
 A trace document is a flat span list plus the run manifest::
 
     {"schema": "repro.obs/trace-v1", "kind": "trace",
-     "manifest": {...},                 # same manifest as repro.obs/v1
+     "manifest": {...},                 # same manifest as repro.obs/v2
      "sample_every": N,                 # 1-in-N request sampling
      "requests_seen": .., "requests_sampled": .., "requests_dropped": ..,
      "spans": [{"id", "parent", "name", "cat", "start", "end", "args"}]}

@@ -1,12 +1,13 @@
 """Scenario execution: the bridge into the ``repro.api`` run path.
 
 Running a scenario is running a benchmark whose trace happens to be a
-compiled mix: :func:`run_scenario` builds the effective
+compiled mix: :func:`scenario_key` builds the effective
 :class:`~repro.params.SimConfig` (document overrides over the scale
-default), forms a scenario-aware
+default) and a scenario-aware
 :class:`~repro.experiments.parallel.RunKey` (the key carries the
-document digest, so editing a scenario invalidates its stored results)
-and runs it through :func:`~repro.experiments.parallel.run_many`:
+document digest, so editing a scenario invalidates its stored results),
+and :func:`run_scenario` runs that key through
+:func:`~repro.experiments.parallel.run_many`:
 serially in-process, or -- under ``repro scenario run`` -- as one
 ``scenario`` job of an inline sweep service, memoised in its store.
 
@@ -139,6 +140,31 @@ def _coerce_doc(scenario: Union[str, Dict, ScenarioDoc]) -> ScenarioDoc:
                     f"ScenarioDoc, not {type(scenario).__name__}")
 
 
+def scenario_key(doc: ScenarioDoc, *,
+                 instructions: Optional[int] = None,
+                 warmup: Optional[int] = None,
+                 scale: Optional[int] = None,
+                 seed: Optional[int] = None,
+                 config: Optional[SimConfig] = None) -> RunKey:
+    """The :class:`RunKey` of one run of ``doc``, with the keyword
+    overrides of :func:`run_scenario` (a ``scenario`` job's identity)."""
+    sc = doc.scale if scale is None else int(scale)
+    cfg = config if config is not None else default_config(sc)
+    if doc.config:
+        try:
+            cfg = cfg.with_(**doc.config)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(
+                f"{doc.name}: bad config override ({exc})") from None
+    return RunKey(
+        benchmark=doc.name, config=cfg,
+        seed=doc.seed if seed is None else int(seed),
+        instructions=(doc.instructions if instructions is None
+                      else int(instructions)),
+        warmup=doc.warmup if warmup is None else int(warmup),
+        scale=sc, scenario=doc.digest)
+
+
 def run_scenario(scenario: Union[str, Dict, ScenarioDoc], *,
                  instructions: Optional[int] = None,
                  warmup: Optional[int] = None,
@@ -154,19 +180,8 @@ def run_scenario(scenario: Union[str, Dict, ScenarioDoc], *,
     scale default.
     """
     doc = _coerce_doc(scenario)
-    n = doc.instructions if instructions is None else int(instructions)
-    w = doc.warmup if warmup is None else int(warmup)
-    sc = doc.scale if scale is None else int(scale)
-    sd = doc.seed if seed is None else int(seed)
-
-    cfg = config if config is not None else default_config(sc)
-    overrides = doc.config
-    if overrides:
-        try:
-            cfg = cfg.with_(**overrides)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"{doc.name}: bad config override ({exc})") from None
+    key = scenario_key(doc, instructions=instructions, warmup=warmup,
+                       scale=scale, seed=seed, config=config)
 
     # Library documents resolve by name in any process; everything else
     # registers in *this* process, so it runs serially or on an inline
@@ -177,8 +192,6 @@ def run_scenario(scenario: Union[str, Dict, ScenarioDoc], *,
     if not in_library:
         register_scenario(doc)
 
-    key = RunKey(benchmark=doc.name, config=cfg, seed=sd, instructions=n,
-                 warmup=w, scale=sc, scenario=doc.digest)
     summary = run_many([key])[key]
     return ScenarioResult(doc=doc, key=key, summary=summary)
 

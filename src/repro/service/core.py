@@ -308,8 +308,9 @@ class SweepService:
         return self
 
     async def close(self) -> None:
-        """Cancel drain and parent tasks, release every thread blocked
-        in :meth:`run_points`, and shut the pool down."""
+        """Cancel drain and parent tasks, end every unfinished job as
+        CANCELLED, release every thread blocked in :meth:`run_points`,
+        and shut the pool down."""
         with self._bridge_lock:
             self.loop = None  # run_points refuses new batches from here
             for future in self._bridged:
@@ -323,6 +324,9 @@ class SweepService:
                 pass
         self._tasks.clear()
         self._parents.clear()
+        # Their tasks are gone: close their streams and wake waiters.
+        for job in list(self._inflight.values()):
+            self._drop(job, JobStatus.CANCELLED, error="service closed")
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None

@@ -109,24 +109,18 @@ class JobSpec:
             # scenario edit changes the job identity.  An ad-hoc document
             # registered in this process resolves here too.
             from repro.scenarios.engine import (load_scenario,
-                                                resolve_scenario)
+                                                resolve_scenario,
+                                                scenario_key)
             doc = resolve_scenario(p["scenario"]) \
                 or load_scenario(p["scenario"])
             scale = int(p.get("scale", doc.scale))
-            # Mirrors run_scenario: base config (+ backend override),
-            # then the document's own config block on top.
-            cfg = default_config(scale)
+            config = default_config(scale)
             if p.get("backend"):
-                cfg = cfg.with_(backend=p["backend"])
-            if doc.config:
-                cfg = cfg.with_(**doc.config)
-            return RunKey(
-                benchmark=doc.name, config=cfg,
-                seed=int(p.get("seed", doc.seed)),
-                instructions=int(p.get("instructions", doc.instructions)),
-                warmup=int(p.get("warmup", doc.warmup)),
-                scale=scale,
-                scenario=doc.digest)
+                config = config.with_(backend=p["backend"])
+            return scenario_key(
+                doc, instructions=p.get("instructions"),
+                warmup=p.get("warmup"), scale=scale, seed=p.get("seed"),
+                config=config)
         return None
 
     @cached_property

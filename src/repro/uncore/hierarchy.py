@@ -171,9 +171,9 @@ class MemoryHierarchy:
         from repro import validate
         self.checker = validate.maybe_attach(self)
 
-        #: Interval metrics sampler (None unless the run is observed --
-        #: same is-None-guard cost model as the checker above).  Attached
-        #: by :func:`repro.experiments.runner.run_benchmark`.
+        #: Interval metrics sampler (None unless the run is observed; the
+        #: cores call it at slice edges).  Attached by
+        #: :func:`repro.experiments.runner.run_benchmark`.
         self.sampler = None
 
         #: Request-level span tracer (None unless the run is traced --

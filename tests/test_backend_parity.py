@@ -222,8 +222,10 @@ def test_high_address_trace_backend_parity():
     assert diff_counters(counters["python"], counters["numpy"]) == {}
 
 
-def test_runtime_instrumentation_forces_scalar_core():
-    """Attached per-event hooks (sampler) must route to the scalar core."""
+def test_sampled_numpy_run_keeps_the_fast_path():
+    """An interval sampler runs at window edges: a sampled numpy run
+    stays on the batch path, and its summary and intervals equal the
+    scalar core's."""
     from repro.experiments.runner import run_benchmark
 
     cfg = default_config(64).with_(backend="numpy")
@@ -233,5 +235,34 @@ def test_runtime_instrumentation_forces_scalar_core():
     plain = run_benchmark("pr", config=default_config(64),
                           instructions=2000, warmup=200, scale=64, seed=1,
                           sample_interval=500)
+    assert observed.batch.fallbacks == {}
+    assert observed.batch.windows > 0
     assert observed.summary() == plain.summary()
     assert observed.intervals == plain.intervals
+    assert [iv["instructions"] for iv in observed.intervals] == [500] * 4
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_progress_forwarding_keeps_the_run_path(backend):
+    """A run with a ``ProgressForwarder`` attached has the summary of
+    the same run without one, on either backend, and a numpy run with
+    one reports no fallback."""
+    from repro.experiments.parallel import RunSummary
+    from repro.experiments.runner import run_benchmark
+    from repro.obs.forward import ProgressForwarder
+
+    cfg = default_config(64).with_(backend=backend)
+    rows = []
+    forwarder = ProgressForwarder(rows.append, total_instructions=3000,
+                                  interval=1000)
+    kw = dict(config=cfg, instructions=3000, warmup=500, scale=64, seed=2)
+    forwarded = run_benchmark("xalancbmk", progress=forwarder, **kw)
+    plain = run_benchmark("xalancbmk", **kw)
+    summaries = [RunSummary.from_run(run).to_dict()
+                 for run in (forwarded, plain)]
+    batches = [summary.pop("batch") for summary in summaries]
+    assert summaries[0] == summaries[1]
+    assert [row["instructions"] for row in rows] == [1000, 2000, 3000]
+    if backend == "numpy":
+        assert batches[0]["fallbacks"] == {}
+        assert batches[0]["windows"] >= batches[1]["windows"] > 0

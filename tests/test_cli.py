@@ -1,9 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import main
 from repro.experiments import registry
+from repro.obs.manifest import SCHEMA
 
 
 def test_list_command(capsys):
@@ -99,7 +102,7 @@ def test_stats_validate_ok(metrics_export, capsys):
 
 def test_stats_validate_rejects_corrupt(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"schema": "repro.obs/v1", "kind": "run"}')
+    bad.write_text(json.dumps({"schema": SCHEMA, "kind": "run"}))
     assert main(["stats", "--validate", str(bad)]) == 1
     assert "INVALID" in capsys.readouterr().err
 

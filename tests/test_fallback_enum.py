@@ -107,9 +107,9 @@ def test_fallback_payload_keys_round_trip(tmp_path):
     from repro.core.fallback import BatchStats
 
     stats = BatchStats()
-    stats.record_fallback(FallbackReason.SAMPLER_TRACER)
+    stats.record_fallback(FallbackReason.TRACER)
     payload = {"batch": stats.to_dict()}
     svc = _service(tmp_path)
     svc._record_batch_telemetry(payload)
-    counter = svc._batch_fallbacks[FallbackReason.SAMPLER_TRACER.value]
+    counter = svc._batch_fallbacks[FallbackReason.TRACER.value]
     assert counter.value == 1

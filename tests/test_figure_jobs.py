@@ -130,13 +130,19 @@ def test_close_cancels_a_figure_with_points_in_flight(tmp_path):
         in_flight = not any(child.status.terminal
                             for child in job.children)
         await asyncio.wait_for(service.close(), timeout=30)
+        # Every job ended, so a waiter returns at once.
+        for waited in [job, *job.children]:
+            await asyncio.wait_for(service.wait(waited), timeout=1)
         return job, task, in_flight
 
     job, task, in_flight = drive(body)
     assert in_flight  # closed with the figure's points still running
     assert task.cancelled()
-    assert job.status is not JobStatus.DONE
     assert not service.store.contains(job.digest)
+    for ended in [job, *job.children]:
+        assert ended.status is JobStatus.CANCELLED, ended.describe()
+        assert ended.error == "service closed"
+        assert ended.events.closed
 
 
 @pytest.mark.parametrize("name", ["fig17", "multicore", "atp_scope"])

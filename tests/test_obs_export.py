@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (``repro.obs``).
 
 Covers the interval sampler (attachment, record shape, determinism,
-non-perturbation), the ``repro.obs/v1`` export schema (golden round-trip,
+non-perturbation), the ``repro.obs/v2`` export schema (golden round-trip,
 validator, CSV), and the manifest/profiler/heartbeat helpers.
 """
 
@@ -69,9 +69,39 @@ def test_interval_record_shape(observed):
     assert iv["cycle_end"] > iv["cycle_start"]
     for level in ("l1d", "l2c", "llc"):
         assert 0.0 <= iv["levels"][level]["hit_rate"] <= 1.0
-    for cat in ("translation", "replay", "non_replay", "other"):
+    assert set(iv["stalls"]) == {"translation", "replay", "non_replay"}
+    for cat in ("translation", "replay", "non_replay"):
         assert iv["stalls"][cat] >= 0
     assert 0.0 <= iv["tlb"]["stlb"]["hit_rate"] <= 1.0
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+def test_sampler_runs_at_slice_edges(backend):
+    """The cores call the sampler once per edge, not per instruction;
+    the call at the trace end records the partial interval."""
+    from repro.core.engine import make_core
+    from repro.obs.sampler import IntervalSampler
+    from repro.params import default_config
+    from repro.uncore.hierarchy import MemoryHierarchy
+    from repro.workloads.registry import make_trace
+
+    class CountingSampler(IntervalSampler):
+        calls = 0
+
+        def on_retire(self, cycle, index):
+            self.calls += 1
+            super().on_retire(cycle, index)
+
+    cfg = default_config(64).with_(backend=backend)
+    hierarchy = MemoryHierarchy(cfg)
+    core = make_core(cfg, hierarchy)
+    sampler = hierarchy.sampler = CountingSampler(hierarchy, 1_000)
+    result = core.run(make_trace("pr", 3_000, scale=64), warmup=500)
+    assert sampler.calls == 3
+    assert [iv["instructions"] for iv in sampler.intervals] \
+        == [1_000, 1_000, 500]
+    assert sampler.intervals[-1]["cycle_end"] \
+        == sampler.intervals[0]["cycle_start"] + result.cycles
 
 
 def test_intervals_are_contiguous(observed):

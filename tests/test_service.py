@@ -262,11 +262,13 @@ def test_requeue_against_full_queue_retries_inline(tmp_path):
         # Queue full the whole time; bounded so a regression to a
         # blocking put fails fast instead of hanging the suite.
         await asyncio.wait_for(service._run_one(job), timeout=10)
+        queued = blocker.status
         await service.close()
-        return blocker, job
+        return blocker, queued, job
 
-    blocker, job = drive(body)
-    assert blocker.status is JobStatus.PENDING  # still queued, untouched
+    blocker, queued, job = drive(body)
+    assert queued is JobStatus.PENDING  # still queued, untouched
+    assert blocker.status is JobStatus.CANCELLED  # ended by close()
     assert job.status is JobStatus.DONE
     assert job.attempts == 3
     assert service.metrics.requeues == 2

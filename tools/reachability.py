@@ -102,6 +102,10 @@ def record(out: str, argv: List[str]) -> None:
         Path(out).write_text(json.dumps(entered))
 
     atexit.register(dump)
+    # A background job of a non-interactive shell starts with SIGINT
+    # ignored; restore the handler an interactive start installs, so
+    # SIGINT stops ``repro serve`` however this tool was started.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     threading.setprofile(profile)
     sys.setprofile(profile)
     import runpy
