@@ -12,6 +12,8 @@ variants of Section IV can redefine it (``IP << IsTranslation`` etc.).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cache.replacement.base import RRIPBase
 from repro.memsys.request import MemoryRequest
 
@@ -35,15 +37,21 @@ class SHiPPolicy(RRIPBase):
         return (ip ^ (ip >> 14) ^ (ip >> 28)) % self.SHCT_SIZE
 
     # -- insertion --------------------------------------------------------
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        if self._shct[self.signature(req)] == 0:
+    def insertion_rrpv(self, set_idx: int, req: MemoryRequest,
+                       sig: Optional[int] = None) -> int:
+        """RRPV of an incoming block; ``sig`` is ``signature(req)`` when
+        the caller has already hashed it."""
+        if sig is None:
+            sig = self.signature(req)
+        if self._shct[sig] == 0:
             return self.max_rrpv
         return self.max_rrpv - 1
 
     def on_fill(self, set_idx: int, way: int, req: MemoryRequest) -> None:
         slot = set_idx * self.num_ways + way
-        self.store.signature[slot] = self.signature(req)
-        self.store.rrpv[slot] = self.insertion_rrpv(set_idx, req)
+        sig = self.signature(req)
+        self.store.signature[slot] = sig
+        self.store.rrpv[slot] = self.insertion_rrpv(set_idx, req, sig)
 
     # -- training ---------------------------------------------------------
     def on_hit(self, set_idx: int, way: int, req: MemoryRequest) -> None:

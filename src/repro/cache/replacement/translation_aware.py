@@ -22,6 +22,8 @@ via ``replay_rrpv0=True``.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cache.replacement.drrip import DRRIPPolicy
 from repro.cache.replacement.hawkeye import HawkeyePolicy
 from repro.cache.replacement.ship import SHiPPolicy
@@ -84,12 +86,13 @@ class TSHiPPolicy(NewSignSHiPPolicy):
         super().__init__(num_sets, num_ways)
         self.replay_rrpv0 = replay_rrpv0
 
-    def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
+    def insertion_rrpv(self, set_idx: int, req: MemoryRequest,
+                       sig: Optional[int] = None) -> int:
         if req.is_leaf_translation:
             return 0
         if self.replay_rrpv0 and req.is_demand_data and req.is_replay:
             return 0
-        return super().insertion_rrpv(set_idx, req)
+        return super().insertion_rrpv(set_idx, req, sig)
 
 
 class THawkeyePolicy(HawkeyePolicy):

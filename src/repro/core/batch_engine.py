@@ -13,28 +13,17 @@ fused scalar loop in fixed windows of :data:`WINDOW` instructions:
 * everything else (walks, L1D misses, conflicts) goes through the
   *real* ``hierarchy.load``/``store`` -- identical by construction.
 
-While an eligible run drains, the walker carries a per-VPN descent memo
-(``PageTableWalker.entries_cache``), filled lazily by the walks the
-scalar excursions perform, so TLB-thrashing re-walks of a page become
-dict lookups.
-
 Bit-identity argument (pinned by ``tests/test_backend_parity.py`` and
 the ``repro.validate`` fuzz axis):
 
-* Page-table mappings never change once allocated, so a memoised
-  descent is exact for the rest of the run.  The memo is filled by the
-  same ``walk_entries`` calls the scalar core makes, at the same points,
-  so the frame allocator sees the same calls in the same order; later
-  hits on the memo replace pure lookups.  The memo is attached only
-  while an eligible ``run`` is draining and is bypassed while a
-  huge-page predicate is installed.
 * The inlined hit path reproduces the scalar side effects exactly: the
   DTLB/LRU clocks advance by one per touch (kept in locals, synced
   around every scalar excursion), dict stamp assignment preserves
   insertion order, reused/dirty writes are idempotent, the MSHR merge
-  probe replicates ``_handle_hit``'s inline check (including the merges
-  counter and the fill-completion max), and the deferred counter adds
-  are plain integer arithmetic whose total is order-independent.
+  probe replicates the one in ``Cache.access``'s hit path (including
+  the merges counter and the fill-completion max), and the deferred
+  counter adds are plain integer arithmetic whose total is
+  order-independent.
 * Configurations with per-hit side effects the fast path does not model
   (huge pages, L1D prefetchers, non-LRU L1D policy, comparison
   modes, attached checkers/tracers, instance-patched hot methods) are
@@ -146,15 +135,7 @@ class BatchCore:
             bstats.record_fallback(reason)
             return self._scalar().run(trace, warmup, limit)
         self.last_fallback_reason = None
-
-        hierarchy = self.hierarchy
-        mmu = hierarchy.mmu
-        walker = mmu.walker
-        walker.entries_cache = {}
-        try:
-            return self._run_vector(trace, warmup, limit, bstats)
-        finally:
-            walker.entries_cache = None
+        return self._run_vector(trace, warmup, limit, bstats)
 
     def _run_vector(self, trace, warmup: int, limit: Optional[int],
                     bstats: BatchStats) -> CoreResult:
@@ -293,7 +274,7 @@ class BatchCore:
                     slot = slot_of_get(line)
                     if slot is not None:
                         # -- inlined DTLB-hit/L1D-hit path --------------
-                        # including the exact _handle_hit merge probe: a
+                        # including Cache.access's exact merge probe: a
                         # hit on a line whose fill is still in flight
                         # completes when the data arrives.
                         pending = inflight_get(line)

@@ -45,10 +45,10 @@ class PageTableWalker:
         self.pte_reads = 0
         #: Request-level span tracer (None unless the run is traced).
         self.tracer = None
-        #: Optional ``{vpn: (pfn, entries)}`` descent memo, attached by
-        #: the batch engine while an eligible run drains and filled
-        #: lazily by :meth:`walk`.  None in scalar runs.
-        self.entries_cache = None
+        #: ``{vpn: (pfn, entries)}`` descent memo, filled lazily by
+        #: :meth:`walk`: one entry per distinct page walked.  None turns
+        #: it off (a test's unmemoised reference walker).
+        self.entries_cache = {}
 
     def walk(self, va: int, cycle: int, ip: int = 0) -> WalkResult:
         """Translate ``va`` starting at ``cycle``; returns the walk result.
@@ -58,12 +58,13 @@ class PageTableWalker:
         """
         self.walks += 1
         tracer = self.tracer
-        # The descent cache keys on VPN: walk_entries depends only on
+        # The descent memo keys on VPN: walk_entries depends only on
         # page-number bits, and mappings are immutable once allocated,
-        # so a cached descent is exact.  Huge pages split the leaf PFN
-        # per 4KB sub-frame, so the cache is bypassed while a predicate
-        # is installed (the batch engine never attaches one then, but a
-        # predicate can be installed mid-run by comparison harnesses).
+        # so a memoised descent is exact, and the first walk of a page
+        # makes the same walk_entries call, allocating the same frames,
+        # as an unmemoised walker would.  Huge pages split the leaf PFN
+        # per 4KB sub-frame, so the memo is bypassed while a predicate
+        # is installed.
         cached = None
         cacheable = (self.entries_cache is not None
                      and self.page_table.huge_page_predicate is None)

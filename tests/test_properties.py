@@ -143,14 +143,16 @@ def test_rrpv_bounds_hold(seq):
         if way is not None:
             pol.on_hit(set_idx, way, req)
         else:
-            slot = store.first_free(set_idx)
+            slot = store.valid.find(0, base, base + 4)
             if slot < 0:
                 victim = pol.victim(set_idx, req)
                 pol.on_evict(set_idx, victim)
                 slot = base + victim
             else:
                 victim = slot - base
-            store.reset_slot(slot, line, 0)
+            store.line[slot] = line
+            store.valid[slot] = 1
+            store.reused[slot] = 0
             pol.on_fill(set_idx, victim, req)
         for w in range(4):
             assert 0 <= store.rrpv[base + w] <= pol.max_rrpv

@@ -19,7 +19,9 @@ def bound(pol):
 
 def fill(pol, store, r):
     """Fill way 0 of set 0 and return its slot index."""
-    store.reset_slot(0, r.line_addr, 0)
+    store.line[0] = r.line_addr
+    store.valid[0] = 1
+    store.reused[0] = 0
     pol.on_fill(0, 0, r)
     return 0
 
