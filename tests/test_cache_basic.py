@@ -266,3 +266,22 @@ def test_reset_stats_clears_congestion_counters():
     assert cache.back_invalidations == 0
     assert cache.fills_bypassed == 0
     assert cache.mshr.peak_occupancy == 0
+
+
+def test_each_level_mshr_is_told_its_own_admission_cycle():
+    """A lower level that misses advances ``req.cycle``; the upper
+    levels' MSHRs must still record the cycle the miss entered them."""
+    mem = FakeMemory(latency=100)
+    l2 = Cache(CacheConfig("L2", size_bytes=8 * 64 * 4, ways=4, latency=10,
+                           mshr_entries=8), mem)
+    l1 = Cache(CacheConfig("L1", size_bytes=4 * 64 * 2, ways=2, latency=4,
+                           mshr_entries=8), l2)
+    admitted = {}
+    for cache in (l1, l2):
+        def allocate(line_addr, fill_cycle, now, cache=cache,
+                     original=cache.mshr.allocate):
+            admitted[cache.name] = now
+            return original(line_addr, fill_cycle, now)
+        cache.mshr.allocate = allocate
+    assert l1.access(load(0x1000, cycle=0)) == l1.latency + l2.latency + 100
+    assert admitted == {"L1": l1.latency, "L2": l1.latency + l2.latency}
