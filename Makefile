@@ -17,8 +17,8 @@ test:
 # Same-machine interleaved A/B of the working tree against BASE on one
 # perfbench workload: PAIRS pairs, each side's median and quartiles, and a
 # gain / no change / worse verdict per end-to-end metric against the
-# bounds in BENCHMARK.json, written as a .perfbench/BENCH_*.json record
-# (docs/performance.md, "Regression gating").
+# bounds in BENCHMARK.json, written as a tracked bench-history/BENCH_*.json
+# record (docs/performance.md, "Regression gating").
 BASE ?= HEAD
 WORKLOAD ?= walk_storm
 PAIRS ?= 10
