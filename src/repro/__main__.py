@@ -217,9 +217,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--backend", default="python",
                        choices=list(api.BACKENDS),
-                       help="execution backend: the scalar reference "
-                            "core or the bit-identical vectorized batch "
-                            "core (see docs/performance.md)")
+                       help="execution backend: the core with its "
+                            "DTLB-hit/L1D-hit fast path off or on, "
+                            "bit-identical (see docs/performance.md)")
     p_run.add_argument("--metrics", metavar="PATH", default=None,
                        help="export manifest + interval time-series as "
                             "repro.obs/v2 JSON (see docs/observability.md)")

@@ -22,13 +22,12 @@ if TYPE_CHECKING:
 def make_core(config, hierarchy: MemoryHierarchy, cpu_id: int = 0):
     """Backend-selecting core factory (``config.backend``).
 
-    ``"python"`` builds the reference scalar :class:`OOOCore`;
-    ``"numpy"`` builds the window-draining vectorized
-    :class:`repro.core.batch_engine.BatchCore`, which itself falls back
-    to the scalar core whenever the configuration or attached
-    instrumentation demands per-event fidelity.  Multi-stream execution
-    (SMT, multicore) always runs scalar :class:`OOOCore` slices through
-    :func:`interleave`.
+    ``"python"`` builds :class:`OOOCore` with its fast path off;
+    ``"numpy"`` builds :class:`repro.core.batch_engine.BatchCore`, the
+    same core with its inlined DTLB-hit/L1D-hit path on unless the
+    configuration or attached instrumentation demands per-event
+    fidelity.  Multi-stream execution (SMT, multicore) runs
+    :class:`OOOCore` slices, fast path off, through :func:`interleave`.
     """
     if config.backend == "numpy":
         from repro.core.batch_engine import BatchCore

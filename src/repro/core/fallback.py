@@ -1,17 +1,17 @@
-"""Shared vocabulary of the batch backend's fallback seam.
+"""Shared vocabulary of the numpy backend's fallback seam.
 
-:class:`FallbackReason` enumerates every way a run can be refused by the
-batch fast path.  The *same* enum is the engine's
+:class:`FallbackReason` enumerates every way a run can be refused the
+core's fast path.  The *same* enum is the engine's
 ``last_fallback_reason`` type, the ``reason=`` label set of the
 ``repro_batch_fallback_total`` telemetry series, and the row key of the
 fallback table in ``docs/performance.md`` -- one definition, three
 surfaces (``tests/test_fallback_enum.py`` pins them against each other).
 
 :class:`BatchStats` is the engine's per-run engagement record: how many
-windows drained on the vector path, how much of each window took the
-inlined fast path versus a scalar excursion, and -- when the whole run
-was refused -- which :class:`FallbackReason` routed it to the scalar
-core.  It is part of the public api surface (``repro.api.BatchStats``)
+windows drained with the fast path on, how much of each window took
+the inlined fast path versus a scalar excursion, and -- when the whole
+run was refused -- which :class:`FallbackReason` kept the fast path
+off.  It is part of the public api surface (``repro.api.BatchStats``)
 and rides run payloads (``RunSummary.batch``) into the sweep service's
 telemetry registry.
 
@@ -28,7 +28,7 @@ from typing import Dict, List
 
 
 class FallbackReason(str, Enum):
-    """Why a run executes on the scalar core instead of the batch path.
+    """Why a run keeps the core's fast path off.
 
     Values are stable machine-readable slugs (telemetry label values and
     docs table keys); :data:`REASON_DETAIL` carries the human phrasing.
@@ -89,11 +89,12 @@ class BatchStats:
 
     All counters cover the whole run (warmup included -- engagement is a
     property of execution, not of the ROI).  ``fallbacks`` is non-empty
-    exactly when the run executed on the scalar core; then every other
+    exactly when the run kept the fast path off; then every other
     field stays zero.
     """
 
-    #: Windows drained on the vector path.
+    #: Windows drained with the fast path on (each ends at a trace
+    #: window's or a slice's end, so it holds at most ``WINDOW``).
     windows: int = 0
     #: Instructions covered by those windows.
     instructions: int = 0
@@ -126,7 +127,7 @@ class BatchStats:
 
     @property
     def fell_back(self) -> bool:
-        """True when the run executed wholesale on the scalar core."""
+        """True when the run kept the fast path off."""
         return bool(self.fallbacks)
 
     @property

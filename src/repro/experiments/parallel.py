@@ -176,7 +176,7 @@ class RunSummary:
     #: for a single benchmark).
     streams: List[Dict[str, int]] = field(default_factory=list)
     #: ``BatchStats.to_dict()`` from a ``backend="numpy"`` run
-    #: (vectorization engagement / fallback accounting); empty for
+    #: (fast-path engagement / fallback accounting); empty for
     #: scalar runs.  Rides the snapshot so the sweep service can feed
     #: the batch telemetry series without holding live objects.
     batch: Dict = field(default_factory=dict)

@@ -17,6 +17,7 @@ interval boundaries.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Dict, List, Optional
 
 from repro.core.rob import StallCategory
@@ -35,8 +36,7 @@ def _diff(now: Dict[str, int], then: Dict[str, int]) -> Dict[str, int]:
 class IntervalSampler:
     """Snapshots per-interval hierarchy state into ``self.intervals``.
 
-    Lifecycle (driven by :class:`~repro.core.ooo_core.OOOCore` and
-    :class:`~repro.core.batch_engine.BatchCore`):
+    Lifecycle (driven by :class:`~repro.core.ooo_core.OOOCore`):
 
     * :meth:`begin` when the region of interest opens (right after the
       warmup stat reset);
@@ -54,7 +54,9 @@ class IntervalSampler:
                  forward: Optional[Callable[[Dict], None]] = None):
         if interval <= 0:
             raise ValueError("sample interval must be positive")
-        self.hierarchy = hierarchy
+        # Weak: the hierarchy holds its sampler, and a cycle would keep a
+        # finished run's hierarchy alive until a full collection.
+        self.hierarchy = weakref.proxy(hierarchy)
         self.interval = interval
         self.forward = forward
         self.intervals: List[Dict] = []

@@ -18,6 +18,8 @@ L1D translation hit and the data request is too small to hide anything.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.memsys.request import MemoryRequest
 
 
@@ -25,8 +27,11 @@ class ATPPrefetcher:
     """Subscribes to leaf-translation hits at L2C and LLC."""
 
     def __init__(self, l2c, llc):
-        self.l2c = l2c
-        self.llc = llc
+        # Weak: each level holds a hook bound to this prefetcher, and a
+        # cycle would keep a finished run's caches alive until a full
+        # collection.  The hierarchy owns the levels.
+        self.l2c = weakref.proxy(l2c)
+        self.llc = weakref.proxy(llc)
         self.triggered_l2c = 0
         self.triggered_llc = 0
         #: Request-level span tracer (None unless the run is traced).

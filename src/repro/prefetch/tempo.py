@@ -12,6 +12,8 @@ only ~2% of leaf translations reach DRAM, which is why TEMPO adds just
 
 from __future__ import annotations
 
+import weakref
+
 from repro.memsys.request import MemoryRequest
 
 
@@ -19,8 +21,12 @@ class TEMPOPrefetcher:
     """Subscribes to leaf-translation services at the DRAM controller."""
 
     def __init__(self, dram, llc):
-        self.dram = dram
-        self.llc = llc
+        # Weak: the DRAM holds a hook bound to this prefetcher, and the
+        # LLC holds the DRAM, so strong references would form cycles
+        # that keep a finished run's LLC and DRAM alive until a full
+        # collection.  The hierarchy owns both.
+        self.dram = weakref.proxy(dram)
+        self.llc = weakref.proxy(llc)
         self.triggered = 0
         #: Request-level span tracer (None unless the run is traced).
         self.tracer = None

@@ -276,7 +276,7 @@ class SweepService:
         from repro.core.fallback import COHORT_BUCKETS, FallbackReason
         self._batch_windows = reg.counter(
             "repro_batch_windows_total",
-            help="Windows drained on the vectorized batch path")
+            help="Windows drained with the core's fast path on")
         self._batch_fallbacks = {
             reason.value: reg.counter(
                 "repro_batch_fallback_total",

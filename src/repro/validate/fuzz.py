@@ -13,11 +13,11 @@ variant and outcome, so CI failures replay locally with
 ``python -m repro.validate.fuzz <seed>`` or by pasting the generated test.
 
 The execution backend (``SimConfig.backend``) is a fuzzed dimension too:
-every stream additionally runs as a cross-backend differential --
-scalar ``python`` vs vectorized ``numpy``, checkers *off* so the vector
-fast path actually engages -- and any counter divergence
-(:func:`repro.validate.oracle.diff_counters`) shrinks through the same
-ddmin reducer as an invariant violation.
+every stream additionally runs through the core's one drain loop with
+its DTLB-hit/L1D-hit fast path on (``numpy``) and off (``python``),
+checkers *off* so the fast path engages wherever the variant allows it,
+and any counter divergence (:func:`repro.validate.oracle.diff_counters`)
+shrinks through the same ddmin reducer as an invariant violation.
 """
 
 from __future__ import annotations
@@ -160,15 +160,16 @@ def run_case(case: FuzzCase) -> HierarchyChecker:
 
 
 def compare_backends(case: FuzzCase) -> dict:
-    """Cross-backend differential: run one stream under both execution
-    backends and return the counter divergence (empty dict == parity).
+    """The backend axis: run one stream through the core's one loop with
+    the fast path on (``numpy``) and off (``python``) and return the
+    counter divergence (empty dict == parity).
 
-    Unlike :func:`run_case`, no checker stack is attached -- attached
-    per-event hooks force :class:`repro.core.batch_engine.BatchCore`
-    into its scalar fallback, which would reduce this comparison to
-    scalar-vs-scalar.  The comparison surface is the full flattened
-    counter dict of :func:`repro.validate.oracle.hierarchy_counters`
-    plus retired-instruction/cycle/stall accounting.
+    Unlike :func:`run_case`, no checker stack is attached -- a checker
+    keeps :class:`repro.core.batch_engine.BatchCore`'s fast path off,
+    which would reduce this comparison to off against off.  The
+    comparison surface is the full flattened counter dict of
+    :func:`repro.validate.oracle.hierarchy_counters` plus
+    retired-instruction/cycle/stall accounting.
     """
     from repro.core.engine import make_core
     from repro.uncore.hierarchy import MemoryHierarchy
@@ -272,7 +273,7 @@ def fuzz_range(first_seed: int, count: int,
     every failure (empty list when all streams are clean).
 
     Each seed runs twice: once through the invariant-checker + oracle
-    stack, and once as a scalar-vs-vectorized backend differential."""
+    stack, and once as the fast-path-on-vs-off backend differential."""
     reports: List[str] = []
     for seed in range(first_seed, first_seed + count):
         case = make_case(seed)

@@ -337,24 +337,43 @@ class MMUChecker:
 
 
 class ROBChecker:
-    """In-order-retire and occupancy checks for the O(1)-recurrence core."""
+    """Capacity and in-order-retire checks for the O(1)-recurrence core.
+
+    The checker keeps its own ring of the last ``rob_entries`` retire
+    times, in retire order, rather than trusting the core's.  The slot
+    an instruction takes holds the retire time of the instruction
+    ``rob_entries`` older, which must not be after this one's dispatch:
+    exactly "fewer than ``rob_entries`` instructions in flight".
+    """
 
     def __init__(self, rob_entries: int, ctx: CheckContext):
         self.rob_entries = rob_entries
         self.ctx = ctx
-        self._last_retire: Optional[int] = None
+        self._ring = [0] * rob_entries
+        self._pos = 0
 
-    def on_retire(self, retire_cycle: int, occupancy: int) -> None:
+    def on_retire(self, dispatch_cycle: int, retire_cycle: int) -> None:
+        """The next instruction in program order dispatched at
+        ``dispatch_cycle`` and retired at ``retire_cycle``."""
         ctx = self.ctx
         ctx.events += 1
-        ctx.require(occupancy <= self.rob_entries, "ROB",
-                    f"occupancy {occupancy} exceeds {self.rob_entries} "
-                    f"entries")
-        if self._last_retire is not None:
-            ctx.require(retire_cycle >= self._last_retire, "ROB",
-                        f"retire at {retire_cycle} after retire at "
-                        f"{self._last_retire}: out-of-order retirement")
-        self._last_retire = retire_cycle
+        ring = self._ring
+        pos = self._pos
+        freed = ring[pos]
+        if freed > dispatch_cycle:
+            ctx.fail("ROB", f"occupancy exceeds {self.rob_entries} entries: "
+                            f"dispatch at {dispatch_cycle} before the "
+                            f"instruction {self.rob_entries} older retired "
+                            f"at {freed}")
+        if retire_cycle <= dispatch_cycle:
+            ctx.fail("ROB", f"retire at {retire_cycle} not after dispatch "
+                            f"at {dispatch_cycle}")
+        if retire_cycle < ring[pos - 1]:
+            ctx.fail("ROB", f"retire at {retire_cycle} after retire at "
+                            f"{ring[pos - 1]}: out-of-order retirement")
+        ring[pos] = retire_cycle
+        pos += 1
+        self._pos = 0 if pos == self.rob_entries else pos
 
 
 class HierarchyChecker:

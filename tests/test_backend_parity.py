@@ -1,8 +1,10 @@
 """Cross-backend differential harness: ``numpy`` must be bit-identical.
 
-The vectorized batch backend (:mod:`repro.core.batch_engine`) promises
-*bit-identity* with the reference scalar core -- not statistical
-closeness.  This suite pins that promise three ways:
+The numpy backend (:class:`repro.core.batch_engine.BatchCore`) runs the
+core's one drain loop with its inlined DTLB-hit/L1D-hit path on; the
+python backend runs it with that path off.  The promise is
+*bit-identity* -- not statistical closeness.  This suite pins it three
+ways:
 
 * a 23-configuration oracle matrix (benchmark x enhancement stack x
   replacement x inclusion x huge pages x prefetchers x ideal/comparison
@@ -10,9 +12,9 @@ closeness.  This suite pins that promise three ways:
   of :func:`repro.validate.oracle.hierarchy_counters`;
 * every checked-in ``SYN-*`` / ``RL-*`` scenario document, run under
   both backends through :func:`repro.scenarios.run_scenario`;
-* an engagement check that the eligible matrix rows really exercised the
-  vector path (a backend that silently always falls back to the scalar
-  core would pass any parity test).
+* an engagement check that the eligible matrix rows really took the
+  fast path, and sent every other access through the hierarchy (a
+  backend that silently never takes it would pass any parity test).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.scenarios import list_scenarios, load_scenario, run_scenario
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.validate.oracle import diff_counters, hierarchy_counters
 from repro.workloads.registry import make_trace
+from repro.workloads.trace import KIND_NONMEM
 
 
 def _ideal(**flags):
@@ -116,14 +119,23 @@ def test_miss_dominated_bit_identical(name, cfg, bench, instructions,
     vector_counters, core = _run(cfg.with_(backend="numpy"), bench,
                                  instructions, warmup, seed)
     assert diff_counters(scalar, vector_counters) == {}
-    assert core.last_fallback_reason is None
-    stats = core.batch_stats
+    _assert_engaged(core)
     # Miss-domination is the point of these rows: the drain must have
     # taken scalar excursions and walked, otherwise the excursion path
     # and the descent memo went untested.
-    assert stats.windows > 0
-    assert stats.scalar_excursions > 0
+    assert core.batch_stats.scalar_excursions > 0
     assert core.hierarchy.mmu.walker.walks > 0
+
+
+def _assert_engaged(core) -> None:
+    """The run took the fast path, and every load and store of the
+    trace took either it or the hierarchy."""
+    assert core.last_fallback_reason is None
+    stats = core.batch_stats
+    kinds = core.trace.kinds[:core.total]
+    assert stats.fast_hits > 0
+    assert stats.fast_hits + stats.scalar_excursions \
+        == int((kinds != KIND_NONMEM).sum())
 
 
 def _run(config: SimConfig, bench: str, instructions: int,
@@ -153,10 +165,10 @@ def test_oracle_matrix_bit_identical(name, cfg, bench, instructions,
                                  instructions, warmup, seed)
     assert diff_counters(scalar, vector_counters) == {}
     if vector:
-        # The eligible rows must actually exercise the vector path --
-        # otherwise this file would pass with a backend that always
-        # delegates to the scalar core.
-        assert core.last_fallback_reason is None
+        # The eligible rows must actually take the fast path --
+        # otherwise this file would pass with a backend that never
+        # does.
+        _assert_engaged(core)
     else:
         assert core.last_fallback_reason is not None
 

@@ -105,6 +105,48 @@ def test_atp_and_tempo_attached():
     assert h.dram.on_leaf_translation is not None
 
 
+@pytest.mark.parametrize("keep", ["result", "summary"])
+def test_a_finished_run_is_freed_without_a_collection(keep):
+    """A forwarded ``pr``/full run -- its sampler, ATP and TEMPO attached,
+    as in every service ``run`` job -- forms no reference cycle: once
+    its result goes, so do the hierarchy and its levels, with the cyclic
+    collector off."""
+    import gc
+    import weakref
+
+    from repro.experiments.parallel import RunSummary
+    from repro.experiments.runner import run_benchmark
+    from repro.obs.forward import ProgressForwarder
+
+    cfg = default_config(16).with_(enhancements="full")
+    rows = []
+    forwarder = ProgressForwarder(rows.append, total_instructions=3000,
+                                  interval=1000)
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_benchmark("pr", config=cfg, instructions=3000,
+                               warmup=500, scale=16, seed=1,
+                               progress=forwarder)
+        summary = RunSummary.from_run(result)
+        h = result.hierarchy
+        assert h.sampler is not None and h.atp is not None \
+            and h.tempo is not None
+        alive = [weakref.ref(obj)
+                 for obj in (h, h.l2c, h.llc, h.dram, h.mmu)]
+        del h
+        if keep == "summary":
+            del result
+        else:
+            del summary
+            assert all(ref() is not None for ref in alive)
+            del result
+        assert [ref() for ref in alive] == [None] * len(alive)
+    finally:
+        gc.enable()
+    assert len(rows) == 3
+
+
 def test_baseline_has_no_prefetchers():
     h = build()
     assert h.atp is None and h.tempo is None and h.ipcp is None

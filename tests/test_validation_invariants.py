@@ -4,6 +4,7 @@ healthy runs, loud on seeded corruption, and absent when disabled."""
 import pytest
 
 from repro.core.multicore import MultiCore
+from repro.core.ooo_core import OOOCore
 from repro.core.smt import SMTCore
 from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, default_config
@@ -166,12 +167,46 @@ def test_detects_translation_mismatch(checked):
 def test_rob_checker_occupancy_and_order():
     ctx = CheckContext()
     rob = ROBChecker(rob_entries=4, ctx=ctx)
-    for cycle in (5, 5, 7):
-        rob.on_retire(cycle, occupancy=2)
+    for dispatch, retire in ((0, 5), (0, 5), (1, 7), (1, 7)):
+        rob.on_retire(dispatch, retire)
+    # The fifth instruction takes the first one's slot: it may dispatch
+    # once that one retired, at cycle 5, and not before.
     with pytest.raises(ValidationError, match="occupancy"):
-        rob.on_retire(8, occupancy=5)
+        rob.on_retire(4, 8)
+    rob.on_retire(5, 8)
     with pytest.raises(ValidationError, match="out-of-order"):
-        rob.on_retire(3, occupancy=1)
+        rob.on_retire(6, 7)
+    with pytest.raises(ValidationError, match="not after dispatch"):
+        rob.on_retire(9, 9)
+
+
+class _AlwaysFree(list):
+    """A ROB ring whose every slot reads as retired at cycle 0."""
+
+    def __getitem__(self, pos):
+        return 0
+
+
+class _NoROBWaitCore(OOOCore):
+    """A planted fault: dispatch never waits for a ROB slot."""
+
+    def start(self, *args, **kwargs):
+        super().start(*args, **kwargs)
+        self.rob = _AlwaysFree(self.rob)
+
+
+def test_rob_checker_catches_a_core_that_skips_the_rob_wait():
+    cfg = default_config(16)
+    trace = make_trace("mcf", 3_000, scale=16, seed=1)
+    for core_cls, fails in ((OOOCore, False), (_NoROBWaitCore, True)):
+        core = core_cls(cfg, MemoryHierarchy(cfg))
+        core.checker = ROBChecker(core.rob_entries, CheckContext())
+        if fails:
+            with pytest.raises(ValidationError, match="occupancy"):
+                core.run(trace, warmup=500)
+        else:
+            core.run(trace, warmup=500)
+            assert core.checker.ctx.events == 3_000
 
 
 def test_smt_and_multicore_threads_are_rob_checked(monkeypatch):
