@@ -182,11 +182,11 @@ def run(benchmark: str, *,
     shortcut for building ``config``; passing both raises.
 
     ``backend`` selects the execution core (one of :data:`BACKENDS`):
-    ``"python"`` is the scalar reference, ``"numpy"`` the windowed
-    batch core -- bit-identical results, different wall clock (see
-    ``docs/performance.md``).  It layers onto ``config`` when both are
-    given (``config.with_(backend=...)``), so a shared base config can
-    be run under either backend.  On a ``"numpy"`` run,
+    ``"python"`` runs the core with its DTLB-hit/L1D-hit fast path off,
+    ``"numpy"`` with it on -- bit-identical results, different wall
+    clock (see ``docs/performance.md``).  It layers onto ``config``
+    when both are given (``config.with_(backend=...)``), so a shared
+    base config can be run under either backend.  On a ``"numpy"`` run,
     ``result.batch`` carries the engine's :class:`BatchStats`
     (fast-path engagement and fallback accounting).
 

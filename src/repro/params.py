@@ -28,10 +28,10 @@ VA_BITS = 57
 DEFAULT_SCALE = 16
 
 #: Simulation backends selectable via ``SimConfig.with_(backend=...)``.
-#: ``python`` is the reference scalar interpreter loop; ``numpy`` batch-
-#: processes access windows against the flat column arrays of
-#: :class:`repro.cache.store.CacheStore` and is required to be
-#: bit-identical (``tests/test_backend_parity.py``, ``repro.validate``).
+#: Both run the core's one drain loop: ``python`` with its inlined
+#: DTLB-hit/L1D-hit fast path off, ``numpy`` with it on, which is
+#: required to be bit-identical (``tests/test_backend_parity.py``,
+#: ``repro.validate``).
 BACKENDS = ("python", "numpy")
 
 
@@ -261,10 +261,10 @@ class SimConfig:
     stlb_fill_latency: int = 2
     #: Track recall distances (Figs 5/7/18); small runtime cost.
     track_recall: bool = True
-    #: Simulation backend: "python" (reference scalar loop) or "numpy"
-    #: (batch windows with an inlined hit path and scalar excursions for
-    #: everything else).  Both are bit-identical by construction and by
-    #: test.
+    #: Simulation backend: "python" (the core's fast path off) or
+    #: "numpy" (on: DTLB-hit/L1D-hit accesses retire inline, everything
+    #: else takes a scalar excursion).  Both are bit-identical by
+    #: construction and by test.
     backend: str = "python"
     seed: int = 1
 
