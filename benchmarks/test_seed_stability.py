@@ -4,9 +4,9 @@ Reduced-scale single runs carry sampling noise; this bench re-runs the
 Fig 14 endpoint on three different trace seeds and checks that the
 full-stack speedup's *direction* is seed-independent."""
 
-from conftest import WARMUP, regenerate
+from conftest import WARMUP
 
-from repro.experiments.runner import run_benchmark_multi
+from repro.experiments.parallel import RunKey, run_many
 from repro.params import EnhancementConfig, default_config
 from repro.stats.report import geometric_mean
 
@@ -15,17 +15,22 @@ SEEDS = [1, 2, 3]
 
 
 def _study():
-    speedups = {}
-    cfg = default_config().with_(enhancements=EnhancementConfig.full())
-    for name in BENCHMARKS:
-        base = run_benchmark_multi(name, SEEDS, instructions=20_000,
-                                   warmup=WARMUP)
-        enh = run_benchmark_multi(name, SEEDS, config=cfg,
-                                  instructions=20_000, warmup=WARMUP)
-        per_seed = [b.cycles / e.cycles
-                    for b, e in zip(base.runs, enh.runs)]
-        speedups[name] = per_seed
-    return speedups
+    """Every point is a seeded run key, so the session's sweep service
+    stores and dedupes it like a figure's."""
+    base = default_config()
+    full = base.with_(enhancements=EnhancementConfig.full())
+
+    def key(name, cfg, seed):
+        return RunKey.make(name, cfg, instructions=20_000, warmup=WARMUP,
+                           seed=seed)
+    keys = {(name, cfg is full, seed): key(name, cfg, seed)
+            for name in BENCHMARKS for cfg in (base, full)
+            for seed in SEEDS}
+    runs = run_many(keys.values())
+    return {name: [runs[keys[name, False, seed]].cycles
+                   / runs[keys[name, True, seed]].cycles
+                   for seed in SEEDS]
+            for name in BENCHMARKS}
 
 
 def test_fig14_direction_is_seed_stable(benchmark):

@@ -55,8 +55,6 @@ def _cmd_run(args) -> int:
     cfg = api.build_config(args.scale, enhancements=args.enhancements)
     if args.l2c_prefetcher != "none":
         cfg = cfg.with_(l2c_prefetcher=args.l2c_prefetcher)
-    if args.backend != "python":
-        cfg = cfg.with_(backend=args.backend)
     result = api.run(args.benchmark, config=cfg,
                      instructions=args.instructions, warmup=args.warmup,
                      scale=args.scale, seed=args.seed,
@@ -215,11 +213,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--warmup", type=int, default=api.DEFAULT_WARMUP)
     p_run.add_argument("--scale", type=int, default=api.DEFAULT_SCALE)
     p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--backend", default="python",
-                       choices=list(api.BACKENDS),
-                       help="execution backend: the core with its "
-                            "DTLB-hit/L1D-hit fast path off or on, "
-                            "bit-identical (see docs/performance.md)")
     p_run.add_argument("--metrics", metavar="PATH", default=None,
                        help="export manifest + interval time-series as "
                             "repro.obs/v2 JSON (see docs/observability.md)")

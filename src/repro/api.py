@@ -1,4 +1,4 @@
-"""Stable public facade for the reproduction (v7).
+"""Stable public facade for the reproduction (v8).
 
 Everything a caller needs lives here; the deep module paths
 (``repro.experiments.runner``, ``repro.service.core``, ...) remain
@@ -38,8 +38,11 @@ v6 drops the in-process job client (``submit``, ``JobHandle``,
 ``configure_service``, ``telemetry_snapshot``) and ``trace_diff``, which
 no entry point used; v7 drops the ``other`` stall category, the
 ``sampler_tracer`` fallback reason (now ``tracer``) and the
-``repro.obs/v1`` export.  Simulator host time is measured by
-``perfbench/`` and ``tools/perfbench_ab.py`` (see README "Migrating").
+``repro.obs/v1`` export; v8 drops the execution backends (their
+names, ``SimConfig.backend`` and the enum of refusal reasons): every
+single-stream run takes the core's fast path wherever it is exact.
+Simulator host time is measured by ``perfbench/`` and
+``tools/perfbench_ab.py`` (see README "Migrating").
 
 ``tests/test_api_surface.py`` pins this module's exports; extend
 ``__all__`` deliberately, never remove from it within a major version.
@@ -48,21 +51,22 @@ no entry point used; v7 drops the ``other`` stall category, the
 from __future__ import annotations
 
 import importlib
+import warnings
 from typing import Dict, Optional, Tuple, Union
 
 from repro.experiments.runner import (DEFAULT_INSTRUCTIONS, DEFAULT_WARMUP,
                                       RunResult, run_benchmark)
-from repro.params import (BACKENDS, DEFAULT_SCALE, EnhancementConfig,
-                          SimConfig, default_config, enhancement_preset)
+from repro.params import (DEFAULT_SCALE, EnhancementConfig, SimConfig,
+                          default_config, enhancement_preset)
 from repro.workloads.registry import benchmark_names
 
 #: Version of this facade.  Bumped on compatible additions (minor) and
 #: on breaking changes (major); ``tests/test_api_surface.py`` pins it.
 #: 2.1: telemetry plane (telemetry_snapshot, JobHandle.watch, /metrics).
-#: 2.2: backend-aware surface (``backend=`` on run/bench/submit,
-#: ``BatchStats``/``FallbackReason`` exports, ``RunResult.batch``).
-#: 3.0: ``BatchStats`` drops ``walk_cohort``/``precomputed_walks`` (and
-#: their keys in ``RunSummary.batch`` payloads).
+#: 2.2: backend-aware surface (``backend=`` on run/bench/submit, the
+#: ``BatchStats`` and refusal-reason exports, ``RunResult.batch``).
+#: 3.0: ``BatchStats`` drops its two walk counters (and their keys in
+#: ``RunSummary.batch`` payloads).
 #: 4.0: the timed bench harness (``bench``, its result type and the
 #: ``bench`` job kind) goes, and so do the warn-once v1 runner, cache
 #: and run-key re-exports.
@@ -73,9 +77,12 @@ from repro.workloads.registry import benchmark_names
 #: 6.1: ``RunSummary`` gains ``streams``, ``replay_loads`` and
 #: ``replay_latency_total``; a ``run`` spec may name the ``threads`` of
 #: an SMT pair or the ``cores`` of a multicore mix.
-#: 7.0: ``StallCategory.OTHER`` goes; ``FallbackReason.SAMPLER_TRACER``
-#: becomes ``TRACER``; exports are ``repro.obs/v2``.
-__api_version__ = "7.0"
+#: 7.0: ``StallCategory.OTHER`` goes; the ``sampler_tracer`` refusal
+#: becomes ``tracer``; exports are ``repro.obs/v2``.
+#: 8.0: the backend names, ``SimConfig.backend`` and the refusal-reason
+#: enum go; ``run(backend=...)`` does nothing but warn, once;
+#: ``BatchStats`` drops its histogram of excursions per window.
+__api_version__ = "8.0"
 
 __all__ = [
     # entry points
@@ -88,14 +95,14 @@ __all__ = [
     "ScenarioDoc", "ScenarioError", "ScenarioResult",
     # results
     "RunResult", "RunSummary", "FigureResult",
-    "StallCategory", "BatchStats", "FallbackReason",
+    "StallCategory", "BatchStats",
     # config builders
     "build_config", "enhancement_preset", "default_config", "paper_config",
     "SimConfig", "CacheConfig", "TLBConfig",
     "EnhancementConfig", "IdealConfig",
     # constants
     "DEFAULT_INSTRUCTIONS", "DEFAULT_WARMUP", "DEFAULT_SCALE",
-    "DEFAULT_SAMPLE_INTERVAL", "ENHANCEMENT_PRESET_NAMES", "BACKENDS",
+    "DEFAULT_SAMPLE_INTERVAL", "ENHANCEMENT_PRESET_NAMES",
     "Profiler", "__api_version__",
 ]
 
@@ -111,7 +118,7 @@ _EXPORTS = {name: module for module, names in (
     ("repro.experiments.parallel", ("RunSummary",)),
     ("repro.experiments.figures", ("FigureResult",)),
     ("repro.core.rob", ("StallCategory",)),
-    ("repro.core.fallback", ("BatchStats", "FallbackReason")),
+    ("repro.core.ooo_core", ("BatchStats",)),
     ("repro.params", ("paper_config", "CacheConfig",
                       "TLBConfig", "IdealConfig",
                       "ENHANCEMENT_PRESET_NAMES")),
@@ -136,12 +143,23 @@ def _resolve_enhancements(
     return enhancement_preset(enhancements)
 
 
-def _check_backend(backend: str) -> str:
-    """Validate a ``backend=`` keyword against :data:`BACKENDS`."""
-    if backend not in BACKENDS:
+#: Whether ``run(backend=...)`` has warned in this process.
+_backend_warned = False
+
+
+def _ignore_backend(backend: str) -> None:
+    """``run(backend=...)`` until api 9.0: the two old values are
+    accepted, with one warning per process, and change nothing."""
+    global _backend_warned
+    if backend not in ("python", "numpy"):
         raise ValueError(f"unknown backend {backend!r}; known: "
-                         f"{' '.join(BACKENDS)}")
-    return backend
+                         "python numpy")
+    if not _backend_warned:
+        _backend_warned = True
+        warnings.warn(
+            "run(backend=...) does nothing since api 8.0 and goes in "
+            "9.0: every run takes the core's fast path where it is "
+            "exact", DeprecationWarning, stacklevel=3)
 
 
 def build_config(scale: int = DEFAULT_SCALE, *,
@@ -181,20 +199,17 @@ def run(benchmark: str, *,
     ``enhancements`` (a preset name or :class:`EnhancementConfig`) is a
     shortcut for building ``config``; passing both raises.
 
-    ``backend`` selects the execution core (one of :data:`BACKENDS`):
-    ``"python"`` runs the core with its DTLB-hit/L1D-hit fast path off,
-    ``"numpy"`` with it on -- bit-identical results, different wall
-    clock (see ``docs/performance.md``).  It layers onto ``config``
-    when both are given (``config.with_(backend=...)``), so a shared
-    base config can be run under either backend.  On a ``"numpy"`` run,
-    ``result.batch`` carries the engine's :class:`BatchStats`
-    (fast-path engagement and fallback accounting).
+    The core takes its DTLB-hit/L1D-hit fast path wherever that is
+    exact; ``result.batch`` (:class:`BatchStats`) records how much of
+    the run took it, or why it was refused (see
+    ``docs/performance.md``).  ``backend`` is accepted until api 9.0
+    and does nothing.
 
     Observability: ``sample_interval=N`` attaches the interval sampler
     (``result.intervals``); ``metrics=PATH`` additionally profiles the
     run and writes the schema-validated JSON export there, defaulting the
     interval to :data:`DEFAULT_SAMPLE_INTERVAL`; the sampler runs at
-    slice edges on either backend.  Tracing:
+    slice edges and keeps the fast path on.  Tracing:
     ``trace_sample=N`` attaches the 1-in-N request span tracer
     (``result.tracer``); ``trace=PATH`` writes the schema-validated
     ``repro.obs/trace-v1`` export there, defaulting the sampling to
@@ -207,8 +222,7 @@ def run(benchmark: str, *,
                              "not both")
         config = build_config(scale, enhancements=enh)
     if backend is not None:
-        _check_backend(backend)
-        config = (config or default_config(scale)).with_(backend=backend)
+        _ignore_backend(backend)
     profiler = None
     if metrics is not None:
         from repro.obs.manifest import Profiler

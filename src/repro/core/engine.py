@@ -1,6 +1,5 @@
-"""Core construction and the multi-stream scheduler.
+"""The multi-stream scheduler.
 
-:func:`make_core` picks the single-stream core for ``config.backend``.
 :func:`interleave` runs several instruction streams in (approximate)
 global time order on :class:`~repro.core.ooo_core.OOOCore` slices: SMT
 threads sharing one core, and cores sharing an LLC.
@@ -10,30 +9,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Sequence
 
-from repro.uncore.hierarchy import MemoryHierarchy
-
 if TYPE_CHECKING:
-    # Annotations only: the functions below import the core on use.  At
-    # module level this import cost about 10% more perfbench setup_s on
-    # hit_stream (2-vCPU host, no bytecode cache).
     from repro.core.ooo_core import CoreResult, OOOCore
-
-
-def make_core(config, hierarchy: MemoryHierarchy, cpu_id: int = 0):
-    """Backend-selecting core factory (``config.backend``).
-
-    ``"python"`` builds :class:`OOOCore` with its fast path off;
-    ``"numpy"`` builds :class:`repro.core.batch_engine.BatchCore`, the
-    same core with its inlined DTLB-hit/L1D-hit path on unless the
-    configuration or attached instrumentation demands per-event
-    fidelity.  Multi-stream execution (SMT, multicore) runs
-    :class:`OOOCore` slices, fast path off, through :func:`interleave`.
-    """
-    if config.backend == "numpy":
-        from repro.core.batch_engine import BatchCore
-        return BatchCore(config, hierarchy, cpu_id)
-    from repro.core.ooo_core import OOOCore
-    return OOOCore(config, hierarchy, cpu_id)
 
 
 def interleave(cores: Sequence[OOOCore], traces: Sequence,

@@ -17,10 +17,12 @@ slot an instruction takes holds the retire time of the instruction
 ``rob_entries`` older (0 until the ROB fills, which no dispatch cycle is
 below), so dispatch reads one slot and retire overwrites it.
 
-With :attr:`OOOCore.fast_path` set (the numpy backend,
-:class:`repro.core.batch_engine.BatchCore`), an access that hits both
-the DTLB and the L1D takes an inlined copy of that path's side effects
-instead of ``hierarchy.load``/``store``; see :meth:`OOOCore.run_slice`.
+A single-stream :meth:`OOOCore.run` takes the core's fast path wherever
+it is exact (:func:`fast_path_refusal` names why not): an access that
+hits both the DTLB and the L1D takes an inlined copy of that path's side
+effects instead of ``hierarchy.load``/``store``; see
+:meth:`OOOCore.run_slice`.  :class:`BatchStats` records how much of the
+run took it.
 
 This reproduces the behaviour the paper measures: a 352-entry ROB amortizes
 DTLB misses and short L2 hits, but 200+-cycle replay loads and serial page
@@ -30,8 +32,8 @@ walks stall the head.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Optional
 
 from repro.core.rob import StallAccounting
 from repro.params import LINE_SHIFT, PAGE_SHIFT, SimConfig
@@ -41,8 +43,7 @@ from repro.workloads.trace import KIND_LOAD, KIND_NONMEM
 #: Drain window (instructions): the core reads the trace this many
 #: instructions at a time (``Trace.window``), so a run holds list copies
 #: of one window, not of the whole trace.  The fast path flushes its
-#: deferred counters at the end of each window and of each slice; each
-#: flush is one ``BatchStats`` window.
+#: deferred counters at the end of each window and of each slice.
 WINDOW = 1024
 
 #: :meth:`OOOCore.run_slice` bound that no dispatch clock reaches.
@@ -53,6 +54,85 @@ _PFN_TO_LINE = PAGE_SHIFT - LINE_SHIFT
 
 
 @dataclass
+class BatchStats:
+    """How one :meth:`OOOCore.run` took the fast path (stable api
+    surface: ``RunResult.batch``, and ``RunSummary.batch`` as a dict).
+
+    The counters cover the whole run, warmup included: they describe how
+    it executed, not the region of interest.  ``fallbacks`` is
+    ``{slug: 1}`` when :func:`fast_path_refusal` kept the path off, and
+    then every counter stays zero.
+    """
+
+    #: Trace windows (``WINDOW`` instructions, the last one shorter)
+    #: read with the fast path on; slice ends, such as a sampler's
+    #: edges, do not split them.
+    windows: int = 0
+    #: Instructions run with the fast path on.
+    instructions: int = 0
+    #: Memory accesses completed on the inlined DTLB-hit/L1D-hit path.
+    fast_hits: int = 0
+    #: Fast-path completions that merged with an in-flight MSHR fill.
+    fast_merges: int = 0
+    #: Memory accesses that went through the hierarchy instead.
+    scalar_excursions: int = 0
+    #: The refusal, keyed by its slug.
+    fallbacks: Dict[str, int] = field(default_factory=dict)
+
+    def to_dict(self) -> Dict:
+        """Plain-JSON form (run payloads)."""
+        return asdict(self)
+
+
+def fast_path_refusal(config: SimConfig,
+                      hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why a run on ``hierarchy`` must keep the fast path off, as a slug,
+    or None.
+
+    The fast path writes only the DTLB and L1D LRU stamps, the reused
+    and dirty bits and the MSHR merge count, so a machine or attachment
+    with any other per-hit side effect is refused; its run takes the
+    reference loop for every access and is bit-identical by
+    construction.
+    """
+    if config.huge_page_policy != "none" \
+            or hierarchy.page_table.huge_page_predicate is not None:
+        return "huge_pages"  # a per-access key/sub split
+    if config.comparison != "none" \
+            or hierarchy.mmu.dead_page_predictor is not None:
+        return "comparison"  # predictor side effects
+    l1d = hierarchy.l1d
+    if config.l1d_prefetcher != "none" or l1d.prefetcher is not None \
+            or hierarchy.ipcp is not None:
+        return "l1d_prefetcher"  # per-hit training
+    if l1d.policy.name != "lru":
+        return "l1d_policy"  # the fast path writes LRU stamps
+    if l1d.recall_translation is not None:
+        return "l1d_recall"
+    mmu = hierarchy.mmu
+    dtlb = mmu.dtlb
+    if dtlb.recall is not None or dtlb.observer is not None:
+        return "dtlb_recall"
+    if hierarchy.checker is not None:
+        return "checker"  # per-event hooks
+    if hierarchy.tracer is not None or mmu.tracer is not None:
+        return "tracer"  # per-request hooks
+    # The oracle and some tests wrap hot methods on an instance, with
+    # per-access side effects.  A bound method whose function is not its
+    # class's shows one; a wrapper on the class itself (perfbench's
+    # spans) does not refuse.  Reading the instance ``__dict__`` instead
+    # would build it on CPython 3.11, and the object's attribute reads
+    # would stay slower for the rest of the run.
+    for obj, name in ((hierarchy, "load"), (hierarchy, "store"),
+                      (l1d, "access"), (mmu, "translate"),
+                      (dtlb, "lookup")):
+        if getattr(getattr(obj, name), "__func__", None) \
+                is not getattr(type(obj), name):
+            return "instance_patch"
+    return None
+
+
+@dataclass
 class CoreResult:
     """Outcome of one core run (post-warmup region of interest)."""
 
@@ -60,6 +140,9 @@ class CoreResult:
     cycles: int
     stalls: StallAccounting
     hierarchy: MemoryHierarchy = field(repr=False, default=None)
+    #: How a single-stream :meth:`OOOCore.run` took the fast path;
+    #: None for the streams of :func:`repro.core.engine.interleave`.
+    batch: Optional[BatchStats] = field(repr=False, default=None)
 
     @property
     def ipc(self) -> float:
@@ -74,8 +157,14 @@ class OOOCore:
     recurrence with its state in locals, :meth:`begin_roi` opens the
     region of interest and :meth:`result` reads it.  Between slices the
     state lives on the core, so :func:`repro.core.engine.interleave` can
-    run several cores a slice at a time (SMT threads, multicore).
+    run several cores a slice at a time (SMT threads, multicore), with
+    the fast path off.
     """
+
+    #: Keep the fast path off in :meth:`run`: the reference loop that
+    #: the differential tests and the fuzz driver compare the fast path
+    #: against.  No config field, api keyword or job param sets it.
+    _reference = False
 
     def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy,
                  cpu_id: int = 0):
@@ -86,11 +175,11 @@ class OOOCore:
         self.rob_entries = core.rob_entries
         self.dispatch_width = core.dispatch_width
         self.retire_width = core.retire_width
-        #: Take the inlined DTLB-hit/L1D-hit path.  Only
-        #: :class:`repro.core.batch_engine.BatchCore` sets it, per run,
-        #: where its eligibility checks allow; it also keeps the
-        #: ``batch_stats`` that :meth:`_flush` records into.
+        #: Take the inlined DTLB-hit/L1D-hit path.  :meth:`run` sets it
+        #: per run, with ``batch``, the :class:`BatchStats` that
+        #: :meth:`_flush` records into.
         self.fast_path = False
+        self.batch: Optional[BatchStats] = None
         from repro import validate
         self.checker = validate.maybe_attach_core(self)
 
@@ -103,8 +192,13 @@ class OOOCore:
         :data:`WINDOW` at a time through its ``window`` method.  The run
         is one slice to the warmup edge, the statistics reset, and one
         slice to the end -- or, with an interval sampler attached, one
-        slice to each of its edges.
+        slice to each of its edges.  The fast path is on unless
+        :func:`fast_path_refusal` refuses it; the result's ``batch``
+        records how much of the run took it.
         """
+        reason = fast_path_refusal(self.config, self.hierarchy)
+        self.fast_path = reason is None and not self._reference
+        self.batch = BatchStats(fallbacks={reason: 1} if reason else {})
         self.start(trace, warmup, limit)
         self.run_slice(warmup)
         if not self.counting and warmup < self.total:
@@ -163,7 +257,8 @@ class OOOCore:
         return CoreResult(
             instructions=max(0, self.index - self.warmup),
             cycles=max(1, self.retire_cycle - self.roi_start_cycle),
-            stalls=self.stalls, hierarchy=self.hierarchy)
+            stalls=self.stalls, hierarchy=self.hierarchy,
+            batch=self.batch)
 
     def run_slice(self, stop: int, bound: int = UNBOUNDED) -> None:
         """Execute instructions until the index reaches ``stop`` (at most
@@ -179,10 +274,10 @@ class OOOCore:
         ``hierarchy.load``/``store``.  Its counter adds are deferred
         and flushed at each window's and slice's end, so the warmup
         reset, a sampler edge and :func:`repro.core.engine.interleave`
-        all see them.  :class:`repro.core.batch_engine.BatchCore` sets
-        the flag only on machines without per-hit side effects the
-        path does not model, checkers and tracers among them, so a
-        fast-path access needs neither.
+        all see them.  :meth:`run` sets the flag only where
+        :func:`fast_path_refusal` finds no per-hit side effect the path
+        does not model, checkers and tracers among them, so a fast-path
+        access needs neither.
         """
         trace = self.trace
         total = self.total
@@ -241,6 +336,7 @@ class OOOCore:
                     flushed = i
                     n_fast = n_fast_loads = n_merges = n_excursions = 0
                     hit_ok = _hits_plain(l1d_store)
+                    self.batch.windows += 1
                 lo = i
                 hi = lo + WINDOW
                 if hi > total:
@@ -389,7 +485,7 @@ class OOOCore:
     def _flush(self, instructions: int, fast: int, fast_loads: int,
                merges: int, excursions: int) -> None:
         """Add the fast path's deferred counters, ``fast`` accesses of
-        them ``fast_loads`` loads, to the hierarchy; record the window."""
+        them ``fast_loads`` loads, to the hierarchy and to ``batch``."""
         if instructions == 0:
             return
         hierarchy = self.hierarchy
@@ -411,8 +507,11 @@ class OOOCore:
             stats.hits["non_replay"] += fast
         if merges:
             hierarchy.l1d.mshr.merges += merges
-        self.batch_stats.record_window(instructions, fast, merges,
-                                       excursions)
+        batch = self.batch
+        batch.instructions += instructions
+        batch.fast_hits += fast
+        batch.fast_merges += merges
+        batch.scalar_excursions += excursions
 
 
 def _hits_plain(store) -> bool:

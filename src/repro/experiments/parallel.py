@@ -175,10 +175,8 @@ class RunSummary:
     #: ROI ``instructions`` and ``cycles`` of each stream (one entry
     #: for a single benchmark).
     streams: List[Dict[str, int]] = field(default_factory=list)
-    #: ``BatchStats.to_dict()`` from a ``backend="numpy"`` run
-    #: (fast-path engagement / fallback accounting); empty for
-    #: scalar runs.  Rides the snapshot so the sweep service can feed
-    #: the batch telemetry series without holding live objects.
+    #: ``BatchStats.to_dict()``: how the run took the core's fast
+    #: path, or why it was refused; empty for a mix.
     batch: Dict = field(default_factory=dict)
 
     # -- construction ----------------------------------------------------
@@ -232,8 +230,7 @@ class RunSummary:
             streams=[{"instructions": core.instructions,
                       "cycles": core.cycles}
                      for core in run.streams or [run.core]],
-            batch=(run.batch.to_dict()
-                   if getattr(run, "batch", None) is not None else {}))
+            batch=run.batch.to_dict() if run.batch is not None else {})
 
     # -- RunResult-compatible accessors ----------------------------------
     @property

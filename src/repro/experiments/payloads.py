@@ -24,8 +24,6 @@ def run_config(params: Dict, scale: int):
         for name, value in (params.get("config") or {}).items()}
     if overrides:
         cfg = cfg.with_(**overrides)
-    if params.get("backend"):
-        cfg = cfg.with_(backend=params["backend"])
     return cfg
 
 

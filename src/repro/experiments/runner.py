@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.engine import make_core
-from repro.core.ooo_core import CoreResult
+from repro.core.ooo_core import CoreResult, OOOCore
 from repro.core.rob import StallCategory
 from repro.params import DEFAULT_SCALE, SimConfig, default_config
 from repro.uncore.hierarchy import MemoryHierarchy
@@ -41,10 +40,6 @@ class RunResult:
     profiler: Optional[object] = field(repr=False, default=None)
     #: Attached only on traced runs (``trace_sample=...``).
     tracer: Optional[object] = field(repr=False, default=None)
-    #: Vectorization engagement/fallback accounting
-    #: (:class:`repro.core.fallback.BatchStats`); ``None`` on scalar
-    #: (``backend="python"``) runs.
-    batch: Optional[object] = field(repr=False, default=None)
     #: Every stream's :class:`CoreResult` of a mix (``core`` is stream
     #: 0's); empty for one benchmark.
     streams: List[CoreResult] = field(repr=False, default_factory=list)
@@ -61,6 +56,12 @@ class RunResult:
     @property
     def instructions(self) -> int:
         return self.core.instructions
+
+    @property
+    def batch(self):
+        """How the run took the core's fast path
+        (:class:`repro.core.ooo_core.BatchStats`); None for a mix."""
+        return self.core.batch
 
     def speedup_over(self, baseline: "RunResult") -> float:
         return baseline.cycles / self.cycles
@@ -155,31 +156,6 @@ class RunResult:
         return export_trace(path, self.trace_document())
 
 
-@dataclass
-class MultiSeedResult:
-    """Aggregate of one benchmark simulated under several trace seeds."""
-
-    benchmark: str
-    runs: list = field(repr=False, default_factory=list)
-
-
-def run_benchmark_multi(name: str, seeds,
-                        config: Optional[SimConfig] = None,
-                        instructions: int = DEFAULT_INSTRUCTIONS,
-                        warmup: int = DEFAULT_WARMUP,
-                        scale: int = DEFAULT_SCALE) -> MultiSeedResult:
-    """Simulate one benchmark under several trace seeds.
-
-    Reduced-scale single runs carry sampling noise; aggregating over
-    seeds separates mechanism effects from trace luck."""
-    runs = [run_benchmark(name, config=config, instructions=instructions,
-                          warmup=warmup, scale=scale, seed=seed)
-            for seed in seeds]
-    if not runs:
-        raise ValueError("need at least one seed")
-    return MultiSeedResult(benchmark=name, runs=runs)
-
-
 def _phase(profiler, name: str):
     """``profiler.phase(name)`` or a no-op scope when unobserved."""
     if profiler is None:
@@ -210,7 +186,7 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
     it implies runs at ``sample_interval`` when both are given, else at
     the forwarder's own interval.  All default to off.  The sampler
     runs at slice edges, so a sampled or forwarding run executes the
-    same per-instruction code as a plain one, on either backend.
+    same per-instruction code as a plain one.
     """
     cfg = config or default_config(scale)
     with _phase(profiler, "trace"):
@@ -218,7 +194,7 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
                            seed=seed)
     with _phase(profiler, "build"):
         hierarchy = MemoryHierarchy(cfg)
-        core = make_core(cfg, hierarchy)
+        core = OOOCore(cfg, hierarchy)
     sampler = None
     if sample_interval is not None or progress is not None:
         from repro.obs.sampler import IntervalSampler
@@ -240,8 +216,7 @@ def run_benchmark(name: str, config: Optional[SimConfig] = None,
         hierarchy.checker.final_check()
     return RunResult(benchmark=name, config=cfg, core=result, seed=seed,
                      warmup=warmup, scale=scale, sampler=sampler,
-                     profiler=profiler, tracer=tracer,
-                     batch=getattr(core, "batch_stats", None))
+                     profiler=profiler, tracer=tracer)
 
 
 def run_mix(threads: Optional[Sequence[str]] = None,

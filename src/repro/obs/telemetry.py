@@ -144,28 +144,6 @@ class Histogram(_Metric):
                     return
             self._counts[-1] += 1
 
-    def observe_bucketed(self, counts: Sequence[int],
-                         sum_: float = 0.0) -> None:
-        """Merge pre-bucketed observations in one locked add.
-
-        ``counts`` are per-bucket (non-cumulative) observation counts,
-        one per bound plus the trailing overflow bucket -- the shape
-        :data:`repro.core.fallback.BatchStats.cohort_sizes` accumulates.
-        Bulk producers bucket at source; folding their histograms in
-        element-wise costs one lock instead of one per observation.
-        """
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"expected {len(self._counts)} bucket counts "
-                f"(got {len(counts)})")
-        with self._lock:
-            total = 0
-            for i, n in enumerate(counts):
-                self._counts[i] += n
-                total += n
-            self._count += total
-            self._sum += sum_
-
     def series(self) -> Dict:
         with self._lock:
             cumulative = []

@@ -27,13 +27,6 @@ VA_BITS = 57
 #: Capacity divisor used by :func:`default_config`.
 DEFAULT_SCALE = 16
 
-#: Simulation backends selectable via ``SimConfig.with_(backend=...)``.
-#: Both run the core's one drain loop: ``python`` with its inlined
-#: DTLB-hit/L1D-hit fast path off, ``numpy`` with it on, which is
-#: required to be bit-identical (``tests/test_backend_parity.py``,
-#: ``repro.validate``).
-BACKENDS = ("python", "numpy")
-
 
 @dataclass
 class CacheConfig:
@@ -261,18 +254,7 @@ class SimConfig:
     stlb_fill_latency: int = 2
     #: Track recall distances (Figs 5/7/18); small runtime cost.
     track_recall: bool = True
-    #: Simulation backend: "python" (the core's fast path off) or
-    #: "numpy" (on: DTLB-hit/L1D-hit accesses retire inline, everything
-    #: else takes a scalar excursion).  Both are bit-identical by
-    #: construction and by test.
-    backend: str = "python"
     seed: int = 1
-
-    def __post_init__(self):
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; known: "
-                f"{' '.join(BACKENDS)}")
 
     def with_(self, **overrides) -> "SimConfig":
         """Return a copy with the given fields overridden.

@@ -101,7 +101,7 @@ def cmd_submit(args) -> int:
     if args.priority is not None:
         body["priority"] = args.priority
     for name in ("benchmark", "scenario", "figure", "enhancements",
-                 "backend", "instructions", "warmup", "scale", "seed"):
+                 "instructions", "warmup", "scale", "seed"):
         value = getattr(args, name, None)
         if value is not None:
             body[name] = value
@@ -204,7 +204,6 @@ def add_service_parsers(sub) -> None:
     p_submit.add_argument("--runs", nargs="*", default=None,
                           help="benchmarks of a sweep's child runs")
     p_submit.add_argument("--enhancements", default=None)
-    p_submit.add_argument("--backend", default=None)
     p_submit.add_argument("--instructions", type=int_at_least(1),
                           default=None)
     p_submit.add_argument("--warmup", type=int_at_least(0), default=None)

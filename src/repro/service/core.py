@@ -269,24 +269,6 @@ class SweepService:
         self._run_hist = reg.histogram(
             "repro_job_run_seconds",
             help="Execution latency (first RUNNING to terminal)")
-        # Batch-backend engagement: fed from the BatchStats dict riding
-        # run payloads (RunSummary.batch).  Every fallback reason is
-        # pre-registered so /metrics exposes the full label set from the
-        # first scrape, zeros included.
-        from repro.core.fallback import COHORT_BUCKETS, FallbackReason
-        self._batch_windows = reg.counter(
-            "repro_batch_windows_total",
-            help="Windows drained with the core's fast path on")
-        self._batch_fallbacks = {
-            reason.value: reg.counter(
-                "repro_batch_fallback_total",
-                help="Runs refused by the batch path, by reason",
-                labels={"reason": reason.value})
-            for reason in FallbackReason}
-        self._cohort_hist = reg.histogram(
-            "repro_batch_miss_cohort_size",
-            help="Scalar-excursion cohort size per drained window",
-            buckets=[float(b) for b in COHORT_BUCKETS])
 
     def _count_state(self, status: JobStatus) -> int:
         return sum(1 for job in self._jobs.values()
@@ -590,7 +572,6 @@ class SweepService:
                 self._fail(job, f"{type(exc).__name__}: {exc}")
                 return
             else:
-                self._record_batch_telemetry(payload)
                 self._emit_final_progress(job, payload)
                 self._done(job, payload)
                 return
@@ -686,34 +667,6 @@ class SweepService:
         self._progress_events.inc()
         job.events.emit(kind="job-progress", job=job_id, **row)
         self._log.emit("job-progress", job=job_id, **row)
-
-    def _record_batch_telemetry(self, payload) -> None:
-        """Fold a run payload's ``batch`` dict into the batch series.
-
-        Scalar-backend payloads carry an empty dict and non-run payloads
-        none at all; both are no-ops, so the series move exactly when a
-        ``backend="numpy"`` run completes.  Unknown fallback reasons
-        (from a payload recorded by a newer code version) are skipped
-        rather than crashing the job loop.
-        """
-        if not isinstance(payload, dict):
-            return
-        batch = payload.get("batch")
-        if not isinstance(batch, dict) or not batch:
-            return
-        windows = int(batch.get("windows") or 0)
-        if windows:
-            self._batch_windows.inc(windows)
-        for reason, n in (batch.get("fallbacks") or {}).items():
-            counter = self._batch_fallbacks.get(reason)
-            if counter is not None and n:
-                counter.inc(int(n))
-        sizes = batch.get("cohort_sizes")
-        if isinstance(sizes, list) \
-                and len(sizes) == len(self._cohort_hist.buckets) + 1:
-            self._cohort_hist.observe_bucketed(
-                [int(n) for n in sizes],
-                sum_=float(batch.get("scalar_excursions") or 0))
 
     def _emit_final_progress(self, job: Job, payload) -> None:
         """One authoritative ``final`` row from the stored payload.

@@ -114,13 +114,10 @@ class JobSpec:
             doc = resolve_scenario(p["scenario"]) \
                 or load_scenario(p["scenario"])
             scale = int(p.get("scale", doc.scale))
-            config = default_config(scale)
-            if p.get("backend"):
-                config = config.with_(backend=p["backend"])
             return scenario_key(
                 doc, instructions=p.get("instructions"),
                 warmup=p.get("warmup"), scale=scale, seed=p.get("seed"),
-                config=config)
+                config=default_config(scale))
         return None
 
     @cached_property
@@ -170,10 +167,9 @@ def _validate(kind: str, params: Dict) -> None:
                                f"{'positive' if least else 'non-negative'}"
                                f" integer, got {value!r}")
     if "backend" in params:
-        from repro.params import BACKENDS
-        if params["backend"] not in BACKENDS:
-            raise JobError(f"unknown backend {params['backend']!r}; "
-                           f"known: {' '.join(BACKENDS)}")
+        raise JobError("the 'backend' param was removed in api 8.0: "
+                       "every run takes the core's fast path where it "
+                       "is exact")
     if kind == "sweep":
         runs = params["runs"]
         if not isinstance(runs, (list, tuple)) or not runs:
@@ -235,8 +231,7 @@ def point_spec(key: RunKey) -> JobSpec:
                     scale=key.scale, seed=key.seed)
     config = _changed(key.config, default_config(key.scale))
     if key.scenario is not None:
-        spec = JobSpec.make("scenario", scenario=key.benchmark,
-                            backend=config.get("backend"), **geometry)
+        spec = JobSpec.make("scenario", scenario=key.benchmark, **geometry)
     elif key.threads or key.cores:
         spec = JobSpec.make("run", threads=key.threads, cores=key.cores,
                             config=config or None, **geometry)

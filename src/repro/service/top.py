@@ -54,40 +54,6 @@ def _job_line(job: Dict, width: int) -> str:
     return (head + " " + detail)[:width]
 
 
-def _batch_line(health: Dict) -> Optional[str]:
-    """Batch-backend engagement summary from the telemetry series.
-
-    Returns ``None`` until any batch series has moved (scalar-only
-    services keep the dashboard unchanged).
-    """
-    series = (health.get("telemetry") or {}).get("series") or []
-    windows = 0
-    fallbacks: Dict[str, int] = {}
-    cohort_count = cohort_sum = 0
-    for entry in series:
-        name = entry.get("name")
-        if name == "repro_batch_windows_total":
-            windows = entry.get("value", 0)
-        elif name == "repro_batch_fallback_total":
-            value = entry.get("value", 0)
-            if value:
-                reason = entry.get("labels", {}).get("reason", "?")
-                fallbacks[reason] = value
-        elif name == "repro_batch_miss_cohort_size":
-            cohort_count = entry.get("count", 0)
-            cohort_sum = entry.get("sum", 0)
-    if not windows and not fallbacks:
-        return None
-    line = f" batch windows {windows}"
-    if cohort_count:
-        line += f"  miss-cohort avg {cohort_sum / cohort_count:.1f}"
-    if fallbacks:
-        top_reason = max(fallbacks, key=fallbacks.get)
-        line += (f"  fallbacks {sum(fallbacks.values())}"
-                 f" (top: {top_reason})")
-    return line
-
-
 def render_dashboard(health: Dict, jobs: List[Dict], width: int = 100,
                      limit: int = 20, clock: Optional[float] = None) -> str:
     """One dashboard frame as a plain string (no ANSI codes).
@@ -118,9 +84,6 @@ def render_dashboard(health: Dict, jobs: List[Dict], width: int = 100,
          f"rejected {metrics.get('rejected', 0)}  "
          f"progress-rows {gauges.get('progress_events', 0)}  "
          f"dropped {gauges.get('events_dropped', 0)}")[:width])
-    batch = _batch_line(health)
-    if batch is not None:
-        lines.append(batch[:width])
     lines.append("-" * min(width, 100))
     ordered = sorted(
         jobs, key=lambda j: (_STATUS_ORDER.get(j.get("status"), 9),

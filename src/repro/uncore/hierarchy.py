@@ -15,6 +15,7 @@ via ``shared_llc``/``shared_dram``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,7 +97,11 @@ class MemoryHierarchy:
                          ideal_replays=ideal.l2c_replays)
         self.l1d = Cache(config.l1d, self.l2c)
         if config.llc_inclusion == "inclusive":
-            self.llc.back_invalidate_targets.extend([self.l2c, self.l1d])
+            # Weak: the levels' ``next_level`` chain already leads down
+            # to the LLC, and a cycle would keep a finished run's caches
+            # alive until a full collection.  The hierarchy owns them.
+            self.llc.back_invalidate_targets.extend(
+                [weakref.proxy(self.l2c), weakref.proxy(self.l1d)])
         elif config.llc_inclusion != "non_inclusive":
             raise ValueError(
                 f"unknown inclusion policy {config.llc_inclusion!r}")

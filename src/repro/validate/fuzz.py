@@ -12,12 +12,12 @@ Everything is seeded: the same seed always produces the same stream,
 variant and outcome, so CI failures replay locally with
 ``python -m repro.validate.fuzz <seed>`` or by pasting the generated test.
 
-The execution backend (``SimConfig.backend``) is a fuzzed dimension too:
-every stream additionally runs through the core's one drain loop with
-its DTLB-hit/L1D-hit fast path on (``numpy``) and off (``python``),
-checkers *off* so the fast path engages wherever the variant allows it,
-and any counter divergence (:func:`repro.validate.oracle.diff_counters`)
-shrinks through the same ddmin reducer as an invariant violation.
+The core's fast path is a fuzzed dimension too: every stream
+additionally runs through the core's one drain loop with its
+DTLB-hit/L1D-hit fast path on and off (the reference loop), checkers
+*off* so the fast path engages wherever the variant allows it, and any
+counter divergence (:func:`repro.validate.oracle.diff_counters`) shrinks
+through the same ddmin reducer as an invariant violation.
 """
 
 from __future__ import annotations
@@ -160,29 +160,29 @@ def run_case(case: FuzzCase) -> HierarchyChecker:
 
 
 def compare_backends(case: FuzzCase) -> dict:
-    """The backend axis: run one stream through the core's one loop with
-    the fast path on (``numpy``) and off (``python``) and return the
-    counter divergence (empty dict == parity).
+    """The fast-path axis: run one stream through the core's reference
+    loop and with its fast path on, and return the counter divergence
+    (empty dict == parity).
 
     Unlike :func:`run_case`, no checker stack is attached -- a checker
-    keeps :class:`repro.core.batch_engine.BatchCore`'s fast path off,
-    which would reduce this comparison to off against off.  The
-    comparison surface is the full flattened counter dict of
-    :func:`repro.validate.oracle.hierarchy_counters` plus
+    refuses the fast path, which would reduce this comparison to off
+    against off.  The comparison surface is the full flattened counter
+    dict of :func:`repro.validate.oracle.hierarchy_counters` plus
     retired-instruction/cycle/stall accounting.
     """
-    from repro.core.engine import make_core
+    from repro.core.ooo_core import OOOCore
     from repro.uncore.hierarchy import MemoryHierarchy
     from repro.validate.oracle import diff_counters, hierarchy_counters
 
     trace = ops_to_trace(case.ops)
-    counters = {}
-    for backend in ("python", "numpy"):
-        cfg = build_config(case.variant).with_(backend=backend)
+    cfg = build_config(case.variant)
+    counters = []
+    for reference in (True, False):
         hierarchy = MemoryHierarchy(cfg)
-        result = make_core(cfg, hierarchy).run(trace)
-        counters[backend] = hierarchy_counters(hierarchy, result)
-    return diff_counters(counters["python"], counters["numpy"])
+        core = OOOCore(cfg, hierarchy)
+        core._reference = reference
+        counters.append(hierarchy_counters(hierarchy, core.run(trace)))
+    return diff_counters(*counters)
 
 
 def shrink(case: FuzzCase, max_probes: int = 400,
@@ -191,9 +191,9 @@ def shrink(case: FuzzCase, max_probes: int = 400,
     failure persists, halving the chunk size until single ops remain.
 
     ``fails_predicate`` (FuzzCase -> bool) selects what counts as a
-    failure; the default is the invariant-checker stack.  The backend
+    failure; the default is the invariant-checker stack.  The fast-path
     axis passes ``lambda sub: bool(compare_backends(sub))`` so the same
-    reducer shrinks cross-backend divergence."""
+    reducer shrinks fast-path divergence."""
     ops = list(case.ops)
     probes = 0
     predicate = fails_predicate or \
@@ -246,13 +246,14 @@ def test_fuzz_regression_seed_{case.seed}():
 
 
 def format_divergence(case: FuzzCase, diff: dict) -> str:
-    """A ready-to-paste pytest regression test for a backend divergence."""
+    """A ready-to-paste pytest regression test for a fast-path
+    divergence."""
     ops_lines = "\n".join(f"        {op!r}," for op in case.ops)
-    keys = "; ".join(f"{k}: python={a} numpy={b}"
+    keys = "; ".join(f"{k}: reference={a} fast={b}"
                      for k, (a, b) in list(diff.items())[:3])
     return f'''
 # --- auto-generated minimal reproducer (paste into tests/) -------------
-def test_fuzz_backend_divergence_seed_{case.seed}():
+def test_fuzz_fast_path_divergence_seed_{case.seed}():
     """Shrunk from fuzz seed {case.seed} ({case.variant} variant).
 
     Diverging counter(s): {keys}
@@ -273,7 +274,7 @@ def fuzz_range(first_seed: int, count: int,
     every failure (empty list when all streams are clean).
 
     Each seed runs twice: once through the invariant-checker + oracle
-    stack, and once as the fast-path-on-vs-off backend differential."""
+    stack, and once as the fast-path-on-vs-off differential."""
     reports: List[str] = []
     for seed in range(first_seed, first_seed + count):
         case = make_case(seed)

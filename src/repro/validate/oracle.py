@@ -162,16 +162,16 @@ class CacheOracle:
 
 
 # ----------------------------------------------------------------------
-# Cross-backend differential comparison
+# Fast-path differential comparison
 # ----------------------------------------------------------------------
 def hierarchy_counters(hierarchy, core_result=None) -> Dict[str, int]:
     """Flatten every architectural counter into one ``{name: int}`` dict.
 
-    This is the comparison surface of the cross-backend oracle: two
-    simulations of the same trace under different execution backends
-    (``SimConfig.backend``) must produce *identical* dicts -- the batch
-    backend's contract is bit-identity, not statistical closeness.  Used
-    by ``tests/test_backend_parity.py`` and the ``backend`` axis of
+    This is the comparison surface of the fast-path oracle: a simulation
+    of a trace with the core's fast path on and one on its reference
+    loop must produce *identical* dicts -- the fast path's contract is
+    bit-identity, not statistical closeness.  Used by
+    ``tests/test_backend_parity.py`` and the fast-path axis of
     :mod:`repro.validate.fuzz`.
 
     ``core_result`` (a :class:`repro.core.ooo_core.CoreResult`) extends

@@ -25,9 +25,9 @@ class TLB:
         # Per-set: vpn -> lru timestamp; capacity num_ways.
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._frames: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
-        # Plain int so the batch backend can bulk fast-forward it; the
-        # increment-then-stamp sequence below yields the exact values the
-        # old ``itertools.count(1)`` produced.
+        # Plain int so the core's fast path can advance it in a local;
+        # the increment-then-stamp sequence below yields the exact values
+        # the old ``itertools.count(1)`` produced.
         self._clock = 0
         self.accesses = 0
         self.hits = 0

@@ -7,13 +7,14 @@ promoted job submission (``submit``/``JobHandle``/``JobStatus``/
 run-key classes to warn-once compatibility re-exports; v4 removed those
 three and the timed bench harness; v5 removed the runner knob and the
 policy-spelling shim; v6 removed the in-process job client and
-``trace_diff``.
+``trace_diff``; v8 removed the execution backends.
 """
 
 import ast
 import asyncio
 import dataclasses
 import inspect
+import warnings
 
 import pytest
 
@@ -102,7 +103,7 @@ def test_api_trace_returns_valid_document():
 # v1.1 additions: frozen SimConfig, facade-only CLI
 # ----------------------------------------------------------------------
 def test_api_version_pinned():
-    assert api.__api_version__ == "7.0"
+    assert api.__api_version__ == "8.0"
     assert "__api_version__" in api.__all__
 
 
@@ -165,21 +166,6 @@ def test_v12_exports_present():
 
 
 # ----------------------------------------------------------------------
-# v1.3 additions: execution backends (scalar reference vs vectorized)
-# ----------------------------------------------------------------------
-def test_v13_exports_present():
-    assert "BACKENDS" in api.__all__
-    assert api.BACKENDS == ("python", "numpy")
-
-
-def test_build_config_accepts_backend_override():
-    cfg = api.build_config(backend="numpy")
-    assert cfg.backend == "numpy"
-    with pytest.raises(ValueError, match="backend"):
-        api.build_config(backend="fortran")
-
-
-# ----------------------------------------------------------------------
 # v2.0: job surface promoted, v1 internals demoted (docs/service.md)
 # ----------------------------------------------------------------------
 def test_v2_job_surface_present():
@@ -233,6 +219,20 @@ def test_v6_removed_names_raise_attribute_error():
         assert not hasattr(repro.service, name)
 
 
+def test_v8_removed_names_raise_attribute_error():
+    """v8 removed the execution backends (v1.3's ``BACKENDS``, v2.2's
+    ``FallbackReason`` and ``SimConfig.backend``): every single-stream
+    run takes the core's fast path wherever it is exact."""
+    for name in ("BACKENDS", "FallbackReason"):
+        assert name not in api.__all__
+        with pytest.raises(AttributeError, match=name):
+            getattr(api, name)
+    assert "backend" not in {f.name for f in
+                             dataclasses.fields(api.SimConfig)}
+    with pytest.raises(TypeError, match="backend"):
+        api.build_config(backend="numpy")
+
+
 def test_unknown_api_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         api.no_such_name
@@ -270,29 +270,40 @@ def test_submit_roundtrip_matches_direct_run(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# v2.2 additions: backend-aware surface
+# v2.2 additions: fast-path engagement (v8: one core, no backends)
 # ----------------------------------------------------------------------
 def test_v22_exports_present():
-    assert {"BatchStats", "FallbackReason", "BACKENDS"} <= set(api.__all__)
+    assert "BatchStats" in api.__all__
 
 
-def test_run_backend_keyword():
-    scalar = api.run("tc", instructions=2_000, warmup=500)
-    vector = api.run("tc", instructions=2_000, warmup=500,
-                     backend="numpy")
-    # Bit-identical results; the batch record only on the numpy run.
-    assert vector.summary() == scalar.summary()
-    assert scalar.batch is None
-    assert isinstance(vector.batch, api.BatchStats)
-    assert vector.batch.windows > 0 and not vector.batch.fell_back
-    assert vector.config.backend == "numpy"
+def test_run_backend_keyword(monkeypatch):
+    """Until api 9.0, ``backend=`` is accepted, warns once per process
+    and changes nothing: not the config, not the results."""
+    monkeypatch.setattr(api, "_backend_warned", False)
+    cfg = api.build_config(enhancements="full")
+    plain = api.run("tc", config=cfg, instructions=2_000, warmup=500)
+    with pytest.warns(DeprecationWarning, match="backend"):
+        python = api.run("tc", config=cfg, instructions=2_000,
+                         warmup=500, backend="python")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        numpy = api.run("tc", config=cfg, instructions=2_000, warmup=500,
+                        backend="numpy")
+    for result in (python, numpy):
+        assert result.summary() == plain.summary()
+        assert result.batch == plain.batch
+    assert isinstance(plain.batch, api.BatchStats)
+    assert plain.batch.windows > 0 and plain.batch.fallbacks == {}
 
 
+@pytest.mark.filterwarnings("ignore:run\\(backend=:DeprecationWarning")
 def test_run_backend_layers_onto_config():
+    """``backend=`` layered a backend onto ``config`` until api 8.0;
+    now the config a run reports is the one it was given."""
     cfg = api.build_config(enhancements="full")
     result = api.run("tc", config=cfg, instructions=2_000, warmup=500,
                      backend="numpy")
-    assert result.config.backend == "numpy"
+    assert result.config is cfg
     assert result.config.enhancements.tempo
 
 
@@ -302,27 +313,23 @@ def test_run_rejects_unknown_backend():
 
 
 def test_submit_validates_backend():
+    """A job that still names a backend is refused, and told why."""
     from repro.service.jobs import JobError, JobSpec
-    spec = JobSpec.make("run", benchmark="tc", backend="numpy")
-    assert spec.to_dict()["backend"] == "numpy"
-    assert spec.run_key().config.backend == "numpy"
-    with pytest.raises(JobError, match="unknown backend"):
-        JobSpec.make("run", benchmark="tc", backend="fortran")
-    with pytest.raises(JobError, match="unknown backend"):
-        JobSpec.make("sweep", runs=["tc"], backend="fortran")
+    for kind, params in (("run", {"benchmark": "tc"}),
+                         ("sweep", {"runs": ["tc"]}),
+                         ("scenario", {"scenario": "SYN-01-STLB-THRASH"})):
+        with pytest.raises(JobError, match="removed in api 8.0"):
+            JobSpec.make(kind, backend="numpy", **params)
 
 
 def test_batchstats_is_stable_dataclass():
-    stats = api.BatchStats()
-    assert not stats.fell_back and stats.excursion_fraction == 0.0
-    stats.record_window(1024, fast_hits=700, fast_merges=10,
-                        scalar_excursions=300)
-    stats.record_fallback(api.FallbackReason.HUGE_PAGES)
+    stats = api.BatchStats(windows=1, instructions=1024, fast_hits=700,
+                           fast_merges=10, scalar_excursions=300,
+                           fallbacks={"huge_pages": 1})
     doc = stats.to_dict()
-    assert {"windows", "instructions", "fast_hits", "fast_merges",
-            "scalar_excursions", "fallbacks", "cohort_buckets",
-            "cohort_sizes"} == set(doc)
-    assert doc["fallbacks"] == {"huge_pages": 1}
-    assert sum(doc["cohort_sizes"]) == 1
+    assert doc == {"windows": 1, "instructions": 1024, "fast_hits": 700,
+                   "fast_merges": 10, "scalar_excursions": 300,
+                   "fallbacks": {"huge_pages": 1}}
+    assert doc["fallbacks"] is not stats.fallbacks
 
 

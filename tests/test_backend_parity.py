@@ -1,20 +1,25 @@
-"""Cross-backend differential harness: ``numpy`` must be bit-identical.
+"""Fast-path differential harness: the fast path must be bit-identical.
 
-The numpy backend (:class:`repro.core.batch_engine.BatchCore`) runs the
-core's one drain loop with its inlined DTLB-hit/L1D-hit path on; the
-python backend runs it with that path off.  The promise is
-*bit-identity* -- not statistical closeness.  This suite pins it three
-ways:
+``OOOCore.run`` runs the core's one drain loop with its inlined
+DTLB-hit/L1D-hit path on wherever :func:`fast_path_refusal` allows;
+the core's private ``_reference`` switch keeps the path off, which is
+the reference loop.  The promise is *bit-identity* -- not statistical
+closeness.  This suite pins it three ways:
 
 * a 23-configuration oracle matrix (benchmark x enhancement stack x
   replacement x inclusion x huge pages x prefetchers x ideal/comparison
   modes x ROI geometry) compared on the full flattened counter surface
   of :func:`repro.validate.oracle.hierarchy_counters`;
-* every checked-in ``SYN-*`` / ``RL-*`` scenario document, run under
-  both backends through :func:`repro.scenarios.run_scenario`;
+* every checked-in ``SYN-*`` / ``RL-*`` scenario document, run both
+  ways through :func:`repro.scenarios.run_scenario`;
 * an engagement check that the eligible matrix rows really took the
   fast path, and sent every other access through the hierarchy (a
-  backend that silently never takes it would pass any parity test).
+  fast path that silently never runs would pass any parity test).
+
+It also pins what refuses the fast path, and that asking costs the
+run nothing.  Tests parametrized over the two loops keep the ids of
+the backends that once selected them: ``python`` is the reference
+loop, ``numpy`` the default one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.engine import make_core
+from repro.core.ooo_core import OOOCore, fast_path_refusal
 from repro.params import SimConfig, default_config
 from repro.scenarios import list_scenarios, load_scenario, run_scenario
 from repro.uncore.hierarchy import MemoryHierarchy
@@ -42,10 +47,9 @@ def _cfg(scale=64, **overrides) -> SimConfig:
 
 
 #: The oracle matrix: (name, base config, benchmark, instructions,
-#: warmup, seed).  ``vector`` marks rows the batch backend should run
-#: without falling back to the scalar core (used by the engagement
-#: check); fallback rows still assert parity -- trivially for the
-#: counters, non-trivially for the routing logic.
+#: warmup, seed).  ``vector`` marks rows that should take the fast path
+#: (used by the engagement check); refused rows still assert parity --
+#: trivially for the counters, non-trivially for the routing logic.
 MATRIX = [
     # -- baselines across benchmarks, varied ROI geometry --------------
     ("pr-base", _cfg(), "pr", 4000, 500, 1, True),
@@ -114,24 +118,23 @@ MISS_MATRIX = [
                          MISS_MATRIX, ids=[row[0] for row in MISS_MATRIX])
 def test_miss_dominated_bit_identical(name, cfg, bench, instructions,
                                       warmup, seed):
-    scalar, _ = _run(cfg.with_(backend="python"), bench,
-                     instructions, warmup, seed)
-    vector_counters, core = _run(cfg.with_(backend="numpy"), bench,
-                                 instructions, warmup, seed)
+    scalar, _ = _run(cfg, bench, instructions, warmup, seed,
+                     reference=True)
+    vector_counters, core = _run(cfg, bench, instructions, warmup, seed)
     assert diff_counters(scalar, vector_counters) == {}
     _assert_engaged(core)
     # Miss-domination is the point of these rows: the drain must have
     # taken scalar excursions and walked, otherwise the excursion path
     # and the descent memo went untested.
-    assert core.batch_stats.scalar_excursions > 0
+    assert core.batch.scalar_excursions > 0
     assert core.hierarchy.mmu.walker.walks > 0
 
 
 def _assert_engaged(core) -> None:
     """The run took the fast path, and every load and store of the
     trace took either it or the hierarchy."""
-    assert core.last_fallback_reason is None
-    stats = core.batch_stats
+    stats = core.batch
+    assert stats.fallbacks == {}
     kinds = core.trace.kinds[:core.total]
     assert stats.fast_hits > 0
     assert stats.fast_hits + stats.scalar_excursions \
@@ -139,12 +142,14 @@ def _assert_engaged(core) -> None:
 
 
 def _run(config: SimConfig, bench: str, instructions: int,
-         warmup: int, seed: int):
-    """One direct core run; returns (counter dict, core object)."""
+         warmup: int, seed: int, reference: bool = False):
+    """One direct core run, on the reference loop or the default one;
+    returns (counter dict, core object)."""
     trace = make_trace(bench, instructions + warmup,
                        scale=config_scale(config), seed=seed)
     hierarchy = MemoryHierarchy(config)
-    core = make_core(config, hierarchy)
+    core = OOOCore(config, hierarchy)
+    core._reference = reference
     result = core.run(trace, warmup=warmup)
     return hierarchy_counters(hierarchy, result), core
 
@@ -159,35 +164,29 @@ def config_scale(config: SimConfig) -> int:
     MATRIX, ids=[row[0] for row in MATRIX])
 def test_oracle_matrix_bit_identical(name, cfg, bench, instructions,
                                      warmup, seed, vector):
-    scalar, _ = _run(cfg.with_(backend="python"), bench,
-                     instructions, warmup, seed)
-    vector_counters, core = _run(cfg.with_(backend="numpy"), bench,
-                                 instructions, warmup, seed)
+    scalar, _ = _run(cfg, bench, instructions, warmup, seed,
+                     reference=True)
+    vector_counters, core = _run(cfg, bench, instructions, warmup, seed)
     assert diff_counters(scalar, vector_counters) == {}
     if vector:
         # The eligible rows must actually take the fast path --
-        # otherwise this file would pass with a backend that never
-        # does.
+        # otherwise this file would pass with a fast path that never
+        # runs.
         _assert_engaged(core)
     else:
-        assert core.last_fallback_reason is not None
+        assert core.batch.fallbacks != {}
+        assert core.batch.windows == 0
 
 
 @pytest.mark.parametrize("scenario", list_scenarios())
-def test_scenario_library_backend_parity(scenario):
+def test_scenario_library_backend_parity(scenario, monkeypatch):
     doc = load_scenario(scenario)
-    records = {}
-    for backend in ("python", "numpy"):
-        cfg = default_config(doc.scale).with_(backend=backend)
-        result = run_scenario(doc, instructions=3000, warmup=500,
-                              config=cfg)
-        record = result.jsonl_record(timestamp=False)
-        # The run key hashes the config, so it differs by backend --
-        # everything the simulation *measured* must not.
-        for volatile in ("run_key", "config_hash"):
-            record.pop(volatile)
-        records[backend] = record
-    assert records["python"] == records["numpy"]
+    records = []
+    for reference in (True, False):
+        monkeypatch.setattr(OOOCore, "_reference", reference)
+        result = run_scenario(doc, instructions=3000, warmup=500)
+        records.append(result.jsonl_record(timestamp=False))
+    assert records[0] == records[1]
 
 
 def test_scenario_library_is_complete():
@@ -222,31 +221,29 @@ def test_high_address_trace_backend_parity():
     trace = Trace(ips, kinds, addrs, name="high-va", deps=deps)
     assert int(addrs.min()) > 2 ** 53
 
-    counters = {}
-    for backend in ("python", "numpy"):
-        cfg = default_config(64).with_(backend=backend)
+    counters = []
+    cfg = default_config(64)
+    for reference in (True, False):
         hierarchy = MemoryHierarchy(cfg)
-        core = make_core(cfg, hierarchy)
+        core = OOOCore(cfg, hierarchy)
+        core._reference = reference
         result = core.run(trace, warmup=500)
-        counters[backend] = hierarchy_counters(hierarchy, result)
-        if backend == "numpy":
-            assert core.last_fallback_reason is None
-    assert diff_counters(counters["python"], counters["numpy"]) == {}
+        counters.append(hierarchy_counters(hierarchy, result))
+    assert core.batch.fallbacks == {}
+    assert diff_counters(*counters) == {}
 
 
-def test_sampled_numpy_run_keeps_the_fast_path():
-    """An interval sampler runs at window edges: a sampled numpy run
-    stays on the batch path, and its summary and intervals equal the
-    scalar core's."""
+def test_sampled_numpy_run_keeps_the_fast_path(monkeypatch):
+    """An interval sampler runs at window edges: a sampled run stays on
+    the fast path, and its summary and intervals equal the reference
+    loop's."""
     from repro.experiments.runner import run_benchmark
 
-    cfg = default_config(64).with_(backend="numpy")
-    observed = run_benchmark("pr", config=cfg, instructions=2000,
-                             warmup=200, scale=64, seed=1,
-                             sample_interval=500)
-    plain = run_benchmark("pr", config=default_config(64),
-                          instructions=2000, warmup=200, scale=64, seed=1,
-                          sample_interval=500)
+    kw = dict(config=default_config(64), instructions=2000, warmup=200,
+              scale=64, seed=1, sample_interval=500)
+    observed = run_benchmark("pr", **kw)
+    monkeypatch.setattr(OOOCore, "_reference", True)
+    plain = run_benchmark("pr", **kw)
     assert observed.batch.fallbacks == {}
     assert observed.batch.windows > 0
     assert observed.summary() == plain.summary()
@@ -254,16 +251,18 @@ def test_sampled_numpy_run_keeps_the_fast_path():
     assert [iv["instructions"] for iv in observed.intervals] == [500] * 4
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_progress_forwarding_keeps_the_run_path(backend):
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["python", "numpy"])
+def test_progress_forwarding_keeps_the_run_path(reference, monkeypatch):
     """A run with a ``ProgressForwarder`` attached has the summary of
-    the same run without one, on either backend, and a numpy run with
-    one reports no fallback."""
+    the same run without one, on either loop, and keeps the fast path
+    on."""
     from repro.experiments.parallel import RunSummary
     from repro.experiments.runner import run_benchmark
     from repro.obs.forward import ProgressForwarder
 
-    cfg = default_config(64).with_(backend=backend)
+    monkeypatch.setattr(OOOCore, "_reference", reference)
+    cfg = default_config(64)
     rows = []
     forwarder = ProgressForwarder(rows.append, total_instructions=3000,
                                   interval=1000)
@@ -275,6 +274,115 @@ def test_progress_forwarding_keeps_the_run_path(backend):
     batches = [summary.pop("batch") for summary in summaries]
     assert summaries[0] == summaries[1]
     assert [row["instructions"] for row in rows] == [1000, 2000, 3000]
-    if backend == "numpy":
-        assert batches[0]["fallbacks"] == {}
-        assert batches[0]["windows"] >= batches[1]["windows"] > 0
+    # Even how the run took the fast path: sampler edges end slices,
+    # not windows.
+    assert batches[0] == batches[1]
+    assert batches[0]["fallbacks"] == {}
+    assert (batches[0]["windows"] > 0) is not reference
+
+
+def _srrip_l1d():
+    return _cfg(l1d=dataclasses.replace(default_config(64).l1d,
+                                        replacement="srrip"))
+
+
+@pytest.mark.parametrize("slug,cfg", [
+    (None, _cfg()),
+    ("huge_pages", _cfg(huge_page_policy="gather_region")),
+    ("comparison", _cfg(comparison="cbpred")),
+    ("l1d_prefetcher", _cfg(l1d_prefetcher="next_line")),
+    ("l1d_policy", _srrip_l1d()),
+], ids=["eligible", "huge_pages", "comparison", "l1d_prefetcher",
+        "l1d_policy"])
+def test_static_refusals_name_their_slugs(slug, cfg):
+    """A machine with a per-hit side effect the fast path does not
+    model is refused under a stable slug, which the run records."""
+    hierarchy = MemoryHierarchy(cfg)
+    assert fast_path_refusal(cfg, hierarchy) == slug
+    core = OOOCore(cfg, hierarchy)
+    batch = core.run(make_trace("tc", 600, scale=64)).batch
+    assert batch.fallbacks == ({slug: 1} if slug else {})
+    assert (batch.windows > 0) is (slug is None)
+
+
+def test_checkers_and_tracers_refuse_the_fast_path(monkeypatch):
+    from repro.obs.trace import SpanTracer, attach
+
+    cfg = _cfg()
+    traced = MemoryHierarchy(cfg)
+    attach(traced, SpanTracer(sample_every=1, enabled=False))
+    assert fast_path_refusal(cfg, traced) == "tracer"
+    monkeypatch.setenv("REPRO_CHECK", "1")
+    assert fast_path_refusal(cfg, MemoryHierarchy(cfg)) == "checker"
+
+
+HOT_METHODS = [("hierarchy", "load"), ("hierarchy", "store"),
+               ("l1d", "access"), ("mmu", "translate"),
+               ("dtlb", "lookup")]
+
+
+def _hot_object(hierarchy, owner: str):
+    return {"hierarchy": hierarchy, "l1d": hierarchy.l1d,
+            "mmu": hierarchy.mmu, "dtlb": hierarchy.mmu.dtlb}[owner]
+
+
+@pytest.mark.parametrize("owner,name", HOT_METHODS,
+                         ids=[f"{o}.{n}" for o, n in HOT_METHODS])
+def test_an_instance_patched_hot_method_is_refused(owner, name):
+    """A wrapper on one instance's hot method refuses the fast path, as
+    the oracle's and the checkers' do.  The same method bound back onto
+    the instance is no patch."""
+    cfg = _cfg()
+    hierarchy = MemoryHierarchy(cfg)
+    obj = _hot_object(hierarchy, owner)
+    method = getattr(obj, name)
+    setattr(obj, name, method)
+    assert fast_path_refusal(cfg, hierarchy) is None
+
+    def wrapper(*args, **kwargs):
+        return method(*args, **kwargs)
+    setattr(obj, name, wrapper)
+    assert fast_path_refusal(cfg, hierarchy) == "instance_patch"
+
+
+def test_a_class_level_wrapper_keeps_the_fast_path(monkeypatch):
+    """perfbench wraps the hot methods on their classes; the fast path
+    stays on under those wrappers."""
+    from repro.cache.cache import Cache
+    from repro.vm.mmu import MMU
+    from repro.vm.tlb import TLB
+
+    for cls, name in ((MemoryHierarchy, "load"), (MemoryHierarchy, "store"),
+                      (Cache, "access"), (MMU, "translate"),
+                      (TLB, "lookup")):
+        original = getattr(cls, name)
+        monkeypatch.setattr(
+            cls, name,
+            lambda self, *args, _fn=original, **kw: _fn(self, *args, **kw))
+    cfg = _cfg()
+    hierarchy = MemoryHierarchy(cfg)
+    assert fast_path_refusal(cfg, hierarchy) is None
+    result = OOOCore(cfg, hierarchy).run(make_trace("tc", 2000, scale=64))
+    assert result.batch.fast_hits > 0
+
+
+def test_the_refusal_probe_reads_no_instance_dict():
+    """Deciding on the fast path reads no hot object's ``__dict__``: on
+    CPython 3.11 that read builds the dict, and the object's attribute
+    reads stay slower for the rest of the run."""
+    cfg = _cfg()
+    hierarchy = MemoryHierarchy(cfg)
+    for owner in ("hierarchy", "l1d", "mmu", "dtlb"):
+        obj = _hot_object(hierarchy, owner)
+        cls = type(obj)
+
+        def __getattribute__(self, name, _cls=cls):
+            if name == "__dict__":
+                raise RuntimeError(f"{_cls.__name__}.__dict__ was read")
+            return object.__getattribute__(self, name)
+        obj.__class__ = type(cls.__name__, (cls,),
+                             {"__getattribute__": __getattribute__})
+    result = OOOCore(cfg, hierarchy).run(make_trace("pr", 3000, scale=64),
+                                         warmup=500)
+    assert result.batch.fallbacks == {}
+    assert result.batch.fast_hits > 0

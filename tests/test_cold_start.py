@@ -30,7 +30,7 @@ OFF_PATH = ("repro.service", "repro.scenarios",
 API_RUNS = """
 from repro import api
 api.run("pr", instructions=4000, warmup=1000, enhancements="full")
-api.run("compute", instructions=4000, warmup=1000, backend="numpy")
+api.run("compute", instructions=4000, warmup=1000)
 """
 
 # ``python -m repro ...``, with the interpreter kept alive afterwards.

@@ -2,8 +2,8 @@
 
 ``OOOCore.run_slice`` keeps its ROB as a ring of retire times, retires a
 non-memory instruction through a three-way branch and, with
-``fast_path`` set (the numpy backend), answers DTLB-hit/L1D-hit accesses
-inline.  None of this may change a simulated statistic, so this module
+``fast_path`` set (every single-stream run it is exact for), answers
+DTLB-hit/L1D-hit accesses inline.  None of this may change a simulated statistic, so this module
 keeps the loop it replaced as a reference: :class:`ReferenceCore` has
 the previous ``start`` and ``run_slice`` verbatim, with the ROB as a
 deque of retire times and no fast path.
@@ -30,10 +30,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch_engine import BatchCore
 from repro.core.engine import interleave
-from repro.core.fallback import BatchStats
-from repro.core.ooo_core import UNBOUNDED, WINDOW, OOOCore
+from repro.core.ooo_core import UNBOUNDED, WINDOW, BatchStats, OOOCore
 from repro.core.rob import StallAccounting
 from repro.obs.sampler import IntervalSampler
 from repro.params import default_config
@@ -237,10 +235,12 @@ class RecordedReference(_Recording, ReferenceCore):
 
 
 class RecordedCore(_Recording, OOOCore):
-    pass
+    """The core on its reference loop: fast path off."""
+
+    _reference = True
 
 
-class RecordedBatchCore(_Recording, BatchCore):
+class RecordedFastCore(_Recording, OOOCore):
     pass
 
 
@@ -256,7 +256,7 @@ def _machine(scale: int, enhancements: str, small_rob: bool):
 
 
 #: (scale, enhancement preset, small ROB) -- every one fast-path
-#: eligible, so the numpy runs below really take the fast path.
+#: eligible, so the runs below really take the fast path.
 MACHINES = [(16, "none", False), (16, "full", False), (64, "atp", False),
             (16, "none", True), (64, "full", True)]
 
@@ -297,10 +297,10 @@ def traces(draw, max_len: int = 2600):
 
 
 def _fast(core) -> None:
-    """Turn the fast path on for an interleaved core, as ``BatchCore.run``
+    """Turn the fast path on for an interleaved core, as ``OOOCore.run``
     does for a single-stream one."""
     core.fast_path = True
-    core.batch_stats = BatchStats()
+    core.batch = BatchStats()
 
 
 # ----------------------------------------------------------------------
@@ -350,10 +350,9 @@ def test_one_stream_matches_the_previous_loop(trace, machine, data):
     cfg = _machine(*machine)
     reference, _ = _single(RecordedReference, cfg, trace, warmup, interval)
     slow, _ = _single(RecordedCore, cfg, trace, warmup, interval)
-    fast, core = _single(RecordedBatchCore, cfg.with_(backend="numpy"),
-                         trace, warmup, interval)
-    assert core.last_fallback_reason is None
-    stats = core.batch_stats
+    fast, core = _single(RecordedFastCore, cfg, trace, warmup, interval)
+    stats = core.batch
+    assert stats.fallbacks == {}
     memory = int(np.count_nonzero(trace.kinds != KIND_NONMEM))
     assert stats.fast_hits + stats.scalar_excursions == memory
     assert stats.instructions == n
@@ -371,7 +370,7 @@ def test_interleaved_streams_match_the_previous_loop(first, second,
     cfg = _machine(*machine)
     runs = []
     for core_cls, fast in ((RecordedReference, False),
-                           (RecordedCore, False), (RecordedCore, True)):
+                           (RecordedCore, False), (RecordedFastCore, True)):
         hierarchy = MemoryHierarchy(cfg)
         cores = [core_cls(cfg, hierarchy) for _ in range(2)]
         if fast:
@@ -387,8 +386,8 @@ def test_interleaved_streams_match_the_previous_loop(first, second,
         if fast:
             memory = sum(int(np.count_nonzero(t.kinds != KIND_NONMEM))
                          for t in (first, second))
-            assert sum(core.batch_stats.fast_hits
-                       + core.batch_stats.scalar_excursions
+            assert sum(core.batch.fast_hits
+                       + core.batch.scalar_excursions
                        for core in cores) == memory
     reference, slow, fast = runs
     _assert_same(dict(reference), slow)
@@ -404,6 +403,5 @@ def test_merge_probe_edges_match_the_previous_loop():
     cfg = default_config(16)
     trace = make_trace("compute", 14_000, scale=16, seed=7)
     reference, _ = _single(RecordedReference, cfg, trace, 2_000, None)
-    fast, _ = _single(RecordedBatchCore, cfg.with_(backend="numpy"),
-                      trace, 2_000, None)
+    fast, _ = _single(RecordedFastCore, cfg, trace, 2_000, None)
     _assert_same(reference, fast)

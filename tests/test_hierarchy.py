@@ -105,11 +105,14 @@ def test_atp_and_tempo_attached():
     assert h.dram.on_leaf_translation is not None
 
 
-@pytest.mark.parametrize("keep", ["result", "summary"])
-def test_a_finished_run_is_freed_without_a_collection(keep):
+@pytest.mark.parametrize("keep,inclusion", [
+    ("result", "non_inclusive"), ("summary", "non_inclusive"),
+    ("summary", "inclusive")], ids=["result", "summary", "inclusive"])
+def test_a_finished_run_is_freed_without_a_collection(keep, inclusion):
     """A forwarded ``pr``/full run -- its sampler, ATP and TEMPO attached,
-    as in every service ``run`` job -- forms no reference cycle: once
-    its result goes, so do the hierarchy and its levels, with the cyclic
+    as in every service ``run`` job, and an inclusive LLC's
+    back-invalidation targets -- forms no reference cycle: once its
+    result goes, so do the hierarchy and its levels, with the cyclic
     collector off."""
     import gc
     import weakref
@@ -118,7 +121,8 @@ def test_a_finished_run_is_freed_without_a_collection(keep):
     from repro.experiments.runner import run_benchmark
     from repro.obs.forward import ProgressForwarder
 
-    cfg = default_config(16).with_(enhancements="full")
+    cfg = default_config(16).with_(enhancements="full",
+                                   llc_inclusion=inclusion)
     rows = []
     forwarder = ProgressForwarder(rows.append, total_instructions=3000,
                                   interval=1000)
@@ -132,8 +136,10 @@ def test_a_finished_run_is_freed_without_a_collection(keep):
         h = result.hierarchy
         assert h.sampler is not None and h.atp is not None \
             and h.tempo is not None
+        assert (h.llc.back_invalidate_targets != []) \
+            is (inclusion == "inclusive")
         alive = [weakref.ref(obj)
-                 for obj in (h, h.l2c, h.llc, h.dram, h.mmu)]
+                 for obj in (h, h.l1d, h.l2c, h.llc, h.dram, h.mmu)]
         del h
         if keep == "summary":
             del result

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from repro.api import build_config
-from repro.core.engine import make_core
+from repro.core.ooo_core import OOOCore
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.workloads.registry import make_trace
 
@@ -21,12 +21,14 @@ from repro.workloads.registry import make_trace
 GROWTH_BOUND_MIB = 0.5
 
 
-def run_peak_mib(backend: str, instructions: int) -> float:
-    """Traced heap peak of ``core.run`` alone: the trace and hierarchy
-    are built before tracing starts."""
-    cfg = build_config(backend=backend)
+def run_peak_mib(reference: bool, instructions: int) -> float:
+    """Traced heap peak of ``core.run`` alone, on the reference loop or
+    with the fast path: the trace and hierarchy are built before
+    tracing starts."""
+    cfg = build_config()
     trace = make_trace("compute", instructions, seed=1)
-    core = make_core(cfg, MemoryHierarchy(cfg))
+    core = OOOCore(cfg, MemoryHierarchy(cfg))
+    core._reference = reference
     tracemalloc.start()
     try:
         core.run(trace)
@@ -36,8 +38,10 @@ def run_peak_mib(backend: str, instructions: int) -> float:
     return peak / 2**20
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_run_heap_does_not_grow_with_trace_length(backend):
-    short = run_peak_mib(backend, 20_000)
-    long = run_peak_mib(backend, 80_000)
+# The ids name the backends that once selected the two loops.
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["python", "numpy"])
+def test_run_heap_does_not_grow_with_trace_length(reference):
+    short = run_peak_mib(reference, 20_000)
+    long = run_peak_mib(reference, 80_000)
     assert long - short < GROWTH_BOUND_MIB, (short, long)

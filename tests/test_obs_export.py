@@ -75,11 +75,14 @@ def test_interval_record_shape(observed):
     assert 0.0 <= iv["tlb"]["stlb"]["hit_rate"] <= 1.0
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_sampler_runs_at_slice_edges(backend):
-    """The cores call the sampler once per edge, not per instruction;
-    the call at the trace end records the partial interval."""
-    from repro.core.engine import make_core
+# The ids name the backends that once selected the two loops.
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["python", "numpy"])
+def test_sampler_runs_at_slice_edges(reference):
+    """The core calls the sampler once per edge, not per instruction,
+    on its reference loop and with the fast path; the call at the trace
+    end records the partial interval."""
+    from repro.core.ooo_core import OOOCore
     from repro.obs.sampler import IntervalSampler
     from repro.params import default_config
     from repro.uncore.hierarchy import MemoryHierarchy
@@ -92,9 +95,10 @@ def test_sampler_runs_at_slice_edges(backend):
             self.calls += 1
             super().on_retire(cycle, index)
 
-    cfg = default_config(64).with_(backend=backend)
+    cfg = default_config(64)
     hierarchy = MemoryHierarchy(cfg)
-    core = make_core(cfg, hierarchy)
+    core = OOOCore(cfg, hierarchy)
+    core._reference = reference
     sampler = hierarchy.sampler = CountingSampler(hierarchy, 1_000)
     result = core.run(make_trace("pr", 3_000, scale=64), warmup=500)
     assert sampler.calls == 3

@@ -7,28 +7,34 @@ so miss rates collapse relative to the reduced-scale runs.
 
 import pytest
 
+from repro.core.ooo_core import OOOCore
 from repro.experiments.runner import run_benchmark
 from repro.params import paper_config
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+# The ids name the backends that once selected the two loops.
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["python", "numpy"])
 @pytest.mark.parametrize("name", ["pr", "xalancbmk"])
-def test_paper_config_runs(name, backend):
-    cfg = paper_config().with_(backend=backend)
+def test_paper_config_runs(name, reference, monkeypatch):
+    monkeypatch.setattr(OOOCore, "_reference", reference)
+    cfg = paper_config()
     r = run_benchmark(name, config=cfg, instructions=6000, warmup=1500,
                       scale=16)  # workload footprints stay reduced
     assert r.cycles > 0
     assert 0.0 < r.ipc < cfg.core.retire_width
 
 
-def test_paper_config_backends_agree():
-    """Full-size Table I machine: both backends report identical runs."""
-    results = {
-        backend: run_benchmark(
-            "pr", config=paper_config().with_(backend=backend),
-            instructions=6000, warmup=1500, scale=16)
-        for backend in ("python", "numpy")}
-    assert results["python"].summary() == results["numpy"].summary()
+def test_paper_config_backends_agree(monkeypatch):
+    """Full-size Table I machine: the fast path and the reference loop
+    report identical runs."""
+    def run():
+        return run_benchmark("pr", config=paper_config(),
+                             instructions=6000, warmup=1500, scale=16)
+    fast = run()
+    monkeypatch.setattr(OOOCore, "_reference", True)
+    assert fast.batch.fast_hits > 0
+    assert run().summary() == fast.summary()
 
 
 def test_full_size_caches_absorb_reduced_footprints():

@@ -75,13 +75,17 @@ def test_hit_statistics():
     assert psc.lookups == 1
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_warmup_reset_zeroes_psc_counters(backend):
+# The ids name the backends that once selected the two loops.
+@pytest.mark.parametrize("reference", [True, False],
+                         ids=["python", "numpy"])
+def test_warmup_reset_zeroes_psc_counters(reference, monkeypatch):
     """Regression: the warmup stat reset skipped the PSC counters, so
     the ROI's PSC lookups included every warmup walk's probe."""
     from repro import api
-    result = api.run("pr", enhancements="full", backend=backend,
-                     instructions=8000, warmup=4000, seed=11)
+    from repro.core.ooo_core import OOOCore
+    monkeypatch.setattr(OOOCore, "_reference", reference)
+    result = api.run("pr", enhancements="full", instructions=8000,
+                     warmup=4000, seed=11)
     mmu = result.hierarchy.mmu
     psc = mmu.psc
     assert mmu.walker.walks > 0

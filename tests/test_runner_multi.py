@@ -1,12 +1,10 @@
-"""Tests for multi-seed aggregation and the control workload."""
+"""Tests for seed stability and the control workload."""
 
 import pytest
 
-from repro.experiments.runner import run_benchmark, run_benchmark_multi
+from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, default_config
 from repro.workloads.registry import benchmark_names
-
-TINY = dict(instructions=4000, warmup=1000)
 
 
 def test_benchmark_names_excludes_controls_by_default():
@@ -32,27 +30,21 @@ def test_enhancements_do_not_hurt_low_mpki_workloads():
 
 
 def test_multi_seed_aggregates():
-    res = run_benchmark_multi("tc", seeds=[1, 2, 3],
-                              instructions=12_000, warmup=3_000)
-    assert len(res.runs) == 3
-    assert [r.seed for r in res.runs] == [1, 2, 3]
-    cycles = [r.cycles for r in res.runs]
+    runs = [run_benchmark("tc", instructions=12_000, warmup=3_000,
+                          seed=seed) for seed in (1, 2, 3)]
+    assert [r.seed for r in runs] == [1, 2, 3]
+    cycles = [r.cycles for r in runs]
     # Post-warmup runs of this length are seed-stable within ~20%.
     assert (max(cycles) - min(cycles)) / (sum(cycles) / 3) < 0.2
-    assert all(r.stlb_mpki > 0 for r in res.runs)
-
-
-def test_multi_seed_requires_seeds():
-    with pytest.raises(ValueError):
-        run_benchmark_multi("tc", seeds=[], **TINY)
+    assert all(r.stlb_mpki > 0 for r in runs)
 
 
 def test_multi_seed_speedup_is_stable():
     """The enhancement speedup holds across seeds (not trace luck)."""
-    base = run_benchmark_multi("canneal", seeds=[1, 2, 3],
-                               instructions=10_000, warmup=2_500)
     cfg = default_config().with_(enhancements=EnhancementConfig.full())
-    enh = run_benchmark_multi("canneal", seeds=[1, 2, 3], config=cfg,
-                              instructions=10_000, warmup=2_500)
-    assert (sum(r.cycles for r in base.runs)
-            / sum(r.cycles for r in enh.runs)) > 0.99
+    base, enh = ([run_benchmark("canneal", config=config,
+                                instructions=10_000, warmup=2_500,
+                                seed=seed) for seed in (1, 2, 3)]
+                 for config in (None, cfg))
+    assert (sum(r.cycles for r in base)
+            / sum(r.cycles for r in enh)) > 0.99

@@ -141,9 +141,10 @@ def test_descent_memo_matches_unmemoised_walks(seed, huge):
 
 
 def test_scalar_core_descends_once_per_distinct_page(monkeypatch):
-    """On the python core, too, a page's radix descent runs once: every
-    later walk of the page reads the descent memo."""
+    """On the core's reference loop, too, a page's radix descent runs
+    once: every later walk of the page reads the descent memo."""
     from repro import api
+    from repro.core.ooo_core import OOOCore
 
     walked, descended = [], []
     walk, walk_entries = PageTableWalker.walk, PageTable.walk_entries
@@ -158,8 +159,9 @@ def test_scalar_core_descends_once_per_distinct_page(monkeypatch):
 
     monkeypatch.setattr(PageTableWalker, "walk", recording_walk)
     monkeypatch.setattr(PageTable, "walk_entries", recording_walk_entries)
-    result = api.run("pr", enhancements="full", backend="python",
-                     instructions=20_000, warmup=4_000)
-    assert result.batch is None
+    monkeypatch.setattr(OOOCore, "_reference", True)
+    result = api.run("pr", enhancements="full", instructions=20_000,
+                     warmup=4_000)
+    assert result.batch.windows == 0
     assert len(walked) > len(set(walked))  # pages are walked again
     assert sorted(descended) == sorted(set(walked))

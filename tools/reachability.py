@@ -52,7 +52,7 @@ PACKAGE = SRC / "repro"
 KEEP_FILE = Path(__file__).resolve().parent / "reachability_keep.txt"
 #: A keep reason opens with the letter of its category (the keep file's
 #: header says what each one covers).
-KEEP_REASON = re.compile(r"^\(([a-g])\) \S")
+KEEP_REASON = re.compile(r"^\(([a-f])\) \S")
 
 #: ROI of every simulated entry point but the scenarios, which need
 #: enough traffic for their inclusive LLC to evict.
@@ -144,7 +144,7 @@ def entry_points(tmp: Path, env: Dict[str, str]) -> List[List[List[str]]]:
         repro + ["run", "pr", "--enhancements", "full", *INSTR,
                  "--metrics", run_json, "--trace", trace_full,
                  "--trace-sample", "2"],
-        repro + ["run", "pr", *INSTR, "--backend", "numpy",
+        repro + ["run", "pr", *INSTR,
                  "--metrics", run2_json, "--sample-interval", "500",
                  "--trace", trace_base, "--trace-sample", "2"],
         repro + ["stats", run_json, "--csv", str(tmp / "run.csv")],
@@ -166,7 +166,7 @@ def entry_points(tmp: Path, env: Dict[str, str]) -> List[List[List[str]]]:
     groups = [
         obs,
         [repro + ["list"],
-         repro + ["run", "tc", "--backend", "numpy", *INSTR],
+         repro + ["run", "tc", *INSTR],
          repro + ["run", "mcf", "--l2c-prefetcher", "spp", "--check",
                   "--enhancements", "full", *INSTR],
          repro + ["run", "SYN-01-STLB-THRASH", "--check", *INSTR]],
@@ -244,8 +244,7 @@ def _run_service(tmp: Path, env: Dict[str, str],
             return [("repro serve", 1, "no listening banner")]
         url = ["--url", match.group(0)]
         repro = ["-m", "repro"]
-        first = repro + ["submit", "run", "tc", "--backend", "numpy",
-                         *INSTR, "--wait", *url]
+        first = repro + ["submit", "run", "tc", *INSTR, "--wait", *url]
         proc = _run_one(first, tmp, env, ids)
         results.append((" ".join(first), proc.returncode,
                         proc.stderr[-2000:]))
@@ -359,7 +358,7 @@ def keep_problems(defs: List[Def], keep: Dict[str, str]) -> List[str]:
             problems.append(f"{name}: no such def under src/repro")
         elif not KEEP_REASON.match(reason):
             problems.append(f"{name}: reason must open with a category "
-                            f"(a)-(g) and say why: {reason!r}")
+                            f"(a)-(f) and say why: {reason!r}")
     return problems
 
 
