@@ -255,8 +255,8 @@ def test_sampled_numpy_run_keeps_the_fast_path(monkeypatch):
                          ids=["python", "numpy"])
 def test_progress_forwarding_keeps_the_run_path(reference, monkeypatch):
     """A run with a ``ProgressForwarder`` attached has the summary of
-    the same run without one, on either loop, and keeps the fast path
-    on."""
+    the same run without one, on either loop, batch record included;
+    on the default loop it takes the fast path."""
     from repro.experiments.parallel import RunSummary
     from repro.experiments.runner import run_benchmark
     from repro.obs.forward import ProgressForwarder
