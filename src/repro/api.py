@@ -80,7 +80,8 @@ from repro.workloads.registry import benchmark_names
 #: 7.0: ``StallCategory.OTHER`` goes; the ``sampler_tracer`` refusal
 #: becomes ``tracer``; exports are ``repro.obs/v2``.
 #: 8.0: the backend names, ``SimConfig.backend`` and the refusal-reason
-#: enum go; ``run(backend=...)`` does nothing but warn, once;
+#: enum go; ``run(backend=...)`` and ``build_config(backend=...)`` do
+#: nothing but warn, once;
 #: ``BatchStats`` drops its histogram of excursions per window.
 __api_version__ = "8.0"
 
@@ -143,13 +144,15 @@ def _resolve_enhancements(
     return enhancement_preset(enhancements)
 
 
-#: Whether ``run(backend=...)`` has warned in this process.
+#: Whether ``run(backend=...)`` or ``build_config(backend=...)`` has
+#: warned in this process.
 _backend_warned = False
 
 
-def _ignore_backend(backend: str) -> None:
-    """``run(backend=...)`` until api 9.0: the two old values are
-    accepted, with one warning per process, and change nothing."""
+def _ignore_backend(backend: str, caller: str) -> None:
+    """``backend=`` on ``run`` and ``build_config`` until api 9.0: the
+    two old values are accepted, with one warning per process, and
+    change nothing."""
     global _backend_warned
     if backend not in ("python", "numpy"):
         raise ValueError(f"unknown backend {backend!r}; known: "
@@ -157,13 +160,14 @@ def _ignore_backend(backend: str) -> None:
     if not _backend_warned:
         _backend_warned = True
         warnings.warn(
-            "run(backend=...) does nothing since api 8.0 and goes in "
-            "9.0: every run takes the core's fast path where it is "
+            f"{caller}(backend=...) does nothing since api 8.0 and goes "
+            "in 9.0: every run takes the core's fast path where it is "
             "exact", DeprecationWarning, stacklevel=3)
 
 
 def build_config(scale: int = DEFAULT_SCALE, *,
                  enhancements: Union[str, EnhancementConfig, None] = None,
+                 backend: Optional[str] = None,
                  **overrides) -> SimConfig:
     """The scale-reduced default config with named tweaks applied.
 
@@ -171,7 +175,11 @@ def build_config(scale: int = DEFAULT_SCALE, *,
     :class:`EnhancementConfig`; every other keyword is a
     :class:`SimConfig` field (``l2c_prefetcher="spp"``,
     ``llc_inclusion="inclusive"``, ...).  Unknown fields raise.
+    ``backend`` is accepted until api 9.0, as :func:`run` accepts it,
+    and does nothing.
     """
+    if backend is not None:
+        _ignore_backend(backend, "build_config")
     cfg = default_config(scale)
     enh = _resolve_enhancements(enhancements)
     if enh is not None:
@@ -222,7 +230,7 @@ def run(benchmark: str, *,
                              "not both")
         config = build_config(scale, enhancements=enh)
     if backend is not None:
-        _ignore_backend(backend)
+        _ignore_backend(backend, "run")
     profiler = None
     if metrics is not None:
         from repro.obs.manifest import Profiler

@@ -166,6 +166,43 @@ def test_v12_exports_present():
 
 
 # ----------------------------------------------------------------------
+# v1.3 additions: execution backends (v8: one core; until 9.0
+# ``backend=`` takes v1.3's two names and does nothing)
+# ----------------------------------------------------------------------
+def test_v13_exports_present(monkeypatch):
+    """v1.3 exported ``BACKENDS == ("python", "numpy")``.  v8 drops the
+    export; until 9.0 those two names, and no other, are what
+    ``backend=`` accepts on ``run`` and ``build_config``."""
+    monkeypatch.setattr(api, "_backend_warned", False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        for name in ("python", "numpy"):
+            assert api.build_config(backend=name) == api.build_config()
+    for name in ("", "Python", "vector", "fortran"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            api.build_config(backend=name)
+        with pytest.raises(ValueError, match="unknown backend"):
+            api.run("tc", backend=name)
+
+
+def test_build_config_accepts_backend_override(monkeypatch):
+    """Until api 9.0, ``build_config(backend=...)`` is accepted as
+    ``run``'s is: it warns once per process, rejects any other value
+    and leaves the config as it was."""
+    monkeypatch.setattr(api, "_backend_warned", False)
+    with pytest.warns(DeprecationWarning, match=r"build_config\(backend="):
+        cfg = api.build_config(backend="numpy")
+    assert cfg == api.build_config()
+    assert "backend" not in {f.name for f in dataclasses.fields(cfg)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = api.build_config(enhancements="full", backend="python")
+    assert full == api.build_config(enhancements="full")
+    with pytest.raises(ValueError, match="backend"):
+        api.build_config(backend="fortran")
+
+
+# ----------------------------------------------------------------------
 # v2.0: job surface promoted, v1 internals demoted (docs/service.md)
 # ----------------------------------------------------------------------
 def test_v2_job_surface_present():
@@ -230,7 +267,7 @@ def test_v8_removed_names_raise_attribute_error():
     assert "backend" not in {f.name for f in
                              dataclasses.fields(api.SimConfig)}
     with pytest.raises(TypeError, match="backend"):
-        api.build_config(backend="numpy")
+        api.default_config().with_(backend="numpy")
 
 
 def test_unknown_api_attribute_still_raises():
