@@ -33,9 +33,9 @@ accuracy:
 figures:
 	python examples/regenerate_experiments.py EXPERIMENTS.md
 
-# Figs 1/4/14 at test scale, every point a memoised run job of an
-# in-process sweep service with 4 pool workers (smoke-tests the whole
-# figure path in well under a minute).
+# Figs 1/4/14 at test scale, each a figure job of an in-process sweep
+# service with 4 pool workers and every point a memoised run job
+# (smoke-tests the whole figure path in well under a minute).
 figures-fast:
 	python -m repro figure fig1 fig4 fig14 \
 		--jobs 4 --instructions 20000 --warmup 4000 --verbose

@@ -10,8 +10,9 @@ Three pieces, wired through the runner/CLI and exported behind
   workload, enhancement flags, wall/simulated time via
   :class:`~repro.obs.manifest.Profiler` hooks);
 * :mod:`~repro.obs.export` -- JSON/CSV exporters plus a dependency-free
-  schema validator, and :class:`~repro.obs.progress.Heartbeat`, which
-  records the points a ``repro figure`` batch's sweep service finishes.
+  schema validator; a ``repro figure`` batch export holds the point
+  events of its figure jobs, read off each job's
+  :class:`~repro.obs.progress.EventStream`.
 
 The cores call the sampler at slice edges only, so sampling costs
 nothing per instruction, on or off.  Enable per run with

@@ -4,8 +4,8 @@ Two document kinds share the ``repro.obs/v2`` schema:
 
 * ``run``   -- manifest + interval time-series + end-of-run summary
   (produced by ``python -m repro run ... --metrics out.json``);
-* ``batch`` -- batch manifest + per-run heartbeat events
-  (produced by ``python -m repro figure ... --metrics out.json``).
+* ``batch`` -- batch manifest + the point events of a figure batch's
+  jobs (produced by ``python -m repro figure ... --metrics out.json``).
 
 :func:`validate` is a dependency-free structural validator (the container
 has no ``jsonschema``); it returns a list of human-readable problems, empty

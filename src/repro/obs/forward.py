@@ -6,7 +6,7 @@ that bridge: a :class:`ProgressForwarder` is the ``forward`` callable of
 an :class:`~repro.obs.sampler.IntervalSampler`
 (``IntervalSampler(hierarchy, interval, forward=forwarder.on_interval)``).
 It condenses each interval into one small ``job-progress`` row (cycle,
-IPC, L2/LLC MPKI, walk cycles, % complete against the instruction
+IPC, L2/LLC demand MPKI, walk cycles, % complete against the instruction
 budget) and hands it to a sink callable -- in the sweep service that
 sink is a ``multiprocessing`` queue back to the parent (pool workers) or
 a direct callback (inline mode), and the service re-emits the rows on
@@ -26,6 +26,14 @@ from typing import Callable, Dict, Optional
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL
 
 
+def demand_total(per_category: Dict) -> float:
+    """One level's misses or MPKIs summed over the demand categories
+    (translation, replay, non-replay), as ``RunSummary.mpki`` and the
+    paper count them: prefetch and writeback misses are left out."""
+    return sum(per_category.get(cat, 0)
+               for cat in ("translation", "replay", "non_replay"))
+
+
 def progress_row(interval: Dict, retired: int,
                  total_instructions: Optional[int]) -> Dict:
     """Condense one sampler interval record into a forwardable row.
@@ -35,8 +43,8 @@ def progress_row(interval: Dict, retired: int,
     ``pct``; unknown → ``pct`` is 0.0).
     """
     kilo = max(interval["instructions"], 1) / 1000.0
-    l2 = sum(interval["levels"]["l2c"]["misses"].values())
-    llc = sum(interval["levels"]["llc"]["misses"].values())
+    l2 = demand_total(interval["levels"]["l2c"]["misses"])
+    llc = demand_total(interval["levels"]["llc"]["misses"])
     pct = 0.0
     if total_instructions:
         pct = min(1.0, retired / total_instructions)

@@ -1,16 +1,11 @@
-"""Progress / heartbeat channel for long figure batches and jobs.
-
-A :class:`Heartbeat` records each point of a ``repro figure`` batch as
-the in-process sweep service finishes it, keeps the full event list in
-memory (for the batch export), and optionally streams each event as one
-JSON line to a file -- so an external watcher (CI, a dashboard, ``tail
--f``) can see a multi-minute batch making progress without parsing
-stderr.
+"""The event stream of a sweep-service job.
 
 An :class:`EventStream` is the subscribable sequence the sweep service
 (:mod:`repro.service`) hangs off every job: an append-only, thread-safe
 sequence of dict events that consumers can snapshot or block-follow
-from any sequence number.  ``GET /jobs/<id>/events`` streams one.
+from any sequence number.  ``GET /jobs/<id>/events`` streams one, and
+``repro figure`` follows its figure jobs' streams for ``--verbose``,
+``--heartbeat`` and ``--metrics``.
 
 The backlog is bounded (:data:`DEFAULT_BACKLOG` events): a stream that is
 emitted into but never drained -- a forgotten subscriber, a job streaming
@@ -23,9 +18,7 @@ telemetry (``repro_events_dropped_total``).
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from collections import deque
 from typing import Callable, Dict, Iterator, List, Optional
 
@@ -137,44 +130,3 @@ class EventStream:
                         lambda: self._next > index or self._closed,
                         timeout=timeout):
                     return
-
-
-class Heartbeat:
-    """Collects (and optionally streams) batch progress events."""
-
-    def __init__(self, path=None):
-        self.events: List[Dict] = []
-        self._started = time.time()
-        self._file = open(path, "w") if path is not None else None
-
-    def emit(self, *, done: int, total: int, key, source: str,
-             wall_time: float) -> None:
-        """Record one finished point: ``key`` is its
-        :class:`~repro.experiments.parallel.RunKey`, ``source`` is
-        ``run``, ``store`` or ``dedup``."""
-        record = {
-            "t": round(time.time() - self._started, 3),
-            "done": done,
-            "total": total,
-            "benchmark": key.benchmark,
-            "config": key.config_hash[:12],
-            "seed": key.seed,
-            "source": source,
-            "wall_time": wall_time,
-        }
-        self.events.append(record)
-        if self._file is not None:
-            self._file.write(json.dumps(record) + "\n")
-            self._file.flush()
-
-    def close(self, runner: Optional[Dict] = None) -> None:
-        """Write a summary line (counts from ``runner``) and close."""
-        if self._file is not None:
-            summary = {"t": round(time.time() - self._started, 3),
-                       "done": len(self.events), "final": True}
-            if runner is not None:
-                summary.update({k: runner[k] for k in
-                                ("executed", "cache_hits", "failures")})
-            self._file.write(json.dumps(summary) + "\n")
-            self._file.close()
-            self._file = None

@@ -72,22 +72,23 @@ def render_run(doc: Dict) -> str:
 
 def render_batch(doc: Dict) -> str:
     m = doc["manifest"]
+    events = doc["events"]
     out = [f"figures        : {' '.join(m['figures'])}"]
     runner = m.get("runner", {})
     if runner:
-        out.append(f"runs           : {runner['jobs_done']} done "
-                   f"({runner['executed']} executed, "
-                   f"{runner['cache_hits']} from cache, "
-                   f"{runner['retries']} retried, "
-                   f"{runner['failures']} failed)")
-        out.append(f"simulated wall : {runner['total_wall_time']:.1f}s")
+        out.append(f"jobs           : {runner['executed']} executed, "
+                   f"{runner['store_hits']} from store, "
+                   f"{runner['dedup_hits']} deduped, "
+                   f"{runner['requeues']} requeued, "
+                   f"{runner['failures']} failed")
+    out.append(f"simulated wall : "
+               f"{sum(e['wall_time'] for e in events):.1f}s")
     rows = [[e["done"], e["benchmark"], e["config"], e["source"],
-             f"{e['wall_time']:.2f}s", f"{e['t']:.1f}s"]
-            for e in doc["events"]]
+             f"{e['wall_time']:.2f}s"] for e in events]
     out.append("")
     out.append(format_table(
-        f"heartbeat ({len(rows)} events)",
-        ["#", "benchmark", "config", "source", "run", "at"], rows))
+        f"points ({len(rows)} events)",
+        ["#", "benchmark", "config", "source", "run"], rows))
     return "\n".join(out)
 
 

@@ -4,9 +4,10 @@ The one executor of simulations: runs, scenarios, sweeps, figures and
 traces are submitted as jobs keyed by :class:`RunKey` digests, executed
 across a multiprocess worker pool, deduplicated against a sharded
 on-disk store, with priorities, bounded-queue back-pressure, resumable
-partial sweeps and a per-job progress event stream.  A figure job's
-points, and every ``repro figure`` / ``repro scenario run`` point
-(:func:`serving`), are ordinary ``run`` jobs of a service.
+partial sweeps and a per-job progress event stream.  ``repro figure``
+submits ``figure`` jobs, whose points are ordinary ``run`` jobs, and
+reports them by their events; ``repro scenario run`` points
+(:func:`serving`) are ``run`` jobs too.
 
 Front doors:
 
@@ -16,8 +17,9 @@ Front doors:
 * CLI -- ``python -m repro submit|status|result|cancel|top`` against a
   running server;
 * in-process -- :func:`serving`, a service on a background loop for the
-  duration of a ``with`` block (what ``repro figure`` and ``repro
-  scenario run`` use).
+  duration of a ``with`` block: ``repro figure`` submits its figure
+  jobs to one, and ``repro scenario run`` and ``make accuracy`` run
+  ``run_many`` through one.
 """
 
 from __future__ import annotations

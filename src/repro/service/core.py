@@ -22,9 +22,12 @@ interesting properties, all pinned by ``tests/test_service.py``:
 * **Parents expand into run children.**  A ``sweep`` into its run
   specs, a ``figure`` into its harness's grid, reduced on the loop.
   Stored children are skipped (a resubmitted partial sweep runs only
-  the gap); parents never hold a drain slot.  :func:`serving` binds
-  ``run_many`` to the same points for ``repro figure`` and ``repro
-  scenario run``.
+  the gap); parents never hold a drain slot.  Each finished point is
+  one ``<kind>-skip`` or ``<kind>-progress`` event on the parent's
+  stream, the progress vocabulary of every figure batch.
+  :func:`serving` runs a service for ``repro figure``, which submits
+  figure jobs to it, and binds ``run_many`` to it for ``make accuracy``
+  and ``repro scenario run``.
 
 Queued jobs execute through ``execute_spec`` -- a module-level,
 picklable function -- either inline (``workers=0``: synchronous,
@@ -47,6 +50,7 @@ from repro.experiments.parallel import (ResultCache, RunKey, RunSummary,
                                         bind_executor, execute_key)
 from repro.experiments.payloads import figure_payload, trace_payload
 from repro.experiments.registry import finish
+from repro.obs.forward import demand_total
 from repro.obs.log import get_logger
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL
 from repro.obs.telemetry import TelemetryRegistry
@@ -682,6 +686,7 @@ class SweepService:
             return
         cycles = payload.get("cycles") or 0
         instructions = payload.get("instructions") or 0
+        mpki = payload.get("mpki", {})
         row = {
             "final": True,
             "pct": 1.0,
@@ -689,6 +694,8 @@ class SweepService:
             "cycle": cycles,
             "ipc": payload.get("metrics", {}).get(
                 "ipc", instructions / cycles if cycles else 0.0),
+            "l2_mpki": round(demand_total(mpki.get("l2c", {})), 4),
+            "llc_mpki": round(demand_total(mpki.get("llc", {})), 4),
             "walk_cycles": payload.get("walk_cycles_total", 0),
         }
         self._on_progress_row(job.id, row)
@@ -722,30 +729,34 @@ class SweepService:
 
     # -- parents: sweeps and figures --------------------------------------
     async def _run_children(self, parent: Optional[Job],
-                            specs: List[JobSpec],
-                            on_point: Optional[Callable] = None
+                            specs: List[JobSpec]
                             ) -> Tuple[List[str], List[Job]]:
         """Skip specs already stored, submit the rest (attaching to
         identical in-flight jobs), wait for all; returns the skipped
         digests and the children.  A ``parent`` owns the children and
-        gets ``<kind>-skip``/``-child``/``-progress`` events; ``on_point
-        (done, total, digest, source, wall_time)`` sees each completed
-        point, ``source`` being ``run``, ``store`` or ``dedup``."""
+        gets a ``<kind>-child`` event per submitted child and one point
+        event per point: ``<kind>-skip`` for a stored one,
+        ``<kind>-progress`` for a child once it ends.  A point event
+        carries the point's ``digest``, ``benchmark``, ``config`` (its
+        config hash, 12 digits) and ``seed``; its ``source`` (``run``,
+        ``store``, ``dedup``, or the status of a child that failed);
+        its ``wall_time``; and the ``done``/``failed``/``total``
+        counts."""
         total, done, failed = len(specs), 0, 0
 
-        def emit(event: str, **fields) -> None:
-            if parent is not None:
-                parent.events.emit(kind=f"{parent.spec.kind}-{event}",
-                                   **fields)
-
-        def point(digest: str, source: str, wall_time: float) -> None:
-            nonlocal done
-            done += 1
-            if on_point is not None:
-                on_point(done, total, digest, source, wall_time)
+        def point(event: str, spec: JobSpec, source: str,
+                  wall_time: float) -> None:
+            if parent is None:
+                return
+            key = spec.run_key()
+            parent.events.emit(
+                kind=f"{parent.spec.kind}-{event}", digest=spec.digest,
+                benchmark=key.benchmark, config=key.config_hash[:12],
+                seed=key.seed, source=source, wall_time=wall_time,
+                done=done, failed=failed, total=total)
 
         skipped: List[str] = []
-        waiting: List[Tuple[Job, str]] = []
+        waiting: List[Tuple[Job, JobSpec, str]] = []
         for spec in specs:
             if parent is not None and parent.status.terminal:
                 break  # cancelled while expanding
@@ -755,27 +766,30 @@ class SweepService:
                 # attempt at this sweep): resume by skipping it.
                 skipped.append(digest)
                 self._count("store_hits")
-                emit("skip", digest=digest, source="store")
-                point(digest, "store", 0.0)
+                done += 1
+                point("skip", spec, "store", 0.0)
                 continue
             shared = digest in self._inflight
             child = await self.submit_spec(
                 spec, priority=parent.priority if parent is not None
                 else DEFAULT_PRIORITY, parent=parent)
-            waiting.append((child, "dedup" if shared else child.source))
+            waiting.append((child, spec,
+                            "dedup" if shared else child.source))
             if parent is not None:
                 parent.children.append(child)
-            emit("child", digest=digest, child=child.id)
-        for child, source in waiting:
+                parent.events.emit(kind=f"{parent.spec.kind}-child",
+                                   digest=digest, child=child.id)
+        for child, spec, source in waiting:
             await self.wait(child)
             if child.status is JobStatus.DONE:
-                point(child.digest, source,
-                      0.0 if child.started_mono is None
-                      else child.finished_mono - child.started_mono)
+                done += 1
             else:
                 failed += 1
-            emit("progress", done=done, failed=failed, total=total)
-        return skipped, [child for child, _ in waiting]
+                source = child.status.value
+            point("progress", spec, source,
+                  0.0 if child.started_mono is None
+                  else child.finished_mono - child.started_mono)
+        return skipped, [child for child, _, _ in waiting]
 
     async def _run_sweep(self, job: Job) -> None:
         if job.status.terminal:
@@ -815,7 +829,7 @@ class SweepService:
             points = figure_payload(job.spec.to_dict())
             grid = next(points)
             payload = finish(points, grid, await self._run_points(
-                list(dict.fromkeys(grid.values())), job, None))
+                list(dict.fromkeys(grid.values())), job))
         except Exception as exc:
             if not job.status.terminal:
                 self._fail(job, f"{type(exc).__name__}: {exc}")
@@ -824,9 +838,7 @@ class SweepService:
             self._done(job, payload)
 
     # -- run_many bridge -----------------------------------------------------
-    def run_points(self, keys: List[RunKey],
-                   on_point: Optional[Callable] = None
-                   ) -> Dict[RunKey, RunSummary]:
+    def run_points(self, keys: List[RunKey]) -> Dict[RunKey, RunSummary]:
         """Run keys as jobs and block until every one finished: the
         executor :func:`serving` binds ``run_many`` to.  Call it from a
         thread other than the service loop's.  A failed point raises and
@@ -835,7 +847,7 @@ class SweepService:
             if self.loop is None:
                 raise RuntimeError("sweep service is not running")
             future = asyncio.run_coroutine_threadsafe(
-                self._run_points(keys, None, on_point), self.loop)
+                self._run_points(keys, None), self.loop)
             self._bridged.add(future)
         try:
             return future.result()
@@ -843,17 +855,10 @@ class SweepService:
             with self._bridge_lock:
                 self._bridged.discard(future)
 
-    async def _run_points(self, keys: List[RunKey], parent: Optional[Job],
-                          on_point: Optional[Callable]
+    async def _run_points(self, keys: List[RunKey], parent: Optional[Job]
                           ) -> Dict[RunKey, RunSummary]:
-        by_digest = {key.digest: key for key in keys}
-        report = None
-        if on_point is not None:
-            def report(done, total, digest, source, wall_time):
-                on_point(done=done, total=total, key=by_digest[digest],
-                         source=source, wall_time=wall_time)
         _, children = await self._run_children(
-            parent, [point_spec(key) for key in keys], report)
+            parent, [point_spec(key) for key in keys])
         jobs = {child.digest: child for child in children}
         out: Dict[RunKey, RunSummary] = {}
         for key in keys:
@@ -913,18 +918,17 @@ class ServiceRuntime:
 
 
 @contextlib.contextmanager
-def serving(workers: int = 0, store: Optional[ResultCache] = None,
-            on_point: Optional[Callable] = None):
+def serving(workers: int = 0, store: Optional[ResultCache] = None):
     """A service on a loop thread with ``run_many`` bound to it for the
     block; ``workers=0`` runs inline, where ad-hoc scenario documents
-    resolve.  ``on_point(done=, total=, key=, source=, wall_time=)``
-    sees each finished point.  No progress forwarding: nothing reads it."""
+    resolve.  Submit jobs to it from other threads through
+    ``service.loop`` (``repro figure`` submits its figures so).  No
+    progress forwarding: nothing reads it."""
     service = SweepService(store=store, workers=workers,
                            progress_interval=None)
     runtime = ServiceRuntime(service).start()
     try:
-        with bind_executor(functools.partial(service.run_points,
-                                             on_point=on_point)):
+        with bind_executor(service.run_points):
             yield service
     finally:
         runtime.stop()

@@ -233,6 +233,46 @@ def test_high_address_trace_backend_parity():
     assert diff_counters(*counters) == {}
 
 
+def test_high_address_trace_takes_the_fast_path():
+    """Addresses above 2**53 through the inlined hit path itself.
+
+    The trace reuses 8 pages and 4 lines of each, so DTLB and L1D hits
+    are common and the fast path's own page and line arithmetic runs on
+    these addresses; the counters must still equal the reference
+    loop's."""
+    import numpy as np
+
+    from repro.vm.address import make_va
+    from repro.workloads.trace import KIND_LOAD, KIND_STORE, Trace
+
+    rng = __import__("random").Random(9)
+    n = 3000
+    pages = [rng.randrange(512) for _ in range(8)]
+    ips = np.full(n, 0x400000, dtype=np.int64)
+    kinds = np.zeros(n, dtype=np.int8)
+    addrs = np.zeros(n, dtype=np.int64)
+    deps = np.zeros(n, dtype=np.int8)
+    for i in range(n):
+        kinds[i] = KIND_LOAD if rng.random() < 0.7 else KIND_STORE
+        addrs[i] = make_va([511, 0, 0, 0, rng.choice(pages)],
+                           offset=rng.randrange(4) * 64
+                           + rng.randrange(8) * 8)
+    trace = Trace(ips, kinds, addrs, name="high-va-reuse", deps=deps)
+    assert int(addrs.min()) > 2 ** 53
+
+    counters = []
+    cfg = default_config(64)
+    for reference in (True, False):
+        hierarchy = MemoryHierarchy(cfg)
+        core = OOOCore(cfg, hierarchy)
+        core._reference = reference
+        result = core.run(trace, warmup=500)
+        counters.append(hierarchy_counters(hierarchy, result))
+    assert core.batch.fallbacks == {}
+    assert core.batch.fast_hits > 0
+    assert diff_counters(*counters) == {}
+
+
 def test_sampled_numpy_run_keeps_the_fast_path(monkeypatch):
     """An interval sampler runs at window edges: a sampled run stays on
     the fast path, and its summary and intervals equal the reference
@@ -303,6 +343,52 @@ def test_static_refusals_name_their_slugs(slug, cfg):
     batch = core.run(make_trace("tc", 600, scale=64)).batch
     assert batch.fallbacks == ({slug: 1} if slug else {})
     assert (batch.windows > 0) is (slug is None)
+
+
+def _attach_l1d_recall(hierarchy):
+    from repro.stats.recall import RecallPair
+    l1d = hierarchy.l1d
+    l1d.recall_pair = RecallPair("L1D/translation", "L1D/replay")
+    l1d.recall_translation = l1d.recall_pair.translation
+    l1d.recall_replay = l1d.recall_pair.replay
+
+
+def _attach_dtlb_recall(hierarchy):
+    from repro.stats.recall import RecallTracker
+    hierarchy.mmu.dtlb.recall = RecallTracker("DTLB/translation")
+
+
+def _attach_dtlb_observer(hierarchy):
+    class Observer:
+        def on_stlb_fill(self, vpn, ip):
+            pass
+
+        def on_stlb_reuse(self, vpn):
+            pass
+
+        def on_stlb_evict(self, vpn):
+            pass
+    hierarchy.mmu.dtlb.observer = Observer()
+
+
+@pytest.mark.parametrize("slug,attach", [
+    ("l1d_recall", _attach_l1d_recall),
+    ("dtlb_recall", _attach_dtlb_recall),
+    ("dtlb_recall", _attach_dtlb_observer),
+], ids=["l1d_recall", "dtlb_recall", "dtlb_observer"])
+def test_recall_attachments_refuse_the_fast_path(slug, attach):
+    """A recall tracker on the L1D, or a recall tracker or observer on
+    the DTLB, sees every hit, which the fast path does not report: the
+    run is refused under its slug and reads no trace window with the
+    path on."""
+    cfg = _cfg()
+    hierarchy = MemoryHierarchy(cfg)
+    attach(hierarchy)
+    assert fast_path_refusal(cfg, hierarchy) == slug
+    batch = OOOCore(cfg, hierarchy).run(make_trace("tc", 600,
+                                                   scale=64)).batch
+    assert batch.fallbacks == {slug: 1}
+    assert batch.windows == 0
 
 
 def test_checkers_and_tracers_refuse_the_fast_path(monkeypatch):

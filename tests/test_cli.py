@@ -38,6 +38,17 @@ def test_figure_command(capsys):
     assert "[Fig 3]" in capsys.readouterr().out
 
 
+def test_failed_figure_prints_its_error_and_exits_nonzero(capsys):
+    rc = main(["figure", "fig1", "fig3", "--benchmarks", "no-such-bench",
+               "--instructions", "2000", "--warmup", "500", "--no-cache"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # fig3 is not submitted after fig1 fails
+    assert "error: figure fig1: RuntimeError: point RunKey(" \
+        "'no-such-bench'" in captured.err
+    assert "runs: 0 executed," in captured.err
+
+
 def test_figure_registry_covers_all_data_figures():
     expected = {"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                 "fig8", "fig10", "fig12", "fig14", "fig15", "fig16",
@@ -149,6 +160,10 @@ def test_stats_diff_two_runs(metrics_export, tmp_path, capsys):
     ["scenario", "run", "SYN-01-STLB-THRASH", "--seed", "-1"],
     ["figure", "fig3", "--instructions", "0"],
     ["figure", "fig3", "--warmup", "-1"],
+    ["run", "tc", "--instructions", "0"],
+    ["run", "tc", "--warmup", "-1"],
+    ["run", "tc", "--scale", "0"],
+    ["run", "tc", "--seed", "-1"],
 ])
 def test_nonpositive_counts_rejected_at_parser(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,8 @@
 ``run_many`` (:mod:`repro.experiments.parallel`), serial and bound to
 the sweep service."""
 
+import asyncio
+
 import pytest
 
 from repro.experiments import parallel
@@ -11,7 +13,7 @@ from repro.experiments.parallel import (ResultCache, RunKey, RunSummary,
                                         config_digest, run_many)
 from repro.experiments.runner import run_benchmark
 from repro.params import EnhancementConfig, default_config
-from repro.service import serving
+from repro.service import SweepService, serving
 
 TINY_N, TINY_W = 2500, 600
 
@@ -139,16 +141,34 @@ def test_failed_point_raises_and_names_it(tmp_path):
 
 
 def test_progress_callback_sees_cache_and_run_events(tmp_path):
-    events = []
-    store = ResultCache(root=tmp_path)
-    with serving(store=store, on_point=lambda **e: events.append(e)):
-        run_many(keys_for(["pr", "tc"]))
-        run_many(keys_for(["pr", "tc"]))
+    """fig1 and fig3 share one baseline grid: the first figure job runs
+    its points, the second finds them in the store, and each finished
+    point is one point event on the figure's stream."""
+    service = SweepService(store=ResultCache(root=tmp_path))
+
+    async def body():
+        jobs = []
+        for name in ("fig1", "fig3"):
+            jobs.append(await service.submit(
+                "figure", figure=name, benchmarks=["pr", "tc"],
+                instructions=TINY_N, warmup=TINY_W))
+            await service.wait(jobs[-1])
+        await service.close()
+        return jobs
+
+    events = [e for job in asyncio.run(body())
+              for e in job.events.snapshot()
+              if e["kind"] in ("figure-progress", "figure-skip")]
     sources = [e["source"] for e in events]
     assert sources == ["run", "run", "store", "store"]
+    assert [e["kind"] for e in events] == ["figure-progress"] * 2 \
+        + ["figure-skip"] * 2
     assert [e["done"] for e in events] == [1, 2, 1, 2]
-    assert all(e["total"] == 2 for e in events)
-    assert [e["key"] for e in events] == keys_for(["pr", "tc"]) * 2
+    assert all(e["total"] == 2 and e["failed"] == 0 for e in events)
+    keys = keys_for(["pr", "tc"]) * 2
+    assert [(e["benchmark"], e["config"], e["seed"], e["digest"])
+            for e in events] == [(k.benchmark, k.config_hash[:12], k.seed,
+                                  k.digest) for k in keys]
     assert all(e["wall_time"] > 0 for e in events if e["source"] == "run")
 
 

@@ -181,6 +181,41 @@ def test_watch_streams_events_and_progress(tmp_path):
     run_async(main())
 
 
+def test_final_row_keeps_the_demand_miss_rates(tmp_path):
+    """A real forwarded run job: the final row carries the payload's
+    demand MPKIs (translation + replay + non-replay), the forwarded
+    rows count the same misses, and the dashboard draws the final
+    row's values."""
+    from repro.service.top import _job_line
+
+    async def main():
+        service = SweepService(store=JobStore(root=tmp_path), workers=0,
+                               progress_interval=500)
+        job = await service.submit("run", benchmark="pr", instructions=2000,
+                                   warmup=200, scale=64)
+        await service.wait(job)
+        await service.close()
+        return job
+
+    job = run_async(main())
+    *rows, final = [e for e in job.events.snapshot()
+                    if e["kind"] == "job-progress"]
+    assert len(rows) == 4 and final["final"] is True
+    instructions = job.payload["instructions"]
+    for field, level in (("l2_mpki", "l2c"), ("llc_mpki", "llc")):
+        mpki = job.payload["mpki"][level]
+        expected = round(mpki["translation"] + mpki["replay"]
+                         + mpki["non_replay"], 4)
+        assert final[field] == expected > 0
+        # Each row covers 500 instructions; together they count the
+        # ROI's misses.
+        assert sum(row[field] * 500 for row in rows) \
+            == pytest.approx(final[field] * instructions)
+    line = _job_line(job.describe(), 120)
+    assert f"l2 {final['l2_mpki']:7.2f}" in line
+    assert f"llc {final['llc_mpki']:7.2f}" in line
+
+
 # ----------------------------------------------------------------------
 # Forwarding config guard rails
 # ----------------------------------------------------------------------

@@ -9,9 +9,9 @@ then drives it exactly the way a user would:
 2. submit a scenario the same way;
 3. resubmit the identical run and assert it is a *store hit* that
    executed nothing (the same-RunKey-executes-once acceptance check);
-4. submit a tiny ``figure`` job, then a ``run`` job for one of the
-   figure's points, and assert that run is a store hit (figure points
-   are ordinary run jobs);
+4. submit a tiny ``figure`` job, check that its ``figure-progress``
+   events name their point, then submit a ``run`` job for that point and
+   assert it is a store hit (figure points are ordinary run jobs);
 5. assert the run payload is bit-identical to a direct ``api.run``, and
    that the run, forwarding progress from a pool worker, kept the
    core's fast path;
@@ -19,7 +19,8 @@ then drives it exactly the way a user would:
    validates against ``repro.obs/telemetry-v1``, ``/metrics`` parses as
    Prometheus text with the queue/latency/dedupe series, at least one
    ``job-progress`` event arrived on the run's stream, and the final
-   progress row agrees with the stored ``RunSummary``;
+   progress row (cycles, IPC, walk cycles, L2C and LLC demand MPKI)
+   agrees with the stored ``RunSummary``;
 7. write the store manifest and a telemetry snapshot to
    ``service-artifacts/`` (CI uploads them).
 
@@ -52,6 +53,14 @@ REQUIRED_SERIES = ("repro_jobs_submitted_total",
                    "repro_queue_depth", "repro_inflight_jobs",
                    "repro_job_wait_seconds_bucket",
                    "repro_job_run_seconds_count")
+
+
+def demand_mpki(payload, level):
+    """A RunSummary's demand MPKI at one level, as a final progress row
+    carries it."""
+    mpki = payload["mpki"][level]
+    return round(mpki["translation"] + mpki["replay"]
+                 + mpki["non_replay"], 4)
 
 
 def parse_prometheus(text):
@@ -149,6 +158,14 @@ def main() -> int:
         check("figure payload is its table",
               table.get("kind") == "figure"
               and table["result"]["figure"] == "Fig 1")
+        points = [e for e in follow_events(url, fig["id"])
+                  if e.get("kind") == "figure-progress"]
+        check("figure-progress events name their point",
+              len(points) == 1 and all(
+                  e.get("benchmark") == "pr" and e.get("source") == "run"
+                  and isinstance(e.get("config"), str)
+                  and isinstance(e.get("seed"), int)
+                  and e.get("wall_time", 0) > 0 for e in points))
         point = request(url, "/jobs", method="POST",
                         body=FIGURE_POINT_SPEC)
         final_point = wait_for_job(url, point["id"])
@@ -209,7 +226,9 @@ def main() -> int:
                   and last.get("cycle") == payload["cycles"]
                   and last.get("ipc") == payload["metrics"]["ipc"]
                   and last.get("walk_cycles")
-                  == payload["walk_cycles_total"])
+                  == payload["walk_cycles_total"]
+                  and last.get("l2_mpki") == demand_mpki(payload, "l2c")
+                  and last.get("llc_mpki") == demand_mpki(payload, "llc"))
         check("progress rows counted in gauges",
               health["gauges"]["progress_events"] >= len(progress))
 
