@@ -126,6 +126,7 @@ def _cmd_figure(args) -> int:
                 failed = True
                 break
             for event in job.events.follow():
+                event = dict(event, figure=name)
                 if heartbeat is not None:
                     heartbeat.write(json.dumps(event) + "\n")
                     heartbeat.flush()

@@ -52,9 +52,12 @@ def _benchmarks(benchmarks: Optional[Sequence[str]]) -> List[str]:
 
 
 def _baseline_grid(benchmarks: Sequence[str], instructions: int,
-                   warmup: int, scale: int) -> Dict[str, RunKey]:
-    """Every benchmark under the baseline config, labelled by name."""
-    return {name: RunKey.make(name, None, instructions, warmup, scale)
+                   warmup: int, scale: int,
+                   config: Optional[SimConfig] = None
+                   ) -> Dict[str, RunKey]:
+    """Every benchmark under the baseline config (or ``config``),
+    labelled by name."""
+    return {name: RunKey.make(name, config, instructions, warmup, scale)
             for name in benchmarks}
 
 
@@ -258,14 +261,17 @@ def fig6_replay_mpki(benchmarks: Optional[Sequence[str]] = None,
 
 
 # ----------------------------------------------------------------------
-# Figs 5 / 7 / 18: recall-distance histograms.
+# Figs 5 / 7 / 18: recall-distance histograms, the only points that
+# track recall (``SimConfig.track_recall``).
 # ----------------------------------------------------------------------
 def _recall_figure(figure: str, title: str, kind: str,
                    benchmarks: Optional[Sequence[str]],
                    instructions: int, warmup: int,
                    scale: int) -> Generator[Dict, Dict, FigureResult]:
     names = _benchmarks(benchmarks)
-    runs = yield _baseline_grid(names, instructions, warmup, scale)
+    runs = yield _baseline_grid(
+        names, instructions, warmup, scale,
+        default_config(scale).with_(track_recall=True))
     bucket_labels = [f"<={b}" for b in RECALL_BUCKETS] + [">50"]
     rows, data = [], {}
     for name in names:

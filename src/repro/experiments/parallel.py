@@ -157,7 +157,8 @@ class RunSummary:
     mpki: Dict[str, Dict[str, float]]
     #: Fig 3 response-level fractions per request class.
     response: Dict[str, Dict[str, float]]
-    #: Recall-distance histograms (Figs 5/7/18): where -> kind -> data.
+    #: Recall-distance histograms (Figs 5/7/18): where -> kind -> data;
+    #: empty unless the run's config set ``track_recall``.
     recall: Dict[str, Dict[str, Dict]] = field(default_factory=dict)
     #: Per-level cache-pressure / prefetch counters.
     levels: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -189,13 +190,15 @@ class RunSummary:
                        for cat in ("translation", "replay", "non_replay")}
             per_cat["ptl1"] = run.leaf_mpki(level)
             mpki[level] = per_cat
-        recall: Dict[str, Dict[str, Dict]] = {
-            "stlb": {"translation": _tracker_data(h.mmu.stlb.recall)}}
-        for level in ("l2c", "llc"):
-            cache = getattr(h, level)
-            recall[level] = {
-                "translation": _tracker_data(cache.recall_translation),
-                "replay": _tracker_data(cache.recall_replay)}
+        recall: Dict[str, Dict[str, Dict]] = {}
+        if run.config.track_recall:
+            recall["stlb"] = {
+                "translation": _tracker_data(h.mmu.stlb.recall)}
+            for level in ("l2c", "llc"):
+                cache = getattr(h, level)
+                recall[level] = {
+                    "translation": _tracker_data(cache.recall_translation),
+                    "replay": _tracker_data(cache.recall_replay)}
         levels = {}
         for level in _PREFETCH_LEVELS:
             cache = getattr(h, level)
@@ -267,7 +270,12 @@ class RunSummary:
 
     def recall_data(self, where: str, kind: str = "translation") -> Dict:
         """``{"cdf": [...], "samples": n, "histogram": [...]}`` for one
-        tracker (``where`` in stlb/l2c/llc)."""
+        tracker (``where`` in stlb/l2c/llc).  Raises ``ValueError`` when
+        the run did not track recall."""
+        if not self.recall:
+            raise ValueError(
+                f"{self.benchmark}: no recall histograms; the run's "
+                f"config did not set track_recall=True")
         return self.recall[where][kind]
 
     @property
@@ -301,8 +309,6 @@ class RunSummary:
 
 def _tracker_data(tracker) -> Dict:
     """Flush a recall tracker and snapshot its histogram/CDF."""
-    if tracker is None:
-        return {"cdf": [], "samples": 0, "histogram": []}
     tracker.flush()
     return {"cdf": tracker.cdf(), "samples": tracker.samples,
             "histogram": list(tracker.histogram)}

@@ -34,13 +34,15 @@ def demand_total(per_category: Dict) -> float:
                for cat in ("translation", "replay", "non_replay"))
 
 
-def progress_row(interval: Dict, retired: int,
+def progress_row(interval: Dict, retired: int, roi_start: int,
                  total_instructions: Optional[int]) -> Dict:
     """Condense one sampler interval record into a forwardable row.
 
     ``retired`` is the cumulative ROI instruction count including this
-    interval; ``total_instructions`` is the run's budget (drives
-    ``pct``; unknown → ``pct`` is 0.0).
+    interval; ``roi_start`` is the ROI's first cycle (the first
+    interval's ``cycle_start``), so ``cycle`` counts ROI cycles as the
+    final row's does; ``total_instructions`` is the run's budget
+    (drives ``pct``; unknown → ``pct`` is 0.0).
     """
     kilo = max(interval["instructions"], 1) / 1000.0
     l2 = demand_total(interval["levels"]["l2c"]["misses"])
@@ -51,7 +53,7 @@ def progress_row(interval: Dict, retired: int,
     return {
         "interval": interval["index"],
         "instructions": retired,
-        "cycle": interval["cycle_end"],
+        "cycle": interval["cycle_end"] - roi_start,
         "ipc": round(interval["ipc"], 6),
         "l2_mpki": round(l2 / kilo, 4),
         "llc_mpki": round(llc / kilo, 4),
@@ -76,13 +78,17 @@ class ProgressForwarder:
         self.interval = interval
         self.rows_sent = 0
         self._retired = 0
+        self._roi_start: Optional[int] = None
         self._broken = False
 
     def on_interval(self, record: Dict) -> None:
         self._retired += record["instructions"]
+        if self._roi_start is None:
+            self._roi_start = record["cycle_start"]
         if self._broken:
             return
-        row = progress_row(record, self._retired, self.total_instructions)
+        row = progress_row(record, self._retired, self._roi_start,
+                           self.total_instructions)
         try:
             self.sink(row)
             self.rows_sent += 1

@@ -252,8 +252,10 @@ class SimConfig:
     l2c_prefetcher: str = "none"
     #: STLB fill latency applied after a completed page walk.
     stlb_fill_latency: int = 2
-    #: Track recall distances (Figs 5/7/18); small runtime cost.
-    track_recall: bool = True
+    #: Track recall distances at the STLB, L2C and LLC.  Only Figs 5, 7
+    #: and 18 read them, and they set it on their points: tracking costs
+    #: about 15% of a ``pr``/full run.
+    track_recall: bool = False
     seed: int = 1
 
     def with_(self, **overrides) -> "SimConfig":

@@ -736,12 +736,12 @@ class SweepService:
         digests and the children.  A ``parent`` owns the children and
         gets a ``<kind>-child`` event per submitted child and one point
         event per point: ``<kind>-skip`` for a stored one,
-        ``<kind>-progress`` for a child once it ends.  A point event
-        carries the point's ``digest``, ``benchmark``, ``config`` (its
-        config hash, 12 digits) and ``seed``; its ``source`` (``run``,
-        ``store``, ``dedup``, or the status of a child that failed);
-        its ``wall_time``; and the ``done``/``failed``/``total``
-        counts."""
+        ``<kind>-progress`` for a child once it ends.  Each names the
+        parent's id as ``job``.  A point event carries the point's
+        ``digest``, ``benchmark``, ``config`` (its config hash, 12
+        digits) and ``seed``; its ``source`` (``run``, ``store``,
+        ``dedup``, or the status of a child that failed); its
+        ``wall_time``; and the ``done``/``failed``/``total`` counts."""
         total, done, failed = len(specs), 0, 0
 
         def point(event: str, spec: JobSpec, source: str,
@@ -750,10 +750,10 @@ class SweepService:
                 return
             key = spec.run_key()
             parent.events.emit(
-                kind=f"{parent.spec.kind}-{event}", digest=spec.digest,
-                benchmark=key.benchmark, config=key.config_hash[:12],
-                seed=key.seed, source=source, wall_time=wall_time,
-                done=done, failed=failed, total=total)
+                kind=f"{parent.spec.kind}-{event}", job=parent.id,
+                digest=spec.digest, benchmark=key.benchmark,
+                config=key.config_hash[:12], seed=key.seed, source=source,
+                wall_time=wall_time, done=done, failed=failed, total=total)
 
         skipped: List[str] = []
         waiting: List[Tuple[Job, JobSpec, str]] = []
@@ -778,7 +778,8 @@ class SweepService:
             if parent is not None:
                 parent.children.append(child)
                 parent.events.emit(kind=f"{parent.spec.kind}-child",
-                                   digest=digest, child=child.id)
+                                   job=parent.id, digest=digest,
+                                   child=child.id)
         for child, spec, source in waiting:
             await self.wait(child)
             if child.status is JobStatus.DONE:

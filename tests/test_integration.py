@@ -18,7 +18,10 @@ MID = dict(instructions=20_000, warmup=5_000)
 
 @pytest.fixture(scope="module")
 def baseline_pr():
-    return run_benchmark("pr", **MID)
+    # The two recall tests read the trackers, which only a config that
+    # sets track_recall attaches.
+    cfg = default_config().with_(track_recall=True)
+    return run_benchmark("pr", config=cfg, **MID)
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,9 @@ GROWTH_BOUND_MIB = 0.5
 def run_peak_mib(reference: bool, instructions: int) -> float:
     """Traced heap peak of ``core.run`` alone, on the reference loop or
     with the fast path: the trace and hierarchy are built before
-    tracing starts."""
-    cfg = build_config()
+    tracing starts.  The recall trackers are on, so their recency
+    orders count too."""
+    cfg = build_config(track_recall=True)
     trace = make_trace("compute", instructions, seed=1)
     core = OOOCore(cfg, MemoryHierarchy(cfg))
     core._reference = reference

@@ -251,6 +251,25 @@ def test_heartbeat_collects_and_streams(figure_batch):
                           "cancelled", "rejected"}
 
 
+def test_heartbeat_point_lines_name_their_figure_and_job(tmp_path):
+    """Two figures in one heartbeat file: fig3's point is fig1's stored
+    run, and each point line still says which figure and job it is."""
+    heartbeat = tmp_path / "beat.ndjson"
+    assert main(["figure", "fig1", "fig3", "--benchmarks", "pr",
+                 "--instructions", "2000", "--warmup", "500", "--no-cache",
+                 "--heartbeat", str(heartbeat)]) == 0
+    *events, _ = [json.loads(line)
+                  for line in heartbeat.read_text().splitlines()]
+    jobs = {e["figure"]: e["job"] for e in events if e["kind"] == "status"}
+    assert list(jobs) == ["fig1", "fig3"] and len(set(jobs.values())) == 2
+    points = [e for e in events
+              if e["kind"] in ("figure-skip", "figure-progress")]
+    assert [(e["kind"], e["figure"]) for e in points] == [
+        ("figure-progress", "fig1"), ("figure-skip", "fig3")]
+    for event in events:
+        assert event["job"] == jobs[event["figure"]]
+
+
 def test_batch_export_renders_points_and_service_counters(figure_batch,
                                                           capsys):
     _, batch = figure_batch

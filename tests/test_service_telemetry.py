@@ -184,8 +184,8 @@ def test_watch_streams_events_and_progress(tmp_path):
 def test_final_row_keeps_the_demand_miss_rates(tmp_path):
     """A real forwarded run job: the final row carries the payload's
     demand MPKIs (translation + replay + non-replay), the forwarded
-    rows count the same misses, and the dashboard draws the final
-    row's values."""
+    rows count the same misses and the same ROI cycles, and the
+    dashboard draws the final row's values."""
     from repro.service.top import _job_line
 
     async def main():
@@ -201,6 +201,10 @@ def test_final_row_keeps_the_demand_miss_rates(tmp_path):
     *rows, final = [e for e in job.events.snapshot()
                     if e["kind"] == "job-progress"]
     assert len(rows) == 4 and final["final"] is True
+    # Every row counts ROI cycles, so the job's cycle never goes back.
+    cycles = [row["cycle"] for row in rows + [final]]
+    assert cycles == sorted(cycles) and cycles[0] > 0
+    assert rows[-1]["cycle"] == final["cycle"] == job.payload["cycles"]
     instructions = job.payload["instructions"]
     for field, level in (("l2_mpki", "l2c"), ("llc_mpki", "llc")):
         mpki = job.payload["mpki"][level]
