@@ -43,6 +43,13 @@ _STORE = AccessType.STORE
 _WRITEBACK = AccessType.WRITEBACK
 
 
+def _is_base_noop(policy: ReplacementPolicy, name: str) -> bool:
+    """Whether ``policy``'s hook ``name`` is :class:`ReplacementPolicy`'s
+    own (a no-op), neither overridden nor patched on the instance."""
+    return getattr(getattr(policy, name), "__func__", None) \
+        is getattr(ReplacementPolicy, name)
+
+
 class Cache:
     """One level of the data-cache hierarchy."""
 
@@ -86,8 +93,10 @@ class Cache:
             self.recall_translation = self.recall_pair.translation
             self.recall_replay = self.recall_pair.replay
         self.writebacks_issued = 0
-        #: Extra in-flight prefetch capacity on top of the demand MSHRs
-        #: (a model of the separate prefetch queue).
+        #: How many live fills past its demand entries the MSHR table may
+        #: hold before a prefetch miss is dropped (a prefetch queue).
+        #: Prefetch fills share the table, so a demand miss waits for
+        #: them too (:meth:`MSHR.admission_delay`).
         self._prefetch_queue = config.mshr_entries
         self.prefetches_dropped = 0
         #: Inclusive-LLC support: caches to back-invalidate on eviction.
@@ -104,6 +113,24 @@ class Cache:
     def policy(self, policy: ReplacementPolicy) -> None:
         policy.bind(self._store)
         self._policy = policy
+        # A new policy gets every hook until the next probe.
+        self._calls_on_evict = True
+        self._calls_record_miss = True
+
+    def probe_hooks(self) -> None:
+        """Skip each of the policy's ``on_evict`` and ``record_miss``
+        hooks that is its base class's no-op; the core calls this at the
+        start of a run, and until then the cache calls every hook.
+
+        Both sides are read now, so a class-level wrapper on the base
+        hook (perfbench's spans) still reads as the base's, and a hook
+        patched on the policy instance (a bound method of another
+        function, or a plain function) is kept.  Reading the instance
+        ``__dict__`` instead would build it on CPython 3.11 and slow the
+        object's later attribute reads (see ``fast_path_refusal``)."""
+        policy = self._policy
+        self._calls_on_evict = not _is_base_noop(policy, "on_evict")
+        self._calls_record_miss = not _is_base_noop(policy, "record_miss")
 
     @property
     def store(self) -> CacheStore:
@@ -120,7 +147,14 @@ class Cache:
 
     # ------------------------------------------------------------------
     def access(self, req: MemoryRequest) -> int:
-        """Process one request; returns the data-ready cycle."""
+        """Process one request; returns the data-ready cycle.
+
+        One pass through the level: a hit is answered here, and so is a
+        miss -- merged with an in-flight fill, a prefetch dropped or sent
+        down, a writeback installed, or a demand or translation miss
+        admitted to the MSHR, sent down and filled.  Counter updates and
+        the MSHR merge probes are inlined (they match ``MSHR.lookup``):
+        this runs once per request on the innermost path."""
         line = req.line_addr
         set_idx = line % self.num_sets
         ready = req.cycle + self.latency
@@ -129,17 +163,91 @@ class Cache:
         if rt is not None and (rt.pending or self.recall_replay.pending):
             self.recall_pair.on_access(set_idx, line)
 
+        stats = self.stats
+        cat = req._category
+        mshr = self.mshr
         slot = self._slot_of.get(line)
         if slot is None:
-            ready = self._handle_miss(req, set_idx, ready)
+            stats.accesses[cat] += 1
+            stats.misses[cat] += 1
+            if req.is_leaf_translation:
+                stats.leaf_accesses += 1
+                stats.leaf_misses += 1
+            if req.is_demand_data and self._calls_record_miss:
+                self._policy.record_miss(set_idx)
+
+            access_type = req.access_type
+            merged = mshr._inflight.get(line)
+            if merged is not None and merged > req.cycle:
+                mshr.merges += 1
+                if mshr.tracer is not None:
+                    mshr.tracer.instant("mshr_merge", req.cycle, cat="mshr",
+                                        component=mshr.component,
+                                        line=line, fill=merged)
+                req.served_by = self.name
+                # A miss on a line whose fill is in flight: the line was
+                # evicted before its fill completed (the victim loop does
+                # not know about MSHRs).  The pending fill still delivers
+                # the data, so it re-installs the block -- dropping it
+                # would strand the response.
+                self._fill(req, set_idx, merged)
+                if merged > ready:
+                    ready = merged
+            elif access_type is _PREFETCH:
+                # Prefetch fills enter the same MSHR table as demand
+                # fills, so they count toward a demand miss's admission
+                # wait; a prefetch is dropped once the table holds its
+                # demand entries plus a prefetch queue's worth of fills.
+                if (mshr.occupancy(req.cycle)
+                        >= mshr.entries + self._prefetch_queue):
+                    self.prefetches_dropped += 1
+                    req.served_by = self.name
+                    req.dropped = True
+                    return ready
+                req.cycle = ready
+                fill_cycle = self.next_level.access(req)
+                if req.dropped:
+                    # A lower level dropped the prefetch: no data will
+                    # ever return, so installing here would manufacture
+                    # a line out of nothing (and break inclusion under
+                    # an inclusive LLC).
+                    return ready
+                mshr.allocate_prefetch(line, fill_cycle, ready)
+                self._fill(req, set_idx, fill_cycle)
+                return fill_cycle
+            elif access_type is _WRITEBACK:
+                # Non-inclusive: install the written-back line here.
+                self._fill(req, set_idx, ready)
+                return ready
+            else:
+                ideal = ((req.is_leaf_translation and self.ideal_translations)
+                         or (req.is_demand_data and req.is_replay
+                             and self.ideal_replays))
+                # A full MSHR delays the start of the downstream access
+                # until a slot frees (MLP throttling).  Lower levels
+                # advance req.cycle, so this level's admission cycle is
+                # kept for its own MSHR.
+                start = ready + mshr.admission_delay(ready)
+                req.cycle = start
+                fill_cycle = self.next_level.access(req)
+                mshr.allocate(line, fill_cycle, start)
+                if (self.bypass_predicate is not None
+                        and self.bypass_predicate(req)):
+                    self.fills_bypassed += 1
+                else:
+                    self._fill(req, set_idx, fill_cycle)
+                if ideal:
+                    # Fig 2 mode: answer with the hit latency; the real
+                    # miss above already consumed MSHR and downstream
+                    # bandwidth.
+                    req.served_by = self.name
+                else:
+                    ready = fill_cycle
             if self.prefetcher is not None and req.is_demand_data:
                 self._run_prefetcher(req, hit=False)
             return ready
 
-        # The hit path, inlined: it runs once per hit on the innermost
-        # path.  The MSHR merge probe matches MSHR.lookup.
-        stats = self.stats
-        cat = req._category
+        # -- hit
         stats.accesses[cat] += 1
         stats.hits[cat] += 1
         if req.is_leaf_translation:
@@ -149,7 +257,6 @@ class Cache:
         # A "hit" on a line whose fill is still in flight (e.g. an ATP
         # prefetch racing the replay demand) completes when the data
         # actually arrives, not at the tag-hit latency.
-        mshr = self.mshr
         pending = mshr._inflight.get(line)
         if pending is not None and pending > req.cycle:
             mshr.merges += 1
@@ -183,87 +290,6 @@ class Cache:
                 self._run_prefetcher(req, hit=True)
         return ready
 
-    def _handle_miss(self, req: MemoryRequest, set_idx: int,
-                     ready: int) -> int:
-        line = req.line_addr
-        # Counter updates and the MSHR merge probe are inlined (the probe
-        # matches MSHR.lookup): this runs once per miss on the innermost
-        # path.
-        stats = self.stats
-        cat = req._category
-        stats.accesses[cat] += 1
-        stats.misses[cat] += 1
-        if req.is_leaf_translation:
-            stats.leaf_accesses += 1
-            stats.leaf_misses += 1
-        if req.is_demand_data:
-            self._policy.record_miss(set_idx)
-
-        mshr = self.mshr
-        merged = mshr._inflight.get(line)
-        if merged is not None and merged > req.cycle:
-            mshr.merges += 1
-            if mshr.tracer is not None:
-                mshr.tracer.instant("mshr_merge", req.cycle, cat="mshr",
-                                    component=mshr.component,
-                                    line=line, fill=merged)
-            req.served_by = self.name
-            if line not in self._slot_of:
-                # The line was evicted while its fill was still in flight
-                # (the victim loop does not know about MSHRs).  The
-                # pending fill still delivers the data, so it re-installs
-                # the block -- dropping it would strand the response.
-                self._fill(req, set_idx, merged)
-            return merged if merged > ready else ready
-
-        if req.access_type is _PREFETCH:
-            # Prefetches ride a separate queue: they never steal demand
-            # MSHR capacity, but a flooded queue drops them.
-            if (self.mshr.occupancy(req.cycle)
-                    >= self.mshr.entries + self._prefetch_queue):
-                self.prefetches_dropped += 1
-                req.served_by = self.name
-                req.dropped = True
-                return ready
-            req.cycle = ready
-            fill_cycle = self.next_level.access(req)
-            if req.dropped:
-                # A lower level dropped the prefetch: no data will ever
-                # return, so installing here would manufacture a line out
-                # of nothing (and break inclusion under an inclusive LLC).
-                return ready
-            self.mshr.allocate_prefetch(line, fill_cycle, ready)
-            self._fill(req, set_idx, fill_cycle)
-            return fill_cycle
-
-        ideal = ((req.is_leaf_translation and self.ideal_translations)
-                 or (req.is_demand_data and req.is_replay
-                     and self.ideal_replays))
-
-        if req.access_type is _WRITEBACK:
-            # Non-inclusive: install the written-back line here.
-            self._fill(req, set_idx, ready)
-            return ready
-
-        # A full MSHR delays the start of the downstream access until a
-        # slot frees (MLP throttling).  Lower levels advance req.cycle,
-        # so this level's admission cycle is kept for its own MSHR.
-        start = ready + self.mshr.admission_delay(ready)
-        req.cycle = start
-        fill_cycle = self.next_level.access(req)
-        self.mshr.allocate(line, fill_cycle, start)
-        if (self.bypass_predicate is not None
-                and self.bypass_predicate(req)):
-            self.fills_bypassed += 1
-        else:
-            self._fill(req, set_idx, fill_cycle)
-        if ideal:
-            # Fig 2 mode: answer with the hit latency; the real miss above
-            # already consumed MSHR and downstream bandwidth.
-            req.served_by = self.name
-            return ready
-        return fill_cycle
-
     # ------------------------------------------------------------------
     def _fill(self, req: MemoryRequest, set_idx: int, fill_cycle: int) -> None:
         """Install ``req``'s line in ``set_idx``: the first free way, or
@@ -277,7 +303,8 @@ class Cache:
             policy = self._policy
             way = policy.victim(set_idx, req)
             slot = base + way
-            policy.on_evict(set_idx, way)
+            if self._calls_on_evict:
+                policy.on_evict(set_idx, way)
             victim_line = store.line[slot]
             del self._slot_of[victim_line]
             # Back-invalidation: a dirty upper-level copy holds data the

@@ -10,6 +10,9 @@ from __future__ import annotations
 from repro.cache.replacement.base import RRIPBase
 from repro.memsys.request import MemoryRequest
 
+#: A set's role in the duel (:attr:`DRRIPPolicy._leader`).
+FOLLOWER, SRRIP_LEADER, BRRIP_LEADER = 0, 1, 2
+
 
 class DRRIPPolicy(RRIPBase):
     """Set-dueling DRRIP (the paper's L2C baseline)."""
@@ -25,37 +28,33 @@ class DRRIPPolicy(RRIPBase):
         self._psel_max = (1 << self.PSEL_BITS) - 1
         self._psel = self._psel_max // 2
         self._brrip_fills = 0
-        # Interleave leaders: even slots SRRIP, odd slots BRRIP.
+        # Interleave leaders: even slots SRRIP, odd slots BRRIP (SRRIP
+        # keeps a set that both claim).  One per-set table holds each
+        # set's role.
         stride = max(1, num_sets // (2 * leader_sets))
-        self._srrip_leaders = set()
-        self._brrip_leaders = set()
-        s = 0
-        for i in range(leader_sets):
-            self._srrip_leaders.add(s % num_sets)
-            s += stride
-            self._brrip_leaders.add(s % num_sets)
-            s += stride
-        self._brrip_leaders -= self._srrip_leaders
+        srrip = {2 * i * stride % num_sets for i in range(leader_sets)}
+        brrip = {(2 * i + 1) * stride % num_sets
+                 for i in range(leader_sets)}
+        self._leader = [SRRIP_LEADER if s in srrip
+                        else BRRIP_LEADER if s in brrip else FOLLOWER
+                        for s in range(num_sets)]
 
     # -- set dueling ------------------------------------------------------
-    def _uses_brrip(self, set_idx: int) -> bool:
-        if set_idx in self._srrip_leaders:
-            return False
-        if set_idx in self._brrip_leaders:
-            return True
-        # Follower: high PSEL means SRRIP leaders are missing more.
-        return self._psel > self._psel_max // 2
-
     def record_miss(self, set_idx: int) -> None:
         """Called by the cache on every demand miss (leader training)."""
-        if set_idx in self._srrip_leaders:
+        leader = self._leader[set_idx]
+        if leader == SRRIP_LEADER:
             self._psel = min(self._psel_max, self._psel + 1)
-        elif set_idx in self._brrip_leaders:
+        elif leader == BRRIP_LEADER:
             self._psel = max(0, self._psel - 1)
 
     # -- insertion --------------------------------------------------------
     def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:
-        if not self._uses_brrip(set_idx):
+        leader = self._leader[set_idx]
+        # A follower takes the winning policy: high PSEL means SRRIP
+        # leaders are missing more.
+        if leader == SRRIP_LEADER or (
+                leader == FOLLOWER and self._psel <= self._psel_max // 2):
             return self.max_rrpv - 1
         self._brrip_fills += 1
         if self._brrip_fills % self.LONG_INTERVAL == 0:

@@ -59,7 +59,8 @@ class TDRRIPPolicy(DRRIPPolicy):
             return 0
         if req.is_demand_data and req.is_replay:
             return 0 if self.replay_rrpv0 else self.max_rrpv
-        return super().insertion_rrpv(set_idx, req)
+        # Named, not super(): a fill then builds no super object.
+        return DRRIPPolicy.insertion_rrpv(self, set_idx, req)
 
 
 class NewSignSHiPPolicy(SHiPPolicy):
@@ -92,7 +93,8 @@ class TSHiPPolicy(NewSignSHiPPolicy):
             return 0
         if self.replay_rrpv0 and req.is_demand_data and req.is_replay:
             return 0
-        return super().insertion_rrpv(set_idx, req, sig)
+        # Named, not super(): a fill then builds no super object.
+        return SHiPPolicy.insertion_rrpv(self, set_idx, req, sig)
 
 
 class THawkeyePolicy(HawkeyePolicy):

@@ -19,8 +19,9 @@ below), so dispatch reads one slot and retire overwrites it.
 
 A single-stream :meth:`OOOCore.run` takes the core's fast path wherever
 it is exact (:func:`fast_path_refusal` names why not): an access that
-hits both the DTLB and the L1D takes an inlined copy of that path's side
-effects instead of ``hierarchy.load``/``store``; see
+hits the DTLB is translated inline instead of through
+``hierarchy.load``/``store``, and then takes an inlined copy of the
+L1D-hit path's side effects or goes straight to ``l1d.access``; see
 :meth:`OOOCore.run_slice`.  :class:`BatchStats` records how much of the
 run took it.
 
@@ -36,6 +37,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional
 
 from repro.core.rob import StallAccounting
+from repro.memsys import request as request_pool
+from repro.memsys.request import AccessType
 from repro.params import LINE_SHIFT, PAGE_SHIFT, SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM
@@ -51,6 +54,8 @@ UNBOUNDED = sys.maxsize
 
 _PAGE_OFF_MASK = (1 << PAGE_SHIFT) - 1
 _PFN_TO_LINE = PAGE_SHIFT - LINE_SHIFT
+_LOAD = AccessType.LOAD
+_STORE = AccessType.STORE
 
 
 @dataclass
@@ -74,7 +79,9 @@ class BatchStats:
     fast_hits: int = 0
     #: Fast-path completions that merged with an in-flight MSHR fill.
     fast_merges: int = 0
-    #: Memory accesses that went through the hierarchy instead.
+    #: Memory accesses that took the miss path instead: a DTLB miss
+    #: through the hierarchy, a DTLB hit that misses the L1D straight
+    #: to the L1D.
     scalar_excursions: int = 0
     #: The refusal, keyed by its slug.
     fallbacks: Dict[str, int] = field(default_factory=dict)
@@ -89,11 +96,14 @@ def fast_path_refusal(config: SimConfig,
     """Why a run on ``hierarchy`` must keep the fast path off, as a slug,
     or None.
 
-    The fast path writes only the DTLB and L1D LRU stamps, the reused
-    and dirty bits and the MSHR merge count, so a machine or attachment
-    with any other per-hit side effect is refused; its run takes the
-    reference loop for every access and is bit-identical by
-    construction.
+    On a DTLB hit the fast path writes only the DTLB stamp and the
+    translation counters, and then either the L1D LRU stamp, the reused
+    and dirty bits and the MSHR merge count (an L1D hit) or calls
+    ``l1d.access`` itself (an L1D miss), bypassing ``hierarchy.load``/
+    ``store``, ``mmu.translate`` and ``dtlb.lookup``.  So a machine or
+    attachment with any other side effect on those calls is refused;
+    its run takes the reference loop for every access and is
+    bit-identical by construction.
     """
     if config.huge_page_policy != "none" \
             or hierarchy.page_table.huge_page_predicate is not None:
@@ -218,8 +228,13 @@ class OOOCore:
         """Bind ``trace`` and reset the recurrence to its first instruction.
 
         With ``warmup == 0`` the region of interest opens here; otherwise
-        the caller opens it (:meth:`begin_roi`) at index ``warmup``.
+        the caller opens it (:meth:`begin_roi`) at index ``warmup``.  The
+        run starts here, so each cache level probes which policy hooks
+        it may skip (:meth:`repro.cache.cache.Cache.probe_hooks`).
         """
+        hierarchy = self.hierarchy
+        for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
+            cache.probe_hooks()
         self.trace = trace
         self.warmup = warmup
         self.total = len(trace) if limit is None else min(limit, len(trace))
@@ -264,20 +279,24 @@ class OOOCore:
         """Execute instructions until the index reaches ``stop`` (at most
         the end of the trace) or the dispatch clock reaches ``bound``.
 
-        The fast path (:attr:`fast_path`) answers an access whose VPN is
-        resident in its DTLB set and whose line is resident in the L1D
-        -- O(1) probes of the live scalar dicts -- with the exact side
-        effects of the scalar DTLB-hit/L1D-hit path: the TLB and LRU
-        stamps, the reused and dirty bits and ``Cache.access``'s MSHR
-        merge probe.  The TLB and LRU clocks stay in locals, synced
-        around every other access, which goes through the real
-        ``hierarchy.load``/``store``.  Its counter adds are deferred
-        and flushed at each window's and slice's end, so the warmup
-        reset, a sampler edge and :func:`repro.core.engine.interleave`
-        all see them.  :meth:`run` sets the flag only where
-        :func:`fast_path_refusal` finds no per-hit side effect the path
-        does not model, checkers and tracers among them, so a fast-path
-        access needs neither.
+        The fast path (:attr:`fast_path`) translates an access whose VPN
+        is resident in its DTLB set itself -- an O(1) probe of the live
+        scalar dicts and the TLB stamp.  If the line is resident in the
+        L1D too, it answers the access with the exact side effects of
+        the scalar DTLB-hit/L1D-hit path: the LRU stamp, the reused and
+        dirty bits and ``Cache.access``'s MSHR merge probe.  Otherwise it
+        sends one pooled request straight to ``l1d.access`` at the
+        translation's done cycle, as ``hierarchy.load``/``store`` would,
+        and adds a load's response-distribution sample.  The TLB and
+        LRU clocks stay in locals, synced around every ``l1d.access``
+        and every DTLB miss, which goes through the real
+        ``hierarchy.load``/``store``.  The TLB, load/store and L1D-hit
+        counter adds are deferred and flushed at each window's and
+        slice's end, so the warmup reset, a sampler edge and
+        :func:`repro.core.engine.interleave` all see them.  :meth:`run`
+        sets the flag only where :func:`fast_path_refusal` finds no
+        per-access side effect the path does not model, checkers and
+        tracers among them, so a fast-path access needs neither.
         """
         trace = self.trace
         total = self.total
@@ -320,6 +339,13 @@ class OOOCore:
             reused_col = l1d_store.reused
             dirty_col = l1d_store.dirty
             inflight_get = l1d.mshr._inflight.get
+            l1d_access = l1d.access
+            acquire = request_pool.acquire
+            release = request_pool.release
+            # Bound per slice: a warmup reset replaces the table, and it
+            # runs only between slices.
+            served_non_replay = \
+                hierarchy.response_distribution.counts["non_replay"]
             policy = l1d.policy
             pstamp = policy._stamp
             clock_d = dtlb._clock
@@ -327,14 +353,17 @@ class OOOCore:
             hit_ok = _hits_plain(l1d_store)
             flushed = i
             n_fast = n_fast_loads = n_merges = n_excursions = 0
+            n_direct = n_direct_loads = 0
 
         while i < stop and dispatch_cycle < bound:
             if i == hi:
                 if fast:
                     self._flush(i - flushed, n_fast, n_fast_loads,
-                                n_merges, n_excursions)
+                                n_direct, n_direct_loads, n_merges,
+                                n_excursions)
                     flushed = i
                     n_fast = n_fast_loads = n_merges = n_excursions = 0
+                    n_direct = n_direct_loads = 0
                     hit_ok = _hits_plain(l1d_store)
                     self.batch.windows += 1
                 lo = i
@@ -371,7 +400,7 @@ class OOOCore:
                 else:
                     # -- execute -------------------------------------------
                     addr = addrs[j]
-                    slot = None
+                    line = slot = None
                     if hit_ok:
                         vpn = addr >> PAGE_SHIFT
                         si = vpn % dtlb_num_sets
@@ -379,7 +408,8 @@ class OOOCore:
                         # The frame dict is the TLB's own pfn store, so
                         # the line is exact by construction.
                         if vpn in entries:
-                            line = (dtlb_frames[si][vpn] << _PFN_TO_LINE) \
+                            frame = dtlb_frames[si][vpn]
+                            line = (frame << _PFN_TO_LINE) \
                                 | ((addr & _PAGE_OFF_MASK) >> LINE_SHIFT)
                             slot = slot_of_get(line)
                     if slot is not None:
@@ -413,6 +443,40 @@ class OOOCore:
                         reused_col[slot] = 1
                         clock_p += 1
                         pstamp[slot] = clock_p
+                    elif line is not None:
+                        # A DTLB hit that misses the L1D: translated
+                        # here, then one request straight to the L1D at
+                        # the translation's done cycle, as
+                        # hierarchy.load/store send it.
+                        n_excursions += 1
+                        n_direct += 1
+                        clock_d += 1
+                        entries[vpn] = clock_d
+                        paddr = (frame << PAGE_SHIFT) \
+                            | (addr & _PAGE_OFF_MASK)
+                        policy._clock = clock_p
+                        if kind == kind_load:
+                            is_replay = False
+                            issue_at = dc
+                            if deps[j] and chain_completion > issue_at:
+                                issue_at = chain_completion
+                            translation_done = issue_at + dtlb_lat
+                            req = acquire(paddr, translation_done, ips[j],
+                                          _LOAD)
+                            completion = l1d_access(req)
+                            # a request no cache level served came from
+                            # DRAM
+                            served_non_replay[req.served_by or "DRAM"] += 1
+                            if deps[j]:
+                                chain_completion = completion
+                            n_direct_loads += 1
+                        else:
+                            req = acquire(paddr, dc + dtlb_lat, ips[j],
+                                          _STORE)
+                            l1d_access(req)
+                            completion = dc + 1
+                        release(req)
+                        clock_p = policy._clock
                     else:
                         if fast:
                             n_excursions += 1
@@ -472,8 +536,8 @@ class OOOCore:
         if fast:
             dtlb._clock = clock_d
             policy._clock = clock_p
-            self._flush(i - flushed, n_fast, n_fast_loads, n_merges,
-                        n_excursions)
+            self._flush(i - flushed, n_fast, n_fast_loads, n_direct,
+                        n_direct_loads, n_merges, n_excursions)
         self.index = i
         self.chain_completion = chain_completion
         self.dispatch_cycle = dispatch_cycle
@@ -483,26 +547,32 @@ class OOOCore:
         self._window = (lo, ips, kinds, addrs, deps)
 
     def _flush(self, instructions: int, fast: int, fast_loads: int,
-               merges: int, excursions: int) -> None:
-        """Add the fast path's deferred counters, ``fast`` accesses of
-        them ``fast_loads`` loads, to the hierarchy and to ``batch``."""
+               direct: int, direct_loads: int, merges: int,
+               excursions: int) -> None:
+        """Add the fast path's deferred counters to the hierarchy and to
+        ``batch``: ``fast`` DTLB-hit/L1D-hit accesses, ``fast_loads`` of
+        them loads, and ``direct`` DTLB-hit accesses sent straight to
+        the L1D, ``direct_loads`` of them loads."""
         if instructions == 0:
             return
         hierarchy = self.hierarchy
-        if fast:
+        translated = fast + direct
+        if translated:
             mmu = hierarchy.mmu
             dtlb = mmu.dtlb
+            loads = fast_loads + direct_loads
+            hierarchy.loads += loads
+            hierarchy.stores += translated - loads
+            mmu.translations += translated
+            dtlb.accesses += translated
+            dtlb.hits += translated
+        if fast:
             stats = hierarchy.l1d.stats
-            hierarchy.loads += fast_loads
-            hierarchy.stores += fast - fast_loads
             if fast_loads:
                 # Only loads record a response-distribution sample
                 # (stores are buffered; see MemoryHierarchy.store).
                 hierarchy.response_distribution.counts["non_replay"][
                     "L1D"] += fast_loads
-            mmu.translations += fast
-            dtlb.accesses += fast
-            dtlb.hits += fast
             stats.accesses["non_replay"] += fast
             stats.hits["non_replay"] += fast
         if merges:

@@ -131,7 +131,20 @@ class DRAM:
             span = tracer.begin("DRAM", request.cycle,
                                 cat=request.category(),
                                 line=request.line_addr)
-        done = self._raw_access(request.line_addr, request.cycle)
+        cfg = self.config
+        channel, bank, row = self._map(request.line_addr)
+        bank_idx = channel * cfg.banks_per_channel + bank
+        start = self._channels[channel].reserve(request.cycle)
+        if self._open_row[bank_idx] == row:
+            # Row hit: pipelined at the bus rate; no bank reservation.
+            self.row_hits += 1
+            done = start + cfg.row_hit_latency
+        else:
+            # Row miss: precharge + activate occupy the bank (tRC-like).
+            self.row_misses += 1
+            self._open_row[bank_idx] = row
+            done = self._banks[bank_idx].reserve(
+                start, cfg.row_miss_latency) + cfg.row_miss_latency
         self.accesses += 1
         request.served_by = "DRAM"
         if request.is_leaf_translation and self.on_leaf_translation is not None:
@@ -140,19 +153,3 @@ class DRAM:
             tracer.end(span, done, served_by="DRAM",
                        row_hit=self.row_hits > hits_before)
         return done
-
-    def _raw_access(self, line_addr: int, cycle: int) -> int:
-        cfg = self.config
-        channel, bank, row = self._map(line_addr)
-        bank_idx = channel * cfg.banks_per_channel + bank
-
-        start = self._channels[channel].reserve(cycle)
-        if self._open_row[bank_idx] == row:
-            # Row hit: pipelined at the bus rate; no bank reservation.
-            self.row_hits += 1
-            return start + cfg.row_hit_latency
-        # Row miss: precharge + activate occupy the bank (tRC-like).
-        self.row_misses += 1
-        self._open_row[bank_idx] = row
-        start = self._banks[bank_idx].reserve(start, cfg.row_miss_latency)
-        return start + cfg.row_miss_latency

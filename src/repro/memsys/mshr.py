@@ -144,11 +144,17 @@ class MSHR:
 
     def allocate_prefetch(self, line_addr: int, fill_cycle: int,
                           now: int) -> int:
-        """Track a prefetch fill without consuming demand capacity.
+        """Record an outstanding prefetch fill, exactly as :meth:`allocate`
+        records a demand fill.
 
-        Real designs hold prefetches in a separate prefetch queue; merging
-        a later demand with an in-flight prefetch is exactly the mechanism
-        ATP relies on, so the fill must be visible to :meth:`lookup`.
+        The fill enters the same table, so it consumes demand capacity:
+        :meth:`admission_delay` counts it, and a demand miss waits for it
+        to complete (an ``MSHR(2)`` holding prefetch fills due at cycles
+        500 and 600 delays a demand miss at cycle 10 by 490 cycles).
+        Only the cache's drop gate sets prefetches apart: it lets them
+        fill the table past ``entries``.  Merging a later demand with an
+        in-flight prefetch is the mechanism ATP relies on, so the fill
+        must be visible to the merge probes.
         """
         return self.allocate(line_addr, fill_cycle, now)
 

@@ -32,11 +32,9 @@ class TranslationResult:
     stlb_hit: bool
     #: Set on STLB misses: the walk that produced the translation.
     walk: WalkResult = None
-
-    @property
-    def is_replay(self) -> bool:
-        """The corresponding data access is a replay load."""
-        return not self.dtlb_hit and not self.stlb_hit
+    #: The corresponding data access is a replay load: the translation
+    #: missed both TLBs (set by :meth:`MMU.translate`, which knows).
+    is_replay: bool = False
 
 
 class MMU:
@@ -112,4 +110,4 @@ class MMU:
         if tracer is not None:
             tracer.end(tspan, done, dtlb_hit=False, stlb_hit=False)
         return TranslationResult((walk.pfn << PAGE_SHIFT) | offset, done,
-                                 False, False, walk)
+                                 False, False, walk, True)

@@ -141,6 +141,24 @@ def _assert_engaged(core) -> None:
         == int((kinds != KIND_NONMEM).sum())
 
 
+def test_only_dtlb_misses_go_through_the_hierarchy(monkeypatch):
+    """On ``pr``/full every access whose DTLB probe hits stays off
+    ``MemoryHierarchy.load``/``store``: an L1D hit retires inline and an
+    L1D miss goes straight to the L1D.  Class-level counters, which keep
+    the fast path on, see exactly the DTLB misses."""
+    calls = []
+    for name in ("load", "store"):
+        def counted(self, *args, _fn=getattr(MemoryHierarchy, name)):
+            calls.append(args)
+            return _fn(self, *args)
+        monkeypatch.setattr(MemoryHierarchy, name, counted)
+    _, core = _run(_cfg(scale=16, enhancements="full"), "pr", 5000, 0, 1)
+    _assert_engaged(core)
+    # No warmup reset, so the DTLB counted every miss of the run.
+    assert len(calls) == core.hierarchy.mmu.dtlb.misses
+    assert core.batch.scalar_excursions > len(calls)
+
+
 def _run(config: SimConfig, bench: str, instructions: int,
          warmup: int, seed: int, reference: bool = False):
     """One direct core run, on the reference loop or the default one;
@@ -453,13 +471,17 @@ def test_a_class_level_wrapper_keeps_the_fast_path(monkeypatch):
 
 
 def test_the_refusal_probe_reads_no_instance_dict():
-    """Deciding on the fast path reads no hot object's ``__dict__``: on
-    CPython 3.11 that read builds the dict, and the object's attribute
-    reads stay slower for the rest of the run."""
+    """Deciding on the fast path, and which policy hooks to skip, reads
+    no hot object's ``__dict__``: on CPython 3.11 that read builds the
+    dict, and the object's attribute reads stay slower for the rest of
+    the run."""
     cfg = _cfg()
     hierarchy = MemoryHierarchy(cfg)
-    for owner in ("hierarchy", "l1d", "mmu", "dtlb"):
-        obj = _hot_object(hierarchy, owner)
+    # The policies too: each level's run-start hook probe reads them.
+    for obj in [_hot_object(hierarchy, owner)
+                for owner in ("hierarchy", "l1d", "mmu", "dtlb")] + [
+                    level.policy for level in (hierarchy.l1d, hierarchy.l2c,
+                                               hierarchy.llc)]:
         cls = type(obj)
 
         def __getattribute__(self, name, _cls=cls):

@@ -1,9 +1,12 @@
 """Differential test of the cache access and fill path.
 
-``Cache.access`` answers a hit itself, and ``Cache._fill`` finds the free
-way, evicts the victim and writes each live column once; SHiP-family
-fills hash their signature once.  None of this may change a simulated
-statistic, so this module keeps the code it replaced as a reference:
+``Cache.access`` answers a hit and a miss in one pass, and
+``Cache._fill`` finds the free way, evicts the victim and writes each
+live column once; SHiP-family fills hash their signature once, and a
+level whose hooks were probed (``Cache.probe_hooks``) skips the
+policy's no-op ``on_evict`` and ``record_miss``.  None of this may
+change a simulated statistic, so this module keeps the code it replaced
+as a reference:
 
 * :class:`ReferenceStore` -- the previous ``CacheStore``, verbatim,
   with ``first_free``, ``reset_slot`` and the ``fill_cycle`` column;
@@ -21,8 +24,8 @@ loads and stores, replay or not; leaf and upper-level translations;
 prefetches with and without ``evict_priority``, as requests and through
 ``issue_prefetch``; writebacks; and cycles that go backwards.  Every
 registered policy runs with and without inclusive back-invalidation, a
-bypass predicate, the ``ideal_*`` flags, recall tracking and a
-demand prefetcher.  After each request the returned cycle,
+bypass predicate, the ``ideal_*`` flags, recall tracking, a demand
+prefetcher and the hook probe.  After each request the returned cycle,
 ``served_by`` and ``dropped`` must agree; at the end every store column
 and ``slot_of``, the stats, the MSHR, the writeback, back-invalidation,
 drop and bypass counters, the policy state, the recall histograms and
@@ -535,6 +538,9 @@ def build(cache_cls, policy_fn, policy: str, options: Dict):
     prefetcher = None
     if options["prefetcher"]:
         prefetcher = upper.prefetcher = NextLine()
+    if options["probe"] and cache_cls is Cache:
+        for cache in levels:
+            cache.probe_hooks()
     hits = []
     for cache in levels:
         cache.on_leaf_translation_hit = (
@@ -640,12 +646,13 @@ def level_state(cache) -> Dict:
 @pytest.mark.parametrize("policy", sorted(_REGISTRY))
 @settings(max_examples=40, deadline=None)
 @given(stream=ops, inclusive=st.booleans(), bypass=st.booleans(),
-       ideal=st.booleans(), recall=st.booleans(), prefetcher=st.booleans())
+       ideal=st.booleans(), recall=st.booleans(), prefetcher=st.booleans(),
+       probe=st.booleans())
 def test_access_and_fill_match_the_previous_path(policy, stream, inclusive,
                                                  bypass, ideal, recall,
-                                                 prefetcher):
+                                                 prefetcher, probe):
     options = {"inclusive": inclusive, "bypass": bypass, "ideal": ideal,
-               "recall": recall, "prefetcher": prefetcher}
+               "recall": recall, "prefetcher": prefetcher, "probe": probe}
     new = build(Cache, make_policy, policy, options)
     ref = build(ReferenceCache, reference_policy, policy, options)
     new_seen = drive(new, stream)

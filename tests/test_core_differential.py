@@ -3,10 +3,11 @@
 ``OOOCore.run_slice`` keeps its ROB as a ring of retire times, retires a
 non-memory instruction through a three-way branch and, with
 ``fast_path`` set (every single-stream run it is exact for), answers
-DTLB-hit/L1D-hit accesses inline.  None of this may change a simulated statistic, so this module
-keeps the loop it replaced as a reference: :class:`ReferenceCore` has
-the previous ``start`` and ``run_slice`` verbatim, with the ROB as a
-deque of retire times and no fast path.
+DTLB-hit/L1D-hit accesses inline and sends DTLB-hit/L1D-miss accesses
+straight to the L1D.  None of this may change a simulated statistic,
+so this module keeps the loop it replaced as a reference:
+:class:`ReferenceCore` has the previous ``start`` and ``run_slice``
+verbatim, with the ROB as a deque of retire times and no fast path.
 
 Hypothesis draws traces (load/store/non-memory mixes over a pool of
 pages, dependent load chains), the machine (scale, enhancements, a
@@ -16,7 +17,8 @@ on the core with the fast path off and on; a two-stream ``interleave``
 on one shared hierarchy runs the same way.  Every retire cycle, the
 ``StallAccounting`` snapshot, every sampler interval, every
 ``hierarchy_counters`` entry and the L1D and DTLB state the fast path
-writes must agree.
+writes must agree.  :class:`CountingHierarchy` shows that the drawn
+traces, and one fixed ``pr`` run, reach the DTLB-hit/L1D-miss branch.
 """
 
 from __future__ import annotations
@@ -244,6 +246,28 @@ class RecordedFastCore(_Recording, OOOCore):
     pass
 
 
+class CountingHierarchy(MemoryHierarchy):
+    """Counts the accesses that go through ``load``/``store``.  The
+    override is on a class, so the fast path stays on; the fast path's
+    scalar excursions that are not among them went straight to the
+    L1D."""
+
+    through = 0
+
+    def load(self, va, cycle, ip=0):
+        self.through += 1
+        return super().load(va, cycle, ip)
+
+    def store(self, va, cycle, ip=0):
+        self.through += 1
+        return super().store(va, cycle, ip)
+
+
+def _direct(core) -> int:
+    """Accesses a fast-path run sent straight to the L1D."""
+    return core.batch.scalar_excursions - core.hierarchy.through
+
+
 # ----------------------------------------------------------------------
 # Traces and machines
 # ----------------------------------------------------------------------
@@ -319,7 +343,7 @@ def _state(hierarchy):
 
 
 def _single(core_cls, cfg, trace, warmup, interval):
-    hierarchy = MemoryHierarchy(cfg)
+    hierarchy = CountingHierarchy(cfg)
     core = core_cls(cfg, hierarchy)
     sampler = None
     if interval is not None:
@@ -339,60 +363,77 @@ def _assert_same(reference, other):
     assert other == reference
 
 
-@settings(max_examples=40, deadline=None)
-@given(trace=traces(), machine=st.sampled_from(MACHINES),
-       data=st.data())
-def test_one_stream_matches_the_previous_loop(trace, machine, data):
-    n = len(trace)
-    warmup = data.draw(st.integers(0, n), label="warmup")
-    interval = data.draw(st.one_of(st.none(), st.integers(1, 1500)),
-                         label="interval")
-    cfg = _machine(*machine)
-    reference, _ = _single(RecordedReference, cfg, trace, warmup, interval)
-    slow, _ = _single(RecordedCore, cfg, trace, warmup, interval)
-    fast, core = _single(RecordedFastCore, cfg, trace, warmup, interval)
-    stats = core.batch
-    assert stats.fallbacks == {}
-    memory = int(np.count_nonzero(trace.kinds != KIND_NONMEM))
-    assert stats.fast_hits + stats.scalar_excursions == memory
-    assert stats.instructions == n
-    _assert_same(dict(reference), slow)
-    _assert_same(reference, fast)
+def test_one_stream_matches_the_previous_loop():
+    direct = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=traces(), machine=st.sampled_from(MACHINES),
+           data=st.data())
+    def check(trace, machine, data):
+        n = len(trace)
+        warmup = data.draw(st.integers(0, n), label="warmup")
+        interval = data.draw(st.one_of(st.none(), st.integers(1, 1500)),
+                             label="interval")
+        cfg = _machine(*machine)
+        reference, _ = _single(RecordedReference, cfg, trace, warmup,
+                               interval)
+        slow, _ = _single(RecordedCore, cfg, trace, warmup, interval)
+        fast, core = _single(RecordedFastCore, cfg, trace, warmup, interval)
+        stats = core.batch
+        assert stats.fallbacks == {}
+        memory = int(np.count_nonzero(trace.kinds != KIND_NONMEM))
+        assert stats.fast_hits + stats.scalar_excursions == memory
+        assert stats.instructions == n
+        _assert_same(dict(reference), slow)
+        _assert_same(reference, fast)
+        direct.append(_direct(core))
+
+    check()
+    # The drawn traces reach the DTLB-hit/L1D-miss branch.
+    assert sum(direct) > 0
 
 
-@settings(max_examples=25, deadline=None)
-@given(first=traces(max_len=1500), second=traces(max_len=1500),
-       machine=st.sampled_from(MACHINES), data=st.data())
-def test_interleaved_streams_match_the_previous_loop(first, second,
-                                                     machine, data):
-    warmup = data.draw(st.integers(0, max(len(first), len(second))),
-                       label="warmup")
-    cfg = _machine(*machine)
-    runs = []
-    for core_cls, fast in ((RecordedReference, False),
-                           (RecordedCore, False), (RecordedFastCore, True)):
-        hierarchy = MemoryHierarchy(cfg)
-        cores = [core_cls(cfg, hierarchy) for _ in range(2)]
-        if fast:
-            for core in cores:
-                _fast(core)
-        results = interleave(cores, [first, second], warmup)
-        runs.append({
-            "retired": [core.retired for core in cores],
-            "results": [(r.instructions, r.cycles, r.stalls.snapshot())
-                        for r in results],
-            "state": _state(hierarchy),
-            "counters": hierarchy_counters(hierarchy, results[0])})
-        if fast:
-            memory = sum(int(np.count_nonzero(t.kinds != KIND_NONMEM))
-                         for t in (first, second))
-            assert sum(core.batch.fast_hits
-                       + core.batch.scalar_excursions
-                       for core in cores) == memory
-    reference, slow, fast = runs
-    _assert_same(dict(reference), slow)
-    _assert_same(reference, fast)
+def test_interleaved_streams_match_the_previous_loop():
+    direct = []
 
+    @settings(max_examples=25, deadline=None)
+    @given(first=traces(max_len=1500), second=traces(max_len=1500),
+           machine=st.sampled_from(MACHINES), data=st.data())
+    def check(first, second, machine, data):
+        warmup = data.draw(st.integers(0, max(len(first), len(second))),
+                           label="warmup")
+        cfg = _machine(*machine)
+        runs = []
+        for core_cls, fast in ((RecordedReference, False),
+                               (RecordedCore, False),
+                               (RecordedFastCore, True)):
+            hierarchy = CountingHierarchy(cfg)
+            cores = [core_cls(cfg, hierarchy) for _ in range(2)]
+            if fast:
+                for core in cores:
+                    _fast(core)
+            results = interleave(cores, [first, second], warmup)
+            runs.append({
+                "retired": [core.retired for core in cores],
+                "results": [(r.instructions, r.cycles, r.stalls.snapshot())
+                            for r in results],
+                "state": _state(hierarchy),
+                "counters": hierarchy_counters(hierarchy, results[0])})
+            if fast:
+                memory = sum(int(np.count_nonzero(t.kinds != KIND_NONMEM))
+                             for t in (first, second))
+                assert sum(core.batch.fast_hits
+                           + core.batch.scalar_excursions
+                           for core in cores) == memory
+                direct.append(sum(core.batch.scalar_excursions
+                                  for core in cores) - hierarchy.through)
+        reference, slow, fast = runs
+        _assert_same(dict(reference), slow)
+        _assert_same(reference, fast)
+
+    check()
+    # The drawn streams reach the DTLB-hit/L1D-miss branch.
+    assert sum(direct) > 0
 
 
 def test_merge_probe_edges_match_the_previous_loop():
@@ -405,3 +446,16 @@ def test_merge_probe_edges_match_the_previous_loop():
     reference, _ = _single(RecordedReference, cfg, trace, 2_000, None)
     fast, _ = _single(RecordedFastCore, cfg, trace, 2_000, None)
     _assert_same(reference, fast)
+
+
+def test_dtlb_hit_l1d_misses_match_the_previous_loop():
+    """``pr``/full (``walk_storm``'s machine) at scale 16: its
+    DTLB-hit/L1D-miss accesses, loads and stores, go straight to the
+    L1D, with ATP and TEMPO prefetching below it, and match the loop
+    that sent them through the hierarchy."""
+    cfg = default_config(16).with_(enhancements="full")
+    trace = make_trace("pr", 7_000, scale=16, seed=3)
+    reference, _ = _single(RecordedReference, cfg, trace, 1_000, None)
+    fast, core = _single(RecordedFastCore, cfg, trace, 1_000, None)
+    _assert_same(reference, fast)
+    assert _direct(core) > 0

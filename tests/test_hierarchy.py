@@ -211,3 +211,54 @@ def test_reset_stats_clears_everything():
     assert h.mmu.stlb.accesses == 0
     assert sum(h.l1d.stats.misses.values()) == 0
     assert sum(h.response_distribution.counts["replay"].values()) == 0
+
+
+def test_a_run_skips_only_the_base_policy_no_op_hooks(monkeypatch):
+    """At a run's start each level skips the policy hooks that are the
+    base class's no-ops: on ``pr``/full the base ``on_evict`` and
+    ``record_miss`` are never entered, while SHiP's ``on_evict`` runs on
+    every LLC eviction, DRRIP's ``record_miss`` on every L2C demand miss,
+    and a no-op hook patched on a policy instance before the run on every
+    L1D eviction.  The counting wrappers sit on the classes, as
+    perfbench's spans do."""
+    from collections import Counter
+
+    from repro.cache.replacement.base import ReplacementPolicy, RRIPBase
+    from repro.cache.replacement.drrip import DRRIPPolicy
+    from repro.cache.replacement.lru import LRUPolicy
+    from repro.cache.replacement.ship import SHiPPolicy
+    from repro.core.ooo_core import OOOCore
+    from repro.workloads.registry import make_trace
+
+    entered = Counter()
+    for cls, name in ((ReplacementPolicy, "on_evict"),
+                      (ReplacementPolicy, "record_miss"),
+                      (SHiPPolicy, "on_evict"), (DRRIPPolicy, "record_miss"),
+                      (RRIPBase, "victim"), (LRUPolicy, "victim")):
+        def counted(self, *args, _fn=vars(cls)[name],
+                    _key=f"{cls.__name__}.{name}"):
+            entered[_key, self] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+
+    cfg = default_config(16).with_(enhancements="full")
+    hierarchy = MemoryHierarchy(cfg)
+    l1d, l2c, llc = hierarchy.l1d, hierarchy.l2c, hierarchy.llc
+    patched = []
+    l1d.policy.on_evict = lambda set_idx, way: patched.append(set_idx)
+    OOOCore(cfg, hierarchy).run(make_trace("pr", 6000, scale=16))
+
+    def total(key):
+        return sum(n for (k, _), n in entered.items() if k == key)
+    assert total("ReplacementPolicy.on_evict") == 0
+    assert total("ReplacementPolicy.record_miss") == 0
+    llc_evictions = entered["RRIPBase.victim", llc.policy]
+    assert llc_evictions > 0
+    assert entered["SHiPPolicy.on_evict", llc.policy] == llc_evictions
+    demand_misses = l2c.stats.misses["replay"] \
+        + l2c.stats.misses["non_replay"]
+    assert demand_misses > 0
+    assert entered["DRRIPPolicy.record_miss", l2c.policy] == demand_misses
+    l1d_evictions = entered["LRUPolicy.victim", l1d.policy]
+    assert l1d_evictions > 0
+    assert len(patched) == l1d_evictions

@@ -163,3 +163,12 @@ def test_admission_delay_covers_multiple_completions():
     # None of the throttling entries were deleted: all still merge.
     assert mshr.lookup(0x1, now=50) == 100
     assert mshr.lookup(0x4, now=50) == 400
+
+
+def test_prefetch_fills_delay_a_demand_miss():
+    """Prefetch fills share the demand table: a demand miss waits for
+    them to complete, as ``MSHR.allocate_prefetch`` documents."""
+    mshr = MSHR(2)
+    mshr.allocate_prefetch(0x1, 500, 0)
+    mshr.allocate_prefetch(0x2, 600, 0)
+    assert mshr.admission_delay(now=10) == 490

@@ -1,12 +1,16 @@
 """The verdict arithmetic and the record of ``tools/perfbench_ab.py`` on
-synthetic samples."""
+synthetic samples, and its cleanup when it is stopped by SIGTERM."""
 
 from __future__ import annotations
 
 import contextlib
 import importlib.util
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,3 +229,72 @@ def test_main_fails_on_a_larger_failed_share(tmp_path, monkeypatch,
     records = sorted(tmp_path.glob("BENCH_*_walk_storm.json"))
     assert records and f"record: {records[-1]}" in out
     assert json.loads(records[-1].read_text())["ok"] is False
+
+
+#: The child of the SIGTERM test: ``main`` on a throwaway repository
+#: whose one pair is a sleeping process standing in for perfbench.
+_SIGTERM_CHILD = """
+import importlib.util, pathlib, subprocess, sys
+spec = importlib.util.spec_from_file_location("perfbench_ab", sys.argv[1])
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+ab.ROOT = pathlib.Path(sys.argv[2])
+pid_file = sys.argv[3]
+
+def run_pairs(base_root, *args):
+    subprocess.run([sys.executable, "-c",
+                    "import os, sys, time; "
+                    "open(sys.argv[1], 'w').write(str(os.getpid())); "
+                    "print('ready', flush=True); time.sleep(120)",
+                    pid_file])
+
+ab.run_pairs = run_pairs
+sys.exit(ab.main(["--base", "HEAD", "--pairs", "1"]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_kills_perfbench_and_removes_the_base_checkout(tmp_path):
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    repo.mkdir()
+    tmp.mkdir()
+    (repo / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text())
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    for args in (["init", "-q"], ["add", "BENCHMARK.json"],
+                 ["commit", "-qm", "init"]):
+        subprocess.run(git + args, cwd=repo, check=True)
+    pid_file = tmp_path / "perfbench.pid"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SIGTERM_CHILD,
+         str(ROOT / "tools" / "perfbench_ab.py"), str(repo), str(pid_file)],
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "TMPDIR": str(tmp)})
+    pid = None
+    try:
+        for line in proc.stdout:
+            if line.startswith("ready"):
+                break
+        pid = int(pid_file.read_text())
+        assert list(tmp.glob("perfbench-ab-*"))  # the base checkout's holder
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        worktrees = subprocess.run(["git", "worktree", "list"], cwd=repo,
+                                   check=True, capture_output=True,
+                                   text=True).stdout
+        assert "perfbench-ab-" not in worktrees
+        assert not list(tmp.glob("perfbench-ab-*"))
+        assert not _alive(pid)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        if pid is not None and _alive(pid):
+            os.kill(pid, signal.SIGKILL)

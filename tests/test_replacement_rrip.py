@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cache.replacement.drrip import DRRIPPolicy
+from repro.cache.replacement.drrip import (BRRIP_LEADER, FOLLOWER,
+                                           SRRIP_LEADER, DRRIPPolicy)
 from repro.cache.replacement.srrip import SRRIPPolicy
 from repro.cache.store import CacheStore
 from repro.memsys.request import MemoryRequest
@@ -22,6 +23,11 @@ def bound(pol, fill_set=None):
 
 def req(ip=0x400):
     return MemoryRequest(address=0x1000, cycle=0, ip=ip)
+
+
+def sets_with(pol, role):
+    """The sets whose entry in DRRIP's per-set table is ``role``."""
+    return [s for s, r in enumerate(pol._leader) if r == role]
 
 
 def test_srrip_inserts_long():
@@ -55,33 +61,34 @@ def test_srrip_victim_ages_until_max():
 
 def test_drrip_has_disjoint_leader_sets():
     pol = DRRIPPolicy(64, 8)
-    assert pol._srrip_leaders
-    assert pol._brrip_leaders
-    assert not (pol._srrip_leaders & pol._brrip_leaders)
+    # One table entry per set, so no set leads for both sides.
+    assert len(pol._leader) == 64
+    assert sets_with(pol, SRRIP_LEADER) == list(range(0, 64, 2))
+    assert sets_with(pol, BRRIP_LEADER) == list(range(1, 64, 2))
 
 
 def test_drrip_srrip_leader_always_inserts_long():
     pol = DRRIPPolicy(64, 8)
-    leader = next(iter(pol._srrip_leaders))
+    leader = sets_with(pol, SRRIP_LEADER)[0]
     for _ in range(50):
         assert pol.insertion_rrpv(leader, req()) == pol.max_rrpv - 1
 
 
 def test_drrip_psel_steers_followers():
     pol = DRRIPPolicy(256, 8)
-    follower = next(s for s in range(256)
-                    if s not in pol._srrip_leaders
-                    and s not in pol._brrip_leaders)
+    follower = sets_with(pol, FOLLOWER)[0]
     # Drive PSEL low: misses in BRRIP leaders mean BRRIP is bad -> SRRIP wins.
-    brrip_leader = next(iter(pol._brrip_leaders))
+    brrip_leader = sets_with(pol, BRRIP_LEADER)[0]
     for _ in range(600):
         pol.record_miss(brrip_leader)
-    assert not pol._uses_brrip(follower)
+    assert pol.insertion_rrpv(follower, req()) == pol.max_rrpv - 1
+    assert pol._brrip_fills == 0
     # Now punish SRRIP leaders harder.
-    srrip_leader = next(iter(pol._srrip_leaders))
+    srrip_leader = sets_with(pol, SRRIP_LEADER)[0]
     for _ in range(1200):
         pol.record_miss(srrip_leader)
-    assert pol._uses_brrip(follower)
+    assert pol.insertion_rrpv(follower, req()) == pol.max_rrpv
+    assert pol._brrip_fills == 1
 
 
 def test_demote_sets_max_rrpv():

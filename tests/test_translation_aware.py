@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cache.replacement import make_policy
+from repro.cache.replacement.drrip import SRRIP_LEADER
 from repro.cache.replacement.translation_aware import (
     NewSignSHiPPolicy, TDRRIPPolicy, THawkeyePolicy, TSHiPPolicy, _aware_ip)
 from repro.cache.store import CacheStore
@@ -51,7 +52,7 @@ def test_tdrrip_replays_insert_at_max():
 
 def test_tdrrip_non_replays_keep_drrip_insertion():
     pol = TDRRIPPolicy(64, 8)
-    leader = next(iter(pol._srrip_leaders))
+    leader = pol._leader.index(SRRIP_LEADER)
     assert pol.insertion_rrpv(leader, non_replay_load()) == pol.max_rrpv - 1
 
 

@@ -36,7 +36,8 @@ attempted operations.  The printed table is read from the record.
 
 Exit status 1 when a metric is ``worse`` or the change fails a larger
 share of operations than the base, 2 when the base does not resolve to
-a commit.
+a commit.  A SIGTERM ends the run as an exit would (status 143): the
+running perfbench is killed and the base checkout removed.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import argparse
 import contextlib
 import json
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -269,7 +271,22 @@ def write_record(rec: Dict) -> Path:
     return path
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    """Raise :class:`SystemExit` on SIGTERM, whose default action would
+    skip every ``finally``: ``subprocess.run`` then kills the running
+    perfbench, and :func:`base_checkout` removes the worktree."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        return _main(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", default="HEAD",
