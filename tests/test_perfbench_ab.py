@@ -267,7 +267,8 @@ def test_sigterm_kills_perfbench_and_removes_the_base_checkout(tmp_path):
     tmp.mkdir()
     (repo / "BENCHMARK.json").write_text(
         (ROOT / "BENCHMARK.json").read_text())
-    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t"]
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
     for args in (["init", "-q"], ["add", "BENCHMARK.json"],
                  ["commit", "-qm", "init"]):
         subprocess.run(git + args, cwd=repo, check=True)
