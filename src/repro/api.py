@@ -207,9 +207,9 @@ def run(benchmark: str, *,
     ``enhancements`` (a preset name or :class:`EnhancementConfig`) is a
     shortcut for building ``config``; passing both raises.
 
-    The core takes its DTLB-hit/L1D-hit fast path wherever that is
-    exact; ``result.batch`` (:class:`BatchStats`) records how much of
-    the run took it, or why it was refused (see
+    The core takes its fast path (every access translated in the core)
+    wherever that is exact; ``result.batch`` (:class:`BatchStats`)
+    records how much of the run took it, or why it was refused (see
     ``docs/performance.md``).  ``backend`` is accepted until api 9.0
     and does nothing.
 

@@ -18,10 +18,11 @@ slot an instruction takes holds the retire time of the instruction
 below), so dispatch reads one slot and retire overwrites it.
 
 A single-stream :meth:`OOOCore.run` takes the core's fast path wherever
-it is exact (:func:`fast_path_refusal` names why not): an access that
-hits the DTLB is translated inline instead of through
-``hierarchy.load``/``store``, and then takes an inlined copy of the
-L1D-hit path's side effects or goes straight to ``l1d.access``; see
+it is exact (:func:`fast_path_refusal` names why not): every access is
+translated in the core instead of through ``hierarchy.load``/``store``
+-- a DTLB miss probes the STLB and, on its miss, walks -- and then takes
+an inlined copy of the L1D-hit path's side effects (a DTLB hit whose
+line is in the L1D) or goes straight to ``l1d.access``; see
 :meth:`OOOCore.run_slice`.  :class:`BatchStats` records how much of the
 run took it.
 
@@ -79,9 +80,11 @@ class BatchStats:
     fast_hits: int = 0
     #: Fast-path completions that merged with an in-flight MSHR fill.
     fast_merges: int = 0
-    #: Memory accesses that took the miss path instead: a DTLB miss
-    #: through the hierarchy, a DTLB hit that misses the L1D straight
-    #: to the L1D.
+    #: Memory accesses that took the miss path instead: a DTLB miss,
+    #: or a DTLB hit that misses the L1D, translated in the core and
+    #: sent straight to the L1D; or, in a window whose L1D holds a
+    #: prefetched or dead-on-hit line, any access, through
+    #: ``hierarchy.load``/``store``.
     scalar_excursions: int = 0
     #: The refusal, keyed by its slug.
     fallbacks: Dict[str, int] = field(default_factory=dict)
@@ -96,14 +99,18 @@ def fast_path_refusal(config: SimConfig,
     """Why a run on ``hierarchy`` must keep the fast path off, as a slug,
     or None.
 
-    On a DTLB hit the fast path writes only the DTLB stamp and the
-    translation counters, and then either the L1D LRU stamp, the reused
-    and dirty bits and the MSHR merge count (an L1D hit) or calls
-    ``l1d.access`` itself (an L1D miss), bypassing ``hierarchy.load``/
-    ``store``, ``mmu.translate`` and ``dtlb.lookup``.  So a machine or
-    attachment with any other side effect on those calls is refused;
-    its run takes the reference loop for every access and is
-    bit-identical by construction.
+    The fast path translates every access itself, bypassing
+    ``hierarchy.load``/``store``, ``mmu.translate``, ``dtlb.lookup`` and
+    ``stlb.lookup``.  On a DTLB hit it writes the DTLB stamp and the
+    translation counters; on a DTLB miss it writes the STLB stamp and
+    counters (and tells a pending STLB recall tracker), calls
+    ``mmu.walker.walk`` on an STLB miss and fills both TLBs through
+    ``TLB.fill``.  Then it either writes the L1D LRU stamp, the reused
+    and dirty bits and the MSHR merge count (a DTLB-hit L1D hit) or
+    calls ``l1d.access`` itself.  So a machine or attachment with any
+    other side effect on those calls is refused; its run takes the
+    reference loop for every access and is bit-identical by
+    construction.
     """
     if config.huge_page_policy != "none" \
             or hierarchy.page_table.huge_page_predicate is not None:
@@ -123,6 +130,9 @@ def fast_path_refusal(config: SimConfig,
     dtlb = mmu.dtlb
     if dtlb.recall is not None or dtlb.observer is not None:
         return "dtlb_recall"
+    stlb = mmu.stlb
+    if stlb.observer is not None:
+        return "stlb_observer"  # per-lookup hooks
     if hierarchy.checker is not None:
         return "checker"  # per-event hooks
     if hierarchy.tracer is not None or mmu.tracer is not None:
@@ -135,7 +145,7 @@ def fast_path_refusal(config: SimConfig,
     # would stay slower for the rest of the run.
     for obj, name in ((hierarchy, "load"), (hierarchy, "store"),
                       (l1d, "access"), (mmu, "translate"),
-                      (dtlb, "lookup")):
+                      (dtlb, "lookup"), (stlb, "lookup")):
         if getattr(getattr(obj, name), "__func__", None) \
                 is not getattr(type(obj), name):
             return "instance_patch"
@@ -185,9 +195,9 @@ class OOOCore:
         self.rob_entries = core.rob_entries
         self.dispatch_width = core.dispatch_width
         self.retire_width = core.retire_width
-        #: Take the inlined DTLB-hit/L1D-hit path.  :meth:`run` sets it
-        #: per run, with ``batch``, the :class:`BatchStats` that
-        #: :meth:`_flush` records into.
+        #: Take the fast path: every access translated in the core.
+        #: :meth:`run` sets it per run, with ``batch``, the
+        #: :class:`BatchStats` that :meth:`_flush` records into.
         self.fast_path = False
         self.batch: Optional[BatchStats] = None
         from repro import validate
@@ -279,24 +289,34 @@ class OOOCore:
         """Execute instructions until the index reaches ``stop`` (at most
         the end of the trace) or the dispatch clock reaches ``bound``.
 
-        The fast path (:attr:`fast_path`) translates an access whose VPN
-        is resident in its DTLB set itself -- an O(1) probe of the live
-        scalar dicts and the TLB stamp.  If the line is resident in the
-        L1D too, it answers the access with the exact side effects of
-        the scalar DTLB-hit/L1D-hit path: the LRU stamp, the reused and
-        dirty bits and ``Cache.access``'s MSHR merge probe.  Otherwise it
-        sends one pooled request straight to ``l1d.access`` at the
-        translation's done cycle, as ``hierarchy.load``/``store`` would,
-        and adds a load's response-distribution sample.  The TLB and
-        LRU clocks stay in locals, synced around every ``l1d.access``
-        and every DTLB miss, which goes through the real
-        ``hierarchy.load``/``store``.  The TLB, load/store and L1D-hit
-        counter adds are deferred and flushed at each window's and
-        slice's end, so the warmup reset, a sampler edge and
-        :func:`repro.core.engine.interleave` all see them.  :meth:`run`
-        sets the flag only where :func:`fast_path_refusal` finds no
-        per-access side effect the path does not model, checkers and
-        tracers among them, so a fast-path access needs neither.
+        The fast path (:attr:`fast_path`) translates every access
+        itself, as ``mmu.translate`` would.  A VPN resident in its DTLB
+        set takes an O(1) probe of the live scalar dicts and the TLB
+        stamp.  A DTLB miss probes the live STLB set the same way (its
+        stamp, its counters and a pending recall tracker's
+        ``on_access``); on an STLB miss it calls ``mmu.walker.walk`` and
+        adds the walk's cycles; then it fills the STLB (after a walk)
+        and the DTLB through ``TLB.fill``.  If a DTLB hit's line is
+        resident in the L1D too, the access is answered with the exact
+        side effects of the scalar DTLB-hit/L1D-hit path: the LRU stamp,
+        the reused and dirty bits and ``Cache.access``'s MSHR merge
+        probe.  Otherwise one pooled request goes straight to
+        ``l1d.access`` at the translation's done cycle, as
+        ``hierarchy.load``/``store`` would send it: after a walk it is a
+        replay, and a replay load issues ``replay_issue_latency`` later
+        and adds its ``translation`` sample and its replay latency.  A
+        load adds its response-distribution sample.  The DTLB and L1D
+        LRU clocks stay in locals, synced around every call that can
+        move them (``TLB.fill``, the walk, ``l1d.access``).  The DTLB,
+        load/store and L1D-hit counter adds are deferred and flushed at
+        each window's and slice's end, so the warmup reset, a sampler
+        edge and :func:`repro.core.engine.interleave` all see them.  In
+        a window whose L1D holds a prefetched or dead-on-hit line every
+        access goes through the real ``hierarchy.load``/``store``.
+        :meth:`run` sets the flag only where :func:`fast_path_refusal`
+        finds no per-access side effect the path does not model,
+        checkers and tracers among them, so a fast-path access needs
+        neither.
         """
         trace = self.trace
         total = self.total
@@ -327,11 +347,22 @@ class OOOCore:
         fast = self.fast_path
         hit_ok = False
         if fast:
-            dtlb = hierarchy.mmu.dtlb
+            mmu = hierarchy.mmu
+            dtlb = mmu.dtlb
             dtlb_sets = dtlb._sets
             dtlb_frames = dtlb._frames
             dtlb_num_sets = dtlb.num_sets
             dtlb_lat = dtlb.latency
+            dtlb_fill = dtlb.fill
+            stlb = mmu.stlb
+            stlb_sets = stlb._sets
+            stlb_frames = stlb._frames
+            stlb_num_sets = stlb.num_sets
+            stlb_lat = stlb.latency
+            stlb_fill = stlb.fill
+            stlb_fill_lat = mmu.stlb_fill_latency
+            walk = mmu.walker.walk
+            replay_lat = hierarchy._replay_issue_latency
             l1d = hierarchy.l1d
             l1d_lat = l1d.latency
             l1d_store = l1d.store
@@ -344,26 +375,27 @@ class OOOCore:
             release = request_pool.release
             # Bound per slice: a warmup reset replaces the table, and it
             # runs only between slices.
-            served_non_replay = \
-                hierarchy.response_distribution.counts["non_replay"]
+            served = hierarchy.response_distribution.counts
+            served_non_replay = served["non_replay"]
+            served_replay = served["replay"]
+            served_translation = served["translation"]
             policy = l1d.policy
             pstamp = policy._stamp
             clock_d = dtlb._clock
             clock_p = policy._clock
             hit_ok = _hits_plain(l1d_store)
             flushed = i
-            n_fast = n_fast_loads = n_merges = n_excursions = 0
-            n_direct = n_direct_loads = 0
+            n_fast = n_fast_loads = n_merges = n_through = 0
+            n_sent = n_sent_loads = n_missed = 0
 
         while i < stop and dispatch_cycle < bound:
             if i == hi:
                 if fast:
-                    self._flush(i - flushed, n_fast, n_fast_loads,
-                                n_direct, n_direct_loads, n_merges,
-                                n_excursions)
+                    self._flush(i - flushed, n_fast, n_fast_loads, n_sent,
+                                n_sent_loads, n_missed, n_merges, n_through)
                     flushed = i
-                    n_fast = n_fast_loads = n_merges = n_excursions = 0
-                    n_direct = n_direct_loads = 0
+                    n_fast = n_fast_loads = n_merges = n_through = 0
+                    n_sent = n_sent_loads = n_missed = 0
                     hit_ok = _hits_plain(l1d_store)
                     self.batch.windows += 1
                 lo = i
@@ -443,43 +475,89 @@ class OOOCore:
                         reused_col[slot] = 1
                         clock_p += 1
                         pstamp[slot] = clock_p
-                    elif line is not None:
-                        # A DTLB hit that misses the L1D: translated
-                        # here, then one request straight to the L1D at
-                        # the translation's done cycle, as
+                    elif hit_ok:
+                        # The miss path, translated here: a DTLB hit
+                        # that misses the L1D, or a DTLB miss (the STLB
+                        # probe, on its miss a walk, then the fills),
+                        # sends one request straight to the L1D, as
                         # hierarchy.load/store send it.
-                        n_excursions += 1
-                        n_direct += 1
-                        clock_d += 1
-                        entries[vpn] = clock_d
+                        n_sent += 1
+                        ip = ips[j]
+                        issue_at = dc
+                        if kind == kind_load and deps[j] \
+                                and chain_completion > issue_at:
+                            issue_at = chain_completion
+                        # The walk and the request move the L1D clock.
+                        policy._clock = clock_p
+                        is_replay = False
+                        if line is not None:
+                            clock_d += 1
+                            entries[vpn] = clock_d
+                            translation_done = issue_at + dtlb_lat
+                        else:
+                            n_missed += 1
+                            t = issue_at + dtlb_lat + stlb_lat
+                            si = vpn % stlb_num_sets
+                            stlb_set = stlb_sets[si]
+                            rec = stlb.recall
+                            if rec is not None and rec.pending:
+                                rec.on_access(si, vpn)
+                            stlb.accesses += 1
+                            if vpn in stlb_set:
+                                stlb.hits += 1
+                                stlb._clock += 1
+                                stlb_set[vpn] = stlb._clock
+                                frame = stlb_frames[si][vpn]
+                                translation_done = t
+                            else:
+                                stlb.misses += 1
+                                res = walk(addr, t, ip)
+                                mmu.walk_cycles_total += res.done_cycle - t
+                                translation_done = \
+                                    res.done_cycle + stlb_fill_lat
+                                frame = res.pfn
+                                stlb_fill(vpn, frame, ip)
+                                is_replay = True
+                                if kind == kind_load and res.leaf_served_by:
+                                    served_translation[
+                                        res.leaf_served_by] += 1
+                            dtlb._clock = clock_d
+                            dtlb_fill(vpn, frame)
+                            clock_d = dtlb._clock
                         paddr = (frame << PAGE_SHIFT) \
                             | (addr & _PAGE_OFF_MASK)
-                        policy._clock = clock_p
                         if kind == kind_load:
-                            is_replay = False
-                            issue_at = dc
-                            if deps[j] and chain_completion > issue_at:
-                                issue_at = chain_completion
-                            translation_done = issue_at + dtlb_lat
-                            req = acquire(paddr, translation_done, ips[j],
-                                          _LOAD)
-                            completion = l1d_access(req)
-                            # a request no cache level served came from
-                            # DRAM
-                            served_non_replay[req.served_by or "DRAM"] += 1
+                            if is_replay:
+                                # Re-issued from the load queue after
+                                # the walk fills the TLBs.
+                                req = acquire(paddr,
+                                              translation_done + replay_lat,
+                                              ip, _LOAD, True)
+                                completion = l1d_access(req)
+                                hierarchy.replay_latency_total += \
+                                    completion - translation_done
+                                served_replay[req.served_by or "DRAM"] += 1
+                            else:
+                                req = acquire(paddr, translation_done, ip,
+                                              _LOAD)
+                                completion = l1d_access(req)
+                                # a request no cache level served came
+                                # from DRAM
+                                served_non_replay[
+                                    req.served_by or "DRAM"] += 1
                             if deps[j]:
                                 chain_completion = completion
-                            n_direct_loads += 1
+                            n_sent_loads += 1
                         else:
-                            req = acquire(paddr, dc + dtlb_lat, ips[j],
-                                          _STORE)
+                            req = acquire(paddr, translation_done, ip,
+                                          _STORE, is_replay)
                             l1d_access(req)
                             completion = dc + 1
                         release(req)
                         clock_p = policy._clock
                     else:
                         if fast:
-                            n_excursions += 1
+                            n_through += 1
                             dtlb._clock = clock_d
                             policy._clock = clock_p
                         if kind == kind_load:
@@ -536,8 +614,8 @@ class OOOCore:
         if fast:
             dtlb._clock = clock_d
             policy._clock = clock_p
-            self._flush(i - flushed, n_fast, n_fast_loads, n_direct,
-                        n_direct_loads, n_merges, n_excursions)
+            self._flush(i - flushed, n_fast, n_fast_loads, n_sent,
+                        n_sent_loads, n_missed, n_merges, n_through)
         self.index = i
         self.chain_completion = chain_completion
         self.dispatch_cycle = dispatch_cycle
@@ -547,25 +625,28 @@ class OOOCore:
         self._window = (lo, ips, kinds, addrs, deps)
 
     def _flush(self, instructions: int, fast: int, fast_loads: int,
-               direct: int, direct_loads: int, merges: int,
-               excursions: int) -> None:
+               sent: int, sent_loads: int, missed: int, merges: int,
+               through: int) -> None:
         """Add the fast path's deferred counters to the hierarchy and to
         ``batch``: ``fast`` DTLB-hit/L1D-hit accesses, ``fast_loads`` of
-        them loads, and ``direct`` DTLB-hit accesses sent straight to
-        the L1D, ``direct_loads`` of them loads."""
+        them loads; ``sent`` accesses translated in the core and sent
+        straight to the L1D, ``sent_loads`` of them loads and ``missed``
+        of them DTLB misses; and ``through`` accesses that went through
+        ``hierarchy.load``/``store``, which counted themselves."""
         if instructions == 0:
             return
         hierarchy = self.hierarchy
-        translated = fast + direct
+        translated = fast + sent
         if translated:
             mmu = hierarchy.mmu
             dtlb = mmu.dtlb
-            loads = fast_loads + direct_loads
+            loads = fast_loads + sent_loads
             hierarchy.loads += loads
             hierarchy.stores += translated - loads
             mmu.translations += translated
             dtlb.accesses += translated
-            dtlb.hits += translated
+            dtlb.hits += translated - missed
+            dtlb.misses += missed
         if fast:
             stats = hierarchy.l1d.stats
             if fast_loads:
@@ -581,7 +662,7 @@ class OOOCore:
         batch.instructions += instructions
         batch.fast_hits += fast
         batch.fast_merges += merges
-        batch.scalar_excursions += excursions
+        batch.scalar_excursions += sent + through
 
 
 def _hits_plain(store) -> bool:

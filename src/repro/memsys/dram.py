@@ -126,7 +126,6 @@ class DRAM:
         """Service ``request``; returns the cycle its data is available."""
         tracer = self.tracer
         span = None
-        hits_before = self.row_hits
         if tracer is not None:
             span = tracer.begin("DRAM", request.cycle,
                                 cat=request.category(),
@@ -135,7 +134,8 @@ class DRAM:
         channel, bank, row = self._map(request.line_addr)
         bank_idx = channel * cfg.banks_per_channel + bank
         start = self._channels[channel].reserve(request.cycle)
-        if self._open_row[bank_idx] == row:
+        row_hit = self._open_row[bank_idx] == row
+        if row_hit:
             # Row hit: pipelined at the bus rate; no bank reservation.
             self.row_hits += 1
             done = start + cfg.row_hit_latency
@@ -150,6 +150,6 @@ class DRAM:
         if request.is_leaf_translation and self.on_leaf_translation is not None:
             self.on_leaf_translation(request, done)
         if tracer is not None:
-            tracer.end(span, done, served_by="DRAM",
-                       row_hit=self.row_hits > hits_before)
+            # TEMPO's prefetch above may itself have hit a row.
+            tracer.end(span, done, served_by="DRAM", row_hit=row_hit)
         return done

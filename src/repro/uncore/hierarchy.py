@@ -8,6 +8,11 @@ TEMPO at the DRAM controller).
 
 ``load``/``store`` perform the full two-phase access the paper studies:
 address translation first, then the (replay or non-replay) data access.
+A single-stream core with its fast path on does both phases itself,
+with the same side effects (:meth:`repro.core.ooo_core.OOOCore.run_slice`),
+so ``load``/``store`` serve the reference loop, SMT and multicore
+streams, refused runs and windows whose L1D holds a prefetched or
+dead-on-hit line.
 
 For multi-core configurations the LLC and DRAM can be shared: pass them in
 via ``shared_llc``/``shared_dram``.

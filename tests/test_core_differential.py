@@ -2,10 +2,11 @@
 
 ``OOOCore.run_slice`` keeps its ROB as a ring of retire times, retires a
 non-memory instruction through a three-way branch and, with
-``fast_path`` set (every single-stream run it is exact for), answers
-DTLB-hit/L1D-hit accesses inline and sends DTLB-hit/L1D-miss accesses
-straight to the L1D.  None of this may change a simulated statistic,
-so this module keeps the loop it replaced as a reference:
+``fast_path`` set (every single-stream run it is exact for), translates
+every access itself (a DTLB miss probes the STLB and, on its miss,
+walks), answers DTLB-hit/L1D-hit accesses inline and sends every other
+access straight to the L1D.  None of this may change a simulated
+statistic, so this module keeps the loop it replaced as a reference:
 :class:`ReferenceCore` has the previous ``start`` and ``run_slice``
 verbatim, with the ROB as a deque of retire times and no fast path.
 
@@ -16,9 +17,11 @@ both fall inside a drain window.  Each trace runs on the reference, and
 on the core with the fast path off and on; a two-stream ``interleave``
 on one shared hierarchy runs the same way.  Every retire cycle, the
 ``StallAccounting`` snapshot, every sampler interval, every
-``hierarchy_counters`` entry and the L1D and DTLB state the fast path
-writes must agree.  :class:`CountingHierarchy` shows that the drawn
-traces, and one fixed ``pr`` run, reach the DTLB-hit/L1D-miss branch.
+``hierarchy_counters`` entry and the L1D, DTLB and STLB state the fast
+path writes must agree.  :class:`CountingHierarchy` shows that the
+drawn traces, and the fixed runs, reach the branch that sends accesses
+straight to the L1D, and that a fast-path run sends none through
+``hierarchy.load``/``store``.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ class CountingHierarchy(MemoryHierarchy):
     """Counts the accesses that go through ``load``/``store``.  The
     override is on a class, so the fast path stays on; the fast path's
     scalar excursions that are not among them went straight to the
-    L1D."""
+    L1D (all of them, on these machines)."""
 
     through = 0
 
@@ -299,7 +302,8 @@ def traces(draw, max_len: int = 2600):
     lines = draw(st.integers(1, 64))
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     pool = [make_va([rng.randrange(4), rng.randrange(4), rng.randrange(8),
-                     rng.randrange(512), 0]) for _ in range(pages)]
+                     rng.randrange(512), rng.randrange(512)])
+            for _ in range(pages)]
     kinds = np.zeros(n, dtype=np.int8)
     addrs = np.zeros(n, dtype=np.int64)
     deps = np.zeros(n, dtype=np.int8)
@@ -331,15 +335,21 @@ def _fast(core) -> None:
 # Tests
 # ----------------------------------------------------------------------
 def _state(hierarchy):
-    """What the fast path writes that no counter shows: the L1D's
-    columns and LRU stamps, and the DTLB's entries and stamps."""
-    l1d, dtlb = hierarchy.l1d, hierarchy.mmu.dtlb
+    """What the fast path writes that ``hierarchy_counters`` does not
+    show: the L1D's columns and LRU stamps, each TLB's entries, stamps
+    and frames, and the replay loads' summed latency."""
+    l1d = hierarchy.l1d
     store = l1d.store
-    return {"l1d": (list(store.line), bytes(store.valid), bytes(store.dirty),
-                    bytes(store.reused), list(l1d.policy._stamp),
-                    l1d.policy._clock),
-            "dtlb": ([list(entries.items()) for entries in dtlb._sets],
-                     dtlb._clock)}
+    state = {"l1d": (list(store.line), bytes(store.valid),
+                     bytes(store.dirty), bytes(store.reused),
+                     list(l1d.policy._stamp), l1d.policy._clock),
+             "replay_latency_total": hierarchy.replay_latency_total}
+    for name in ("dtlb", "stlb"):
+        tlb = getattr(hierarchy.mmu, name)
+        state[name] = ([list(entries.items()) for entries in tlb._sets],
+                       [list(frames.items()) for frames in tlb._frames],
+                       tlb._clock)
+    return state
 
 
 def _single(core_cls, cfg, trace, warmup, interval):
@@ -459,3 +469,60 @@ def test_dtlb_hit_l1d_misses_match_the_previous_loop():
     fast, core = _single(RecordedFastCore, cfg, trace, 1_000, None)
     _assert_same(reference, fast)
     assert _direct(core) > 0
+
+
+def _dtlb_miss_trace(n: int, seed: int) -> Trace:
+    """Loads (a third of them chained), stores and non-memory
+    instructions.  Seven in eight accesses touch one of 48 warm pages,
+    more than a scale-16 DTLB's 16 entries and fewer than its STLB's
+    128, so their DTLB misses mostly hit the STLB; the rest touch one of
+    600 cold pages and walk."""
+    rng = random.Random(seed)
+    warm = [make_va([1, 0, rng.randrange(8), rng.randrange(512),
+                     rng.randrange(512)]) for _ in range(48)]
+    cold = [make_va([2, rng.randrange(4), rng.randrange(8),
+                     rng.randrange(512), rng.randrange(512)])
+            for _ in range(600)]
+    kinds = np.full(n, KIND_NONMEM, dtype=np.int8)
+    addrs = np.zeros(n, dtype=np.int64)
+    deps = np.zeros(n, dtype=np.int8)
+    ips = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        roll = rng.randrange(10)
+        if roll < 5:
+            kinds[i] = KIND_LOAD
+            deps[i] = rng.randrange(3) == 0
+        elif roll < 8:
+            kinds[i] = KIND_STORE
+        else:
+            continue
+        page = rng.choice(cold if rng.randrange(8) == 0 else warm)
+        addrs[i] = page + 64 * rng.randrange(16) + 8 * rng.randrange(8)
+        ips[i] = 0x400000 + 4 * rng.randrange(16)
+    return Trace(ips, kinds, addrs, name="dtlb-misses", deps=deps)
+
+
+def test_dtlb_misses_match_the_previous_loop():
+    """DTLB misses translated in the core, on ``walk_storm``'s machine
+    at scale 16: STLB hits, walks whose replay loads issue
+    ``replay_issue_latency`` after the fill, walking stores and
+    dependent load chains through them.  Every access goes straight to
+    the L1D or retires inline, and the run matches the loop that sent
+    the DTLB misses through the hierarchy."""
+    cfg = default_config(16).with_(enhancements="full")
+    trace = _dtlb_miss_trace(8_000, seed=11)
+    reference, _ = _single(RecordedReference, cfg, trace, 1_000, None)
+    fast, core = _single(RecordedFastCore, cfg, trace, 1_000, None)
+    _assert_same(reference, fast)
+    hierarchy = core.hierarchy
+    assert hierarchy.through == 0
+    assert _direct(core) == core.batch.scalar_excursions
+    mmu = hierarchy.mmu
+    assert mmu.stlb.hits > 0
+    assert mmu.walker.walks > 0
+    # A walking store is a replay-category L1D access that records no
+    # replay response sample (stores are buffered).
+    replay_loads = sum(hierarchy.response_distribution.counts["replay"]
+                       .values())
+    assert 0 < replay_loads < hierarchy.l1d.stats.accesses["replay"]
+    assert trace.deps.sum() > 0

@@ -217,3 +217,19 @@ def test_same_seed_traces_identically():
     spans_a = [s.to_dict() for s in a.tracer.iter_spans()]
     spans_b = [s.to_dict() for s in b.tracer.iter_spans()]
     assert spans_a == spans_b
+
+
+def test_dram_spans_report_their_own_row_hits():
+    """A DRAM span's ``row_hit`` is its own access's.  On ``pr``/full
+    TEMPO prefetches from inside a leaf translation's DRAM access, and
+    that prefetch may hit a row itself; still the spans that say
+    ``row_hit`` number exactly ``dram.row_hits``."""
+    from repro import api
+
+    result = api.run("pr", enhancements="full", seed=1,
+                     instructions=20_000, warmup=0, trace_sample=1)
+    spans = [s for s in result.tracer.iter_spans() if s.name == "DRAM"]
+    dram = result.hierarchy.dram
+    assert len(spans) == dram.accesses
+    assert result.hierarchy.tempo.triggered > 0
+    assert sum(1 for s in spans if s.args["row_hit"]) == dram.row_hits
