@@ -25,7 +25,10 @@ def interleave(cores: Sequence[OOOCore], traces: Sequence,
 
     Each stream opens its region of interest at instruction ``warmup``.
     The statistics of every hierarchy reset once every stream has
-    executed instruction ``warmup`` or finished.
+    executed instruction ``warmup`` or finished.  Each core's
+    :meth:`~repro.core.ooo_core.OOOCore.start` decides its fast path, as
+    for a single-stream run; a slice syncs the clocks and flushes the
+    counters it deferred before the next stream runs.
     """
     from repro.core.ooo_core import UNBOUNDED
     for core, trace in zip(cores, traces):

@@ -14,7 +14,7 @@ from repro.core.engine import interleave
 from repro.core.ooo_core import CoreResult, OOOCore
 from repro.params import SimConfig
 from repro.uncore.hierarchy import MemoryHierarchy
-from repro.vm.page_table import FrameAllocator, PageTable
+from repro.vm.page_table import FrameAllocator
 
 
 class MultiCore:
@@ -41,11 +41,11 @@ class MultiCore:
         self.config = config
         self.num_cores = num_cores
         allocator = FrameAllocator(seed=config.seed)
-        first = MemoryHierarchy(config, page_table=PageTable(allocator))
+        first = MemoryHierarchy(config, allocator)
         self.hierarchies: List[MemoryHierarchy] = [first]
         for _ in range(1, num_cores):
             self.hierarchies.append(
-                MemoryHierarchy(config, page_table=PageTable(allocator),
+                MemoryHierarchy(config, allocator,
                                 shared_llc=first.llc,
                                 shared_dram=first.dram))
         self.llc = first.llc

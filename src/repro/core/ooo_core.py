@@ -17,14 +17,16 @@ slot an instruction takes holds the retire time of the instruction
 ``rob_entries`` older (0 until the ROB fills, which no dispatch cycle is
 below), so dispatch reads one slot and retire overwrites it.
 
-A single-stream :meth:`OOOCore.run` takes the core's fast path wherever
-it is exact (:func:`fast_path_refusal` names why not): every access is
-translated in the core instead of through ``hierarchy.load``/``store``
--- a DTLB miss probes the STLB and, on its miss, walks -- and then takes
-an inlined copy of the L1D-hit path's side effects (a DTLB hit whose
-line is in the L1D) or goes straight to ``l1d.access``; see
+Every stream -- a single-stream :meth:`OOOCore.run`, and each SMT
+thread or multicore core of :func:`repro.core.engine.interleave` --
+takes the core's fast path wherever its machine allows it
+(:func:`fast_path_refusal` names why not): every access is translated
+in the core instead of through ``hierarchy.load``/``store`` -- a DTLB
+miss probes the STLB and, on its miss, walks -- and then takes an
+inlined copy of the L1D-hit path's side effects (a DTLB hit whose line
+is in the L1D) or goes straight to ``l1d.access``; see
 :meth:`OOOCore.run_slice`.  :class:`BatchStats` records how much of the
-run took it.
+stream took it.
 
 This reproduces the behaviour the paper measures: a 352-entry ROB amortizes
 DTLB misses and short L2 hits, but 200+-cycle replay loads and serial page
@@ -61,8 +63,8 @@ _STORE = AccessType.STORE
 
 @dataclass
 class BatchStats:
-    """How one :meth:`OOOCore.run` took the fast path (stable api
-    surface: ``RunResult.batch``, and ``RunSummary.batch`` as a dict).
+    """How one stream took the fast path (stable api surface:
+    ``RunResult.batch``, and ``RunSummary.batch`` as a dict).
 
     The counters cover the whole run, warmup included: they describe how
     it executed, not the region of interest.  ``fallbacks`` is
@@ -82,9 +84,7 @@ class BatchStats:
     fast_merges: int = 0
     #: Memory accesses that took the miss path instead: a DTLB miss,
     #: or a DTLB hit that misses the L1D, translated in the core and
-    #: sent straight to the L1D; or, in a window whose L1D holds a
-    #: prefetched or dead-on-hit line, any access, through
-    #: ``hierarchy.load``/``store``.
+    #: sent straight to the L1D.
     scalar_excursions: int = 0
     #: The refusal, keyed by its slug.
     fallbacks: Dict[str, int] = field(default_factory=dict)
@@ -94,10 +94,10 @@ class BatchStats:
         return asdict(self)
 
 
-def fast_path_refusal(config: SimConfig,
-                      hierarchy: MemoryHierarchy) -> Optional[str]:
-    """Why a run on ``hierarchy`` must keep the fast path off, as a slug,
-    or None.
+def fast_path_refusal(hierarchy: MemoryHierarchy) -> Optional[str]:
+    """Why a stream on ``hierarchy`` must keep the fast path off, as a
+    slug, or None.  Only the built machine and its attachments decide:
+    a ``SimConfig`` field matters only through what it builds.
 
     The fast path translates every access itself, bypassing
     ``hierarchy.load``/``store``, ``mmu.translate``, ``dtlb.lookup`` and
@@ -108,19 +108,19 @@ def fast_path_refusal(config: SimConfig,
     ``TLB.fill``.  Then it either writes the L1D LRU stamp, the reused
     and dirty bits and the MSHR merge count (a DTLB-hit L1D hit) or
     calls ``l1d.access`` itself.  So a machine or attachment with any
-    other side effect on those calls is refused; its run takes the
+    other side effect on those calls is refused; its stream takes the
     reference loop for every access and is bit-identical by
-    construction.
+    construction.  On the machines it allows, only demand and PTE
+    requests fill the L1D (no L1D prefetcher or IPCP; ATP, TEMPO and the
+    L2C prefetchers fill the L2C and LLC), so no L1D hit meets a
+    prefetched or dead-on-hit line, whose hit the path does not model.
     """
-    if config.huge_page_policy != "none" \
-            or hierarchy.page_table.huge_page_predicate is not None:
+    if hierarchy.page_table.huge_page_predicate is not None:
         return "huge_pages"  # a per-access key/sub split
-    if config.comparison != "none" \
-            or hierarchy.mmu.dead_page_predictor is not None:
-        return "comparison"  # predictor side effects
+    if hierarchy.mmu.dead_page_predictor is not None:
+        return "comparison"  # DpPred's side effects
     l1d = hierarchy.l1d
-    if config.l1d_prefetcher != "none" or l1d.prefetcher is not None \
-            or hierarchy.ipcp is not None:
+    if l1d.prefetcher is not None or hierarchy.ipcp is not None:
         return "l1d_prefetcher"  # per-hit training
     if l1d.policy.name != "lru":
         return "l1d_policy"  # the fast path writes LRU stamps
@@ -160,9 +160,8 @@ class CoreResult:
     cycles: int
     stalls: StallAccounting
     hierarchy: MemoryHierarchy = field(repr=False, default=None)
-    #: How a single-stream :meth:`OOOCore.run` took the fast path;
-    #: None for the streams of :func:`repro.core.engine.interleave`.
-    batch: Optional[BatchStats] = field(repr=False, default=None)
+    #: How the stream took the fast path, or why it was refused.
+    batch: BatchStats = field(repr=False, default_factory=BatchStats)
 
     @property
     def ipc(self) -> float:
@@ -177,13 +176,15 @@ class OOOCore:
     recurrence with its state in locals, :meth:`begin_roi` opens the
     region of interest and :meth:`result` reads it.  Between slices the
     state lives on the core, so :func:`repro.core.engine.interleave` can
-    run several cores a slice at a time (SMT threads, multicore), with
-    the fast path off.
+    run several cores a slice at a time (SMT threads, multicore).
+    :meth:`start` decides the fast path for the stream, so a run and an
+    interleaved stream take it under the same rule.
     """
 
-    #: Keep the fast path off in :meth:`run`: the reference loop that
-    #: the differential tests and the fuzz driver compare the fast path
-    #: against.  No config field, api keyword or job param sets it.
+    #: Keep the fast path off in every stream :meth:`start` begins: the
+    #: reference loop that the differential tests and the fuzz driver
+    #: compare the fast path against.  No config field, api keyword or
+    #: job param sets it.
     _reference = False
 
     def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy,
@@ -196,10 +197,10 @@ class OOOCore:
         self.dispatch_width = core.dispatch_width
         self.retire_width = core.retire_width
         #: Take the fast path: every access translated in the core.
-        #: :meth:`run` sets it per run, with ``batch``, the
+        #: :meth:`start` sets it per stream, with ``batch``, the
         #: :class:`BatchStats` that :meth:`_flush` records into.
         self.fast_path = False
-        self.batch: Optional[BatchStats] = None
+        self.batch = BatchStats()
         from repro import validate
         self.checker = validate.maybe_attach_core(self)
 
@@ -212,13 +213,10 @@ class OOOCore:
         :data:`WINDOW` at a time through its ``window`` method.  The run
         is one slice to the warmup edge, the statistics reset, and one
         slice to the end -- or, with an interval sampler attached, one
-        slice to each of its edges.  The fast path is on unless
-        :func:`fast_path_refusal` refuses it; the result's ``batch``
-        records how much of the run took it.
+        slice to each of its edges.  :meth:`start` decides the fast
+        path; the result's ``batch`` records how much of the run took
+        it.
         """
-        reason = fast_path_refusal(self.config, self.hierarchy)
-        self.fast_path = reason is None and not self._reference
-        self.batch = BatchStats(fallbacks={reason: 1} if reason else {})
         self.start(trace, warmup, limit)
         self.run_slice(warmup)
         if not self.counting and warmup < self.total:
@@ -239,12 +237,19 @@ class OOOCore:
 
         With ``warmup == 0`` the region of interest opens here; otherwise
         the caller opens it (:meth:`begin_roi`) at index ``warmup``.  The
-        run starts here, so each cache level probes which policy hooks
-        it may skip (:meth:`repro.cache.cache.Cache.probe_hooks`).
+        stream starts here on its built machine, attachments included,
+        so each cache level probes which policy hooks it may skip
+        (:meth:`repro.cache.cache.Cache.probe_hooks`), and the fast path
+        is on unless :func:`fast_path_refusal` refuses the machine (or
+        the private ``_reference`` switch keeps it off); a fresh
+        ``batch`` records the decision.
         """
         hierarchy = self.hierarchy
         for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
             cache.probe_hooks()
+        reason = fast_path_refusal(hierarchy)
+        self.fast_path = reason is None and not self._reference
+        self.batch = BatchStats(fallbacks={reason: 1} if reason else {})
         self.trace = trace
         self.warmup = warmup
         self.total = len(trace) if limit is None else min(limit, len(trace))
@@ -310,13 +315,12 @@ class OOOCore:
         move them (``TLB.fill``, the walk, ``l1d.access``).  The DTLB,
         load/store and L1D-hit counter adds are deferred and flushed at
         each window's and slice's end, so the warmup reset, a sampler
-        edge and :func:`repro.core.engine.interleave` all see them.  In
-        a window whose L1D holds a prefetched or dead-on-hit line every
-        access goes through the real ``hierarchy.load``/``store``.
-        :meth:`run` sets the flag only where :func:`fast_path_refusal`
+        edge and :func:`repro.core.engine.interleave` all see them.
+        :meth:`start` sets the flag only where :func:`fast_path_refusal`
         finds no per-access side effect the path does not model,
         checkers and tracers among them, so a fast-path access needs
-        neither.
+        neither.  With the flag off every access goes through
+        ``hierarchy.load``/``store``: the reference loop.
         """
         trace = self.trace
         total = self.total
@@ -345,7 +349,6 @@ class OOOCore:
         hi = lo + len(kinds)
 
         fast = self.fast_path
-        hit_ok = False
         if fast:
             mmu = hierarchy.mmu
             dtlb = mmu.dtlb
@@ -383,20 +386,18 @@ class OOOCore:
             pstamp = policy._stamp
             clock_d = dtlb._clock
             clock_p = policy._clock
-            hit_ok = _hits_plain(l1d_store)
             flushed = i
-            n_fast = n_fast_loads = n_merges = n_through = 0
+            n_fast = n_fast_loads = n_merges = 0
             n_sent = n_sent_loads = n_missed = 0
 
         while i < stop and dispatch_cycle < bound:
             if i == hi:
                 if fast:
                     self._flush(i - flushed, n_fast, n_fast_loads, n_sent,
-                                n_sent_loads, n_missed, n_merges, n_through)
+                                n_sent_loads, n_missed, n_merges)
                     flushed = i
-                    n_fast = n_fast_loads = n_merges = n_through = 0
+                    n_fast = n_fast_loads = n_merges = 0
                     n_sent = n_sent_loads = n_missed = 0
-                    hit_ok = _hits_plain(l1d_store)
                     self.batch.windows += 1
                 lo = i
                 hi = lo + WINDOW
@@ -433,7 +434,7 @@ class OOOCore:
                     # -- execute -------------------------------------------
                     addr = addrs[j]
                     line = slot = None
-                    if hit_ok:
+                    if fast:
                         vpn = addr >> PAGE_SHIFT
                         si = vpn % dtlb_num_sets
                         entries = dtlb_sets[si]
@@ -475,7 +476,7 @@ class OOOCore:
                         reused_col[slot] = 1
                         clock_p += 1
                         pstamp[slot] = clock_p
-                    elif hit_ok:
+                    elif fast:
                         # The miss path, translated here: a DTLB hit
                         # that misses the L1D, or a DTLB miss (the STLB
                         # probe, on its miss a walk, then the fills),
@@ -556,10 +557,6 @@ class OOOCore:
                         release(req)
                         clock_p = policy._clock
                     else:
-                        if fast:
-                            n_through += 1
-                            dtlb._clock = clock_d
-                            policy._clock = clock_p
                         if kind == kind_load:
                             issue_at = dc
                             if deps[j] and chain_completion > issue_at:
@@ -573,9 +570,6 @@ class OOOCore:
                         else:
                             hierarchy_store(addr, dc, ips[j])
                             completion = dc + 1
-                        if fast:
-                            clock_d = dtlb._clock
-                            clock_p = policy._clock
 
                     # -- retire (in order, retire_width per cycle) -----------
                     earliest = retire_cycle
@@ -615,7 +609,7 @@ class OOOCore:
             dtlb._clock = clock_d
             policy._clock = clock_p
             self._flush(i - flushed, n_fast, n_fast_loads, n_sent,
-                        n_sent_loads, n_missed, n_merges, n_through)
+                        n_sent_loads, n_missed, n_merges)
         self.index = i
         self.chain_completion = chain_completion
         self.dispatch_cycle = dispatch_cycle
@@ -625,14 +619,13 @@ class OOOCore:
         self._window = (lo, ips, kinds, addrs, deps)
 
     def _flush(self, instructions: int, fast: int, fast_loads: int,
-               sent: int, sent_loads: int, missed: int, merges: int,
-               through: int) -> None:
+               sent: int, sent_loads: int, missed: int,
+               merges: int) -> None:
         """Add the fast path's deferred counters to the hierarchy and to
         ``batch``: ``fast`` DTLB-hit/L1D-hit accesses, ``fast_loads`` of
-        them loads; ``sent`` accesses translated in the core and sent
-        straight to the L1D, ``sent_loads`` of them loads and ``missed``
-        of them DTLB misses; and ``through`` accesses that went through
-        ``hierarchy.load``/``store``, which counted themselves."""
+        them loads; and ``sent`` accesses translated in the core and
+        sent straight to the L1D, ``sent_loads`` of them loads and
+        ``missed`` of them DTLB misses."""
         if instructions == 0:
             return
         hierarchy = self.hierarchy
@@ -662,12 +655,5 @@ class OOOCore:
         batch.instructions += instructions
         batch.fast_hits += fast
         batch.fast_merges += merges
-        batch.scalar_excursions += sent + through
+        batch.scalar_excursions += sent
 
-
-def _hits_plain(store) -> bool:
-    """Whether no L1D line is a prefetch or dead-on-hit fill, whose hit
-    has side effects the fast path does not model.  Eligible machines
-    never fill one (ATP/TEMPO fill the L2C and LLC), but a live check at
-    each window keeps the path honest."""
-    return 1 not in store.is_prefetch and 1 not in store.dead_on_hit

@@ -176,8 +176,8 @@ class RunSummary:
     #: ROI ``instructions`` and ``cycles`` of each stream (one entry
     #: for a single benchmark).
     streams: List[Dict[str, int]] = field(default_factory=list)
-    #: ``BatchStats.to_dict()``: how the run took the core's fast
-    #: path, or why it was refused; empty for a mix.
+    #: ``BatchStats.to_dict()``: how the run (a mix's stream 0) took
+    #: the core's fast path, or why it was refused.
     batch: Dict = field(default_factory=dict)
 
     # -- construction ----------------------------------------------------
@@ -233,7 +233,7 @@ class RunSummary:
             streams=[{"instructions": core.instructions,
                       "cycles": core.cycles}
                      for core in run.streams or [run.core]],
-            batch=run.batch.to_dict() if run.batch is not None else {})
+            batch=run.batch.to_dict())
 
     # -- RunResult-compatible accessors ----------------------------------
     @property

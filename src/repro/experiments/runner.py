@@ -60,7 +60,8 @@ class RunResult:
     @property
     def batch(self):
         """How the run took the core's fast path
-        (:class:`repro.core.ooo_core.BatchStats`); None for a mix."""
+        (:class:`repro.core.ooo_core.BatchStats`); a mix's is stream
+        0's."""
         return self.core.batch
 
     def speedup_over(self, baseline: "RunResult") -> float:

@@ -8,14 +8,13 @@ TEMPO at the DRAM controller).
 
 ``load``/``store`` perform the full two-phase access the paper studies:
 address translation first, then the (replay or non-replay) data access.
-A single-stream core with its fast path on does both phases itself,
-with the same side effects (:meth:`repro.core.ooo_core.OOOCore.run_slice`),
-so ``load``/``store`` serve the reference loop, SMT and multicore
-streams, refused runs and windows whose L1D holds a prefetched or
-dead-on-hit line.
+A core with its fast path on does both phases itself, with the same
+side effects (:meth:`repro.core.ooo_core.OOOCore.run_slice`), so
+``load``/``store`` serve only the reference loop and refused runs.
 
 For multi-core configurations the LLC and DRAM can be shared: pass them in
-via ``shared_llc``/``shared_dram``.
+via ``shared_llc``/``shared_dram``, and the shared ``allocator`` that the
+cores' page tables draw frames from.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from repro.params import LINE_SHIFT, PAGE_SHIFT, SimConfig
 from repro.prefetch import make_l2c_prefetcher
 from repro.stats.counters import LevelDistribution
 from repro.vm.mmu import MMU
-from repro.vm.page_table import PageTable
+from repro.vm.page_table import FrameAllocator, PageTable
 
 _LOAD = AccessType.LOAD
 _STORE = AccessType.STORE
@@ -59,7 +58,7 @@ class MemoryHierarchy:
     """Per-core memory system (optionally sharing LLC/DRAM with peers)."""
 
     def __init__(self, config: SimConfig,
-                 page_table: Optional[PageTable] = None,
+                 allocator: Optional[FrameAllocator] = None,
                  shared_llc: Optional[Cache] = None,
                  shared_dram: Optional[DRAM] = None):
         self.config = config
@@ -111,17 +110,14 @@ class MemoryHierarchy:
             raise ValueError(
                 f"unknown inclusion policy {config.llc_inclusion!r}")
 
-        if page_table is not None:
-            self.page_table = page_table
-        else:
-            predicate = None
-            if config.huge_page_policy == "gather_region":
-                from repro.workloads.synthetic import RANDOM_BASE
-                predicate = lambda va: va >= RANDOM_BASE  # noqa: E731
-            elif config.huge_page_policy != "none":
-                raise ValueError(
-                    f"unknown huge-page policy {config.huge_page_policy!r}")
-            self.page_table = PageTable(huge_page_predicate=predicate)
+        predicate = None
+        if config.huge_page_policy == "gather_region":
+            from repro.workloads.synthetic import RANDOM_BASE
+            predicate = lambda va: va >= RANDOM_BASE  # noqa: E731
+        elif config.huge_page_policy != "none":
+            raise ValueError(
+                f"unknown huge-page policy {config.huge_page_policy!r}")
+        self.page_table = PageTable(allocator, huge_page_predicate=predicate)
         self.mmu = MMU(config, self.page_table, self.l1d)
 
         # Section V-B prior-work comparison modes.

@@ -13,14 +13,15 @@ variant and outcome, so CI failures replay locally with
 ``python -m repro.validate.fuzz <seed>`` or by pasting the generated test.
 
 The core's fast path is a fuzzed dimension too: every stream
-additionally runs through the core's one drain loop with its fast path
-on and off (the reference loop), checkers *off* so the fast path
-engages wherever the variant allows it, and any counter divergence
+additionally runs on the machine :func:`run_case` builds, as the same
+one or two core streams, with the core's fast path on and off (the
+reference loop), checkers *off* so the fast path engages wherever the
+variant allows it, and any counter divergence
 (:func:`repro.validate.oracle.diff_counters`) shrinks through the same
 ddmin reducer as an invariant violation.  The command line prints the
-fast-path side's summed ``BatchStats`` (inline hits and excursions) and
-how many streams it refused, which compare the reference loop with
-itself.
+fast-path side's summed ``BatchStats`` (inline hits and excursions,
+both SMT threads' included) and how many core streams it refused,
+which compare the reference loop with itself.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from repro.workloads.synthetic import RANDOM_BASE
 from repro.workloads.trace import KIND_LOAD, KIND_NONMEM, KIND_STORE, Trace
 
 if TYPE_CHECKING:
-    from repro.core.ooo_core import BatchStats
+    from repro.core.ooo_core import BatchStats, CoreResult
+    from repro.uncore.hierarchy import MemoryHierarchy
 
 #: Configuration variants the fuzzer cycles through (seed % len picks one).
 VARIANTS = ("baseline", "lru", "tstack", "full", "inclusive", "hugepage",
@@ -137,28 +139,50 @@ def ops_to_trace(ops: Sequence[Op]) -> Trace:
 
 
 # ----------------------------------------------------------------------
+def build_machine(case: FuzzCase) -> Tuple[MemoryHierarchy, List[Trace]]:
+    """The case's hierarchy and its core streams: the ``smt`` variant
+    splits the ops into two SMT threads (even and odd ops, or the whole
+    stream twice when a half is empty); every other variant runs them
+    as one stream."""
+    from repro.uncore.hierarchy import MemoryHierarchy
+
+    traces = [ops_to_trace(case.ops)]
+    if case.variant == "smt":
+        halves = [ops_to_trace(case.ops[0::2]), ops_to_trace(case.ops[1::2])]
+        traces = traces * 2 if min(map(len, halves)) == 0 else halves
+    return MemoryHierarchy(build_config(case.variant)), traces
+
+
+def run_streams(hierarchy: MemoryHierarchy, traces: Sequence[Trace],
+                reference: bool = False) -> List[CoreResult]:
+    """Run :func:`build_machine`'s streams on its hierarchy: two as the
+    threads of an SMT core, one on a core.  ``reference`` keeps every
+    stream on the core's reference loop, through the core's private
+    ``_reference`` switch."""
+    from repro.core.ooo_core import OOOCore
+    from repro.core.smt import SMTCore
+
+    config = hierarchy.config
+    saved = OOOCore._reference
+    OOOCore._reference = reference
+    try:
+        if len(traces) == 2:
+            return SMTCore(config, hierarchy).run(traces)
+        return [OOOCore(config, hierarchy).run(traces[0])]
+    finally:
+        OOOCore._reference = saved
+
+
 def run_case(case: FuzzCase) -> HierarchyChecker:
     """Run one case with the full checker + oracle stack attached.
 
     Violations are recorded on the returned checker rather than raised,
     so the shrinker can probe sub-streams without try/except noise."""
-    from repro.core.ooo_core import OOOCore
-    from repro.core.smt import SMTCore
-    from repro.uncore.hierarchy import MemoryHierarchy
-
-    cfg = build_config(case.variant)
-    hierarchy = MemoryHierarchy(cfg)
+    hierarchy, traces = build_machine(case)
     checker = hierarchy.checker or HierarchyChecker(hierarchy)
     hierarchy.checker = checker
     try:
-        if case.variant == "smt":
-            traces = [ops_to_trace(case.ops[0::2]),
-                      ops_to_trace(case.ops[1::2])]
-            if min(len(t) for t in traces) == 0:
-                traces = [ops_to_trace(case.ops)] * 2
-            SMTCore(cfg, hierarchy).run(traces)
-        else:
-            OOOCore(cfg, hierarchy).run(ops_to_trace(case.ops))
+        run_streams(hierarchy, traces)
         checker.final_check()
     except ValidationError:
         pass  # already recorded in checker.violations
@@ -167,31 +191,33 @@ def run_case(case: FuzzCase) -> HierarchyChecker:
 
 def compare_backends(case: FuzzCase,
                      exercised: Optional[BatchStats] = None) -> dict:
-    """The fast-path axis: run one stream through the core's reference
-    loop and with its fast path on, and return the counter divergence
-    (empty dict == parity).  The fast-path side's ``BatchStats`` is
-    added to ``exercised`` when one is given.
+    """The fast-path axis: run the case's streams through the core's
+    reference loop and with its fast path on, and return the counter
+    divergence (empty dict == parity).  Each fast-path stream's
+    ``BatchStats`` is added to ``exercised`` when one is given.
 
     Unlike :func:`run_case`, no checker stack is attached -- a checker
     refuses the fast path, which would reduce this comparison to off
     against off.  The comparison surface is the full flattened counter
-    dict of :func:`repro.validate.oracle.hierarchy_counters` plus
-    retired-instruction/cycle/stall accounting.
+    dict of :func:`repro.validate.oracle.hierarchy_counters` with
+    stream 0's retired-instruction/cycle/stall accounting, plus every
+    other SMT thread's under a ``thread<n>.`` prefix.
     """
-    from repro.core.ooo_core import OOOCore
-    from repro.uncore.hierarchy import MemoryHierarchy
     from repro.validate.oracle import diff_counters, hierarchy_counters
 
-    trace = ops_to_trace(case.ops)
-    cfg = build_config(case.variant)
     counters = []
     for reference in (True, False):
-        hierarchy = MemoryHierarchy(cfg)
-        core = OOOCore(cfg, hierarchy)
-        core._reference = reference
-        counters.append(hierarchy_counters(hierarchy, core.run(trace)))
+        hierarchy, traces = build_machine(case)
+        results = run_streams(hierarchy, traces, reference)
+        out = hierarchy_counters(hierarchy, results[0])
+        for tid, result in enumerate(results[1:], 1):
+            out.update((f"thread{tid}.{key}", value) for key, value
+                       in hierarchy_counters(hierarchy, result).items()
+                       if key.startswith(("core.", "stall.")))
+        counters.append(out)
     if exercised is not None:
-        _add_batch(exercised, core.batch)
+        for result in results:
+            _add_batch(exercised, result.batch)
     return diff_counters(*counters)
 
 
@@ -327,12 +353,14 @@ def main(argv: Sequence[str] = None) -> int:  # pragma: no cover - CLI aid
     reports = fuzz_range(seed, count, exercised=exercised)
     for report in reports:
         print(report)
-    # What the fast-path side ran: a refused stream compares the
-    # reference loop with itself.
+    # What the fast-path side ran: a refused core stream compares the
+    # reference loop with itself.  An SMT case runs two.
+    streams = sum(2 if make_case(s).variant == "smt" else 1
+                  for s in range(seed, seed + count))
     refused = sum(exercised.fallbacks.values())
     print(f"fast-path side: {exercised.fast_hits} inline hit(s), "
           f"{exercised.scalar_excursions} excursion(s) over "
-          f"{count - refused} stream(s); {refused} refused "
+          f"{streams - refused} core stream(s); {refused} refused "
           f"{exercised.fallbacks}")
     print(f"{count} stream(s), {len(reports)} failure(s)")
     return 1 if reports else 0

@@ -188,6 +188,7 @@ def hierarchy_counters(hierarchy, core_result=None) -> Dict[str, int]:
         "dram.accesses": hierarchy.dram.accesses,
         "dram.row_hits": hierarchy.dram.row_hits,
         "dram.row_misses": hierarchy.dram.row_misses,
+        "replay_latency_total": hierarchy.replay_latency_total,
     }
     for tlb_name in ("dtlb", "stlb"):
         tlb = getattr(hierarchy.mmu, tlb_name)

@@ -103,7 +103,7 @@ def test_api_trace_returns_valid_document():
 # v1.1 additions: frozen SimConfig, facade-only CLI
 # ----------------------------------------------------------------------
 def test_api_version_pinned():
-    assert api.__api_version__ == "8.0"
+    assert api.__api_version__ == "8.1"
     assert "__api_version__" in api.__all__
 
 

@@ -3,12 +3,12 @@
 ``OOOCore.run`` runs the core's one drain loop with its fast path
 (every access translated in the core, DTLB-hit/L1D-hit accesses
 retired inline, the rest sent straight to the L1D) on wherever
-:func:`fast_path_refusal` allows; the core's private ``_reference``
-switch keeps the path off, which is the reference loop.  The promise
+:func:`fast_path_refusal` allows the built machine; the core's private
+``_reference`` switch keeps the path off, which is the reference loop.  The promise
 is *bit-identity* -- not statistical closeness.  This suite pins it
 three ways:
 
-* a 23-configuration oracle matrix (benchmark x enhancement stack x
+* a 24-configuration oracle matrix (benchmark x enhancement stack x
   replacement x inclusion x huge pages x prefetchers x ideal/comparison
   modes x ROI geometry) compared on the full flattened counter surface
   of :func:`repro.validate.oracle.hierarchy_counters`;
@@ -16,7 +16,9 @@ three ways:
   ways through :func:`repro.scenarios.run_scenario`;
 * an engagement check that the eligible matrix rows really took the
   fast path, inline or straight to the L1D, for every access (a fast
-  path that silently never runs would pass any parity test).
+  path that silently never runs would pass any parity test), and ended
+  with no prefetched or dead-on-hit line in the L1D, whose hit the
+  path does not model.
 
 It also pins what refuses the fast path, and that asking costs the
 run nothing.  Tests parametrized over the two loops keep the ids of
@@ -80,6 +82,9 @@ MATRIX = [
      "radii", 4000, 500, 1, True),
     ("mcf-ideal-l2c", _cfg(ideal=_ideal(l2c_replays=True)),
      "mcf", 4000, 500, 1, True),
+    # CSALT swaps the LLC's policy only, below the fast path.
+    ("canneal-csalt", _cfg(comparison="csalt"), "canneal", 4000, 500, 1,
+     True),
     # -- scale variants -------------------------------------------------
     ("pr-scale16", _cfg(scale=16), "pr", 4000, 500, 1, True),
     # -- static-fallback configurations (scalar routing must be exact) --
@@ -95,7 +100,7 @@ MATRIX = [
      "compute", 4000, 500, 1, False),
 ]
 
-assert len(MATRIX) == 23, "the oracle matrix is pinned at 23 configs"
+assert len(MATRIX) == 24, "the oracle matrix is pinned at 24 configs"
 
 #: Miss-dominated companion matrix: scale-16 geometry shrinks the DTLB
 #: and L1D until most windows carry real misses, so these rows drive the
@@ -160,14 +165,19 @@ def _recall(config: SimConfig, core) -> dict:
 
 
 def _assert_engaged(core) -> None:
-    """The run took the fast path, and every load and store of the
-    trace either retired inline or took the miss path."""
+    """The run took the fast path, every load and store of the trace
+    either retired inline or took the miss path, and the L1D holds no
+    prefetched or dead-on-hit line: on an eligible machine only demand
+    and PTE requests fill it."""
     stats = core.batch
     assert stats.fallbacks == {}
     kinds = core.trace.kinds[:core.total]
     assert stats.fast_hits > 0
     assert stats.fast_hits + stats.scalar_excursions \
         == int((kinds != KIND_NONMEM).sum())
+    store = core.hierarchy.l1d.store
+    assert 1 not in store.is_prefetch
+    assert 1 not in store.dead_on_hit
 
 
 def test_no_access_goes_through_the_hierarchy(monkeypatch):
@@ -208,10 +218,7 @@ def _run(config: SimConfig, bench: str, instructions: int,
     core = OOOCore(config, hierarchy)
     core._reference = reference
     result = core.run(trace, warmup=warmup)
-    counters = hierarchy_counters(hierarchy, result)
-    # Reported by RunSummary, but not among hierarchy_counters.
-    counters["replay_latency_total"] = hierarchy.replay_latency_total
-    return counters, core
+    return hierarchy_counters(hierarchy, result), core
 
 
 def config_scale(config: SimConfig) -> int:
@@ -389,17 +396,21 @@ def _srrip_l1d():
 
 @pytest.mark.parametrize("slug,cfg", [
     (None, _cfg()),
+    (None, _cfg(comparison="csalt")),
     ("huge_pages", _cfg(huge_page_policy="gather_region")),
     ("comparison", _cfg(comparison="cbpred")),
     ("l1d_prefetcher", _cfg(l1d_prefetcher="next_line")),
+    ("l1d_prefetcher", _cfg(l1d_prefetcher="ipcp")),
     ("l1d_policy", _srrip_l1d()),
-], ids=["eligible", "huge_pages", "comparison", "l1d_prefetcher",
-        "l1d_policy"])
+], ids=["eligible", "csalt", "huge_pages", "comparison", "l1d_prefetcher",
+        "ipcp", "l1d_policy"])
 def test_static_refusals_name_their_slugs(slug, cfg):
     """A machine with a per-hit side effect the fast path does not
-    model is refused under a stable slug, which the run records."""
+    model is refused under a stable slug, which the run records.  The
+    built machine decides, not the config: CSALT swaps only the LLC's
+    policy, so its machine takes the path."""
     hierarchy = MemoryHierarchy(cfg)
-    assert fast_path_refusal(cfg, hierarchy) == slug
+    assert fast_path_refusal(hierarchy) == slug
     core = OOOCore(cfg, hierarchy)
     batch = core.run(make_trace("tc", 600, scale=64)).batch
     assert batch.fallbacks == ({slug: 1} if slug else {})
@@ -454,7 +465,7 @@ def test_recall_attachments_refuse_the_fast_path(slug, attach):
     cfg = _cfg()
     hierarchy = MemoryHierarchy(cfg)
     attach(hierarchy)
-    assert fast_path_refusal(cfg, hierarchy) == slug
+    assert fast_path_refusal(hierarchy) == slug
     batch = OOOCore(cfg, hierarchy).run(make_trace("tc", 600,
                                                    scale=64)).batch
     assert batch.fallbacks == {slug: 1}
@@ -467,9 +478,9 @@ def test_checkers_and_tracers_refuse_the_fast_path(monkeypatch):
     cfg = _cfg()
     traced = MemoryHierarchy(cfg)
     attach(traced, SpanTracer(sample_every=1, enabled=False))
-    assert fast_path_refusal(cfg, traced) == "tracer"
+    assert fast_path_refusal(traced) == "tracer"
     monkeypatch.setenv("REPRO_CHECK", "1")
-    assert fast_path_refusal(cfg, MemoryHierarchy(cfg)) == "checker"
+    assert fast_path_refusal(MemoryHierarchy(cfg)) == "checker"
 
 
 HOT_METHODS = [("hierarchy", "load"), ("hierarchy", "store"),
@@ -494,12 +505,12 @@ def test_an_instance_patched_hot_method_is_refused(owner, name):
     obj = _hot_object(hierarchy, owner)
     method = getattr(obj, name)
     setattr(obj, name, method)
-    assert fast_path_refusal(cfg, hierarchy) is None
+    assert fast_path_refusal(hierarchy) is None
 
     def wrapper(*args, **kwargs):
         return method(*args, **kwargs)
     setattr(obj, name, wrapper)
-    assert fast_path_refusal(cfg, hierarchy) == "instance_patch"
+    assert fast_path_refusal(hierarchy) == "instance_patch"
 
 
 def test_a_class_level_wrapper_keeps_the_fast_path(monkeypatch):
@@ -518,7 +529,7 @@ def test_a_class_level_wrapper_keeps_the_fast_path(monkeypatch):
             lambda self, *args, _fn=original, **kw: _fn(self, *args, **kw))
     cfg = _cfg()
     hierarchy = MemoryHierarchy(cfg)
-    assert fast_path_refusal(cfg, hierarchy) is None
+    assert fast_path_refusal(hierarchy) is None
     result = OOOCore(cfg, hierarchy).run(make_trace("tc", 2000, scale=64))
     assert result.batch.fast_hits > 0
 

@@ -2,7 +2,7 @@
 
 ``OOOCore.run_slice`` keeps its ROB as a ring of retire times, retires a
 non-memory instruction through a three-way branch and, with
-``fast_path`` set (every single-stream run it is exact for), translates
+``fast_path`` set (every stream it is exact for), translates
 every access itself (a DTLB miss probes the STLB and, on its miss,
 walks), answers DTLB-hit/L1D-hit accesses inline and sends every other
 access straight to the L1D.  None of this may change a simulated
@@ -15,7 +15,8 @@ pages, dependent load chains), the machine (scale, enhancements, a
 small ROB), the warmup edge and an interval sampler's edges, so that
 both fall inside a drain window.  Each trace runs on the reference, and
 on the core with the fast path off and on; a two-stream ``interleave``
-on one shared hierarchy runs the same way.  Every retire cycle, the
+on one shared hierarchy runs the same way, its cores deciding the path
+themselves.  Every retire cycle, the
 ``StallAccounting`` snapshot, every sampler interval, every
 ``hierarchy_counters`` entry and the L1D, DTLB and STLB state the fast
 path writes must agree.  :class:`CountingHierarchy` shows that the
@@ -36,7 +37,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import interleave
-from repro.core.ooo_core import UNBOUNDED, WINDOW, BatchStats, OOOCore
+from repro.core.ooo_core import UNBOUNDED, WINDOW, OOOCore
 from repro.core.rob import StallAccounting
 from repro.obs.sampler import IntervalSampler
 from repro.params import default_config
@@ -324,26 +325,18 @@ def traces(draw, max_len: int = 2600):
     return Trace(ips, kinds, addrs, name="differential", deps=deps)
 
 
-def _fast(core) -> None:
-    """Turn the fast path on for an interleaved core, as ``OOOCore.run``
-    does for a single-stream one."""
-    core.fast_path = True
-    core.batch = BatchStats()
-
-
 # ----------------------------------------------------------------------
 # Tests
 # ----------------------------------------------------------------------
 def _state(hierarchy):
     """What the fast path writes that ``hierarchy_counters`` does not
-    show: the L1D's columns and LRU stamps, each TLB's entries, stamps
-    and frames, and the replay loads' summed latency."""
+    show: the L1D's columns and LRU stamps, and each TLB's entries,
+    stamps and frames."""
     l1d = hierarchy.l1d
     store = l1d.store
     state = {"l1d": (list(store.line), bytes(store.valid),
                      bytes(store.dirty), bytes(store.reused),
-                     list(l1d.policy._stamp), l1d.policy._clock),
-             "replay_latency_total": hierarchy.replay_latency_total}
+                     list(l1d.policy._stamp), l1d.policy._clock)}
     for name in ("dtlb", "stlb"):
         tlb = getattr(hierarchy.mmu, name)
         state[name] = ([list(entries.items()) for entries in tlb._sets],
@@ -419,9 +412,6 @@ def test_interleaved_streams_match_the_previous_loop():
                                (RecordedFastCore, True)):
             hierarchy = CountingHierarchy(cfg)
             cores = [core_cls(cfg, hierarchy) for _ in range(2)]
-            if fast:
-                for core in cores:
-                    _fast(core)
             results = interleave(cores, [first, second], warmup)
             runs.append({
                 "retired": [core.retired for core in cores],

@@ -182,11 +182,11 @@ def test_ideal_llc_modes_wire_through():
 
 
 def test_shared_llc_between_hierarchies():
-    from repro.vm.page_table import FrameAllocator, PageTable
+    from repro.vm.page_table import FrameAllocator
     cfg = default_config()
     alloc = FrameAllocator()
-    first = MemoryHierarchy(cfg, page_table=PageTable(alloc))
-    second = MemoryHierarchy(cfg, page_table=PageTable(alloc),
+    first = MemoryHierarchy(cfg, alloc)
+    second = MemoryHierarchy(cfg, alloc,
                              shared_llc=first.llc, shared_dram=first.dram)
     assert second.llc is first.llc
     assert second.dram is first.dram

@@ -3,11 +3,13 @@ shared-LLC multicore study (Section V).
 
 Each case pins, exactly, every thread's ROI instructions, cycles and
 ``StallAccounting.snapshot()`` plus ``hierarchy_counters`` of every
-hierarchy the machine owns.  The values in
-``tests/data/multistream_pins.json`` were produced by the
-instruction-at-a-time interleaving scheduler that the sliced one in
-:mod:`repro.core.engine` replaced; a change that is *meant* to move
-interleaved results regenerates them with::
+hierarchy the machine owns, and every stream must take the core's fast
+path.  The values in ``tests/data/multistream_pins.json`` were produced
+by the instruction-at-a-time interleaving scheduler that the sliced one
+in :mod:`repro.core.engine` replaced, with the fast path off; the
+interleaved fast path reproduces them.  A change that is *meant* to
+move interleaved results (or the counter surface) regenerates them
+with::
 
     PYTHONPATH=src python tests/test_multistream_pins.py \\
         > tests/data/multistream_pins.json
@@ -41,7 +43,8 @@ CASES = {
 }
 
 
-def outcome(machine, mix, enhancements, instructions, warmup):
+def simulate(machine, mix, enhancements, instructions, warmup):
+    """Run one case: its per-stream results and its hierarchies."""
     cfg = default_config()
     if enhancements == "full":
         cfg = cfg.with_(enhancements=EnhancementConfig.full())
@@ -56,6 +59,10 @@ def outcome(machine, mix, enhancements, instructions, warmup):
         multicore = MultiCore(cfg, len(mix))
         hierarchies = multicore.hierarchies
         results = multicore.run(traces, warmup=warmup)
+    return results, hierarchies
+
+
+def outcome(results, hierarchies):
     return {
         "threads": [{"instructions": r.instructions, "cycles": r.cycles,
                      "stalls": r.stalls.snapshot()} for r in results],
@@ -66,7 +73,8 @@ def outcome(machine, mix, enhancements, instructions, warmup):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_interleaved_outcome_is_pinned(name):
     pinned = json.loads(PINS.read_text())[name]
-    got = outcome(*CASES[name])
+    results, hierarchies = simulate(*CASES[name])
+    got = outcome(results, hierarchies)
     for tid, (g, p) in enumerate(zip(got["threads"], pinned["threads"])):
         assert g == p, f"{name}: thread {tid}"
     for hid, (g, p) in enumerate(zip(got["hierarchies"],
@@ -74,8 +82,12 @@ def test_interleaved_outcome_is_pinned(name):
         assert g == p, f"{name}: hierarchy {hid}"
     assert len(got["threads"]) == len(pinned["threads"])
     assert len(got["hierarchies"]) == len(pinned["hierarchies"])
+    for tid, result in enumerate(results):
+        assert result.batch.fallbacks == {}, f"{name}: thread {tid}"
+        assert result.batch.windows > 0, f"{name}: thread {tid}"
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: outcome(*case) for name, case in CASES.items()},
+    print(json.dumps({name: outcome(*simulate(*case))
+                      for name, case in CASES.items()},
                      indent=1, sort_keys=True))

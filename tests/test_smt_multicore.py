@@ -74,3 +74,25 @@ def test_multicore_runs_all_cores():
     assert len(results) == 2
     assert all(r.instructions == 1200 for r in results)
     assert sum(mc.llc.stats.misses.values()) > 0
+
+
+def test_a_multicore_mix_maps_its_huge_page_region():
+    """Under ``huge_page_policy="gather_region"`` every core's page table
+    maps the region with 2MB pages, drawing frames from the one shared
+    allocator; each stream is refused the fast path for it."""
+    from repro.experiments.runner import run_mix
+
+    cfg = default_config().with_(huge_page_policy="gather_region")
+    mc = MultiCore(cfg, 2)
+    allocator = mc.hierarchies[0].page_table.allocator
+    for hierarchy in mc.hierarchies:
+        assert hierarchy.page_table.allocator is allocator
+        assert hierarchy.page_table.huge_page_predicate is not None
+    run = run_mix(cores=("pr", "cc"), config=cfg, instructions=2000,
+                  warmup=500)
+    plain = run_mix(cores=("pr", "cc"), config=default_config(),
+                    instructions=2000, warmup=500)
+    assert run.hierarchy.page_table.huge_pages > 0
+    assert run.hierarchy.mmu.walker.walks < plain.hierarchy.mmu.walker.walks
+    assert [core.batch.fallbacks for core in run.streams] \
+        == [{"huge_pages": 1}] * 2

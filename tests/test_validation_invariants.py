@@ -259,7 +259,7 @@ def test_shared_llc_not_double_attached(monkeypatch):
     monkeypatch.setenv("REPRO_CHECK", "1")
     cfg = default_config(16)
     first = MemoryHierarchy(cfg)
-    second = MemoryHierarchy(cfg, page_table=first.page_table,
+    second = MemoryHierarchy(cfg, first.page_table.allocator,
                              shared_llc=first.llc, shared_dram=first.dram)
     checked_names = [c.cache.name for c in second.checker.cache_checkers]
     assert "LLC" not in checked_names  # first hierarchy owns its checks
