@@ -43,13 +43,6 @@ _STORE = AccessType.STORE
 _WRITEBACK = AccessType.WRITEBACK
 
 
-def _is_base_noop(policy: ReplacementPolicy, name: str) -> bool:
-    """Whether ``policy``'s hook ``name`` is :class:`ReplacementPolicy`'s
-    own (a no-op), neither overridden nor patched on the instance."""
-    return getattr(getattr(policy, name), "__func__", None) \
-        is getattr(ReplacementPolicy, name)
-
-
 class Cache:
     """One level of the data-cache hierarchy."""
 
@@ -113,24 +106,6 @@ class Cache:
     def policy(self, policy: ReplacementPolicy) -> None:
         policy.bind(self._store)
         self._policy = policy
-        # A new policy gets every hook until the next probe.
-        self._calls_on_evict = True
-        self._calls_record_miss = True
-
-    def probe_hooks(self) -> None:
-        """Skip each of the policy's ``on_evict`` and ``record_miss``
-        hooks that is its base class's no-op; the core calls this at the
-        start of a run, and until then the cache calls every hook.
-
-        Both sides are read now, so a class-level wrapper on the base
-        hook (perfbench's spans) still reads as the base's, and a hook
-        patched on the policy instance (a bound method of another
-        function, or a plain function) is kept.  Reading the instance
-        ``__dict__`` instead would build it on CPython 3.11 and slow the
-        object's later attribute reads (see ``fast_path_refusal``)."""
-        policy = self._policy
-        self._calls_on_evict = not _is_base_noop(policy, "on_evict")
-        self._calls_record_miss = not _is_base_noop(policy, "record_miss")
 
     @property
     def store(self) -> CacheStore:
@@ -173,8 +148,10 @@ class Cache:
             if req.is_leaf_translation:
                 stats.leaf_accesses += 1
                 stats.leaf_misses += 1
-            if req.is_demand_data and self._calls_record_miss:
-                self._policy.record_miss(set_idx)
+            if req.is_demand_data:
+                record_miss = self._policy.record_miss
+                if record_miss is not None:
+                    record_miss(set_idx)
 
             access_type = req.access_type
             merged = mshr._inflight.get(line)
@@ -303,8 +280,9 @@ class Cache:
             policy = self._policy
             way = policy.victim(set_idx, req)
             slot = base + way
-            if self._calls_on_evict:
-                policy.on_evict(set_idx, way)
+            on_evict = policy.on_evict
+            if on_evict is not None:
+                on_evict(set_idx, way)
             victim_line = store.line[slot]
             del self._slot_of[victim_line]
             # Back-invalidation: a dirty upper-level copy holds data the

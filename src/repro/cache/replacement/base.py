@@ -54,11 +54,13 @@ class ReplacementPolicy(abc.ABC):
     def on_hit(self, set_idx: int, way: int, req: MemoryRequest) -> None:
         """The block at (set, way) was re-referenced."""
 
-    def on_evict(self, set_idx: int, way: int) -> None:
-        """The block at (set, way) is about to be replaced (training hook)."""
-
-    def record_miss(self, set_idx: int) -> None:
-        """A demand miss occurred in ``set_idx`` (set-dueling hook)."""
+    #: Optional hooks: a policy that trains on them defines them as
+    #: methods, and the cache calls each only when it is not None.
+    #: ``on_evict(set_idx, way)``: the block at (set, way) is about to
+    #: be replaced.  ``record_miss(set_idx)``: a demand miss occurred in
+    #: ``set_idx`` (set dueling).
+    on_evict = None
+    record_miss = None
 
     def demote(self, set_idx: int, way: int) -> None:
         """Force the block to highest eviction priority (ATP prefetch fills)."""

@@ -21,10 +21,11 @@ class DRRIPPolicy(RRIPBase):
     rrpv_bits = 2
     PSEL_BITS = 10
     LONG_INTERVAL = 32  # BRRIP's bimodal throttle
+    LEADER_SETS = 32  # of each policy, at most half the sets
 
-    def __init__(self, num_sets: int, num_ways: int, leader_sets: int = 32):
+    def __init__(self, num_sets: int, num_ways: int):
         super().__init__(num_sets, num_ways)
-        leader_sets = min(leader_sets, max(1, num_sets // 2))
+        leader_sets = min(self.LEADER_SETS, max(1, num_sets // 2))
         self._psel_max = (1 << self.PSEL_BITS) - 1
         self._psel = self._psel_max // 2
         self._brrip_fills = 0

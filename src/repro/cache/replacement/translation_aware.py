@@ -49,9 +49,9 @@ class TDRRIPPolicy(DRRIPPolicy):
 
     name = "t_drrip"
 
-    def __init__(self, num_sets: int, num_ways: int, leader_sets: int = 32,
+    def __init__(self, num_sets: int, num_ways: int,
                  replay_rrpv0: bool = False):
-        super().__init__(num_sets, num_ways, leader_sets)
+        super().__init__(num_sets, num_ways)
         self.replay_rrpv0 = replay_rrpv0
 
     def insertion_rrpv(self, set_idx: int, req: MemoryRequest) -> int:

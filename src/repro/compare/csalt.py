@@ -26,12 +26,12 @@ class CSALTPolicy(SHiPPolicy):
     name = "csalt"
     EPOCH_FILLS = 2048
     MIN_T_WAYS = 1
+    INITIAL_T_WAYS = 2
 
-    def __init__(self, num_sets: int, num_ways: int,
-                 initial_t_ways: int = 2):
+    def __init__(self, num_sets: int, num_ways: int):
         super().__init__(num_sets, num_ways)
         self.t_ways = max(self.MIN_T_WAYS,
-                          min(initial_t_ways, num_ways - 1))
+                          min(self.INITIAL_T_WAYS, num_ways - 1))
         self._fills = 0
         self._hits = {"translation": 0, "data": 0}
         self._accesses = {"translation": 0, "data": 0}

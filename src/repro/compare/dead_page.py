@@ -20,7 +20,7 @@ accelerate the costly misses; replay loads stay uncovered.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List
 
 from repro.memsys.request import MemoryRequest
 from repro.params import PAGE_SHIFT
@@ -83,16 +83,20 @@ class DeadBlockBypass:
     whose filling IP predicts dead is served upward without being
     installed in the LLC, freeing capacity for live blocks.
     Translations are never bypassed (the original also keeps them).
+    A shared LLC judges each core's fills with that core's predictor:
+    ``predictors[i]`` is core ``i``'s (``predictor`` is core 0's, and
+    each core that joins the LLC appends its own), and a demand request
+    names its core in ``cpu``.
     """
 
     def __init__(self, predictor: DeadPagePredictor):
-        self.predictor = predictor
+        self.predictors: List[DeadPagePredictor] = [predictor]
         self.bypassed = 0
 
     def __call__(self, req: MemoryRequest) -> bool:
         if not req.is_demand_data:
             return False
-        if self.predictor.is_dead(req.ip):
+        if self.predictors[req.cpu].is_dead(req.ip):
             self.bypassed += 1
             return True
         return False

@@ -40,7 +40,7 @@ class MultiCore:
         config = config.with_(llc=llc, dram=dram)
         self.config = config
         self.num_cores = num_cores
-        allocator = FrameAllocator(seed=config.seed)
+        allocator = FrameAllocator()
         first = MemoryHierarchy(config, allocator)
         self.hierarchies: List[MemoryHierarchy] = [first]
         for _ in range(1, num_cores):

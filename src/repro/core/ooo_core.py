@@ -187,11 +187,9 @@ class OOOCore:
     #: job param sets it.
     _reference = False
 
-    def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy,
-                 cpu_id: int = 0):
+    def __init__(self, config: SimConfig, hierarchy: MemoryHierarchy):
         self.config = config
         self.hierarchy = hierarchy
-        self.cpu_id = cpu_id
         core = config.core
         self.rob_entries = core.rob_entries
         self.dispatch_width = core.dispatch_width
@@ -238,16 +236,11 @@ class OOOCore:
         With ``warmup == 0`` the region of interest opens here; otherwise
         the caller opens it (:meth:`begin_roi`) at index ``warmup``.  The
         stream starts here on its built machine, attachments included,
-        so each cache level probes which policy hooks it may skip
-        (:meth:`repro.cache.cache.Cache.probe_hooks`), and the fast path
-        is on unless :func:`fast_path_refusal` refuses the machine (or
-        the private ``_reference`` switch keeps it off); a fresh
-        ``batch`` records the decision.
+        and the fast path is on unless :func:`fast_path_refusal` refuses
+        the machine (or the private ``_reference`` switch keeps it off);
+        a fresh ``batch`` records the decision.
         """
-        hierarchy = self.hierarchy
-        for cache in (hierarchy.l1d, hierarchy.l2c, hierarchy.llc):
-            cache.probe_hooks()
-        reason = fast_path_refusal(hierarchy)
+        reason = fast_path_refusal(self.hierarchy)
         self.fast_path = reason is None and not self._reference
         self.batch = BatchStats(fallbacks={reason: 1} if reason else {})
         self.trace = trace

@@ -15,7 +15,8 @@ class whose classification (line address, category, leaf-ness) is computed
 once at construction instead of per property read.  The classifying inputs
 (``address``, ``access_type``, ``is_replay``, ``pt_level``, ``leaf_walk``)
 must not be mutated afterwards; the hierarchy only ever mutates ``cycle``,
-``dropped``, ``served_by`` and ``evict_priority``.
+``dropped``, ``served_by`` and ``evict_priority``, and stamps ``cpu`` on
+a demand request it builds.
 
 Short-lived internal requests (writebacks, prefetch probes) can come from
 the module-level free-list pool (:func:`acquire` / :func:`release`) to
@@ -75,6 +76,8 @@ class MemoryRequest:
         self.cycle = cycle
         self.ip = ip
         self.access_type = access_type
+        #: Issuing core of a multicore mix (the shared LLC's dead-block
+        #: bypass reads it).
         self.cpu = cpu
         #: True when the corresponding address translation missed the STLB.
         self.is_replay = is_replay

@@ -114,7 +114,6 @@ class DRAMConfig:
     row_hit_latency: int = 64
     row_miss_latency: int = 190
     bus_transfer_cycles: int = 4
-    queue_depth: int = 64
 
 
 @dataclass
@@ -256,7 +255,6 @@ class SimConfig:
     #: and 18 read them, and they set it on their points: tracking costs
     #: about 15% of a ``pr``/full run.
     track_recall: bool = False
-    seed: int = 1
 
     def with_(self, **overrides) -> "SimConfig":
         """Return a copy with the given fields overridden.

@@ -9,15 +9,12 @@ from repro.prefetch.base import Prefetcher, clamp_to_page
 
 
 class NextLinePrefetcher(Prefetcher):
-    """On every demand access, prefetch the next ``degree`` lines."""
+    """On every demand access, prefetch the next :attr:`DEGREE` lines."""
 
     name = "next_line"
-
-    def __init__(self, degree: int = 1):
-        super().__init__()
-        self.degree = degree
+    DEGREE = 1
 
     def operate(self, req: MemoryRequest, hit: bool) -> List[int]:
         line = req.line_addr
-        candidates = [line + d for d in range(1, self.degree + 1)]
+        candidates = [line + d for d in range(1, self.DEGREE + 1)]
         return self._count(clamp_to_page(line, candidates))

@@ -83,7 +83,12 @@ class JobSpec:
                            f"{' '.join(JOB_KINDS)}")
         clean = {k: v for k, v in params.items() if v is not None}
         _validate(kind, clean)
-        return cls(kind=kind, params=_freeze(clean))
+        spec = cls(kind=kind, params=_freeze(clean))
+        try:
+            spec.digest  # resolve a run's config or a scenario now
+        except (TypeError, ValueError) as exc:
+            raise JobError(f"bad {kind} job: {exc}") from None
+        return spec
 
     @classmethod
     def from_dict(cls, data: Dict) -> "JobSpec":
@@ -156,6 +161,10 @@ def _validate(kind: str, params: Dict) -> None:
                 or not all(isinstance(name, str) for name in streams)):
             raise JobError(f"{named[0]} must be a non-empty list of "
                            f"workload names, got {streams!r}")
+    if kind in ("run", "trace") and not isinstance(
+            params.get("config", {}), dict):
+        raise JobError(f"config must be an object of SimConfig fields, "
+                       f"got {params['config']!r}")
     # Warmup and seed may be 0, as the simulator and scenario schema allow.
     for name, least in (("instructions", 1), ("scale", 1), ("warmup", 0),
                         ("seed", 0)):

@@ -123,6 +123,9 @@ class MemoryHierarchy:
         # Section V-B prior-work comparison modes.
         self.dead_page_predictor = None
         self.dead_block_bypass = None
+        #: This core's index at the shared LLC's dead-block bypass, which
+        #: its demand requests carry as ``cpu``.
+        self.cpu = 0
         if config.comparison == "cbpred":
             from repro.compare.dead_page import (DeadBlockBypass,
                                                  DeadPagePredictor)
@@ -133,6 +136,10 @@ class MemoryHierarchy:
                 self.dead_block_bypass = DeadBlockBypass(
                     self.dead_page_predictor)
                 self.llc.bypass_predicate = self.dead_block_bypass
+            else:
+                predictors = shared_llc.bypass_predicate.predictors
+                self.cpu = len(predictors)
+                predictors.append(self.dead_page_predictor)
         elif config.comparison == "csalt":
             if shared_llc is None:
                 from repro.compare.csalt import CSALTPolicy
@@ -207,6 +214,7 @@ class MemoryHierarchy:
                     tr.walk.leaf_served_by] += 1
 
         req = request_pool.acquire(tr.paddr, issue_at, ip, _LOAD, is_replay)
+        req.cpu = self.cpu
         category = "replay" if is_replay else "non_replay"
         dspan = None
         if tracer is not None:
@@ -241,6 +249,7 @@ class MemoryHierarchy:
         tr = self.mmu.translate(va, cycle, ip)
         req = request_pool.acquire(tr.paddr, tr.done_cycle, ip, _STORE,
                                    tr.is_replay)
+        req.cpu = self.cpu
         category = "replay" if tr.is_replay else "non_replay"
         dspan = None
         if tracer is not None:

@@ -17,20 +17,14 @@ from repro.vm.address import level_index
 class FrameAllocator:
     """Hands out physical frame numbers.
 
-    Frames are scattered with a multiplicative hash (Weyl sequence) so that
-    consecutive allocations do not all land in the same DRAM row, while
-    remaining deterministic for a given seed.
+    Frames are allocated sequentially, so a stream's consecutive pages
+    share DRAM rows.
     """
 
-    _MULT = 0x9E3779B97F4A7C15
-
-    def __init__(self, num_frames: int = 1 << 24, seed: int = 1,
-                 scatter: bool = False):
+    def __init__(self, num_frames: int = 1 << 24):
         if num_frames <= 0:
             raise ValueError("need a positive number of frames")
         self.num_frames = num_frames
-        self.scatter = scatter
-        self._counter = seed
         self._allocated = 0
         # Contiguous (huge-page) allocations grow downward from the top
         # of physical memory, away from the 4KB allocations.
@@ -40,10 +34,7 @@ class FrameAllocator:
         if self._allocated >= self.num_frames:
             raise MemoryError("out of physical frames")
         self._allocated += 1
-        self._counter += 1
-        if not self.scatter:
-            return self._allocated - 1
-        return ((self._counter * self._MULT) >> 16) % self.num_frames
+        return self._allocated - 1
 
     def allocate_contiguous(self, count: int) -> int:
         """Reserve ``count`` aligned, contiguous frames (2MB pages need

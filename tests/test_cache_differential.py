@@ -3,8 +3,8 @@
 ``Cache.access`` answers a hit and a miss in one pass, and
 ``Cache._fill`` finds the free way, evicts the victim and writes each
 live column once; SHiP-family fills hash their signature once, and a
-level whose hooks were probed (``Cache.probe_hooks``) skips the
-policy's no-op ``on_evict`` and ``record_miss``.  None of this may
+level calls a policy's ``on_evict`` and ``record_miss`` only where the
+policy sets them (the base class's are None).  None of this may
 change a simulated statistic, so this module keeps the code it replaced
 as a reference:
 
@@ -13,7 +13,8 @@ as a reference:
 * :class:`ReferenceCache` -- the previous ``Cache`` access and fill
   path, verbatim (``_handle_hit``, ``_handle_miss``, ``_fill``,
   ``_evict``), plus the one-line admission-cycle fix that each level's
-  MSHR is told its own admission cycle;
+  MSHR is told its own admission cycle, and a None guard on its two
+  optional policy hooks;
 * :func:`reference_policy` -- every registered policy, with the
   SHiP family's previous ``on_fill``, which hashed the signature once
   for the column and again for the insertion RRPV.
@@ -24,8 +25,8 @@ loads and stores, replay or not; leaf and upper-level translations;
 prefetches with and without ``evict_priority``, as requests and through
 ``issue_prefetch``; writebacks; and cycles that go backwards.  Every
 registered policy runs with and without inclusive back-invalidation, a
-bypass predicate, the ``ideal_*`` flags, recall tracking, a demand
-prefetcher and the hook probe.  After each request the returned cycle,
+bypass predicate, the ``ideal_*`` flags, recall tracking and a demand
+prefetcher.  After each request the returned cycle,
 ``served_by`` and ``dropped`` must agree; at the end every store column
 and ``slot_of``, the stats, the MSHR, the writeback, back-invalidation,
 drop and bypass counters, the policy state, the recall histograms and
@@ -271,7 +272,7 @@ class ReferenceCache:
         if req.is_leaf_translation:
             stats.leaf_accesses += 1
             stats.leaf_misses += 1
-        if req.is_demand_data:
+        if req.is_demand_data and self._policy.record_miss is not None:
             self._policy.record_miss(set_idx)
 
         mshr = self.mshr
@@ -348,7 +349,8 @@ class ReferenceCache:
         if slot < 0:
             way = self._policy.victim(set_idx, req)
             slot = set_idx * self.num_ways + way
-            self._policy.on_evict(set_idx, way)
+            if self._policy.on_evict is not None:
+                self._policy.on_evict(set_idx, way)
             self._evict(set_idx, slot, fill_cycle)
         else:
             way = slot - set_idx * self.num_ways
@@ -538,9 +540,6 @@ def build(cache_cls, policy_fn, policy: str, options: Dict):
     prefetcher = None
     if options["prefetcher"]:
         prefetcher = upper.prefetcher = NextLine()
-    if options["probe"] and cache_cls is Cache:
-        for cache in levels:
-            cache.probe_hooks()
     hits = []
     for cache in levels:
         cache.on_leaf_translation_hit = (
@@ -646,13 +645,12 @@ def level_state(cache) -> Dict:
 @pytest.mark.parametrize("policy", sorted(_REGISTRY))
 @settings(max_examples=40, deadline=None)
 @given(stream=ops, inclusive=st.booleans(), bypass=st.booleans(),
-       ideal=st.booleans(), recall=st.booleans(), prefetcher=st.booleans(),
-       probe=st.booleans())
+       ideal=st.booleans(), recall=st.booleans(), prefetcher=st.booleans())
 def test_access_and_fill_match_the_previous_path(policy, stream, inclusive,
                                                  bypass, ideal, recall,
-                                                 prefetcher, probe):
+                                                 prefetcher):
     options = {"inclusive": inclusive, "bypass": bypass, "ideal": ideal,
-               "recall": recall, "prefetcher": prefetcher, "probe": probe}
+               "recall": recall, "prefetcher": prefetcher}
     new = build(Cache, make_policy, policy, options)
     ref = build(ReferenceCache, reference_policy, policy, options)
     new_seen = drive(new, stream)

@@ -91,6 +91,56 @@ def test_llc_bypass_skips_install():
     assert h.llc.fills_bypassed >= 1
 
 
+def test_shared_llc_judges_each_core_with_its_own_predictor():
+    """In a multicore mix the shared LLC's bypass asks the predictor of
+    the core whose demand fill it judges.  Each core's L2C tags the
+    requests it sends down, and each predictor's ``is_dead`` records
+    whose fill it judged while the bypass runs."""
+    from collections import Counter
+
+    from repro.core.multicore import MultiCore
+    from repro.workloads.registry import make_trace
+
+    mc = MultiCore(default_config().with_(comparison="cbpred"), 2)
+    llc = mc.llc
+    sender = [None]
+    judging = [False]
+    judged = Counter()  # (predictor's core, fill's core)
+
+    class Tagged:
+        def __init__(self, core):
+            self.core = core
+
+        def access(self, req):
+            sender[0] = self.core
+            return llc.access(req)
+
+    bypass = llc.bypass_predicate
+
+    def judge(req):
+        judging[0] = True
+        try:
+            return bypass(req)
+        finally:
+            judging[0] = False
+    llc.bypass_predicate = judge
+
+    for core, h in enumerate(mc.hierarchies):
+        h.l2c.next_level = Tagged(core)
+        predictor = h.dead_page_predictor
+
+        def is_dead(ip, core=core, own=predictor.is_dead):
+            if judging[0]:
+                judged[core, sender[0]] += 1
+            return own(ip)
+        predictor.is_dead = is_dead
+
+    mc.run([make_trace("pr", 6000, seed=11),
+            make_trace("cc", 6000, seed=12)], warmup=1000)
+    assert judged[0, 0] > 0 and judged[1, 1] > 0
+    assert judged[0, 1] == judged[1, 0] == 0
+
+
 # -- CSALT -----------------------------------------------------------------
 def _bound(pol, specs):
     store = CacheStore(pol.num_sets, pol.num_ways)
@@ -104,7 +154,7 @@ def _bound(pol, specs):
 
 
 def test_csalt_partition_evicts_within_class():
-    pol = CSALTPolicy(4, 4, initial_t_ways=2)
+    pol = CSALTPolicy(4, 4)
     store = _bound(pol, [(1, True), (2, True), (3, False), (4, False)])
     # Translation fill while at quota: must evict a translation way.
     t_req = MemoryRequest(address=0x100, cycle=0,
@@ -118,7 +168,7 @@ def test_csalt_partition_evicts_within_class():
 
 
 def test_csalt_quota_adapts():
-    pol = CSALTPolicy(4, 8, initial_t_ways=2)
+    pol = CSALTPolicy(4, 8)
     _bound(pol, [])
     start = pol.t_ways
     # Starve translations: low translation hit rate, high data hit rate.

@@ -8,21 +8,14 @@ from repro.vm.page_table import FrameAllocator, PageTable
 
 
 def test_allocator_unique_frames():
-    alloc = FrameAllocator(num_frames=1 << 20, scatter=True)
+    alloc = FrameAllocator(num_frames=1 << 20)
     frames = [alloc.allocate() for _ in range(1000)]
     assert len(set(frames)) == len(frames)
 
 
 def test_allocator_sequential_mode():
-    alloc = FrameAllocator(scatter=False)
+    alloc = FrameAllocator()
     assert [alloc.allocate() for _ in range(3)] == [0, 1, 2]
-
-
-def test_allocator_deterministic_for_seed():
-    a = FrameAllocator(seed=7, scatter=True)
-    b = FrameAllocator(seed=7, scatter=True)
-    assert [a.allocate() for _ in range(10)] == [b.allocate()
-                                                 for _ in range(10)]
 
 
 def test_allocator_exhaustion():

@@ -28,8 +28,8 @@ def test_clamp_to_page_drops_crossers():
 
 
 def test_next_line_prefetches_within_page():
-    pf = NextLinePrefetcher(degree=2)
-    assert pf.operate(load(10), hit=False) == [11, 12]
+    pf = NextLinePrefetcher()
+    assert pf.operate(load(10), hit=False) == [11]
     # At the page edge: cross-page candidates are clamped.
     edge = LINES_PER_PAGE - 1
     assert pf.operate(load(edge), hit=False) == []

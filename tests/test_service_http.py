@@ -88,6 +88,26 @@ def test_bad_spec_is_400(server):
     assert exc.value.status == 400
 
 
+@pytest.mark.parametrize("body, named", [
+    ({**RUN, "config": {"nonexistent": 1}}, "nonexistent"),
+    ({**RUN, "config": {"seed": 3}}, "seed"),
+    ({**RUN, "config": {"l1d": {"size_bytes": 100}}}, "L1D"),
+    ({**RUN, "config": "notadict"}, "notadict"),
+    ({"kind": "scenario", "scenario": "NO-SUCH-SCENARIO"},
+     "NO-SUCH-SCENARIO"),
+])
+def test_spec_whose_identity_cannot_resolve_is_400(server, body, named):
+    """A run's config and a scenario's document are resolved when the
+    spec is made, so a bad one is a 400 naming it, and nothing is
+    registered."""
+    url, service = server
+    with pytest.raises(ServiceClientError) as exc:
+        request(url, "/jobs", method="POST", body=body)
+    assert exc.value.status == 400
+    assert named in exc.value.document["error"]
+    assert service._inflight == {}
+
+
 def test_non_int_priority_is_400_not_zombie(server):
     url, service = server
     for bad in ("high", True, 2.5):

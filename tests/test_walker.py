@@ -134,7 +134,7 @@ def test_descent_memo_matches_unmemoised_walks(seed, huge):
         == [vars(r) for r in plain_mem.requests]
     assert memo_pt.table_pages == plain_pt.table_pages
     assert memo_pt.data_pages == plain_pt.data_pages
-    assert memo_pt.allocator._counter == plain_pt.allocator._counter
+    assert memo_pt.allocator._allocated == plain_pt.allocator._allocated
     assert (memo_pt.huge_pages > 0) == huge
     expected = set() if huge else {va >> PAGE_SHIFT for va in vas}
     assert set(memo.entries_cache) == expected

@@ -9,19 +9,21 @@ then drives it exactly the way a user would:
 2. submit a scenario the same way;
 3. resubmit the identical run and assert it is a *store hit* that
    executed nothing (the same-RunKey-executes-once acceptance check);
-4. submit a tiny ``figure`` job, check that its ``figure-progress``
+4. submit a run whose ``config`` names a field ``SimConfig`` does not
+   have, and assert a 400 whose error names it;
+5. submit a tiny ``figure`` job, check that its ``figure-progress``
    events name their point, then submit a ``run`` job for that point and
    assert it is a store hit (figure points are ordinary run jobs);
-5. assert the run payload is bit-identical to a direct ``api.run``, and
+6. assert the run payload is bit-identical to a direct ``api.run``, and
    that the run, forwarding progress from a pool worker, kept the
    core's fast path;
-6. assert the telemetry plane: the ``/health`` telemetry block
+7. assert the telemetry plane: the ``/health`` telemetry block
    validates against ``repro.obs/telemetry-v1``, ``/metrics`` parses as
    Prometheus text with the queue/latency/dedupe series, at least one
    ``job-progress`` event arrived on the run's stream, and the final
    progress row (cycles, IPC, walk cycles, L2C and LLC demand MPKI)
    agrees with the stored ``RunSummary``;
-7. write the store manifest and a telemetry snapshot to
+8. write the store manifest and a telemetry snapshot to
    ``service-artifacts/`` (CI uploads them).
 
 Exits non-zero on any violated expectation.  Stdlib + repro only.
@@ -43,6 +45,8 @@ SCENARIO_SPEC = {"kind": "scenario", "scenario": "SYN-01-STLB-THRASH",
                  "instructions": 6_000, "warmup": 1_000}
 FIGURE_SPEC = {"kind": "figure", "figure": "fig1", "benchmarks": ["pr"],
                "instructions": 6_000, "warmup": 1_000}
+#: A run whose config names ``seed``, which is not a SimConfig field.
+BAD_CONFIG_SPEC = {**RUN_SPEC, "config": {"seed": 3}}
 #: fig1's one point on ``pr``: the default config at the figure's ROI.
 FIGURE_POINT_SPEC = {"kind": "run", "benchmark": "pr",
                      "instructions": 6_000, "warmup": 1_000}
@@ -90,7 +94,8 @@ def main() -> int:
     from repro import api
     from repro.obs.telemetry import validate_telemetry
     from repro.service import JobStore, SweepService
-    from repro.service.cli import follow_events, request, wait_for_job
+    from repro.service.cli import (ServiceClientError, follow_events,
+                                   request, wait_for_job)
     from repro.service.http import build_server
 
     store_root = tempfile.mkdtemp(prefix="repro-serve-smoke-")
@@ -149,7 +154,17 @@ def main() -> int:
         check("store-hit counter advanced",
               health["metrics"]["store_hits"] == 1)
 
-        # 4. a tiny figure job; its point then serves a run job from
+        # 4. a config field SimConfig does not have is a 400 naming it
+        try:
+            request(url, "/jobs", method="POST", body=BAD_CONFIG_SPEC)
+            check("unknown config field is rejected", False)
+        except ServiceClientError as exc:
+            check(f"unknown config field is a 400 naming it "
+                  f"({exc.status}: {exc.document.get('error')!r})",
+                  exc.status == 400
+                  and "'seed'" in exc.document.get("error", ""))
+
+        # 5. a tiny figure job; its point then serves a run job from
         #    the store
         fig = request(url, "/jobs", method="POST", body=FIGURE_SPEC)
         final_fig = wait_for_job(url, fig["id"])
@@ -176,7 +191,7 @@ def main() -> int:
         check("figure ran its one point as a child run job",
               health["metrics"]["executed"] == 4)
 
-        # 5. the job payload is bit-identical to the direct API run
+        # 6. the job payload is bit-identical to the direct API run
         payload = request(url, f"/jobs/{run1['id']}/result")
         direct = api.RunSummary.from_run(
             api.run("tc", instructions=INSTRUCTIONS, warmup=WARMUP),
@@ -196,7 +211,7 @@ def main() -> int:
         check("run forwarded progress rows from its pool worker",
               len(forwarded) >= 1)
 
-        # 6. the telemetry plane
+        # 7. the telemetry plane
         problems = validate_telemetry(health["telemetry"])
         check("health telemetry block validates (telemetry-v1)",
               problems == [],)
@@ -232,7 +247,7 @@ def main() -> int:
         check("progress rows counted in gauges",
               health["gauges"]["progress_events"] >= len(progress))
 
-        # 7. manifest + telemetry artifacts
+        # 8. manifest + telemetry artifacts
         manifest = request(url, "/store")
         check("manifest lists the runs, scenario, figure and its point",
               sorted(manifest["digests"]) == sorted(
